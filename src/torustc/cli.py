@@ -20,7 +20,6 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 
 from .algebra import (
     AlgebraSignature,
@@ -33,7 +32,7 @@ from .algebra import (
     zdcl_degree_one,
 )
 from .bounds import BoundMismatch, compute_bounds
-from .planner import InvalidEndpoint, PlannerQuery, plan_product, plan_skeleton
+from .planner import InvalidEndpoint, PlannerQuery, plan_product, plan_skeleton, sample_times
 from .skeleton import SkeletonPoint, Turn
 from .verify import run_simulation
 
@@ -137,17 +136,16 @@ def cmd_verify_lower_bound(args) -> int:
 
 
 def cmd_plan(args) -> int:
+    if args.steps < 1:
+        raise ValueError(f"--steps must be at least 1, got {args.steps}")
     sig = AlgebraSignature(args.n, args.r)
     start = _parse_point(getattr(args, "from"), args.product)
     end = _parse_point(args.to, args.product)
     query = PlannerQuery(start, end)
     path = plan_product(query, sig) if args.product else plan_skeleton(query, sig)
-    steps = args.steps
-    times = {Fraction(k, steps) for k in range(steps + 1)}
-    times.update(path.phase_boundaries())
+    times = sample_times(args.steps, path.phase_boundaries())
     samples = []
-    for t in sorted(times):
-        point = path.evaluate(t)
+    for t, point in zip(times, path.evaluate_many(times)):
         coords = []
         if path.mode == "product":
             coords.append(_coord_jsonable(point.circle))

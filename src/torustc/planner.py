@@ -222,6 +222,56 @@ class PlannerPath:
         circ = self.circle_rule.value_at(t) if self.circle_rule is not None else None
         return EvaluatedPoint(base, circ)
 
+    def evaluate_many(self, times, floats: bool = False) -> list:
+        """Points of the path at every time of an ascending rational list.
+
+        Equal to [self.evaluate(t) for t in times], Turn for Turn and float
+        for float: each rule's phase is found with two exact bisections, as
+        in exact_zero_counts, and travel values use value_at's float
+        expression on float(t), taken once per time.  With floats=True each
+        point is instead the tuple of its values as floats, base coordinates
+        then the circle; resting values come from the float mirrors, so no
+        Turn is converted per point.
+        """
+        if any(isinstance(t, float) for t in times):
+            raise TypeError("evaluation times must be exact rationals, not floats")
+        if times:
+            _check_time(times[0])
+            _check_time(times[-1])
+        m = len(times)
+        tfs = [float(t) for t in times]
+        columns = []
+        for rule in self.rules:
+            first = rule.start_f if floats else rule.start
+            if rule.constant:
+                columns.append([first] * m)
+                continue
+            last = float(rule.end.value) if floats else rule.end
+            hi = bisect_right(times, rule.move_start)
+            lo = bisect_left(times, rule.rest_start)
+            s0, ms, span, dl = rule.start_f, rule.move_start_f, rule.span_f, rule.delta_f
+            travel = [(s0 + ((tf - ms) / span) * dl) % 1.0 for tf in tfs[hi:lo]]
+            columns.append([first] * hi + travel + [last] * (m - lo))
+        circle = None
+        c = self.circle_rule
+        if c is not None:
+            first = c.start_f if floats else c.start
+            if c.delta == 0:
+                circle = [first] * m
+            else:
+                last = float(c.end.value) if floats else c.end
+                lo = bisect_right(times, 0)
+                hi = bisect_left(times, 1)
+                travel = [(c.start_f + tf * c.delta_f) % 1.0 for tf in tfs[lo:hi]]
+                circle = [first] * lo + travel + [last] * (m - hi)
+        if floats:
+            if circle is not None:
+                columns.append(circle)
+            return list(zip(*columns)) if columns else [()] * m
+        base_rows = zip(*columns) if columns else [()] * m
+        return [EvaluatedPoint(base, circ)
+                for base, circ in zip(base_rows, circle or [None] * m)]
+
     def phase_boundaries(self) -> tuple[Fraction, ...]:
         """Times where some coordinate switches phase, in ascending order."""
         cuts = set()
@@ -263,6 +313,22 @@ class PlannerPath:
             running += diff[k]
             counts.append(running)
         return counts
+
+
+def sample_times(steps: int, *extra) -> list[Fraction]:
+    """The grid k/steps for k = 0..steps with the extra times inserted, in
+    ascending order and each time once.
+
+    Each extra time is placed by bisection: the extra runs (phase
+    boundaries) are short next to the grid.
+    """
+    out = [Fraction(k, steps) for k in range(steps + 1)]
+    for run in extra:
+        for t in run:
+            i = bisect_left(out, t)
+            if i == len(out) or out[i] != t:
+                out.insert(i, t)
+    return out
 
 
 def _build_rules(start: SkeletonPoint, end: SkeletonPoint) -> tuple[CoordinateRule, ...]:

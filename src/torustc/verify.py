@@ -27,7 +27,14 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .planner import PlannerPath, PlannerQuery, classify, plan_product, plan_skeleton
+from .planner import (
+    PlannerPath,
+    PlannerQuery,
+    classify,
+    plan_product,
+    plan_skeleton,
+    sample_times,
+)
 from .skeleton import SkeletonPoint, Turn, random_turn, sample
 
 DEFAULT_EPS = Fraction(1, 1000)
@@ -122,7 +129,7 @@ def run_simulation(
         raise ValueError("queries and steps must be positive")
     product = mode == "product"
     rng = random.Random(seed)
-    grid = [Fraction(k, steps) for k in range(steps + 1)]
+    grid = sample_times(steps)
     need = sig.n - sig.r
     top_domain = sig.n if product else sig.n - 1
     histogram: Counter = Counter()
@@ -166,8 +173,9 @@ def run_simulation(
                 report, failure_cap, "membership", query,
                 f"only {counts[worst]} coordinates at basepoint at t={grid[worst]}, need {need}",
             )
-        for cut in path.phase_boundaries():
-            if path.evaluate(cut).exact_zero_count() < need:
+        cuts = path.phase_boundaries()
+        for cut, point in zip(cuts, path.evaluate_many(cuts)):
+            if point.exact_zero_count() < need:
                 report.membership_violations += 1
                 _record(
                     report, failure_cap, "membership", query,
@@ -196,7 +204,9 @@ def run_simulation(
 
 def _perturbation(rng: random.Random, eps: Fraction) -> Fraction:
     # nonzero rational shift with |delta| <= eps
-    k = rng.choice([i for i in range(-1000, 1001) if i])
+    # the same draw as rng.choice over the nonzero integers in [-1000, 1000]
+    k = rng.randrange(2000)
+    k = k - 1000 if k < 1000 else k - 999
     return Fraction(k, 1000) * eps
 
 
@@ -322,25 +332,17 @@ def _wrap_query(sig, rng: random.Random, mode: str) -> tuple[PlannerQuery, dict[
 def path_deviation(path_a: PlannerPath, path_b: PlannerPath, sample_steps: int = 64) -> float:
     """Largest circle distance between the two paths over a shared time grid
     extended by both paths' phase boundaries."""
-    times = {Fraction(k, sample_steps) for k in range(sample_steps + 1)}
-    times.update(path_a.phase_boundaries())
-    times.update(path_b.phase_boundaries())
+    times = sample_times(sample_steps, path_a.phase_boundaries(), path_b.phase_boundaries())
     worst = 0.0
-    for t in sorted(times):
-        pa = path_a.evaluate(t)
-        pb = path_b.evaluate(t)
-        vals_a = pa.base if pa.circle is None else (*pa.base, pa.circle)
-        vals_b = pb.base if pb.circle is None else (*pb.base, pb.circle)
+    rows_a = path_a.evaluate_many(times, floats=True)
+    rows_b = path_b.evaluate_many(times, floats=True)
+    for vals_a, vals_b in zip(rows_a, rows_b):
         for va, vb in zip(vals_a, vals_b):
-            d = abs(_as_float(va) - _as_float(vb)) % 1.0
+            d = abs(va - vb) % 1.0
             d = min(d, 1.0 - d)
             if d > worst:
                 worst = d
     return worst
-
-
-def _as_float(v) -> float:
-    return float(v)
 
 
 def continuity_ratio(

@@ -1,6 +1,7 @@
 """Command-line surface: schemas, golden outputs, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -144,6 +145,16 @@ class TestPlan:
         assert code == 2
         assert "exact rational" in err
 
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_steps_below_one_is_usage_error(self, capsys, steps):
+        code, out, err = run(
+            capsys, "plan", "3", "2", "--from", "0,1/4", "--to", "1/2,0", "--steps", steps
+        )
+        assert code == 2
+        assert out == ""
+        assert "--steps must be at least 1" in err
+        assert "Traceback" not in err
+
     def test_samples_include_phase_boundaries(self, capsys):
         code, out, _ = run(
             capsys, "plan", "2", "2", "--from", "1/8", "--to", "5/8", "--steps", "2"
@@ -177,6 +188,16 @@ class TestSimulate:
         )
         assert code == 0
         assert json.loads(out)["mode"] == "product"
+
+    def test_seeded_reports_frozen(self, capsys):
+        # exact reports, max_continuity_ratio included, with wall_time_s dropped
+        frozen = json.loads((Path(__file__).parent / "data" / "simulate_seed11.json").read_text())
+        for case in frozen:
+            code, out, _ = run(capsys, *case["argv"])
+            doc = json.loads(out)
+            del doc["wall_time_s"]
+            assert code == case["exit"]
+            assert list(doc.items()) == list(case["report"].items())
 
     def test_zero_queries_is_usage_error(self, capsys):
         code, _, err = run(capsys, "simulate", "3", "2", "--queries", "0")

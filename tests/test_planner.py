@@ -23,6 +23,7 @@ from torustc import (
     rule_count,
     sample,
 )
+from torustc.planner import sample_times
 
 F = Fraction
 
@@ -294,6 +295,65 @@ class TestPlanProduct:
             path = plan_product(query(a, b), sig)
             assert path.evaluate(0).circle == a.circle
             assert path.evaluate(1).circle == b.circle
+
+
+def _values(p):
+    return p.base if p.circle is None else (*p.base, p.circle)
+
+
+class TestEvaluateMany:
+    """The batch evaluator against pointwise evaluation, the reference."""
+
+    @pytest.mark.parametrize("mode", ["skeleton", "product"])
+    def test_matches_pointwise_evaluation(self, mode):
+        product = mode == "product"
+        plan = plan_product if product else plan_skeleton
+        rng = random.Random(61 + product)
+        for n, r in [(1, 1), (2, 2), (3, 2), (4, 2), (5, 3), (6, 6), (8, 4), (10, 5)]:
+            sig = AlgebraSignature(n, r)
+            for _ in range(25):
+                a = sample(sig, rng, with_circle=product)
+                b = sample(sig, rng, with_circle=product)
+                path = plan(query(a, b), sig)
+                cuts = path.phase_boundaries()
+                # floats one ulp either side of every boundary, taken back
+                # exactly: dyadic times just inside and outside each phase
+                near = [
+                    F(math.nextafter(float(c), toward))
+                    for c in cuts for toward in (0.0, 1.0)
+                ]
+                near = [t for t in near if 0 <= t <= 1]
+                dyadic = [F(rng.random()) for _ in range(8)]
+                times = sample_times(16, cuts, near, dyadic)
+                grid = [F(k, 16) for k in range(17)]
+                assert times == sorted({*grid, *cuts, *near, *dyadic})
+                assert times[0] == 0 and times[-1] == 1
+
+                want = [path.evaluate(t) for t in times]
+                got = path.evaluate_many(times)
+                assert got == want
+                for g, w in zip(got, want):
+                    assert [type(v) for v in _values(g)] == [type(v) for v in _values(w)]
+                rows = path.evaluate_many(times, floats=True)
+                assert rows == [tuple(float(v) for v in _values(w)) for w in want]
+
+    def test_empty_and_single_time(self):
+        sig = AlgebraSignature(3, 2)
+        path = plan_product(query(point(0, "1/4", circle="1/8"),
+                                  point("1/2", 0, circle="5/8")), sig)
+        assert path.evaluate_many([]) == []
+        assert path.evaluate_many([], floats=True) == []
+        assert path.evaluate_many([F(1, 3)]) == [path.evaluate(F(1, 3))]
+
+    def test_rejects_float_and_out_of_range_times(self):
+        sig = AlgebraSignature(3, 2)
+        path = plan_skeleton(query(point(0, 0), point(0, "1/4")), sig)
+        with pytest.raises(TypeError, match="exact rationals"):
+            path.evaluate_many([F(0), 0.5, F(1)])
+        with pytest.raises(ValueError, match="outside"):
+            path.evaluate_many([F(0), F(3, 2)])
+        with pytest.raises(ValueError, match="outside"):
+            path.evaluate_many([F(-1, 2), F(1)])
 
 
 @st.composite

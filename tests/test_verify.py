@@ -14,11 +14,33 @@ from torustc import (
     continuity_ratio,
     path_deviation,
     perturb_query,
+    plan_product,
     plan_skeleton,
     run_simulation,
+    sample,
 )
+from torustc.verify import _wrap_query
 
 F = Fraction
+
+
+def pointwise_deviation(path_a, path_b, sample_steps=64):
+    """Reference: path_deviation as one evaluate() per time and a sorted set."""
+    times = {F(k, sample_steps) for k in range(sample_steps + 1)}
+    times.update(path_a.phase_boundaries())
+    times.update(path_b.phase_boundaries())
+    worst = 0.0
+    for t in sorted(times):
+        pa = path_a.evaluate(t)
+        pb = path_b.evaluate(t)
+        vals_a = pa.base if pa.circle is None else (*pa.base, pa.circle)
+        vals_b = pb.base if pb.circle is None else (*pb.base, pb.circle)
+        for va, vb in zip(vals_a, vals_b):
+            d = abs(float(va) - float(vb)) % 1.0
+            d = min(d, 1.0 - d)
+            if d > worst:
+                worst = d
+    return worst
 
 
 class TestRunSimulation:
@@ -105,6 +127,37 @@ class TestPerturbation:
         d_small = path_deviation(plan_skeleton(q, sig), plan_skeleton(small, sig))
         assert d_small < d_big
         assert d_small < 0.01
+
+    @pytest.mark.parametrize("mode", ["skeleton", "product"])
+    def test_deviation_matches_pointwise_reference(self, mode):
+        # identical floats, not approximately equal ones: the batch path
+        # must evaluate exactly what the pointwise reference evaluates
+        product = mode == "product"
+        plan = plan_product if product else plan_skeleton
+        rng = random.Random(17 + product)
+        for n, r in [(1, 1), (2, 2), (4, 2), (5, 3), (7, 7), (10, 4)]:
+            sig = AlgebraSignature(n, r)
+            for k in range(30):
+                if k % 3 == 2:
+                    built = _wrap_query(sig, rng, mode)
+                    if built is None:
+                        continue
+                    q, forced = built
+                else:
+                    q = PlannerQuery(sample(sig, rng, with_circle=product),
+                                     sample(sig, rng, with_circle=product))
+                    forced = {}
+                near = perturb_query(q, sig, rng, forced_start=forced)
+                other = PlannerQuery(sample(sig, rng, with_circle=product),
+                                     sample(sig, rng, with_circle=product))
+                path = plan(q, sig)
+                for partner in (near, other):
+                    if partner is None:
+                        continue
+                    path_b = plan(partner, sig)
+                    for steps in (64, 7):
+                        want = pointwise_deviation(path, path_b, steps)
+                        assert path_deviation(path, path_b, steps) == want
 
     def test_wrap_probe_crosses_basepoint(self):
         # wrap probes must exercise a coordinate crossing 0 without tearing
