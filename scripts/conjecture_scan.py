@@ -4,8 +4,10 @@
 For every signature the certified cup-length minimum is min(n, 2r-1) and the
 reconciled complexity is min(n+1, 2r); the open question is whether the
 cup-length plus one always meets the complexity.  The generator-only search
-is exhaustive and cheap everywhere; the brute-force search over the full
-spanning family (repetition allowed) runs where n is small enough.
+is exact and cheap everywhere: by the symmetry of e1..e{n-1} it only
+multiplies along two prefix chains.  The brute-force search over the full
+spanning family (repetition allowed, one factor per symmetry orbit) runs
+where n is at most --brute-cap.
 """
 
 import argparse

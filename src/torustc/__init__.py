@@ -18,9 +18,7 @@ from .algebra import (
     ZdclSearchReport,
     apply_multiplication_map,
     lower_bound_certificate,
-    multiply_elements,
     multiply_monomials,
-    multiply_tensor,
     tensor,
     zdcl_brute_force,
     zdcl_degree_one,
@@ -80,9 +78,7 @@ __all__ = [
     "is_member",
     "lower_bound_certificate",
     "membership",
-    "multiply_elements",
     "multiply_monomials",
-    "multiply_tensor",
     "path_deviation",
     "perturb_query",
     "plan_product",

@@ -295,10 +295,6 @@ class AlgebraElement:
     __repr__ = __str__
 
 
-def multiply_elements(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    return x * y
-
-
 class TensorElement:
     """Sparse integer element of (algebra tensor algebra) for one signature.
 
@@ -455,10 +451,6 @@ class TensorElement:
     __repr__ = __str__
 
 
-def multiply_tensor(x: TensorElement, y: TensorElement) -> TensorElement:
-    return x * y
-
-
 def tensor(x: AlgebraElement, y: AlgebraElement) -> TensorElement:
     """Form x (x) y from two elements of the same algebra."""
     if x.sig != y.sig:
@@ -572,32 +564,29 @@ def lower_bound_certificate(sig: AlgebraSignature, index_set=None) -> LowerBound
 def zdcl_degree_one(sig: AlgebraSignature, max_len: int | None = None) -> int:
     """Longest nonzero product of distinct generator zero-divisors.
 
-    Exhaustive over subsets of {e0..e{n-1}}, pruned by the fact that every
-    subset of a nonzero product is nonzero.  With max_len given, the search
-    stops at that many factors and reports the best length found so far.
+    Permuting e1..e{n-1} is an automorphism that keeps the truncation, and it
+    maps a product of generator zero-divisors to plus or minus another such
+    product.  So whether a set of them multiplies to zero depends only on its
+    size and on whether it contains e0, and subsets of nonzero products are
+    nonzero.  Two prefix chains, e0, e1, e2, ... and e1, e2, ..., therefore
+    stand for every subset: each grows until its product vanishes or reaches
+    min(n, max_len) factors, and the longer one is the answer.
     """
     if max_len is not None and max_len < 1:
         raise ValueError("max_len must be at least 1")
     limit = sig.n if max_len is None else min(max_len, sig.n)
-    gens = [zero_divisor(sig, i) for i in range(sig.n)]
-    frontier = [(i, g) for i, g in enumerate(gens) if not g.is_zero]
-    if not frontier:
-        return 0
-    length = 1
-    while length < limit:
-        grown = []
-        for last, prod in frontier:
-            for j in range(last + 1, sig.n):
-                if gens[j].is_zero:
-                    continue
-                p2 = prod * gens[j]
-                if not p2.is_zero:
-                    grown.append((j, p2))
-        if not grown:
-            break
-        frontier = grown
-        length += 1
-    return length
+
+    def chain(indices) -> int:
+        prod = TensorElement.one(sig)
+        length = 0
+        for i in indices[:limit]:
+            prod = prod * zero_divisor(sig, i)
+            if prod.is_zero:
+                break
+            length += 1
+        return length
+
+    return max(chain(range(sig.n)), chain(range(1, sig.n)))
 
 
 @dataclass(frozen=True)
@@ -627,6 +616,14 @@ def zdcl_brute_force(sig: AlgebraSignature, cap: int = DEFAULT_BRUTE_FORCE_CAP) 
     cup-length.  Factors commute up to sign, hence non-decreasing multisets
     suffice, and total degree is capped by 2r, the top of the tensor square.
 
+    The family is ordered by degree, then index tuple, and the search visits
+    one factor per orbit of the permutations of e1..e{n-1} that fix every
+    factor chosen so far.  Those permutations shuffle each cell of indices
+    lying in exactly the same chosen monomials, so a candidate is kept only
+    when, within every cell, it uses the cell's lowest indices.  Moving a
+    factor to that form moves the sequence earlier in family order, so the
+    first longest sequence, which is the reported witness, is always kept.
+
     Cost grows quickly with n; instances with n > cap raise InstanceTooLarge.
     """
     if sig.n > cap:
@@ -639,32 +636,45 @@ def zdcl_brute_force(sig: AlgebraSignature, cap: int = DEFAULT_BRUTE_FORCE_CAP) 
     for bits in sig.basis_bits():
         if bits == 0:
             continue
+        mono = ExteriorMonomial(bits)
         a = AlgebraElement._raw(sig, {bits: 1})
         bar = tensor(one, a) - tensor(a, one)
-        family.append((bits.bit_count(), str(ExteriorMonomial(bits)), bar))
-    family.sort(key=lambda t: (t[0], str(t[1])))
+        family.append((mono.degree, mono.indices, bits, str(mono), bar))
+    family.sort(key=lambda t: t[:2])
 
     budget = 2 * sig.r
     best_len = 0
     best_witness: tuple[str, ...] = ()
 
-    def descend(start: int, prod: TensorElement, length: int, used: int, stack: list[str]):
+    def canonical(bits: int, cells: list[int]) -> bool:
+        for cell in cells:
+            part = bits & cell
+            if part and cell & ~bits & ((1 << part.bit_length()) - 1):
+                return False
+        return True
+
+    def descend(
+        start: int, prod: TensorElement, length: int, used: int, cells: list[int], stack: list[str]
+    ):
         nonlocal best_len, best_witness
         if length > best_len:
             best_len = length
             best_witness = tuple(stack)
         for idx in range(start, len(family)):
-            deg, name, bar = family[idx]
+            deg, _, bits, name, bar = family[idx]
             if used + deg > budget:
                 break
+            if not canonical(bits, cells):
+                continue
             p2 = prod * bar
             if p2.is_zero:
                 continue
+            split = [part for cell in cells for part in (cell & bits, cell & ~bits) if part]
             stack.append(name)
-            descend(idx, p2, length + 1, used + deg, stack)
+            descend(idx, p2, length + 1, used + deg, split, stack)
             stack.pop()
 
-    descend(0, TensorElement.one(sig), 0, 0, [])
+    descend(0, TensorElement.one(sig), 0, 0, [(1 << sig.n) - 2], [])
     certified = min(sig.n, 2 * sig.r - 1)
     return ZdclSearchReport(
         sig=sig,

@@ -37,7 +37,10 @@ class Turn:
         text = text.strip()
         if not _TURN_RE.match(text):
             raise ValueError(f"expected an exact rational like 3/4 or 0, got {text!r}")
-        return cls(Fraction(text))
+        try:
+            return cls(Fraction(text))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
 
     @property
     def is_zero(self) -> bool:

@@ -127,6 +127,8 @@ def run_simulation(
         raise ValueError(f"unknown mode {mode!r}")
     if queries < 1 or steps < 1:
         raise ValueError("queries and steps must be positive")
+    if continuity_probes < 0:
+        raise ValueError("continuity_probes must not be negative")
     product = mode == "product"
     rng = random.Random(seed)
     grid = sample_times(steps)

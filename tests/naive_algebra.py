@@ -137,3 +137,38 @@ def certificate_product(n, r, index_set):
 
 def bidegree_part(x, s, t):
     return {(a, b): c for (a, b), c in x.items() if len(a) == s and len(b) == t}
+
+
+def zdcl_degree_one_exhaustive(sig, max_len=None):
+    """Longest nonzero product of distinct generator zero-divisors, by brute force.
+
+    The reference for the package's symmetry-reduced search: it grows every
+    nonzero subset product of {e0..e{n-1}} one factor at a time (subsets of
+    a nonzero product are nonzero, so zero products are dropped) and stops
+    at max_len factors when that is given.
+    It multiplies with the package's tensor product, which the tests check
+    against tensor_mul above, because the naive product is too slow for
+    every subset at n = 9.
+    """
+    from torustc.algebra import zero_divisor
+
+    limit = sig.n if max_len is None else min(max_len, sig.n)
+    gens = [zero_divisor(sig, i) for i in range(sig.n)]
+    frontier = [(i, g) for i, g in enumerate(gens) if not g.is_zero]
+    if not frontier:
+        return 0
+    length = 1
+    while length < limit:
+        grown = []
+        for last, prod in frontier:
+            for j in range(last + 1, sig.n):
+                if gens[j].is_zero:
+                    continue
+                p2 = prod * gens[j]
+                if not p2.is_zero:
+                    grown.append((j, p2))
+        if not grown:
+            break
+        frontier = grown
+        length += 1
+    return length

@@ -1,8 +1,10 @@
 """Exterior algebra and tensor square arithmetic, checked against the naive
 oracle and against frozen hand-computed expansions."""
 
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -341,6 +343,23 @@ class TestCupLengthSearches:
 
     def test_degree_one_respects_max_len(self):
         assert zdcl_degree_one(AlgebraSignature(6, 4), max_len=3) == 3
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_degree_one_matches_exhaustive_subset_search(self, n):
+        for r in range(1, n + 1):
+            sig = AlgebraSignature(n, r)
+            for max_len in (None, *range(1, n + 1)):
+                assert zdcl_degree_one(sig, max_len) == naive.zdcl_degree_one_exhaustive(
+                    sig, max_len
+                ), (n, r, max_len)
+
+    def test_brute_force_reports_frozen(self):
+        # captured from the unreduced search, which visited every multiset
+        frozen = json.loads((Path(__file__).parent / "data" / "zdcl_brute_frozen.json").read_text())
+        for rec in frozen:
+            rep = zdcl_brute_force(AlgebraSignature(rec["n"], rec["r"]), cap=rec["n"])
+            got = (rep.searched_length, rep.certified_minimum, list(rep.witness))
+            assert got == (rec["searched_length"], rec["certified_minimum"], rec["witness"]), rec
 
     def test_brute_force_agrees_with_degree_one_search(self):
         for n, r in [(1, 1), (2, 2), (3, 2), (4, 2), (4, 3)]:

@@ -155,6 +155,13 @@ class TestPlan:
         assert "--steps must be at least 1" in err
         assert "Traceback" not in err
 
+    def test_zero_denominator_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "plan", "3", "2", "--from", "0,1/0", "--to", "0,0")
+        assert code == 2
+        assert out == ""
+        assert "zero denominator" in err
+        assert "Traceback" not in err
+
     def test_samples_include_phase_boundaries(self, capsys):
         code, out, _ = run(
             capsys, "plan", "2", "2", "--from", "1/8", "--to", "5/8", "--steps", "2"
@@ -203,6 +210,14 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", "3", "2", "--queries", "0")
         assert code == 2
         assert "positive" in err
+
+    def test_negative_continuity_probes_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "simulate", "3", "2", "--queries", "2", "--continuity-probes", "-5"
+        )
+        assert code == 2
+        assert out == ""
+        assert "continuity_probes must not be negative" in err
 
 
 class TestSearchZdcl:

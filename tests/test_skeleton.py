@@ -31,7 +31,7 @@ class TestTurn:
         assert Turn.parse("-1/4") == Turn(Fraction(3, 4))
 
     def test_parse_rejects_decimals_and_junk(self):
-        for bad in ["0.5", "1e-3", "pi", "1/4/2", ""]:
+        for bad in ["0.5", "1e-3", "pi", "1/4/2", "", "1/0", "-3/00"]:
             with pytest.raises(ValueError):
                 Turn.parse(bad)
 
