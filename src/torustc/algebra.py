@@ -495,21 +495,29 @@ def apply_multiplication_map(x: TensorElement) -> AlgebraElement:
 class LowerBoundCertificate:
     """Witness that a product of factor_count zero-divisors is nonzero.
 
-    The witness is checked in a single bidegree slice of the expanded
-    product, where every surviving coefficient is +1 or -1 and the number
-    of terms has a closed binomial form.
+    The witness is checked in a single bidegree slice of the product, where
+    every surviving coefficient is +1 or -1 and the number of terms has a
+    closed binomial form.  Only that slice is stored; the whole product is
+    expanded afresh each time the product property is read.
     """
 
     sig: AlgebraSignature
     k: int
     index_set: tuple[int, ...]
     factor_count: int
-    product: TensorElement = field(repr=False)
     component: TensorElement = field(repr=False)
     component_bidegree: tuple[int, int]
     component_terms: int
     expected_terms: int
     sample_term: str
+
+    @property
+    def product(self) -> TensorElement:
+        """The full product of the circle and index-set zero-divisors."""
+        prod = zero_divisor(self.sig, 0)
+        for i in self.index_set:
+            prod = prod * zero_divisor(self.sig, i)
+        return prod
 
 
 def lower_bound_certificate(sig: AlgebraSignature, index_set=None) -> LowerBoundCertificate:
@@ -520,6 +528,14 @@ def lower_bound_certificate(sig: AlgebraSignature, index_set=None) -> LowerBound
     off the bidegree (r, k+1-r) slice, whose terms are indexed by the
     (r-1)-subsets of the chosen index set.  Raises CertificateFailure if the
     slice comes out zero, which would falsify the certified lower bound.
+
+    Every term of a zero-divisor adds one generator to exactly one leg, so
+    leg degrees only grow along the product.  After each factor the terms
+    whose left degree exceeds r or whose right degree exceeds k+1-r are
+    dropped: they can never reach the checked slice, and no kept term shares
+    their key.  After all k+1 factors every term has total degree k+1, so
+    what is left is exactly that slice, coefficient for coefficient.  The
+    rest of the product is never expanded.
     """
     k = min(sig.n - 1, 2 * sig.r - 2)
     if index_set is None:
@@ -533,12 +549,21 @@ def lower_bound_certificate(sig: AlgebraSignature, index_set=None) -> LowerBound
         if len(indices) != k:
             raise ValueError(f"certificate index set must have size {k} for this signature")
 
-    prod = zero_divisor(sig, 0)
-    for i in indices:
-        prod = prod * zero_divisor(sig, i)
+    bidegree = left_cap, right_cap = (sig.r, k + 1 - sig.r)
 
-    bidegree = (sig.r, k + 1 - sig.r)
-    component = prod.bidegree_part(*bidegree)
+    def reachable(x: TensorElement) -> TensorElement:
+        return TensorElement._raw(
+            sig,
+            {
+                (a, b): c
+                for (a, b), c in x._terms.items()
+                if a.bit_count() <= left_cap and b.bit_count() <= right_cap
+            },
+        )
+
+    component = reachable(zero_divisor(sig, 0))
+    for i in indices:
+        component = reachable(component * zero_divisor(sig, i))
     if component.is_zero:
         raise CertificateFailure(
             f"zero-divisor product for n={sig.n}, r={sig.r} has empty "
@@ -552,7 +577,6 @@ def lower_bound_certificate(sig: AlgebraSignature, index_set=None) -> LowerBound
         k=k,
         index_set=indices,
         factor_count=k + 1,
-        product=prod,
         component=component,
         component_bidegree=bidegree,
         component_terms=len(component),

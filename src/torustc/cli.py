@@ -73,7 +73,11 @@ def _coord_jsonable(value):
 
 
 def cmd_tc(args) -> int:
+    if args.json and args.csv:
+        raise ValueError("--json and --csv cannot be combined")
     if args.grid:
+        if args.n is not None or args.r is not None:
+            raise ValueError("give n and r, or --grid, not both")
         pairs = _parse_grid(args.grid)
     elif args.n is not None and args.r is not None:
         pairs = [(args.n, args.r)]

@@ -1,6 +1,7 @@
 """Exterior algebra and tensor square arithmetic, checked against the naive
 oracle and against frozen hand-computed expansions."""
 
+import itertools
 import json
 import math
 import random
@@ -334,6 +335,41 @@ class TestLowerBoundCertificate:
             unused = [i for i in range(sig.n) if i != 0 and i not in cert.index_set]
             for i in unused:
                 assert (cert.product * zero_divisor(sig, i)).is_zero
+
+    def test_pruned_slice_equals_slice_of_full_product(self):
+        certs = [
+            lower_bound_certificate(AlgebraSignature(n, r))
+            for n in range(1, 12)
+            for r in range(1, n + 1)
+        ]
+        for n, r in [(7, 3), (6, 4)]:
+            sig = AlgebraSignature(n, r)
+            k = min(n - 1, 2 * r - 2)
+            certs.extend(
+                lower_bound_certificate(sig, index_set)
+                for index_set in itertools.combinations(range(1, n), k)
+            )
+        for cert in certs:
+            assert cert.component == cert.product.bidegree_part(*cert.component_bidegree), cert
+
+    def test_products_stay_within_twice_the_slice_size(self, monkeypatch):
+        # pruned partial products never outgrow the C(k+1, r) lattice paths
+        # into the checked bidegree, so one more factor at most doubles them
+        sizes = []
+        mul = TensorElement.__mul__
+
+        def counting_mul(self, other):
+            out = mul(self, other)
+            sizes.append(len(out))
+            return out
+
+        monkeypatch.setattr(TensorElement, "__mul__", counting_mul)
+        for n in range(1, 13):
+            for r in range(1, n + 1):
+                sizes.clear()
+                cert = lower_bound_certificate(AlgebraSignature(n, r))
+                bound = 2 * math.comb(cert.k + 1, r)
+                assert max(sizes, default=0) <= bound, (n, r, sizes, bound)
 
 
 class TestCupLengthSearches:

@@ -71,6 +71,20 @@ class TestTc:
         code, _, err = run(capsys, "tc", "--grid", "n=1..3")
         assert code == 2
 
+    def test_signature_with_grid_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "tc", "3", "2", "--grid", "n=1..2,r=1..n")
+        assert code == 2
+        assert out == ""
+        assert "not both" in err
+        assert "Traceback" not in err
+
+    def test_json_with_csv_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "tc", "--grid", "n=1..3,r=1..n", "--json", "--csv")
+        assert code == 2
+        assert out == ""
+        assert "cannot be combined" in err
+        assert "Traceback" not in err
+
 
 class TestVerifyLowerBound:
     def test_default_index_set(self, capsys):
@@ -99,6 +113,17 @@ class TestVerifyLowerBound:
         code, out, _ = run(capsys, "verify-lower-bound", "3", "2")
         assert code == 0
         assert "nonzero" in out
+
+    def test_reports_frozen(self, capsys):
+        # every n <= 15 payload, captured before the expansion was pruned
+        frozen = json.loads((Path(__file__).parent / "data" / "certificate_frozen.json").read_text())
+        assert len(frozen) == 120
+        for want in frozen:
+            code, out, _ = run(
+                capsys, "verify-lower-bound", str(want["n"]), str(want["r"]), "--json"
+            )
+            assert code == 0
+            assert json.loads(out) == want
 
 
 class TestPlan:
