@@ -36,10 +36,8 @@ from .planner import (
     ccw_arc,
     classify,
     dwell_time,
-    evaluate,
     plan_product,
     plan_skeleton,
-    rule_count,
 )
 from .skeleton import SkeletonPoint, Turn, is_member, membership, random_turn, sample
 from .verify import SimulationReport, continuity_ratio, path_deviation, perturb_query, run_simulation
@@ -74,7 +72,6 @@ __all__ = [
     "compute_bounds",
     "continuity_ratio",
     "dwell_time",
-    "evaluate",
     "is_member",
     "lower_bound_certificate",
     "membership",
@@ -84,7 +81,6 @@ __all__ = [
     "plan_product",
     "plan_skeleton",
     "random_turn",
-    "rule_count",
     "run_simulation",
     "sample",
     "tensor",

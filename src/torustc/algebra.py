@@ -13,6 +13,9 @@ is enough to certify the topological lower bounds downstream.
 
 Monomials are stored as bit sets (bit i set means generator e_i is present),
 with product signs computed by counting inversions between the two bit sets.
+The tensor square is the exterior algebra on 2n generators, truncated per
+leg: a term a (x) b is the bit set a | (b << n), and shares every ring
+operation with the algebra itself.
 """
 
 from __future__ import annotations
@@ -75,10 +78,6 @@ class AlgebraSignature:
 
     def basis_size(self) -> int:
         return 2 * sum(math.comb(self.n - 1, k) for k in range(self.r))
-
-    def top_degree(self) -> int:
-        """Largest degree of a nonzero element: e0 together with r-1 others."""
-        return self.r
 
 
 @dataclass(frozen=True)
@@ -161,15 +160,27 @@ class AlgebraElement:
     __slots__ = ("sig", "_terms")
 
     def __init__(self, sig: AlgebraSignature, terms=None):
+        fits = self._fitter(sig)
         clean: dict[int, int] = {}
         for key, coeff in (terms or {}).items():
-            bits = _as_bits(key)
-            if bits < 0 or bits >= (1 << sig.n):
-                raise ValueError(f"generator index out of range for n={sig.n}")
-            if coeff and sig.fits(bits):
+            bits = self._pack(sig, key)
+            if coeff and fits(bits):
                 clean[bits] = clean.get(bits, 0) + coeff
         self.sig = sig
         self._terms = {b: c for b, c in clean.items() if c}
+
+    @staticmethod
+    def _pack(sig, key) -> int:
+        """The bit set of one constructor key; out-of-range generators raise."""
+        bits = _as_bits(key)
+        if bits < 0 or bits >= (1 << sig.n):
+            raise ValueError(f"generator index out of range for n={sig.n}")
+        return bits
+
+    @staticmethod
+    def _fitter(sig):
+        """The truncation test for this element type's bit sets."""
+        return sig.fits
 
     @classmethod
     def _raw(cls, sig, terms: dict[int, int]) -> "AlgebraElement":
@@ -216,20 +227,18 @@ class AlgebraElement:
         for bits in sorted(self._terms, key=lambda b: (b.bit_count(), b)):
             yield ExteriorMonomial(bits), self._terms[bits]
 
-    def homogeneous_part(self, degree: int) -> "AlgebraElement":
-        return AlgebraElement._raw(
-            self.sig, {b: c for b, c in self._terms.items() if b.bit_count() == degree}
-        )
-
     def degrees(self) -> tuple[int, ...]:
         return tuple(sorted({b.bit_count() for b in self._terms}))
 
+    def coefficients(self) -> tuple[int, ...]:
+        return tuple(sorted(self._terms.values()))
+
     def _check_mate(self, other):
-        if self.sig != other.sig:
+        if type(other) is not type(self) or self.sig != other.sig:
             raise ValueError("elements live in different algebras")
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, AlgebraElement):
+        if type(other) is not type(self):
             return NotImplemented
         return self.sig == other.sig and self._terms == other._terms
 
@@ -242,10 +251,10 @@ class AlgebraElement:
                 out[b] = s
             elif b in out:
                 del out[b]
-        return AlgebraElement._raw(self.sig, out)
+        return self._raw(self.sig, out)
 
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement._raw(self.sig, {b: -c for b, c in self._terms.items()})
+        return self._raw(self.sig, {b: -c for b, c in self._terms.items()})
 
     def __sub__(self, other) -> "AlgebraElement":
         return self + (-other)
@@ -253,10 +262,10 @@ class AlgebraElement:
     def __mul__(self, other) -> "AlgebraElement":
         if isinstance(other, int):
             if other == 0:
-                return AlgebraElement.zero(self.sig)
-            return AlgebraElement._raw(self.sig, {b: other * c for b, c in self._terms.items()})
+                return self.zero(self.sig)
+            return self._raw(self.sig, {b: other * c for b, c in self._terms.items()})
         self._check_mate(other)
-        fits = self.sig.fits
+        fits = self._fitter(self.sig)
         out: dict[int, int] = {}
         for ab, ac in self._terms.items():
             for bb, bc in other._terms.items():
@@ -268,19 +277,22 @@ class AlgebraElement:
                     out[bits] = s
                 elif bits in out:
                     del out[bits]
-        return AlgebraElement._raw(self.sig, out)
+        return self._raw(self.sig, out)
 
     def __rmul__(self, other) -> "AlgebraElement":
         if isinstance(other, int):
             return self * other
         return NotImplemented
 
+    def _labelled_terms(self):
+        for mono, coeff in self.terms():
+            yield str(mono), coeff
+
     def __str__(self) -> str:
         if not self._terms:
             return "0"
         parts = []
-        for mono, coeff in self.terms():
-            body = str(mono)
+        for body, coeff in self._labelled_terms():
             if coeff == 1:
                 parts.append(f"+ {body}")
             elif coeff == -1:
@@ -295,170 +307,79 @@ class AlgebraElement:
     __repr__ = __str__
 
 
-class TensorElement:
+class TensorElement(AlgebraElement):
     """Sparse integer element of (algebra tensor algebra) for one signature.
 
-    The product carries the crossing sign: moving the right leg of the first
-    factor past the left leg of the second contributes (-1) raised to the
-    product of their degrees.
+    The tensor square of the exterior algebra on e0..e{n-1} is the exterior
+    algebra on 2n generators, truncated per leg.  A term a (x) b is stored as
+    the packed bit set a | (b << n): left-leg e_i is bit i, right-leg e_i is
+    bit n+i.  Every right-leg bit lies above every left-leg bit, so the sign
+    of merging two packed keys already carries the crossing sign, (-1) raised
+    to |b1|*|a2|, and the ring operations are inherited unchanged.  Only the
+    truncation test and the pair-shaped views differ; sig stays the
+    signature of one leg.
     """
 
-    __slots__ = ("sig", "_terms")
+    __slots__ = ()
 
-    def __init__(self, sig: AlgebraSignature, terms=None):
-        clean: dict[tuple[int, int], int] = {}
-        for key, coeff in (terms or {}).items():
-            a, b = key
-            abits, bbits = _as_bits(a), _as_bits(b)
-            for bits in (abits, bbits):
-                if bits < 0 or bits >= (1 << sig.n):
-                    raise ValueError(f"generator index out of range for n={sig.n}")
-            if coeff and sig.fits(abits) and sig.fits(bbits):
-                k = (abits, bbits)
-                clean[k] = clean.get(k, 0) + coeff
-        self.sig = sig
-        self._terms = {k: c for k, c in clean.items() if c}
+    @staticmethod
+    def _pack(sig, key) -> int:
+        left, right = key
+        return AlgebraElement._pack(sig, left) | AlgebraElement._pack(sig, right) << sig.n
 
-    @classmethod
-    def _raw(cls, sig, terms) -> "TensorElement":
-        out = object.__new__(cls)
-        out.sig = sig
-        out._terms = terms
-        return out
-
-    @classmethod
-    def zero(cls, sig) -> "TensorElement":
-        return cls._raw(sig, {})
-
-    @classmethod
-    def one(cls, sig) -> "TensorElement":
-        return cls._raw(sig, {(0, 0): 1})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __len__(self) -> int:
-        return len(self._terms)
+    @staticmethod
+    def _fitter(sig):
+        cap = sig.r - 1
+        left = (1 << sig.n) - 2
+        right = left << sig.n
+        return lambda bits: (bits & left).bit_count() <= cap and (bits & right).bit_count() <= cap
 
     def coefficient(self, left, right) -> int:
-        return self._terms.get((_as_bits(left), _as_bits(right)), 0)
+        a, b = _as_bits(left), _as_bits(right)
+        if a >> self.sig.n:
+            return 0
+        return self._terms.get(a | b << self.sig.n, 0)
 
     def terms(self):
-        """Triples (left, right, coefficient) in a stable sorted order."""
-        def sort_key(key):
-            a, b = key
-            return (a.bit_count() + b.bit_count(), a.bit_count(), a, b)
+        """Triples (left, right, coefficient) sorted by total degree, left
+        degree, left bits, then right bits."""
+        n = self.sig.n
+        low = (1 << n) - 1
 
-        for a, b in sorted(self._terms, key=sort_key):
-            yield ExteriorMonomial(a), ExteriorMonomial(b), self._terms[(a, b)]
+        def sort_key(p):
+            return (p.bit_count(), (p & low).bit_count(), p & low, p >> n)
+
+        for p in sorted(self._terms, key=sort_key):
+            yield ExteriorMonomial(p & low), ExteriorMonomial(p >> n), self._terms[p]
 
     def bidegree_part(self, left_degree: int, right_degree: int) -> "TensorElement":
-        return TensorElement._raw(
+        n = self.sig.n
+        low = (1 << n) - 1
+        return self._raw(
             self.sig,
             {
-                (a, b): c
-                for (a, b), c in self._terms.items()
-                if a.bit_count() == left_degree and b.bit_count() == right_degree
+                p: c
+                for p, c in self._terms.items()
+                if (p & low).bit_count() == left_degree and (p >> n).bit_count() == right_degree
             },
         )
 
-    def total_degrees(self) -> tuple[int, ...]:
-        return tuple(sorted({a.bit_count() + b.bit_count() for a, b in self._terms}))
+    total_degrees = AlgebraElement.degrees
 
-    def coefficients(self) -> tuple[int, ...]:
-        return tuple(sorted(self._terms.values()))
-
-    def _check_mate(self, other):
-        if self.sig != other.sig:
-            raise ValueError("tensor elements live in different algebras")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self.sig == other.sig and self._terms == other._terms
-
-    def __add__(self, other) -> "TensorElement":
-        self._check_mate(other)
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
-        return TensorElement._raw(self.sig, out)
-
-    def __neg__(self) -> "TensorElement":
-        return TensorElement._raw(self.sig, {k: -c for k, c in self._terms.items()})
-
-    def __sub__(self, other) -> "TensorElement":
-        return self + (-other)
-
-    def __mul__(self, other) -> "TensorElement":
-        if isinstance(other, int):
-            if other == 0:
-                return TensorElement.zero(self.sig)
-            return TensorElement._raw(self.sig, {k: other * c for k, c in self._terms.items()})
-        self._check_mate(other)
-        fits = self.sig.fits
-        out: dict[tuple[int, int], int] = {}
-        for (a1, b1), c1 in self._terms.items():
-            b1_odd = b1.bit_count() & 1
-            for (a2, b2), c2 in other._terms.items():
-                s1, abits = _merge(a1, a2)
-                if s1 == 0 or not fits(abits):
-                    continue
-                s2, bbits = _merge(b1, b2)
-                if s2 == 0 or not fits(bbits):
-                    continue
-                coeff = s1 * s2 * c1 * c2
-                if b1_odd and (a2.bit_count() & 1):
-                    coeff = -coeff
-                key = (abits, bbits)
-                s = out.get(key, 0) + coeff
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
-        return TensorElement._raw(self.sig, out)
-
-    def __rmul__(self, other) -> "TensorElement":
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
+    def _labelled_terms(self):
         for left, right, coeff in self.terms():
-            body = f"{left} (x) {right}"
-            if coeff == 1:
-                parts.append(f"+ {body}")
-            elif coeff == -1:
-                parts.append(f"- {body}")
-            elif coeff > 0:
-                parts.append(f"+ {coeff}*{body}")
-            else:
-                parts.append(f"- {-coeff}*{body}")
-        text = " ".join(parts)
-        return text[2:] if text.startswith("+ ") else "-" + text[2:]
-
-    __repr__ = __str__
+            yield f"{left} (x) {right}", coeff
 
 
 def tensor(x: AlgebraElement, y: AlgebraElement) -> TensorElement:
     """Form x (x) y from two elements of the same algebra."""
-    if x.sig != y.sig:
+    if type(x) is not AlgebraElement or type(y) is not AlgebraElement or x.sig != y.sig:
         raise ValueError("tensor factors live in different algebras")
-    out: dict[tuple[int, int], int] = {}
+    n = x.sig.n
+    out: dict[int, int] = {}
     for a, ca in x._terms.items():
         for b, cb in y._terms.items():
-            out[(a, b)] = ca * cb
+            out[a | b << n] = ca * cb
     return TensorElement._raw(x.sig, out)
 
 
@@ -472,15 +393,19 @@ def zero_divisor(sig: AlgebraSignature, i: int) -> TensorElement:
     bits = 1 << i
     if not sig.fits(bits):
         return TensorElement.zero(sig)
-    return TensorElement._raw(sig, {(0, bits): 1, (bits, 0): -1})
+    return TensorElement._raw(sig, {bits << sig.n: 1, bits: -1})
 
 
 def apply_multiplication_map(x: TensorElement) -> AlgebraElement:
     """Multiply the two tensor legs together: a (x) b maps to a*b."""
+    if type(x) is not TensorElement:
+        raise ValueError("the multiplication map takes an element of the tensor square")
     fits = x.sig.fits
+    n = x.sig.n
+    low = (1 << n) - 1
     out: dict[int, int] = {}
-    for (a, b), c in x._terms.items():
-        sign, bits = _merge(a, b)
+    for p, c in x._terms.items():
+        sign, bits = _merge(p & low, p >> n)
         if sign == 0 or not fits(bits):
             continue
         s = out.get(bits, 0) + sign * c
@@ -551,13 +476,16 @@ def lower_bound_certificate(sig: AlgebraSignature, index_set=None) -> LowerBound
 
     bidegree = left_cap, right_cap = (sig.r, k + 1 - sig.r)
 
+    n = sig.n
+    low = (1 << n) - 1
+
     def reachable(x: TensorElement) -> TensorElement:
         return TensorElement._raw(
             sig,
             {
-                (a, b): c
-                for (a, b), c in x._terms.items()
-                if a.bit_count() <= left_cap and b.bit_count() <= right_cap
+                p: c
+                for p, c in x._terms.items()
+                if (p & low).bit_count() <= left_cap and (p >> n).bit_count() <= right_cap
             },
         )
 
@@ -655,14 +583,12 @@ def zdcl_brute_force(sig: AlgebraSignature, cap: int = DEFAULT_BRUTE_FORCE_CAP) 
             f"brute-force search capped at n <= {cap}; got n = {sig.n} "
             f"(raise the cap explicitly to proceed)"
         )
-    one = AlgebraElement.one(sig)
     family = []
     for bits in sig.basis_bits():
         if bits == 0:
             continue
         mono = ExteriorMonomial(bits)
-        a = AlgebraElement._raw(sig, {bits: 1})
-        bar = tensor(one, a) - tensor(a, one)
+        bar = TensorElement._raw(sig, {bits << sig.n: 1, bits: -1})
         family.append((mono.degree, mono.indices, bits, str(mono), bar))
     family.sort(key=lambda t: t[:2])
 

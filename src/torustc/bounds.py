@@ -2,17 +2,19 @@
 
 The lower bound comes from an actual nonzero product of zero-divisors (one
 more than the number of factors), not from a closed formula.  Two upper
-bounds face it: the constructive one counts the planner's continuity
-domains (n+1), and the dimension one is 2*dim + 1 for the product space,
-whose dimension is (r-1) + 1.  The reconciled value is the minimum of the
-upper bounds and must equal the lower bound; any gap raises BoundMismatch.
+bounds face it.  The constructive one counts the planner's continuity
+domains (n+1).  The dimension one is Farber's product inequality
+TC(S^1 x Y) <= TC(S^1) + TC(Y) - 1, where TC(S^1) = 2 and the skeleton Y
+has dimension r-1, so TC(Y) <= 2*dim Y + 1 = 2r-1 and the bound is 2r.
+The reconciled value is the minimum of the upper bounds and must equal the
+lower bound; any gap raises BoundMismatch.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from .algebra import AlgebraSignature, LowerBoundCertificate, lower_bound_certificate
+from .algebra import AlgebraSignature, lower_bound_certificate
 
 
 class BoundMismatch(RuntimeError):
@@ -52,8 +54,8 @@ def compute_bounds(n: int, r: int) -> TcBounds:
     cert = lower_bound_certificate(sig)
     lower = cert.factor_count + 1
     upper_constructive = n + 1
-    product_dimension = (r - 1) + 1
-    upper_dimension = 2 * product_dimension
+    # TC(S^1) + TC(Y) - 1, with TC(Y) <= 2*dim Y + 1 for dim Y = r - 1
+    upper_dimension = 2 + (2 * (r - 1) + 1) - 1
     tc = min(upper_constructive, upper_dimension)
     if lower != tc:
         raise BoundMismatch(
@@ -68,8 +70,3 @@ def compute_bounds(n: int, r: int) -> TcBounds:
         upper_dimension=upper_dimension,
         tc=tc,
     )
-
-
-def certificate_for(n: int, r: int, index_set=None) -> LowerBoundCertificate:
-    """Convenience wrapper building the signature and its certificate."""
-    return lower_bound_certificate(AlgebraSignature(n, r), index_set)

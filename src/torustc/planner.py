@@ -433,12 +433,3 @@ def plan_product(query: PlannerQuery, sig) -> PlannerPath:
         circle_rule=circle_rule,
         combined_index=agree.domain_index + circle_rule.rule_index,
     )
-
-
-def evaluate(path: PlannerPath, t) -> EvaluatedPoint:
-    return path.evaluate(t)
-
-
-def rule_count(sig) -> int:
-    """Number of continuity domains the product planner partitions queries into."""
-    return sig.n + 1

@@ -4,6 +4,7 @@ oracle and against frozen hand-computed expansions."""
 import itertools
 import json
 import math
+import operator
 import random
 from pathlib import Path
 
@@ -137,6 +138,46 @@ class TestElementArithmetic:
         y = AlgebraElement.one(AlgebraSignature(4, 2))
         with pytest.raises(ValueError, match="different algebras"):
             x * y
+
+    def test_mixing_element_types_rejected(self):
+        # both types key their terms by ints, so only the type tells them apart
+        sig = AlgebraSignature(3, 2)
+        a, t = AlgebraElement.one(sig), TensorElement.one(sig)
+        for x, y in [(a, t), (t, a)]:
+            for op in (operator.add, operator.sub, operator.mul):
+                with pytest.raises(ValueError, match="different algebras"):
+                    op(x, y)
+            assert (x == y) is False
+        with pytest.raises(ValueError, match="different algebras"):
+            tensor(t, a)
+        with pytest.raises(ValueError, match="tensor square"):
+            apply_multiplication_map(a)
+
+    def test_tensor_terms_sorted_and_printed_in_order(self):
+        sig = AlgebraSignature(3, 3)
+        terms = {(mono(0), mono(1)): 1, (mono(1), mono()): 2, (mono(), mono(0)): -1}
+        x = TensorElement(sig, terms)
+        assert str(x) == "-1 (x) e0 + 2*e1 (x) 1 + e0 (x) e1"
+
+        rng = random.Random(808)
+        sig = AlgebraSignature(5, 4)
+        pool = list(sig.basis_bits())
+        terms = {}
+        for _ in range(60):
+            terms[rng.choice(pool), rng.choice(pool)] = rng.choice([-2, -1, 1, 3])
+        x = TensorElement(sig, terms)
+        triples = list(x.terms())
+        keys = [(a.bits, b.bits) for a, b, _ in triples]
+        assert len(keys) == len(x) > 40
+        degrees = [(a.bit_count() + b.bit_count(), a.bit_count()) for a, b in keys]
+        assert keys == [k for _, k in sorted(zip(degrees, keys))]
+        parts = []
+        for a, b, c in triples:
+            sign = "+" if c > 0 else "-"
+            scale = "" if abs(c) == 1 else f"{abs(c)}*"
+            parts.append(f"{sign} {scale}{a} (x) {b}")
+        text = " ".join(parts)
+        assert str(x) == (text[2:] if text.startswith("+ ") else "-" + text[2:])
 
 
 class TestTensorArithmetic:
@@ -369,6 +410,7 @@ class TestLowerBoundCertificate:
                 sizes.clear()
                 cert = lower_bound_certificate(AlgebraSignature(n, r))
                 bound = 2 * math.comb(cert.k + 1, r)
+                assert len(sizes) == cert.k, (n, r, sizes)
                 assert max(sizes, default=0) <= bound, (n, r, sizes, bound)
 
 

@@ -3,7 +3,6 @@
 import pytest
 
 from torustc import BoundMismatch, InvalidSignature, TcBounds, compute_bounds
-from torustc.bounds import certificate_for
 
 
 class TestComputeBounds:
@@ -56,8 +55,3 @@ class TestComputeBounds:
             "tc": 4,
             "constructive_tight": False,
         }
-
-    def test_certificate_wrapper(self):
-        cert = certificate_for(4, 3)
-        assert cert.factor_count == 4
-        assert cert.component_terms == 3

@@ -17,10 +17,8 @@ from torustc import (
     ccw_arc,
     classify,
     dwell_time,
-    evaluate,
     plan_product,
     plan_skeleton,
-    rule_count,
     sample,
 )
 from torustc.planner import sample_times
@@ -230,11 +228,6 @@ class TestPlanSkeleton:
                 times = sorted({F(k, 128) for k in range(129)} | set(path.phase_boundaries()))
                 assert min(path.exact_zero_counts(times)) >= need
 
-    def test_free_function_evaluate(self):
-        sig = AlgebraSignature(3, 2)
-        path = plan_skeleton(query(point(0, "1/4"), point("1/2", 0)), sig)
-        assert evaluate(path, F(1, 4)) == path.evaluate(F(1, 4))
-
 
 class TestPlanProduct:
     def test_requires_circle(self):
@@ -248,7 +241,6 @@ class TestPlanProduct:
         # exactly that floor through n
         for n, r in [(4, 3), (4, 2), (3, 2), (5, 2)]:
             sig = AlgebraSignature(n, r)
-            assert rule_count(sig) == n + 1
             floor = max(0, (n - 1) - 2 * (r - 1))
             rng = random.Random(77)
             seen = set()
