@@ -20,9 +20,10 @@ operation with the algebra itself.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class InvalidSignature(ValueError):
@@ -38,6 +39,7 @@ class InstanceTooLarge(ValueError):
 
 
 DEFAULT_BRUTE_FORCE_CAP = 4
+SLICE_TERM_CAP = 200_000
 
 
 @dataclass(frozen=True)
@@ -243,6 +245,8 @@ class AlgebraElement:
         return self.sig == other.sig and self._terms == other._terms
 
     def __add__(self, other) -> "AlgebraElement":
+        if not isinstance(other, AlgebraElement):
+            return NotImplemented
         self._check_mate(other)
         out = dict(self._terms)
         for b, c in other._terms.items():
@@ -257,6 +261,8 @@ class AlgebraElement:
         return self._raw(self.sig, {b: -c for b, c in self._terms.items()})
 
     def __sub__(self, other) -> "AlgebraElement":
+        if not isinstance(other, AlgebraElement):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other) -> "AlgebraElement":
@@ -416,51 +422,92 @@ def apply_multiplication_map(x: TensorElement) -> AlgebraElement:
     return AlgebraElement._raw(x.sig, out)
 
 
+def _pruned_product(sig: AlgebraSignature, indices, keep) -> TensorElement:
+    """The circle zero-divisor times those of indices, in order, dropping
+    after each factor every packed term p for which keep(p) is false."""
+
+    def prune(x: TensorElement) -> TensorElement:
+        return TensorElement._raw(sig, {p: c for p, c in x._terms.items() if keep(p)})
+
+    out = prune(zero_divisor(sig, 0))
+    for i in indices:
+        out = prune(out * zero_divisor(sig, i))
+    return out
+
+
 @dataclass(frozen=True)
 class LowerBoundCertificate:
     """Witness that a product of factor_count zero-divisors is nonzero.
 
-    The witness is checked in a single bidegree slice of the product, where
-    every surviving coefficient is +1 or -1 and the number of terms has a
-    closed binomial form.  Only that slice is stored; the whole product is
-    expanded afresh each time the product property is read.
+    One exact coefficient proves it: witness is the (left, right,
+    coefficient) term of the product at left = e0 times the first r-1
+    chosen generators, right = the remaining chosen generators.  That pair
+    lies in the bidegree (r, k+1-r) slice, where every coefficient is +1 or
+    -1 and the number of terms has the closed form expected_terms.  The
+    slice is expanded only when component or component_terms is first read,
+    and the whole product afresh each time product is read.
     """
 
     sig: AlgebraSignature
     k: int
     index_set: tuple[int, ...]
     factor_count: int
-    component: TensorElement = field(repr=False)
     component_bidegree: tuple[int, int]
-    component_terms: int
     expected_terms: int
+    witness: tuple[ExteriorMonomial, ExteriorMonomial, int]
     sample_term: str
+
+    @functools.cached_property
+    def component(self) -> TensorElement:
+        """The checked bidegree slice of the product, coefficient for coefficient.
+
+        Every term of a zero-divisor adds one generator to exactly one leg,
+        so leg degrees only grow along the product.  After each factor the
+        terms whose left degree exceeds r or whose right degree exceeds
+        k+1-r are dropped: they can never reach the slice, and no kept term
+        shares their key.  After all k+1 factors every term has total degree
+        k+1, so what is left is exactly the slice.  Raises InstanceTooLarge
+        when the slice would have more than SLICE_TERM_CAP terms.
+        """
+        if self.expected_terms > SLICE_TERM_CAP:
+            raise InstanceTooLarge(
+                f"bidegree {self.component_bidegree} slice for n={self.sig.n}, r={self.sig.r} "
+                f"has {self.expected_terms} terms; expansion is capped at {SLICE_TERM_CAP}"
+            )
+        n = self.sig.n
+        low = (1 << n) - 1
+        left_cap, right_cap = self.component_bidegree
+        return _pruned_product(
+            self.sig,
+            self.index_set,
+            lambda p: (p & low).bit_count() <= left_cap and (p >> n).bit_count() <= right_cap,
+        )
+
+    @property
+    def component_terms(self) -> int:
+        return len(self.component)
 
     @property
     def product(self) -> TensorElement:
         """The full product of the circle and index-set zero-divisors."""
-        prod = zero_divisor(self.sig, 0)
-        for i in self.index_set:
-            prod = prod * zero_divisor(self.sig, i)
-        return prod
+        return _pruned_product(self.sig, self.index_set, lambda p: True)
 
 
 def lower_bound_certificate(sig: AlgebraSignature, index_set=None) -> LowerBoundCertificate:
     """Certify the longest guaranteed-nonzero product of generator zero-divisors.
 
     The product multiplies the circle zero-divisor by the zero-divisors of
-    k = min(n-1, 2r-2) distinct positive generators.  Nonvanishing is read
-    off the bidegree (r, k+1-r) slice, whose terms are indexed by the
-    (r-1)-subsets of the chosen index set.  Raises CertificateFailure if the
-    slice comes out zero, which would falsify the certified lower bound.
-
-    Every term of a zero-divisor adds one generator to exactly one leg, so
-    leg degrees only grow along the product.  After each factor the terms
-    whose left degree exceeds r or whose right degree exceeds k+1-r are
-    dropped: they can never reach the checked slice, and no kept term shares
-    their key.  After all k+1 factors every term has total degree k+1, so
-    what is left is exactly that slice, coefficient for coefficient.  The
-    rest of the product is never expanded.
+    k = min(n-1, 2r-2) distinct positive generators.  Nonvanishing is
+    proved by one coefficient, at left = e0 times the first r-1 chosen
+    generators and right = the other k+1-r.  Every term of a zero-divisor
+    adds one generator to exactly one leg, and legs only grow, so after each
+    factor the terms whose left leg is not inside that left, or whose right
+    leg is not inside that right, are dropped: they can never reach the
+    pair.  Each generator has one allowed leg, so at most one term is left
+    after each factor, and the k products have at most two terms each.
+    What is left at the end is the product's exact coefficient at the pair.
+    Raises CertificateFailure if it is zero, which would falsify the
+    certified lower bound.
     """
     k = min(sig.n - 1, 2 * sig.r - 2)
     if index_set is None:
@@ -474,42 +521,26 @@ def lower_bound_certificate(sig: AlgebraSignature, index_set=None) -> LowerBound
         if len(indices) != k:
             raise ValueError(f"certificate index set must have size {k} for this signature")
 
-    bidegree = left_cap, right_cap = (sig.r, k + 1 - sig.r)
-
-    n = sig.n
-    low = (1 << n) - 1
-
-    def reachable(x: TensorElement) -> TensorElement:
-        return TensorElement._raw(
-            sig,
-            {
-                p: c
-                for p, c in x._terms.items()
-                if (p & low).bit_count() <= left_cap and (p >> n).bit_count() <= right_cap
-            },
-        )
-
-    component = reachable(zero_divisor(sig, 0))
-    for i in indices:
-        component = reachable(component * zero_divisor(sig, i))
-    if component.is_zero:
+    left = ExteriorMonomial.from_indices((0, *indices[: sig.r - 1]))
+    right = ExteriorMonomial.from_indices(indices[sig.r - 1 :])
+    target = left.bits | right.bits << sig.n
+    found = _pruned_product(sig, indices, lambda p: not p & ~target)
+    coeff = found.coefficient(left, right)
+    if not coeff:
         raise CertificateFailure(
-            f"zero-divisor product for n={sig.n}, r={sig.r} has empty "
-            f"bidegree {bidegree} slice; certificate does not hold"
+            f"zero-divisor product for n={sig.n}, r={sig.r} has coefficient 0 at "
+            f"{left} (x) {right}; certificate does not hold"
         )
-    first = next(component.terms())
-    sign = "+" if first[2] > 0 else "-"
-    sample = f"{sign}{abs(first[2]) if abs(first[2]) != 1 else ''}{first[0]} (x) {first[1]}"
+    sign = "+" if coeff > 0 else "-"
     return LowerBoundCertificate(
         sig=sig,
         k=k,
         index_set=indices,
         factor_count=k + 1,
-        component=component,
-        component_bidegree=bidegree,
-        component_terms=len(component),
+        component_bidegree=(sig.r, k + 1 - sig.r),
         expected_terms=math.comb(k, sig.r - 1),
-        sample_term=sample,
+        witness=(left, right, coeff),
+        sample_term=f"{sign}{abs(coeff) if abs(coeff) != 1 else ''}{left} (x) {right}",
     )
 
 

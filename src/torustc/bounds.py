@@ -1,7 +1,9 @@
 """Motion-planning complexity bounds for one signature, reconciled exactly.
 
 The lower bound comes from an actual nonzero product of zero-divisors (one
-more than the number of factors), not from a closed formula.  Two upper
+more than the number of factors), not from a closed formula: one exact
+coefficient of that product, computed through k products of at most two
+terms each, proves it nonzero, and no bidegree slice is expanded.  Two upper
 bounds face it.  The constructive one counts the planner's continuity
 domains (n+1).  The dimension one is Farber's product inequality
 TC(S^1 x Y) <= TC(S^1) + TC(Y) - 1, where TC(S^1) = 2 and the skeleton Y

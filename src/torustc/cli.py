@@ -16,6 +16,7 @@ coordinate input is exact rational text like 3/4 (floats are rejected).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -218,6 +219,7 @@ def cmd_search_zdcl(args) -> int:
     return 0 if consistent else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="torustc",

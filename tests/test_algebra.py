@@ -30,6 +30,7 @@ from torustc import (
     zdcl_degree_one,
     zero_divisor,
 )
+from torustc.algebra import SLICE_TERM_CAP
 
 
 def mono(*indices):
@@ -152,6 +153,14 @@ class TestElementArithmetic:
             tensor(t, a)
         with pytest.raises(ValueError, match="tensor square"):
             apply_multiplication_map(a)
+
+    def test_adding_a_non_element_is_a_type_error(self):
+        sig = AlgebraSignature(3, 2)
+        for x in (AlgebraElement.one(sig), TensorElement.one(sig)):
+            for op in (operator.add, operator.sub):
+                for left, right in [(x, 1), (1, x), (x, "e0"), (None, x)]:
+                    with pytest.raises(TypeError):
+                        op(left, right)
 
     def test_tensor_terms_sorted_and_printed_in_order(self):
         sig = AlgebraSignature(3, 3)
@@ -392,6 +401,33 @@ class TestLowerBoundCertificate:
             )
         for cert in certs:
             assert cert.component == cert.product.bidegree_part(*cert.component_bidegree), cert
+
+    def test_witness_equals_slice_coefficient(self):
+        certs = [
+            lower_bound_certificate(AlgebraSignature(n, r))
+            for n in range(1, 13)
+            for r in range(1, n + 1)
+        ]
+        for n, r in [(7, 3), (6, 4)]:
+            sig = AlgebraSignature(n, r)
+            k = min(n - 1, 2 * r - 2)
+            certs.extend(
+                lower_bound_certificate(sig, index_set)
+                for index_set in itertools.combinations(range(1, n), k)
+            )
+        for cert in certs:
+            left, right, coeff = cert.witness
+            assert left.indices == (0, *cert.index_set[: cert.sig.r - 1]), cert
+            assert right.indices == cert.index_set[cert.sig.r - 1 :], cert
+            assert coeff == cert.component.coefficient(left, right) != 0, cert
+
+    def test_slice_expansion_capped(self):
+        assert SLICE_TERM_CAP == 200_000
+        cert = lower_bound_certificate(AlgebraSignature(30, 15))
+        assert cert.factor_count == 29
+        assert cert.expected_terms == math.comb(28, 14) > SLICE_TERM_CAP
+        with pytest.raises(InstanceTooLarge, match="capped"):
+            cert.component_terms
 
     def test_products_stay_within_twice_the_slice_size(self, monkeypatch):
         # pruned partial products never outgrow the C(k+1, r) lattice paths

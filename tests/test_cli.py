@@ -1,10 +1,12 @@
 """Command-line surface: schemas, golden outputs, exit codes."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
 
+from torustc import cli
 from torustc.cli import CSV_HEADER, main
 
 
@@ -85,6 +87,16 @@ class TestTc:
         assert "cannot be combined" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("n,r", [(30, 15), (2000, 1000)])
+    def test_large_signature_answers_within_budget(self, capsys, n, r):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "tc", str(n), str(r), "--json")
+        elapsed = time.perf_counter() - start
+        assert code == 0, err
+        (row,) = json.loads(out)
+        assert row["tc"] == row["lower"] == min(n + 1, 2 * r)
+        assert elapsed < 2.0
+
 
 class TestVerifyLowerBound:
     def test_default_index_set(self, capsys):
@@ -124,6 +136,13 @@ class TestVerifyLowerBound:
             )
             assert code == 0
             assert json.loads(out) == want
+
+    def test_oversized_slice_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify-lower-bound", "30", "15")
+        assert code == 2
+        assert out == ""
+        assert "capped" in err
+        assert "Traceback" not in err
 
 
 class TestPlan:
@@ -272,3 +291,24 @@ class TestSearchZdcl:
         code, out, _ = run(capsys, "search-zdcl", "4", "2", "--brute", "--json")
         assert code == 0
         assert json.loads(out)["brute_force_length"] == 3
+
+
+class TestParserReuse:
+    ARGVS = [
+        ["tc", "3", "2", "--json"],
+        ["tc", "3", "2"],
+        ["tc", "3", "2", "--csv"],
+        ["search-zdcl", "3", "2"],
+    ]
+
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_cached_parser_matches_fresh_parser(self, capsys, monkeypatch):
+        # no option of one call may leak into the next through the shared parser
+        cached = [run(capsys, *argv) for argv in self.ARGVS]
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = [run(capsys, *argv) for argv in self.ARGVS]
+        assert cached == fresh
+        assert [code for code, _, _ in cached] == [0, 0, 0, 0]
+        assert cached[0][1] != cached[1][1] != cached[2][1]
