@@ -27,7 +27,6 @@ from .algebra import (
 from .bounds import BoundMismatch, TcBounds, compute_bounds
 from .planner import (
     Agreement,
-    CircleRule,
     CoordinateRule,
     EvaluatedPoint,
     InvalidEndpoint,
@@ -50,7 +49,6 @@ __all__ = [
     "Agreement",
     "BoundMismatch",
     "CertificateFailure",
-    "CircleRule",
     "CoordinateRule",
     "EvaluatedPoint",
     "ExteriorMonomial",

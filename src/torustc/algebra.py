@@ -554,6 +554,9 @@ def zdcl_degree_one(sig: AlgebraSignature, max_len: int | None = None) -> int:
     nonzero.  Two prefix chains, e0, e1, e2, ... and e1, e2, ..., therefore
     stand for every subset: each grows until its product vanishes or reaches
     min(n, max_len) factors, and the longer one is the answer.
+
+    A chain product can double in size with each factor, so one that could
+    exceed SLICE_TERM_CAP terms raises InstanceTooLarge instead of running on.
     """
     if max_len is not None and max_len < 1:
         raise ValueError("max_len must be at least 1")
@@ -563,6 +566,11 @@ def zdcl_degree_one(sig: AlgebraSignature, max_len: int | None = None) -> int:
         prod = TensorElement.one(sig)
         length = 0
         for i in indices[:limit]:
+            if 2 * len(prod) > SLICE_TERM_CAP:
+                raise InstanceTooLarge(
+                    f"zero-divisor chain for (n, r) = ({sig.n}, {sig.r}) has reached "
+                    f"{len(prod)} terms; chain products are capped at {SLICE_TERM_CAP} terms"
+                )
             prod = prod * zero_divisor(sig, i)
             if prod.is_zero:
                 break

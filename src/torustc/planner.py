@@ -1,17 +1,20 @@
 """Explicit motion planning on torus skeletons.
 
-Paths run over the time interval [0, 1].  Each base coordinate follows a
-three-phase schedule: rest at the start value while the start value is near
-the basepoint, travel counterclockwise at constant speed, then rest at the
-end value.  The dwell lengths are chosen so that a coordinate sitting at the
-basepoint stays there for at least half of the path, which forces at least
-n-r coordinates to be exactly at the basepoint at every moment; that is the
-membership invariant keeping the whole path on the skeleton.
+Paths run over the time interval [0, 1].  Every coordinate follows one
+kind of three-phase schedule, a CoordinateRule: rest at the start value,
+travel a signed amount at constant speed, then rest at the end value.
 
-The planner for the product space adds one free circle coordinate moved
-along its shorter arc, with the exact antipode sent counterclockwise.  The
-rule applied to a query is indexed by how many coordinates the two endpoints
-share, which partitions all queries into n+1 domains of continuity.
+Base coordinates (labels 1..n-1) travel counterclockwise, and their dwell
+lengths are chosen so that a coordinate sitting at the basepoint stays there
+for at least half of the path, which forces at least n-r coordinates to be
+exactly at the basepoint at every moment; that is the membership invariant
+keeping the whole path on the skeleton.
+
+The planner for the product space adds the free circle factor as label 0,
+with the window [0, 1] and a signed delta: it travels its shorter arc, and
+exact antipodes go half a turn counterclockwise.  The rule applied to a
+query is indexed by how many coordinates the two endpoints share, which
+partitions all queries into n+1 domains of continuity.
 
 Exactness discipline: evaluation at a time inside a resting phase (or at
 t = 0, 1) returns exact Turn values; strictly inside a travel phase it
@@ -23,13 +26,15 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
 from .skeleton import SkeletonPoint, Turn, membership
 
 _SQRT2 = math.sqrt(2.0)
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 _QUARTER = Fraction(1, 4)
 _HALF = Fraction(1, 2)
 _THREE_QUARTERS = Fraction(3, 4)
@@ -125,24 +130,41 @@ def classify(query: PlannerQuery, sig) -> Agreement:
 
 @dataclass(frozen=True)
 class CoordinateRule:
-    """Schedule of one base coordinate: rest, travel counterclockwise, rest.
+    """Schedule of one coordinate: rest at start until move_start, travel
+    delta turns at constant speed, rest at end from rest_start on.
 
-    move_start and rest_start are exact Fractions (exact images of the dwell
-    times), so phase membership at rational times is decided exactly; the
-    *_f fields are float mirrors used only inside the travel phase.
+    Labels 1..n-1 are base coordinates: the window comes from the dwell
+    times and delta is the counterclockwise gap.  Label 0 is the free circle
+    factor: the window is [0, 1] and delta is the signed shorter arc, with
+    rule_index 1 for exact antipodes (half a turn counterclockwise) and 0
+    otherwise.  Base coordinates keep rule_index 0.
+
+    The fields passed in are exact, so phase membership at rational times
+    is decided exactly.  constant and the *_f float mirrors, which the
+    travel phase and float evaluation read, are derived from them here and
+    nowhere else.
     """
 
     label: int
     start: Turn
     end: Turn
-    constant: bool
     move_start: Fraction
     rest_start: Fraction
     delta: Fraction
-    start_f: float
-    delta_f: float
-    move_start_f: float
-    span_f: float
+    rule_index: int = 0
+    constant: bool = field(init=False)
+    start_f: float = field(init=False)
+    delta_f: float = field(init=False)
+    move_start_f: float = field(init=False)
+    span_f: float = field(init=False)
+
+    def __post_init__(self):
+        set_field = object.__setattr__
+        set_field(self, "constant", not self.delta)
+        set_field(self, "start_f", float(self.start.value))
+        set_field(self, "delta_f", float(self.delta))
+        set_field(self, "move_start_f", float(self.move_start))
+        set_field(self, "span_f", float(self.rest_start - self.move_start))
 
     def value_at(self, t: Fraction):
         if self.constant or t <= self.move_start:
@@ -151,30 +173,6 @@ class CoordinateRule:
             return self.end
         s = (float(t) - self.move_start_f) / self.span_f
         return (self.start_f + s * self.delta_f) % 1.0
-
-
-@dataclass(frozen=True)
-class CircleRule:
-    """Schedule of the free circle factor: one constant-speed shorter arc.
-
-    rule_index 0 covers pairs that are not antipodal (including equal ones,
-    which stay put); rule_index 1 sends exact antipodes half a turn
-    counterclockwise.  delta is the signed travel in turns.
-    """
-
-    start: Turn
-    end: Turn
-    rule_index: int
-    delta: Fraction
-    start_f: float
-    delta_f: float
-
-    def value_at(self, t: Fraction):
-        if self.delta == 0 or t == 0:
-            return self.start
-        if t == 1:
-            return self.end
-        return (self.start_f + float(t) * self.delta_f) % 1.0
 
 
 @dataclass(frozen=True)
@@ -212,7 +210,7 @@ class PlannerPath:
     agreement: frozenset[int]
     domain_index: int
     rules: tuple[CoordinateRule, ...]
-    circle_rule: CircleRule | None = None
+    circle_rule: CoordinateRule | None = None
     combined_index: int | None = None
 
     def evaluate(self, t) -> EvaluatedPoint:
@@ -228,10 +226,10 @@ class PlannerPath:
         Equal to [self.evaluate(t) for t in times], Turn for Turn and float
         for float: each rule's phase is found with two exact bisections, as
         in exact_zero_counts, and travel values use value_at's float
-        expression on float(t), taken once per time.  With floats=True each
-        point is instead the tuple of its values as floats, base coordinates
-        then the circle; resting values come from the float mirrors, so no
-        Turn is converted per point.
+        expression on float(t), taken once per time; the circle is one more
+        column.  With floats=True each point is instead the tuple of its
+        values as floats, base coordinates then the circle; resting values
+        come from the float mirrors, so no Turn is converted per point.
         """
         if any(isinstance(t, float) for t in times):
             raise TypeError("evaluation times must be exact rationals, not floats")
@@ -240,8 +238,9 @@ class PlannerPath:
             _check_time(times[-1])
         m = len(times)
         tfs = [float(t) for t in times]
+        circle = self.circle_rule
         columns = []
-        for rule in self.rules:
+        for rule in self.rules if circle is None else (*self.rules, circle):
             first = rule.start_f if floats else rule.start
             if rule.constant:
                 columns.append([first] * m)
@@ -252,25 +251,11 @@ class PlannerPath:
             s0, ms, span, dl = rule.start_f, rule.move_start_f, rule.span_f, rule.delta_f
             travel = [(s0 + ((tf - ms) / span) * dl) % 1.0 for tf in tfs[hi:lo]]
             columns.append([first] * hi + travel + [last] * (m - lo))
-        circle = None
-        c = self.circle_rule
-        if c is not None:
-            first = c.start_f if floats else c.start
-            if c.delta == 0:
-                circle = [first] * m
-            else:
-                last = float(c.end.value) if floats else c.end
-                lo = bisect_right(times, 0)
-                hi = bisect_left(times, 1)
-                travel = [(c.start_f + tf * c.delta_f) % 1.0 for tf in tfs[lo:hi]]
-                circle = [first] * lo + travel + [last] * (m - hi)
         if floats:
-            if circle is not None:
-                columns.append(circle)
             return list(zip(*columns)) if columns else [()] * m
+        circles = [None] * m if circle is None else columns.pop()
         base_rows = zip(*columns) if columns else [()] * m
-        return [EvaluatedPoint(base, circ)
-                for base, circ in zip(base_rows, circle or [None] * m)]
+        return [EvaluatedPoint(base, circ) for base, circ in zip(base_rows, circles)]
 
     def phase_boundaries(self) -> tuple[Fraction, ...]:
         """Times where some coordinate switches phase, in ascending order."""
@@ -335,29 +320,16 @@ def _build_rules(start: SkeletonPoint, end: SkeletonPoint) -> tuple[CoordinateRu
     rules = []
     for j, (u, v) in enumerate(zip(start.base, end.base), start=1):
         if u == v:
-            rules.append(
-                CoordinateRule(
-                    label=j, start=u, end=v, constant=True,
-                    move_start=Fraction(0), rest_start=Fraction(1), delta=Fraction(0),
-                    start_f=float(u.value), delta_f=0.0, move_start_f=0.0, span_f=1.0,
-                )
-            )
+            rules.append(CoordinateRule(label=j, start=u, end=v, move_start=_ZERO,
+                                        rest_start=_ONE, delta=_ZERO))
             continue
         move_start = Fraction(dwell_time(u))
         rest_start = 1 - Fraction(dwell_time(v))
-        span = rest_start - move_start
-        if span <= 0:
+        if rest_start <= move_start:
             # unreachable: dwell is 1/2 only at the basepoint and u != v
             raise RuntimeError(f"scheduling window collapsed for coordinate {j}")
-        delta = u.ccw_gap(v)
-        rules.append(
-            CoordinateRule(
-                label=j, start=u, end=v, constant=False,
-                move_start=move_start, rest_start=rest_start, delta=delta,
-                start_f=float(u.value), delta_f=float(delta),
-                move_start_f=float(move_start), span_f=float(span),
-            )
-        )
+        rules.append(CoordinateRule(label=j, start=u, end=v, move_start=move_start,
+                                    rest_start=rest_start, delta=u.ccw_gap(v)))
     return tuple(rules)
 
 
@@ -380,33 +352,7 @@ def plan_skeleton(query: PlannerQuery, sig) -> PlannerPath:
     """
     if query.start.has_circle:
         raise InvalidEndpoint("skeleton planning expects endpoints without a circle factor")
-    _require_membership(query.start, sig, "start")
-    _require_membership(query.end, sig, "end")
-    agree = classify(query, sig)
-    return PlannerPath(
-        sig=sig,
-        query=query,
-        mode="skeleton",
-        agreement=agree.indices,
-        domain_index=agree.domain_index,
-        rules=_build_rules(query.start, query.end),
-    )
-
-
-def _build_circle_rule(z: Turn, z_prime: Turn) -> CircleRule:
-    gap = z.ccw_gap(z_prime)
-    if gap == _HALF:
-        rule_index, delta = 1, _HALF
-    elif gap == 0:
-        rule_index, delta = 0, Fraction(0)
-    elif gap < _HALF:
-        rule_index, delta = 0, gap
-    else:
-        rule_index, delta = 0, gap - 1
-    return CircleRule(
-        start=z, end=z_prime, rule_index=rule_index, delta=delta,
-        start_f=float(z.value), delta_f=float(delta),
-    )
+    return _plan(query, sig)
 
 
 def plan_product(query: PlannerQuery, sig) -> PlannerPath:
@@ -419,17 +365,31 @@ def plan_product(query: PlannerQuery, sig) -> PlannerPath:
     """
     if not query.start.has_circle:
         raise InvalidEndpoint("product planning expects endpoints with a circle factor")
+    return _plan(query, sig)
+
+
+def _build_circle_rule(z: Turn, z_prime: Turn) -> CoordinateRule:
+    gap = z.ccw_gap(z_prime)
+    return CoordinateRule(label=0, start=z, end=z_prime, move_start=_ZERO,
+                          rest_start=_ONE, delta=gap - 1 if gap > _HALF else gap,
+                          rule_index=int(gap == _HALF))
+
+
+def _plan(query: PlannerQuery, sig) -> PlannerPath:
     _require_membership(query.start, sig, "start")
     _require_membership(query.end, sig, "end")
     agree = classify(query, sig)
-    circle_rule = _build_circle_rule(query.start.circle, query.end.circle)
+    circle_rule = combined_index = None
+    if query.start.has_circle:
+        circle_rule = _build_circle_rule(query.start.circle, query.end.circle)
+        combined_index = agree.domain_index + circle_rule.rule_index
     return PlannerPath(
         sig=sig,
         query=query,
-        mode="product",
+        mode="skeleton" if circle_rule is None else "product",
         agreement=agree.indices,
         domain_index=agree.domain_index,
         rules=_build_rules(query.start, query.end),
         circle_rule=circle_rule,
-        combined_index=agree.domain_index + circle_rule.rule_index,
+        combined_index=combined_index,
     )

@@ -458,6 +458,11 @@ class TestCupLengthSearches:
     def test_degree_one_respects_max_len(self):
         assert zdcl_degree_one(AlgebraSignature(6, 4), max_len=3) == 3
 
+    def test_degree_one_chain_size_capped(self):
+        # a product of more than SLICE_TERM_CAP / 2 terms is never multiplied
+        with pytest.raises(InstanceTooLarge, match="capped"):
+            zdcl_degree_one(AlgebraSignature(30, 15))
+
     @pytest.mark.parametrize("n", range(1, 10))
     def test_degree_one_matches_exhaustive_subset_search(self, n):
         for r in range(1, n + 1):

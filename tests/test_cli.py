@@ -206,6 +206,15 @@ class TestPlan:
         assert "zero denominator" in err
         assert "Traceback" not in err
 
+    def test_outputs_frozen(self, capsys):
+        # plan prints json.dumps(doc, indent=2); the file stores each doc
+        # compactly, and its indent=2 rendering is the frozen stdout
+        frozen = json.loads((Path(__file__).parent / "data" / "plan_frozen.json").read_text())
+        for case in frozen:
+            code, out, _ = run(capsys, *case["argv"])
+            assert code == case["exit"], case["argv"]
+            assert out == json.dumps(case["stdout"], indent=2) + "\n", case["argv"]
+
     def test_samples_include_phase_boundaries(self, capsys):
         code, out, _ = run(
             capsys, "plan", "2", "2", "--from", "1/8", "--to", "5/8", "--steps", "2"
@@ -281,6 +290,15 @@ class TestSearchZdcl:
         assert doc["brute_force_length"] == 4
         assert doc["cup_length"] == 4
         assert doc["conjecture"] == "consistent"
+
+    def test_oversized_chain_is_usage_error(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "search-zdcl", "30", "15")
+        assert time.perf_counter() - start < 5.0
+        assert code == 2
+        assert out == ""
+        assert "capped" in err
+        assert "Traceback" not in err
 
     def test_brute_force_cap_env(self, capsys, monkeypatch):
         monkeypatch.setenv("TC_BRUTE_CAP", "3")

@@ -262,6 +262,18 @@ class TestPlanProduct:
         path = plan_product(query(point(circle=0), point(circle="3/4")), sig)
         assert path.circle_rule.rule_index == 0
         assert path.evaluate(F(1, 2)).circle == pytest.approx(0.875, abs=1e-15)
+        # just short of and just past the antipode
+        path = plan_product(query(point(circle=0), point(circle="499/1000")), sig)
+        assert path.circle_rule.rule_index == 0
+        assert path.circle_rule.delta == F(499, 1000)
+        assert path.evaluate(F(1, 2)).circle == pytest.approx(0.2495, abs=1e-15)
+        path = plan_product(query(point(circle=0), point(circle="501/1000")), sig)
+        assert path.circle_rule.rule_index == 0
+        assert path.circle_rule.delta == F(-499, 1000)
+        assert path.evaluate(F(1, 2)).circle == pytest.approx(0.7505, abs=1e-15)
+        # the circle is coordinate 0, moving over the whole of [0, 1]
+        rule = path.circle_rule
+        assert (rule.label, rule.move_start, rule.rest_start) == (0, 0, 1)
 
     def test_antipodes_travel_ccw_half_turn(self):
         sig = AlgebraSignature(1, 1)
