@@ -555,21 +555,31 @@ def zdcl_degree_one(sig: AlgebraSignature, max_len: int | None = None) -> int:
     stand for every subset: each grows until its product vanishes or reaches
     min(n, max_len) factors, and the longer one is the answer.
 
-    A chain product can double in size with each factor, so one that could
-    exceed SLICE_TERM_CAP terms raises InstanceTooLarge instead of running on.
+    A chain product at most doubles in size with each factor.  Once doubling
+    could pass SLICE_TERM_CAP terms, the next product's terms are counted
+    before it is formed, and a product of more than SLICE_TERM_CAP terms
+    raises InstanceTooLarge instead of running on.
     """
     if max_len is not None and max_len < 1:
         raise ValueError("max_len must be at least 1")
     limit = sig.n if max_len is None else min(max_len, sig.n)
+    fits = TensorElement._fitter(sig)
+
+    def next_size(prod, i) -> int:
+        # Generator i is new to the chain, so it is in neither leg of any
+        # term: a (x) b yields a (x) b.e_i and a.e_i (x) b where they fit,
+        # and no two terms yield the same one, so nothing cancels.
+        left, right = 1 << i, 1 << (i + sig.n)
+        return sum(fits(bits | left) + fits(bits | right) for bits in prod._terms)
 
     def chain(indices) -> int:
         prod = TensorElement.one(sig)
         length = 0
         for i in indices[:limit]:
-            if 2 * len(prod) > SLICE_TERM_CAP:
+            if 2 * len(prod) > SLICE_TERM_CAP and (size := next_size(prod, i)) > SLICE_TERM_CAP:
                 raise InstanceTooLarge(
-                    f"zero-divisor chain for (n, r) = ({sig.n}, {sig.r}) has reached "
-                    f"{len(prod)} terms; chain products are capped at {SLICE_TERM_CAP} terms"
+                    f"zero-divisor chain for (n, r) = ({sig.n}, {sig.r}) would reach "
+                    f"{size} terms; chain products are capped at {SLICE_TERM_CAP} terms"
                 )
             prod = prod * zero_divisor(sig, i)
             if prod.is_zero:

@@ -24,10 +24,12 @@ float noise can never manufacture a coordinate that looks parked.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import NamedTuple
 
 from .skeleton import SkeletonPoint, Turn, membership
@@ -35,9 +37,7 @@ from .skeleton import SkeletonPoint, Turn, membership
 _SQRT2 = math.sqrt(2.0)
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-_QUARTER = Fraction(1, 4)
 _HALF = Fraction(1, 2)
-_THREE_QUARTERS = Fraction(3, 4)
 
 
 class InvalidEndpoint(ValueError):
@@ -53,15 +53,15 @@ def dwell_time(z: Turn):
     exact Fractions; the transition returns a float clamped into [0, 1/2) so
     that only the basepoint ever dwells for a full half turn of time.
     """
-    v = z.value
-    if v == 0:
+    p, q = z.value.as_integer_ratio()
+    if not p:
         return _HALF
-    if _QUARTER <= v <= _THREE_QUARTERS:
-        return Fraction(0)
-    d = v if v < _HALF else 1 - v
-    raw = 0.5 * (1.0 - _SQRT2 * math.sin(math.pi * float(d)))
+    if q <= 4 * p <= 3 * q:
+        return _ZERO
+    d = p if 2 * p < q else q - p
+    raw = 0.5 * (1.0 - _SQRT2 * math.sin(math.pi * (d / q)))
     if raw <= 0.0:
-        return Fraction(0)
+        return _ZERO
     if raw >= 0.5:
         # float underflow for d absurdly close to 0; keep the invariant strict
         raw = math.nextafter(0.5, 0.0)
@@ -141,8 +141,10 @@ class CoordinateRule:
 
     The fields passed in are exact, so phase membership at rational times
     is decided exactly.  constant and the *_f float mirrors, which the
-    travel phase and float evaluation read, are derived from them here and
-    nowhere else.
+    travel phase, float evaluation and the phase search read, are derived
+    from them here and nowhere else, from their integer numerators and
+    denominators: each mirror is the correctly rounded float of its exact
+    value.
     """
 
     label: int
@@ -156,15 +158,21 @@ class CoordinateRule:
     start_f: float = field(init=False)
     delta_f: float = field(init=False)
     move_start_f: float = field(init=False)
+    rest_start_f: float = field(init=False)
     span_f: float = field(init=False)
 
     def __post_init__(self):
         set_field = object.__setattr__
-        set_field(self, "constant", not self.delta)
-        set_field(self, "start_f", float(self.start.value))
-        set_field(self, "delta_f", float(self.delta))
-        set_field(self, "move_start_f", float(self.move_start))
-        set_field(self, "span_f", float(self.rest_start - self.move_start))
+        s_p, s_q = self.start.value.as_integer_ratio()
+        d_p, d_q = self.delta.as_integer_ratio()
+        m_p, m_q = self.move_start.as_integer_ratio()
+        r_p, r_q = self.rest_start.as_integer_ratio()
+        set_field(self, "constant", not d_p)
+        set_field(self, "start_f", s_p / s_q)
+        set_field(self, "delta_f", d_p / d_q)
+        set_field(self, "move_start_f", m_p / m_q)
+        set_field(self, "rest_start_f", r_p / r_q)
+        set_field(self, "span_f", (r_p * m_q - m_p * r_q) / (r_q * m_q))
 
     def value_at(self, t: Fraction):
         if self.constant or t <= self.move_start:
@@ -192,12 +200,55 @@ class EvaluatedPoint:
 
 
 def _check_time(t) -> Fraction:
-    if isinstance(t, float):
-        raise TypeError("evaluation times must be exact rationals, not floats")
-    t = Fraction(t)
-    if not 0 <= t <= 1:
+    if type(t) is not Fraction:
+        if isinstance(t, float):
+            raise TypeError("evaluation times must be exact rationals, not floats")
+        t = Fraction(t)
+    p, q = t.as_integer_ratio()
+    if not 0 <= p <= q:
         raise ValueError(f"time {t} outside [0, 1]")
     return t
+
+
+class _LazyFloats:
+    """float(times[k]), converted only when read, so a bisection converts
+    just the times it probes."""
+
+    __slots__ = ("times",)
+
+    def __init__(self, times):
+        self.times = times
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __getitem__(self, k) -> float:
+        return float(self.times[k])
+
+
+def _count_through(times, floats, bound: Fraction, bound_f: float) -> int:
+    """How many times of an ascending rational list are <= bound.
+
+    The search runs on floats, where floats[k] = float(times[k]) and
+    bound_f = float(bound).  Rounding is monotone, so a time whose float
+    differs from bound_f lies on the same side of bound as its float lies of
+    bound_f; each time whose float ties with bound_f is settled by one exact
+    comparison.
+    """
+    k = bisect_right(floats, bound_f)
+    while k and floats[k - 1] == bound_f and times[k - 1] > bound:
+        k -= 1
+    return k
+
+
+def _count_below(times, floats, bound: Fraction, bound_f: float) -> int:
+    """How many times of an ascending rational list are < bound; the search
+    is _count_through's."""
+    k = bisect_left(floats, bound_f)
+    m = len(times)
+    while k < m and floats[k] == bound_f and times[k] < bound:
+        k += 1
+    return k
 
 
 @dataclass(frozen=True)
@@ -213,6 +264,11 @@ class PlannerPath:
     circle_rule: CoordinateRule | None = None
     combined_index: int | None = None
 
+    @property
+    def coordinate_rules(self) -> tuple[CoordinateRule, ...]:
+        """The rule of every coordinate: the base ones by label, then the circle."""
+        return self.rules if self.circle_rule is None else (*self.rules, self.circle_rule)
+
     def evaluate(self, t) -> EvaluatedPoint:
         """Point of the path at rational time t in [0, 1]."""
         t = _check_time(t)
@@ -220,61 +276,80 @@ class PlannerPath:
         circ = self.circle_rule.value_at(t) if self.circle_rule is not None else None
         return EvaluatedPoint(base, circ)
 
-    def evaluate_many(self, times, floats: bool = False) -> list:
-        """Points of the path at every time of an ascending rational list.
+    def columns(self, times, floats: bool = False) -> list[list]:
+        """Values of each coordinate at every time of an ascending rational
+        list, one list per entry of coordinate_rules.
 
-        Equal to [self.evaluate(t) for t in times], Turn for Turn and float
-        for float: each rule's phase is found with two exact bisections, as
-        in exact_zero_counts, and travel values use value_at's float
-        expression on float(t), taken once per time; the circle is one more
-        column.  With floats=True each point is instead the tuple of its
-        values as floats, base coordinates then the circle; resting values
-        come from the float mirrors, so no Turn is converted per point.
+        Equal to the values of [self.evaluate(t) for t in times], Turn for
+        Turn and float for float.  Each rule's phases are found by bisecting
+        the floats of the times, with ties settled exactly (_count_through),
+        so no time is placed by Fraction comparisons; travel values use
+        value_at's float expression on float(t), taken once per time.  With
+        floats=True resting values come from the float mirrors instead, so
+        no Turn is converted per time.
         """
-        if any(isinstance(t, float) for t in times):
-            raise TypeError("evaluation times must be exact rationals, not floats")
+        try:
+            # float(t) as the correctly rounded quotient of two integers;
+            # floats have no numerator
+            tfs = [t.numerator / t.denominator for t in times]
+        except AttributeError:
+            raise TypeError("evaluation times must be exact rationals, not floats") from None
         if times:
             _check_time(times[0])
             _check_time(times[-1])
         m = len(times)
-        tfs = [float(t) for t in times]
-        circle = self.circle_rule
         columns = []
-        for rule in self.rules if circle is None else (*self.rules, circle):
+        for rule in self.coordinate_rules:
             first = rule.start_f if floats else rule.start
             if rule.constant:
                 columns.append([first] * m)
                 continue
             last = float(rule.end.value) if floats else rule.end
-            hi = bisect_right(times, rule.move_start)
-            lo = bisect_left(times, rule.rest_start)
+            hi = _count_through(times, tfs, rule.move_start, rule.move_start_f)
+            lo = _count_below(times, tfs, rule.rest_start, rule.rest_start_f)
             s0, ms, span, dl = rule.start_f, rule.move_start_f, rule.span_f, rule.delta_f
             travel = [(s0 + ((tf - ms) / span) * dl) % 1.0 for tf in tfs[hi:lo]]
             columns.append([first] * hi + travel + [last] * (m - lo))
+        return columns
+
+    def evaluate_many(self, times, floats: bool = False) -> list:
+        """Points of the path at every time of an ascending rational list.
+
+        Equal to [self.evaluate(t) for t in times]; the values come from
+        columns().  With floats=True each point is instead the tuple of its
+        values as floats, base coordinates then the circle.
+        """
+        columns = self.columns(times, floats)
+        m = len(times)
         if floats:
             return list(zip(*columns)) if columns else [()] * m
-        circles = [None] * m if circle is None else columns.pop()
+        circles = [None] * m if self.circle_rule is None else columns.pop()
         base_rows = zip(*columns) if columns else [()] * m
         return [EvaluatedPoint(base, circ) for base, circ in zip(base_rows, circles)]
 
     def phase_boundaries(self) -> tuple[Fraction, ...]:
         """Times where some coordinate switches phase, in ascending order."""
-        cuts = set()
+        cuts = {}
         for rule in self.rules:
             if not rule.constant:
-                cuts.add(rule.move_start)
-                cuts.add(rule.rest_start)
-        return tuple(sorted(cuts))
+                # keyed by numerator and denominator, sorted by float with
+                # exact ties broken by the Fractions themselves
+                cuts[rule.move_start.as_integer_ratio()] = (rule.move_start_f, rule.move_start)
+                cuts[rule.rest_start.as_integer_ratio()] = (rule.rest_start_f, rule.rest_start)
+        return tuple(t for _, t in sorted(cuts.values()))
 
     def exact_zero_counts(self, times) -> list[int]:
         """Exact basepoint counts at each time of an ascending rational list.
 
-        Matches evaluate(t).exact_zero_count() pointwise; computed with two
-        bisections per rule so large grids stay cheap.  A coordinate resting
-        at the basepoint contributes on a prefix (start side, up to and
-        including move_start) or a suffix (end side, from rest_start on).
+        Matches evaluate(t).exact_zero_count() pointwise.  A coordinate
+        resting at the basepoint contributes on a prefix (start side, up to
+        and including move_start) or a suffix (end side, from rest_start
+        on); each is found by bisecting the floats of the times, converted
+        only where the bisection probes them, with ties settled exactly as
+        in columns().
         """
         m = len(times)
+        floats = _LazyFloats(times)
         diff = [0] * (m + 1)
         for rule in self.rules:
             if rule.constant:
@@ -283,36 +358,44 @@ class PlannerPath:
                     diff[m] -= 1
                 continue
             if rule.start.is_zero:
-                hi = bisect_right(times, rule.move_start)
-                if hi > 0:
-                    diff[0] += 1
-                    diff[hi] -= 1
+                diff[0] += 1
+                diff[_count_through(times, floats, rule.move_start, rule.move_start_f)] -= 1
             if rule.end.is_zero:
-                lo = bisect_left(times, rule.rest_start)
-                if lo < m:
-                    diff[lo] += 1
-                    diff[m] -= 1
-        counts = []
-        running = 0
-        for k in range(m):
-            running += diff[k]
-            counts.append(running)
-        return counts
+                diff[_count_below(times, floats, rule.rest_start, rule.rest_start_f)] += 1
+                diff[m] -= 1
+        return list(accumulate(diff[:m]))
+
+
+@functools.lru_cache(maxsize=4)
+def _grid(steps: int) -> tuple[Fraction, ...]:
+    return tuple(Fraction(k, steps) for k in range(steps + 1))
 
 
 def sample_times(steps: int, *extra) -> list[Fraction]:
     """The grid k/steps for k = 0..steps with the extra times inserted, in
     ascending order and each time once.
 
-    Each extra time is placed by bisection: the extra runs (phase
-    boundaries) are short next to the grid.
+    An extra time p/q is grid point k = p*steps // q when the remainder is
+    0, and otherwise lies strictly between grid points k and k+1, so each
+    is placed by integer arithmetic; only extras sharing a grid cell are
+    compared with one another.  Extras must be exact rationals in [0, 1].
     """
-    out = [Fraction(k, steps) for k in range(steps + 1)]
+    grid = _grid(steps)
+    cells = {}
     for run in extra:
         for t in run:
-            i = bisect_left(out, t)
-            if i == len(out) or out[i] != t:
-                out.insert(i, t)
+            t = _check_time(t)
+            p, q = t.as_integer_ratio()
+            k, off = divmod(p * steps, q)
+            if off:
+                cells.setdefault(k, {})[p, q] = t
+    out = []
+    done = 0
+    for k in sorted(cells):
+        out += grid[done:k + 1]
+        out += sorted(cells[k].values())
+        done = k + 1
+    out += grid[done:]
     return out
 
 
@@ -323,13 +406,23 @@ def _build_rules(start: SkeletonPoint, end: SkeletonPoint) -> tuple[CoordinateRu
             rules.append(CoordinateRule(label=j, start=u, end=v, move_start=_ZERO,
                                         rest_start=_ONE, delta=_ZERO))
             continue
-        move_start = Fraction(dwell_time(u))
-        rest_start = 1 - Fraction(dwell_time(v))
-        if rest_start <= move_start:
-            # unreachable: dwell is 1/2 only at the basepoint and u != v
+        lead, tail = dwell_time(u), dwell_time(v)
+        if type(lead) is float:
+            lead = Fraction(lead)
+        if type(tail) is float:
+            num, den = tail.as_integer_ratio()
+            rest_start = Fraction(den - num, den)
+        else:
+            # an exact dwell is 1/2 or 0
+            rest_start = _HALF if tail else _ONE
+        rule = CoordinateRule(label=j, start=u, end=v, move_start=lead,
+                              rest_start=rest_start, delta=u.ccw_gap(v))
+        if rule.span_f <= 0.0:
+            # unreachable: dwell is 1/2 only at the basepoint and u != v;
+            # span_f is rest_start - move_start correctly rounded, so it is
+            # positive exactly when the window is
             raise RuntimeError(f"scheduling window collapsed for coordinate {j}")
-        rules.append(CoordinateRule(label=j, start=u, end=v, move_start=move_start,
-                                    rest_start=rest_start, delta=u.ccw_gap(v)))
+        rules.append(rule)
     return tuple(rules)
 
 
@@ -370,9 +463,10 @@ def plan_product(query: PlannerQuery, sig) -> PlannerPath:
 
 def _build_circle_rule(z: Turn, z_prime: Turn) -> CoordinateRule:
     gap = z.ccw_gap(z_prime)
+    p, q = gap.as_integer_ratio()
     return CoordinateRule(label=0, start=z, end=z_prime, move_start=_ZERO,
-                          rest_start=_ONE, delta=gap - 1 if gap > _HALF else gap,
-                          rule_index=int(gap == _HALF))
+                          rest_start=_ONE, delta=Fraction(p - q, q) if 2 * p > q else gap,
+                          rule_index=int(2 * p == q))
 
 
 def _plan(query: PlannerQuery, sig) -> PlannerPath:

@@ -28,9 +28,12 @@ class Turn:
     __slots__ = ("value",)
 
     def __init__(self, value=0):
-        if isinstance(value, float):
-            raise TypeError("turns must be exact rationals, not floats")
-        self.value = Fraction(value) % 1
+        if type(value) is not Fraction:
+            if isinstance(value, float):
+                raise TypeError("turns must be exact rationals, not floats")
+            value = Fraction(value)
+        p, q = value.as_integer_ratio()
+        self.value = value if 0 <= p < q else value % 1
 
     @classmethod
     def parse(cls, text: str) -> "Turn":
@@ -44,11 +47,14 @@ class Turn:
 
     @property
     def is_zero(self) -> bool:
-        return self.value == 0
+        return not self.value.numerator
 
     def ccw_gap(self, other: "Turn") -> Fraction:
         """Counterclockwise distance from self to other, in [0, 1)."""
-        return (other.value - self.value) % 1
+        p, q = self.value.as_integer_ratio()
+        p2, q2 = other.value.as_integer_ratio()
+        den = q * q2
+        return Fraction((p2 * q - p * q2) % den, den)
 
     def circle_distance(self, other: "Turn") -> Fraction:
         """Length of the shorter arc between the two points, in [0, 1/2]."""
@@ -78,7 +84,7 @@ class Turn:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Turn):
-            return self.value == other.value
+            return self.value.as_integer_ratio() == other.value.as_integer_ratio()
         return NotImplemented
 
     def __hash__(self) -> int:

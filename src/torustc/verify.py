@@ -333,13 +333,21 @@ def _wrap_query(sig, rng: random.Random, mode: str) -> tuple[PlannerQuery, dict[
 
 def path_deviation(path_a: PlannerPath, path_b: PlannerPath, sample_steps: int = 64) -> float:
     """Largest circle distance between the two paths over a shared time grid
-    extended by both paths' phase boundaries."""
+    extended by both paths' phase boundaries.
+
+    The paths are compared coordinate by coordinate.  Two coordinates that
+    both rest for the whole path are the same distance apart at every time,
+    so that distance is taken once.
+    """
     times = sample_times(sample_steps, path_a.phase_boundaries(), path_b.phase_boundaries())
     worst = 0.0
-    rows_a = path_a.evaluate_many(times, floats=True)
-    rows_b = path_b.evaluate_many(times, floats=True)
-    for vals_a, vals_b in zip(rows_a, rows_b):
-        for va, vb in zip(vals_a, vals_b):
+    for rule_a, rule_b, col_a, col_b in zip(
+        path_a.coordinate_rules, path_b.coordinate_rules,
+        path_a.columns(times, floats=True), path_b.columns(times, floats=True),
+    ):
+        if rule_a.constant and rule_b.constant:
+            col_a, col_b = (rule_a.start_f,), (rule_b.start_f,)
+        for va, vb in zip(col_a, col_b):
             d = abs(va - vb) % 1.0
             d = min(d, 1.0 - d)
             if d > worst:

@@ -463,6 +463,11 @@ class TestCupLengthSearches:
         with pytest.raises(InstanceTooLarge, match="capped"):
             zdcl_degree_one(AlgebraSignature(30, 15))
 
+    def test_degree_one_counts_before_refusing(self):
+        # the e0 chain at (18, 11) passes SLICE_TERM_CAP / 2 terms, but its
+        # next product has 175,032 terms, under the cap, so it still answers
+        assert zdcl_degree_one(AlgebraSignature(18, 11)) == 18
+
     @pytest.mark.parametrize("n", range(1, 10))
     def test_degree_one_matches_exhaustive_subset_search(self, n):
         for r in range(1, n + 1):

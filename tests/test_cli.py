@@ -1,13 +1,18 @@
 """Command-line surface: schemas, golden outputs, exit codes."""
 
+import contextlib
+import io
 import json
+import random
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from torustc import cli
-from torustc.cli import CSV_HEADER, main
+from torustc import AlgebraSignature, cli, sample
+from torustc.cli import CSV_HEADER, MAX_STEPS, main
 
 
 def run(capsys, *argv):
@@ -225,6 +230,36 @@ class TestPlan:
         assert "0" in times and "1/2" in times and "1" in times
         assert len(times) > 3  # the dwell boundaries of 1/8 and 5/8 are inside
 
+    def test_steps_above_cap_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "plan", "3", "2", "--from", "0,1/4", "--to", "1/2,0",
+            "--steps", str(MAX_STEPS + 1),
+        )
+        assert MAX_STEPS == 65_536
+        assert code == 2
+        assert out == ""
+        assert "--steps must be at most 65536" in err
+        assert "Traceback" not in err
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 7), st.integers(1, 7), st.booleans(), st.integers(1, 40),
+           st.integers(0, 10**6))
+    def test_output_is_the_indent_2_rendering(self, n, r, product, steps, seed):
+        # plan writes its JSON itself; it must be the text json.dumps gives
+        sig = AlgebraSignature(max(n, r), min(n, r))
+        if sig.n == 1 and not product:
+            return  # a point without coordinates has no command-line form
+        rng = random.Random(seed)
+        a, b = (sample(sig, rng, with_circle=product) for _ in range(2))
+        text = [",".join(str(t) for t in ((p.circle,) if product else ()) + p.base)
+                for p in (a, b)]
+        argv = ["plan", str(sig.n), str(sig.r), "--from", text[0], "--to", text[1],
+                "--steps", str(steps)] + (["--product"] if product else [])
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        assert out.getvalue() == json.dumps(json.loads(out.getvalue()), indent=2) + "\n"
+
 
 class TestSimulate:
     def test_clean_simulation_exits_zero(self, capsys):
@@ -258,6 +293,20 @@ class TestSimulate:
             del doc["wall_time_s"]
             assert code == case["exit"]
             assert list(doc.items()) == list(case["report"].items())
+
+    def test_steps_above_cap_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "simulate", "3", "2", "--queries", "2", "--steps", str(MAX_STEPS + 1)
+        )
+        assert code == 2
+        assert out == ""
+        assert "--steps must be at most 65536" in err
+        assert "Traceback" not in err
+        code, out, _ = run(
+            capsys, "simulate", "3", "2", "--queries", "2", "--steps", str(MAX_STEPS)
+        )
+        assert code == 0
+        assert json.loads(out)["steps"] == MAX_STEPS
 
     def test_zero_queries_is_usage_error(self, capsys):
         code, _, err = run(capsys, "simulate", "3", "2", "--queries", "0")
@@ -300,6 +349,14 @@ class TestSearchZdcl:
         assert "capped" in err
         assert "Traceback" not in err
 
+    def test_chain_over_cap_is_usage_error(self, capsys):
+        # (20, 11): the e0 chain's next product would have 272,272 terms
+        code, out, err = run(capsys, "search-zdcl", "20", "11")
+        assert code == 2
+        assert out == ""
+        assert "capped" in err
+        assert "Traceback" not in err
+
     def test_brute_force_cap_env(self, capsys, monkeypatch):
         monkeypatch.setenv("TC_BRUTE_CAP", "3")
         code, _, err = run(capsys, "search-zdcl", "4", "2", "--brute")
@@ -330,3 +387,66 @@ class TestParserReuse:
         assert cached == fresh
         assert [code for code, _, _ in cached] == [0, 0, 0, 0]
         assert cached[0][1] != cached[1][1] != cached[2][1]
+
+
+_SIZES = st.sampled_from(["1", "2", "3", "4", "5", "6"] * 3 + ["-1", "0", "30", "x", "2.5", ""])
+_COORDS = st.sampled_from(
+    ["0", "0", "1/2", "3/4", "7/8", "1/3", "1", "5/4", "-1/3", "+2/5", " 1/3", "1/0", "0/0",
+     "0.5", "1e3", "abc", "", "99999999999999999999/7"]
+)
+_POINTS = st.lists(_COORDS, max_size=6).map(",".join)
+_COUNTS = st.sampled_from(["-1", "0", "1", "2", "4", "x"])
+_STEPS = st.sampled_from(["-1", "0", "1", "2", "7", "64", str(MAX_STEPS + 1), "1000000000",
+                          "1.5"])
+_FLAGS = {
+    "tc": [("--grid", st.sampled_from(["n=1..4,r=1..n", "n=2..3,r=1..2", "n=3..1,r=1..n",
+                                       "n=0..2,r=0..n", "n=1..30,r=1..n", "n=1..3", "x"])),
+           ("--json", None), ("--csv", None)],
+    "verify-lower-bound": [("--set", st.sampled_from(["1", "1,2", "2,4", "0", "-1", "", "1,,2",
+                                                      "a", "1,1", "9"])),
+                           ("--json", None)],
+    "plan": [("--steps", _STEPS), ("--product", None), ("--from", _POINTS), ("--to", _POINTS)],
+    "simulate": [("--queries", _COUNTS), ("--steps", _STEPS), ("--seed", _COUNTS),
+                 ("--product", None),
+                 ("--denominator-bound", st.sampled_from(["-1", "1", "2", "8", "1000"])),
+                 ("--continuity-probes", _COUNTS)],
+    "search-zdcl": [("--brute", None), ("--json", None)],
+}
+
+
+@st.composite
+def _argvs(draw):
+    """Argument vectors, mostly well formed enough to reach the subcommand."""
+    command = draw(st.sampled_from([*_FLAGS, *_FLAGS, *_FLAGS, "bogus", ""]))
+    argv = [command] if command else []
+    count = 2 if draw(st.integers(0, 9)) else draw(st.integers(0, 3))
+    argv += draw(st.lists(_SIZES, min_size=count, max_size=count))
+    flags = draw(st.lists(st.sampled_from(_FLAGS.get(command, [])), max_size=5)
+                 if command in _FLAGS else st.just([]))
+    if command == "plan" and draw(st.integers(0, 4)):
+        flags += [("--from", _POINTS), ("--to", _POINTS)]
+    if draw(st.integers(0, 19)) == 0:
+        flags.append((draw(st.sampled_from(["--help", "--bogus"])), None))
+    for flag, values in flags:
+        argv.append(flag)
+        if values is not None:
+            argv.append(draw(values))
+    return argv
+
+
+class TestFuzzedArgv:
+    """Every argument vector gets an answer or a usage error, never a crash."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(_argvs())
+    def test_exit_code_contract(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse: usage errors and --help
+                code = exc.code
+        assert time.perf_counter() - start < 5.0, argv
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err.getvalue(), argv

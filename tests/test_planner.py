@@ -341,6 +341,46 @@ class TestEvaluateMany:
                 rows = path.evaluate_many(times, floats=True)
                 assert rows == [tuple(float(v) for v in _values(w)) for w in want]
 
+    @pytest.mark.parametrize("mode", ["skeleton", "product"])
+    def test_exact_ties_hidden_by_float_rounding(self, mode):
+        # c - 2**-80 and c + 2**-80 round to the float of a boundary c but
+        # are not c: a phase search on floats alone would misplace them
+        product = mode == "product"
+        plan = plan_product if product else plan_skeleton
+        rng = random.Random(71 + product)
+        tiny = F(1, 2**80)
+        ties = 0
+        for n, r in [(1, 1), (2, 2), (3, 2), (4, 2), (5, 3), (6, 6), (8, 4), (10, 5)]:
+            sig = AlgebraSignature(n, r)
+            for _ in range(10):
+                a = sample(sig, rng, with_circle=product)
+                b = sample(sig, rng, with_circle=product)
+                path = plan(query(a, b), sig)
+                cuts = path.phase_boundaries()
+                near = [c + s for c in cuts for s in (-tiny, tiny) if 0 <= c + s <= 1]
+                ties += sum(1 for t in near if float(t) in {float(c) for c in cuts})
+                times = sample_times(16, near, cuts)
+                assert times == sorted({*(F(k, 16) for k in range(17)), *cuts, *near})
+
+                want = [path.evaluate(t) for t in times]
+                got = path.evaluate_many(times)
+                assert got == want
+                for g, w in zip(got, want):
+                    assert [type(v) for v in _values(g)] == [type(v) for v in _values(w)]
+                assert path.evaluate_many(times, floats=True) == [
+                    tuple(float(v) for v in _values(w)) for w in want
+                ]
+                assert path.exact_zero_counts(times) == [w.exact_zero_count() for w in want]
+        assert ties > 100
+
+    def test_sample_times_rejects_float_and_out_of_range_extras(self):
+        with pytest.raises(TypeError, match="exact rationals"):
+            sample_times(4, [F(1, 3)], [0.5])
+        with pytest.raises(ValueError, match="outside"):
+            sample_times(4, [F(3, 2)])
+        with pytest.raises(ValueError, match="outside"):
+            sample_times(4, [F(-1, 2)])
+
     def test_empty_and_single_time(self):
         sig = AlgebraSignature(3, 2)
         path = plan_product(query(point(0, "1/4", circle="1/8"),
