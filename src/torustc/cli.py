@@ -62,8 +62,8 @@ def _parse_grid(text: str) -> list[tuple[int, int]]:
 
 
 def _parse_point(text: str, product: bool) -> SkeletonPoint:
-    parts = [p for p in text.split(",")]
-    turns = [Turn.parse(p) for p in parts]
+    # "" is the point with no coordinates, the only point when n = 1
+    turns = [Turn.parse(p) for p in text.split(",")] if text else []
     if product:
         if not turns:
             raise ValueError("product points need at least the circle coordinate")
@@ -179,9 +179,10 @@ def cmd_plan(args) -> int:
     # pure-Python indenting mode would take most of the op.  str() of a
     # Fraction is digits and a slash, which JSON strings carry unescaped;
     # json renders floats with repr().
-    rows = [",\n".join(cells) for cells in zip(*map(_coord_cells, columns))]
-    samples = [f'    {{\n      "t": "{t}",\n      "coords": [\n{row}\n      ]\n    }}'
-               for t, row in zip(times, rows)]
+    # a path without coordinates (n = 1, no circle) prints "coords": []
+    rows = ["[\n" + ",\n".join(cells) + "\n      ]" for cells in zip(*map(_coord_cells, columns))]
+    samples = [f'    {{\n      "t": "{t}",\n      "coords": {row}\n    }}'
+               for t, row in zip(times, rows or ["[]"] * len(times))]
     print(f'{head[:-2]},\n  "samples": [\n' + ",\n".join(samples) + "\n  ]\n}")
     return 0
 

@@ -210,22 +210,6 @@ def _check_time(t) -> Fraction:
     return t
 
 
-class _LazyFloats:
-    """float(times[k]), converted only when read, so a bisection converts
-    just the times it probes."""
-
-    __slots__ = ("times",)
-
-    def __init__(self, times):
-        self.times = times
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def __getitem__(self, k) -> float:
-        return float(self.times[k])
-
-
 def _count_through(times, floats, bound: Fraction, bound_f: float) -> int:
     """How many times of an ascending rational list are <= bound.
 
@@ -312,17 +296,14 @@ class PlannerPath:
             columns.append([first] * hi + travel + [last] * (m - lo))
         return columns
 
-    def evaluate_many(self, times, floats: bool = False) -> list:
+    def evaluate_many(self, times) -> list[EvaluatedPoint]:
         """Points of the path at every time of an ascending rational list.
 
         Equal to [self.evaluate(t) for t in times]; the values come from
-        columns().  With floats=True each point is instead the tuple of its
-        values as floats, base coordinates then the circle.
+        columns().
         """
-        columns = self.columns(times, floats)
+        columns = self.columns(times)
         m = len(times)
-        if floats:
-            return list(zip(*columns)) if columns else [()] * m
         circles = [None] * m if self.circle_rule is None else columns.pop()
         base_rows = zip(*columns) if columns else [()] * m
         return [EvaluatedPoint(base, circ) for base, circ in zip(base_rows, circles)]
@@ -344,24 +325,21 @@ class PlannerPath:
         Matches evaluate(t).exact_zero_count() pointwise.  A coordinate
         resting at the basepoint contributes on a prefix (start side, up to
         and including move_start) or a suffix (end side, from rest_start
-        on); each is found by bisecting the floats of the times, converted
-        only where the bisection probes them, with ties settled exactly as
-        in columns().
+        on); each is found by one exact bisection of the times.  The first
+        and last time are checked as in columns(): a float raises TypeError
+        and a time outside [0, 1] ValueError.
         """
         m = len(times)
-        floats = _LazyFloats(times)
+        if m:
+            _check_time(times[0])
+            _check_time(times[-1])
         diff = [0] * (m + 1)
         for rule in self.rules:
-            if rule.constant:
-                if rule.start.is_zero:
-                    diff[0] += 1
-                    diff[m] -= 1
-                continue
             if rule.start.is_zero:
                 diff[0] += 1
-                diff[_count_through(times, floats, rule.move_start, rule.move_start_f)] -= 1
-            if rule.end.is_zero:
-                diff[_count_below(times, floats, rule.rest_start, rule.rest_start_f)] += 1
+                diff[m if rule.constant else bisect_right(times, rule.move_start)] -= 1
+            if rule.end.is_zero and not rule.constant:
+                diff[bisect_left(times, rule.rest_start)] += 1
                 diff[m] -= 1
         return list(accumulate(diff[:m]))
 

@@ -6,14 +6,18 @@ matches the endpoint agreement, and skeleton membership at every grid time
 and every phase boundary (at least n-r coordinates exactly at the
 basepoint).  Membership on the grid uses the path's bisection counter and
 is spot-checked against pointwise evaluation on a random grid time, so the
-fast path cannot drift from the reference semantics unnoticed.
+fast path cannot drift from the reference semantics unnoticed.  Every
+violation is counted, and the first FAILURE_CAP are recorded with their
+queries.
 
 Continuity is probed by perturbing a query within its domain by at most
-eps per coordinate and measuring how far the two paths drift apart.  The
-probe corpus is controlled: nonzero coordinates of ordinary base queries
-stay at least 1/8 of a turn from the basepoint (where the schedule's local
-stretch is moderate), and dedicated wrap probes carry one coordinate across
-the basepoint, the case where naive arithmetic on [0, 1) would tear.
+eps per coordinate (DEFAULT_EPS in a simulation) and measuring how far the
+two paths drift apart.  A shift that would land a coordinate exactly on the
+basepoint is halved, so supports never change.  The probe corpus is
+controlled: nonzero coordinates of ordinary base queries stay at least 1/8
+of a turn from the basepoint (where the schedule's local stretch is
+moderate), and dedicated wrap probes carry one coordinate across the
+basepoint, the case where naive arithmetic on [0, 1) would tear.
 Perturbations never change the agreement set, the support sets, or the
 circle rule, so both paths come from one continuity domain and their
 distance must scale linearly with eps.
@@ -23,8 +27,7 @@ from __future__ import annotations
 
 import random
 import time
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .planner import (
@@ -38,6 +41,7 @@ from .planner import (
 from .skeleton import SkeletonPoint, Turn, random_turn, sample
 
 DEFAULT_EPS = Fraction(1, 1000)
+FAILURE_CAP = 5  # violations recorded with their queries in one report
 _WRAP_VALUE = Fraction(2047, 2048)  # within eps of the basepoint from below
 
 
@@ -69,39 +73,28 @@ class SimulationReport:
         )
 
     def to_jsonable(self) -> dict:
-        return {
-            "n": self.n,
-            "r": self.r,
-            "mode": self.mode,
-            "queries": self.queries,
-            "steps": self.steps,
-            "seed": self.seed,
-            "domain_histogram": {str(k): v for k, v in sorted(self.domain_histogram.items())},
-            "endpoint_violations": self.endpoint_violations,
-            "membership_violations": self.membership_violations,
-            "domain_violations": self.domain_violations,
-            "continuity_probes": self.continuity_probes,
-            "max_continuity_ratio": self.max_continuity_ratio,
-            "wall_time_s": round(self.wall_time_s, 3),
-            "ok": self.ok,
-            "failures": self.failures,
-        }
+        out = asdict(self)
+        out["domain_histogram"] = {str(k): v for k, v in sorted(self.domain_histogram.items())}
+        out["wall_time_s"] = round(self.wall_time_s, 3)
+        out["ok"] = self.ok
+        out["failures"] = out.pop("failures")
+        return out
 
 
-def _record(report: SimulationReport, cap: int, kind: str, query: PlannerQuery, detail: str):
-    if len(report.failures) < cap:
+def _flag(report: SimulationReport, kind: str, query: PlannerQuery, detail: str):
+    """Count one violation of the given kind; record it while under the cap."""
+    counter = f"{kind}_violations"
+    setattr(report, counter, getattr(report, counter) + 1)
+    if len(report.failures) < FAILURE_CAP:
         report.failures.append({"kind": kind, "detail": detail, "query": query.to_jsonable()})
 
 
 def _endpoints_exact(path: PlannerPath, query: PlannerQuery) -> bool:
     for t, want in ((Fraction(0), query.start), (Fraction(1), query.end)):
         got = path.evaluate(t)
-        for g, w in zip(got.base, want.base):
-            if not (isinstance(g, Turn) and g == w):
-                return False
-        if want.circle is not None:
-            if not (isinstance(got.circle, Turn) and got.circle == want.circle):
-                return False
+        pairs = zip((*got.base, got.circle), (*want.base, want.circle))
+        if not all(w is None or (isinstance(g, Turn) and g == w) for g, w in pairs):
+            return False
     return True
 
 
@@ -113,15 +106,14 @@ def run_simulation(
     seed: int = 0,
     denominator_bound: int = 8,
     continuity_probes: int = 0,
-    eps: Fraction = DEFAULT_EPS,
-    failure_cap: int = 5,
 ) -> SimulationReport:
     """Check all planner invariants on seeded random queries.
 
-    Every violation is counted and the first failure_cap offending queries
-    are serialized into the report.  steps is the grid resolution: times
-    k/steps for k = 0..steps, always extended by the path's own phase
-    boundaries.
+    Every violation is counted and the first FAILURE_CAP are recorded with
+    their queries.  steps is the grid resolution: times k/steps for
+    k = 0..steps, always extended by the path's own phase boundaries.
+    continuity_probes perturbation probes follow the queries, each by at
+    most DEFAULT_EPS per coordinate; every fourth one is a wrap probe.
     """
     if mode not in ("skeleton", "product"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -130,76 +122,55 @@ def run_simulation(
     if continuity_probes < 0:
         raise ValueError("continuity_probes must not be negative")
     product = mode == "product"
+    plan = plan_product if product else plan_skeleton
     rng = random.Random(seed)
     grid = sample_times(steps)
     need = sig.n - sig.r
     top_domain = sig.n if product else sig.n - 1
-    histogram: Counter = Counter()
     report = SimulationReport(
         n=sig.n, r=sig.r, mode=mode, queries=queries, steps=steps, seed=seed
     )
+    histogram = report.domain_histogram
     started = time.perf_counter()
 
     for _ in range(queries):
         start = sample(sig, rng, denominator_bound, with_circle=product)
         end = sample(sig, rng, denominator_bound, with_circle=product)
         query = PlannerQuery(start, end)
-        path = plan_product(query, sig) if product else plan_skeleton(query, sig)
+        path = plan(query, sig)
 
         domain = path.combined_index if product else path.domain_index
-        histogram[domain] += 1
-        agree_ok = path.agreement == frozenset(
-            j for j in range(1, sig.n) if start.base[j - 1] == end.base[j - 1]
-        )
-        if not (0 <= domain <= top_domain and path.domain_index == len(path.agreement) and agree_ok):
-            report.domain_violations += 1
-            _record(report, failure_cap, "domain", query, f"domain index {domain}")
+        histogram[domain] = histogram.get(domain, 0) + 1
+        agree = frozenset(j for j in range(1, sig.n) if start.base[j - 1] == end.base[j - 1])
+        if not (0 <= domain <= top_domain and path.domain_index == len(path.agreement)
+                and path.agreement == agree):
+            _flag(report, "domain", query, f"domain index {domain}")
 
         if not _endpoints_exact(path, query):
-            report.endpoint_violations += 1
-            _record(report, failure_cap, "endpoint", query, "path does not interpolate exactly")
+            _flag(report, "endpoint", query, "path does not interpolate exactly")
 
         counts = path.exact_zero_counts(grid)
-        bad_grid = min(counts) < need
         spot = rng.randrange(len(grid))
         if path.evaluate(grid[spot]).exact_zero_count() != counts[spot]:
-            report.membership_violations += 1
-            _record(
-                report, failure_cap, "membership", query,
-                f"grid counter disagrees with evaluation at t={grid[spot]}",
-            )
-        if bad_grid:
-            report.membership_violations += 1
-            worst = min(range(len(grid)), key=lambda k: counts[k])
-            _record(
-                report, failure_cap, "membership", query,
-                f"only {counts[worst]} coordinates at basepoint at t={grid[worst]}, need {need}",
-            )
+            _flag(report, "membership", query,
+                  f"grid counter disagrees with evaluation at t={grid[spot]}")
+        low = min(counts)
+        if low < need:
+            _flag(report, "membership", query,
+                  f"only {low} coordinates at basepoint at t={grid[counts.index(low)]}, "
+                  f"need {need}")
         cuts = path.phase_boundaries()
-        for cut, point in zip(cuts, path.evaluate_many(cuts)):
-            if point.exact_zero_count() < need:
-                report.membership_violations += 1
-                _record(
-                    report, failure_cap, "membership", query,
-                    f"membership fails at phase boundary t={cut}",
-                )
-                break
+        cut = next((cut for cut, point in zip(cuts, path.evaluate_many(cuts))
+                    if point.exact_zero_count() < need), None)
+        if cut is not None:
+            _flag(report, "membership", query, f"membership fails at phase boundary t={cut}")
 
-    worst_ratio = None
-    probes_run = 0
-    for p in range(continuity_probes):
-        wrap = p % 4 == 3
-        ratio = continuity_ratio(sig, mode, rng, eps=eps, wrap=wrap,
-                                 denominator_bound=denominator_bound)
-        if ratio is None:
-            continue
-        probes_run += 1
-        if worst_ratio is None or ratio > worst_ratio:
-            worst_ratio = ratio
-
-    report.domain_histogram = dict(histogram)
-    report.continuity_probes = probes_run
-    report.max_continuity_ratio = worst_ratio
+    ratios = [continuity_ratio(sig, mode, rng, wrap=p % 4 == 3,
+                               denominator_bound=denominator_bound)
+              for p in range(continuity_probes)]
+    ratios = [ratio for ratio in ratios if ratio is not None]
+    report.continuity_probes = len(ratios)
+    report.max_continuity_ratio = max(ratios, default=None)
     report.wall_time_s = time.perf_counter() - started
     return report
 
@@ -210,6 +181,12 @@ def _perturbation(rng: random.Random, eps: Fraction) -> Fraction:
     k = rng.randrange(2000)
     k = k - 1000 if k < 1000 else k - 999
     return Fraction(k, 1000) * eps
+
+
+def _shift(u: Turn, delta: Fraction) -> Turn:
+    """u moved by delta, or by delta/2 where delta would land it on the basepoint."""
+    moved = u + delta
+    return u + delta / 2 if moved.is_zero else moved
 
 
 def _perturb_point(
@@ -223,29 +200,14 @@ def _perturb_point(
 
     Agreeing coordinates are handled by the caller (both endpoints must be
     shifted identically there); this helper only moves the coordinates where
-    the endpoints already differ, keeping zero coordinates exactly zero.
+    the endpoints already differ, keeping zero coordinates exactly zero.  A
+    forced shift still draws its perturbation, so the draws do not depend on
+    which shifts are forced.
     """
-    out = []
-    for j, (u, v) in enumerate(zip(point.base, other.base), start=1):
-        if u == v or u.is_zero:
-            out.append(u)
-            continue
-        delta = forced.get(j, _perturbation(rng, eps))
-        moved = u + delta
-        if moved.is_zero:
-            moved = u + delta / 2
-        out.append(moved)
-    return tuple(out)
-
-
-def _shared_shift(u: Turn, rng: random.Random, eps: Fraction) -> Turn:
-    if u.is_zero:
-        return u
-    delta = _perturbation(rng, eps)
-    moved = u + delta
-    if moved.is_zero:
-        moved = u + delta / 2
-    return moved
+    return tuple(
+        u if u == v or u.is_zero else _shift(u, forced.get(j, _perturbation(rng, eps)))
+        for j, (u, v) in enumerate(zip(point.base, other.base), start=1)
+    )
 
 
 def perturb_query(
@@ -261,39 +223,31 @@ def perturb_query(
     Coordinates where the endpoints agree get one shared shift so they keep
     agreeing; coordinates where they differ move independently.  Exact zeros
     never move, so supports are preserved.  The circle pair, when present,
-    shares its shift whenever the endpoints are equal or antipodal so the
-    circle rule survives; otherwise both ends move freely (the shorter-arc
-    rule tolerates eps-sized changes because sampled gaps are never within
-    eps of half a turn).
+    always moves.  It shares its shift whenever the endpoints are equal or
+    antipodal so the circle rule survives; otherwise both ends move freely
+    (the shorter-arc rule tolerates eps-sized changes because sampled gaps
+    are never within eps of half a turn).
     """
     forced_start = forced_start or {}
     agree = classify(query, sig).indices
-
-    start_base = list(_perturb_point(query.start, query.end, rng, eps, forced_start))
-    end_base = list(_perturb_point(query.end, query.start, rng, eps, {}))
-    moved_any = False
+    start, end = query.start, query.end
+    start_base = list(_perturb_point(start, end, rng, eps, forced_start))
+    end_base = list(_perturb_point(end, start, rng, eps, {}))
     for j in agree:
-        shifted = _shared_shift(query.start.base[j - 1], rng, eps)
-        start_base[j - 1] = shifted
-        end_base[j - 1] = shifted
-    for j in range(1, sig.n):
-        if start_base[j - 1] != query.start.base[j - 1] or end_base[j - 1] != query.end.base[j - 1]:
-            moved_any = True
+        u = start.base[j - 1]
+        if not u.is_zero:
+            start_base[j - 1] = end_base[j - 1] = _shift(u, _perturbation(rng, eps))
 
-    start_circle = end_circle = None
-    if query.start.has_circle:
-        z, z2 = query.start.circle, query.end.circle
-        gap = z.ccw_gap(z2)
-        if gap == 0 or gap == Fraction(1, 2):
-            delta = _perturbation(rng, eps)
-            start_circle, end_circle = z + delta, z2 + delta
-        else:
-            start_circle = z + forced_start.get(0, _perturbation(rng, eps))
-            end_circle = z2 + _perturbation(rng, eps)
-        moved_any = True
-
-    if not moved_any:
-        return None
+    if not start.has_circle:
+        if (start_base, end_base) == (list(start.base), list(end.base)):
+            return None
+        start_circle = end_circle = None
+    elif start.circle.ccw_gap(end.circle) in (0, Fraction(1, 2)):
+        delta = _perturbation(rng, eps)
+        start_circle, end_circle = start.circle + delta, end.circle + delta
+    else:
+        start_circle = start.circle + forced_start.get(0, _perturbation(rng, eps))
+        end_circle = end.circle + _perturbation(rng, eps)
     return PlannerQuery(
         SkeletonPoint(tuple(start_base), start_circle),
         SkeletonPoint(tuple(end_base), end_circle),
@@ -302,33 +256,35 @@ def perturb_query(
 
 def _wrap_query(sig, rng: random.Random, mode: str) -> tuple[PlannerQuery, dict[int, Fraction]] | None:
     """A query carrying one coordinate just below a full turn, plus forced
-    shifts that push it across the basepoint."""
+    shifts that push it across the basepoint, or None if there is no
+    coordinate to carry (r = 1 without the circle).
+
+    With r >= 2 the carried coordinate is the first of r-1 random base
+    labels; in product mode the circle is carried too.
+    """
     product = mode == "product"
-    eps_push = Fraction(3, 4) * DEFAULT_EPS
+    if sig.r < 2 and not product:
+        return None
+    push = Fraction(3, 4) * DEFAULT_EPS
     forced: dict[int, Fraction] = {}
+    start_base = [Turn(0)] * (sig.n - 1)
+    end_base = [Turn(0)] * (sig.n - 1)
     if sig.r >= 2:
         support = sorted(rng.sample(range(1, sig.n), sig.r - 1))
-        target = support[0]
-        start_base = [Turn(0)] * (sig.n - 1)
-        end_base = [Turn(0)] * (sig.n - 1)
         for label in support:
             start_base[label - 1] = random_turn(rng, 8)
             end_base[label - 1] = random_turn(rng, 8)
+        target = support[0]
         start_base[target - 1] = Turn(_WRAP_VALUE)
         end_base[target - 1] = Turn(Fraction(1, 2))
-        forced[target] = eps_push
-        start = SkeletonPoint(tuple(start_base), Turn(_WRAP_VALUE) if product else None)
-        end = SkeletonPoint(tuple(end_base), Turn(Fraction(1, 4)) if product else None)
-        if product:
-            forced[0] = eps_push
-        return PlannerQuery(start, end), forced
+        forced[target] = push
+    start_circle = end_circle = None
     if product:
-        zeros = tuple([Turn(0)] * (sig.n - 1))
-        start = SkeletonPoint(zeros, Turn(_WRAP_VALUE))
-        end = SkeletonPoint(zeros, Turn(Fraction(1, 4)))
-        forced[0] = eps_push
-        return PlannerQuery(start, end), forced
-    return None
+        start_circle, end_circle = Turn(_WRAP_VALUE), Turn(Fraction(1, 4))
+        forced[0] = push
+    start = SkeletonPoint(tuple(start_base), start_circle)
+    end = SkeletonPoint(tuple(end_base), end_circle)
+    return PlannerQuery(start, end), forced
 
 
 def path_deviation(path_a: PlannerPath, path_b: PlannerPath, sample_steps: int = 64) -> float:

@@ -220,6 +220,19 @@ class TestPlan:
             assert code == case["exit"], case["argv"]
             assert out == json.dumps(case["stdout"], indent=2) + "\n", case["argv"]
 
+    def test_point_without_coordinates(self, capsys):
+        # in the n = 1 skeleton "" is the only point; the product still
+        # needs its circle coordinate
+        code, out, _ = run(capsys, "plan", "1", "1", "--from", "", "--to", "")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["samples"][0] == {"t": "0", "coords": []}
+        assert doc["samples"][-1] == {"t": "1", "coords": []}
+        code, out, err = run(capsys, "plan", "1", "1", "--product", "--from", "", "--to", "")
+        assert code == 2
+        assert out == ""
+        assert "product points need at least the circle coordinate" in err
+
     def test_samples_include_phase_boundaries(self, capsys):
         code, out, _ = run(
             capsys, "plan", "2", "2", "--from", "1/8", "--to", "5/8", "--steps", "2"
@@ -247,8 +260,6 @@ class TestPlan:
     def test_output_is_the_indent_2_rendering(self, n, r, product, steps, seed):
         # plan writes its JSON itself; it must be the text json.dumps gives
         sig = AlgebraSignature(max(n, r), min(n, r))
-        if sig.n == 1 and not product:
-            return  # a point without coordinates has no command-line form
         rng = random.Random(seed)
         a, b = (sample(sig, rng, with_circle=product) for _ in range(2))
         text = [",".join(str(t) for t in ((p.circle,) if product else ()) + p.base)
@@ -285,14 +296,19 @@ class TestSimulate:
         assert json.loads(out)["mode"] == "product"
 
     def test_seeded_reports_frozen(self, capsys):
-        # exact reports, max_continuity_ratio included, with wall_time_s dropped
-        frozen = json.loads((Path(__file__).parent / "data" / "simulate_seed11.json").read_text())
+        # exact reports, max_continuity_ratio included, with wall_time_s
+        # dropped; the wrap file covers both branches of the wrap probes
+        # (r = 1 in product mode, and r >= 2 in both modes)
+        data = Path(__file__).parent / "data"
+        frozen = [case for name in ("simulate_seed11.json", "simulate_wrap_seed11.json")
+                  for case in json.loads((data / name).read_text())]
+        assert len(frozen) == 6
         for case in frozen:
             code, out, _ = run(capsys, *case["argv"])
             doc = json.loads(out)
             del doc["wall_time_s"]
-            assert code == case["exit"]
-            assert list(doc.items()) == list(case["report"].items())
+            assert code == case["exit"], case["argv"]
+            assert list(doc.items()) == list(case["report"].items()), case["argv"]
 
     def test_steps_above_cap_is_usage_error(self, capsys):
         code, out, err = run(

@@ -305,6 +305,11 @@ def _values(p):
     return p.base if p.circle is None else (*p.base, p.circle)
 
 
+def _float_rows(path, times):
+    """The float columns of a path read row by row, one tuple per time."""
+    return list(zip(*path.columns(times, floats=True))) or [()] * len(times)
+
+
 class TestEvaluateMany:
     """The batch evaluator against pointwise evaluation, the reference."""
 
@@ -338,8 +343,8 @@ class TestEvaluateMany:
                 assert got == want
                 for g, w in zip(got, want):
                     assert [type(v) for v in _values(g)] == [type(v) for v in _values(w)]
-                rows = path.evaluate_many(times, floats=True)
-                assert rows == [tuple(float(v) for v in _values(w)) for w in want]
+                assert _float_rows(path, times) == [tuple(float(v) for v in _values(w))
+                                                    for w in want]
 
     @pytest.mark.parametrize("mode", ["skeleton", "product"])
     def test_exact_ties_hidden_by_float_rounding(self, mode):
@@ -367,7 +372,7 @@ class TestEvaluateMany:
                 assert got == want
                 for g, w in zip(got, want):
                     assert [type(v) for v in _values(g)] == [type(v) for v in _values(w)]
-                assert path.evaluate_many(times, floats=True) == [
+                assert _float_rows(path, times) == [
                     tuple(float(v) for v in _values(w)) for w in want
                 ]
                 assert path.exact_zero_counts(times) == [w.exact_zero_count() for w in want]
@@ -386,7 +391,7 @@ class TestEvaluateMany:
         path = plan_product(query(point(0, "1/4", circle="1/8"),
                                   point("1/2", 0, circle="5/8")), sig)
         assert path.evaluate_many([]) == []
-        assert path.evaluate_many([], floats=True) == []
+        assert _float_rows(path, []) == []
         assert path.evaluate_many([F(1, 3)]) == [path.evaluate(F(1, 3))]
 
     def test_rejects_float_and_out_of_range_times(self):
@@ -398,6 +403,14 @@ class TestEvaluateMany:
             path.evaluate_many([F(0), F(3, 2)])
         with pytest.raises(ValueError, match="outside"):
             path.evaluate_many([F(-1, 2), F(1)])
+        # the grid counter checks its first and last time, as columns does
+        worked = plan_skeleton(query(point(0, "1/4"), point("1/2", 0)), sig)
+        for times in ([0.25, 0.75, 7.0, -3], [F(0), F(1, 2), 1.0]):
+            with pytest.raises(TypeError, match="exact rationals"):
+                worked.exact_zero_counts(times)
+        for times in ([F(1, 4), F(3, 4), 7, -3], [F(0), F(3, 2)], [F(-1, 2), F(1)]):
+            with pytest.raises(ValueError, match="outside"):
+                worked.exact_zero_counts(times)
 
 
 @st.composite

@@ -1,5 +1,6 @@
 """The randomized verification harness itself: reports, perturbations, probes."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -19,6 +20,9 @@ from torustc import (
     run_simulation,
     sample,
 )
+from torustc import planner
+from torustc.cli import main
+from torustc.planner import Agreement, EvaluatedPoint, PlannerPath
 from torustc.verify import _wrap_query
 
 F = Fraction
@@ -82,13 +86,75 @@ class TestRunSimulation:
             run_simulation(sig, mode="warp")
 
     def test_jsonable_round_trip(self):
-        import json
-
         sig = AlgebraSignature(2, 2)
         rep = run_simulation(sig, queries=5, steps=16, seed=0, continuity_probes=4)
         doc = json.loads(json.dumps(rep.to_jsonable()))
         assert doc["ok"] is True
         assert doc["queries"] == 5
+
+
+def _break_membership(monkeypatch):
+    # the grid counter sees no coordinate at the basepoint anywhere
+    monkeypatch.setattr(PlannerPath, "exact_zero_counts", lambda self, times: [0] * len(times))
+
+
+def _break_agreement(monkeypatch):
+    # every plan reports coordinate 1 flipped in or out of its agreement set
+    real = planner.classify
+
+    def wrong(query, sig):
+        indices = real(query, sig).indices ^ {1}
+        return Agreement(indices, len(indices))
+
+    monkeypatch.setattr(planner, "classify", wrong)
+
+
+def _break_start(monkeypatch):
+    # every path starts an eighth of a turn away from its start point
+    real = PlannerPath.evaluate
+
+    def shifted(self, t):
+        point = real(self, t)
+        if t != 0:
+            return point
+        return EvaluatedPoint(tuple(v + F(1, 8) for v in point.base), point.circle)
+
+    monkeypatch.setattr(PlannerPath, "evaluate", shifted)
+
+
+class TestViolations:
+    """A planner that breaks one invariant is caught, counted and reported."""
+
+    CASES = [
+        (_break_membership, "membership_violations", "membership"),
+        (_break_agreement, "domain_violations", "domain"),
+        (_break_start, "endpoint_violations", "endpoint"),
+    ]
+
+    @pytest.mark.parametrize("mode", ["skeleton", "product"])
+    @pytest.mark.parametrize("breaker, counter, kind", CASES)
+    def test_counted_and_capped(self, monkeypatch, breaker, counter, kind, mode):
+        breaker(monkeypatch)
+        rep = run_simulation(AlgebraSignature(3, 2), mode=mode, queries=12, steps=16, seed=4)
+        assert getattr(rep, counter) >= 12
+        assert not rep.ok
+        assert len(rep.failures) == 5
+        assert kind in {f["kind"] for f in rep.failures}
+        for failure in rep.failures:
+            assert list(failure) == ["kind", "detail", "query"]
+            assert set(failure["query"]) == {"from", "to"}
+        doc = rep.to_jsonable()
+        assert doc["ok"] is False
+        assert list(doc)[-2:] == ["ok", "failures"]
+
+    def test_simulate_exits_one(self, monkeypatch, capsys):
+        _break_agreement(monkeypatch)
+        code = main(["simulate", "3", "2", "--queries", "8", "--steps", "16", "--seed", "2"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert doc["ok"] is False
+        assert doc["domain_violations"] == 8
+        assert [f["kind"] for f in doc["failures"]] == ["domain"] * 5
 
 
 class TestPerturbation:
