@@ -42,6 +42,11 @@ CSV_HEADER = "n,r,lower,upper_constructive,upper_dimension,tc"
 # linearly with --steps (a 65,536-step (9,6) plan prints 19 MB, in about
 # 0.6 s and 120 MB of RSS on a 2-core x86-64 VM)
 MAX_STEPS = 65_536
+# simulate refuses more queries or probes, and tc larger grids: each is
+# linear in its count (README gives the measured worst cases)
+MAX_QUERIES = 1_000
+MAX_CONTINUITY_PROBES = 500
+MAX_GRID_PAIRS = 5_000
 _GRID_RE = re.compile(r"^n=(\d+)\.\.(\d+),r=(\d+)\.\.(\d+|n)$")
 
 
@@ -51,11 +56,17 @@ def _parse_grid(text: str) -> list[tuple[int, int]]:
         raise ValueError(f"grid must look like n=1..6,r=1..n, got {text!r}")
     n_lo, n_hi = int(m.group(1)), int(m.group(2))
     r_lo = int(m.group(3))
+    r_top = None if m.group(4) == "n" else int(m.group(4))
+    if r_top is not None and r_top < r_lo:
+        raise ValueError(f"grid {text!r} is empty")
     pairs = []
-    for n in range(n_lo, n_hi + 1):
-        r_hi = n if m.group(4) == "n" else min(int(m.group(4)), n)
-        for r in range(r_lo, r_hi + 1):
-            pairs.append((n, r))
+    # rows with n < r_lo are empty and every later row holds a pair, so the
+    # loop stops within MAX_GRID_PAIRS + 1 rows
+    for n in range(max(n_lo, r_lo), n_hi + 1):
+        r_hi = n if r_top is None else min(r_top, n)
+        if len(pairs) + r_hi - r_lo + 1 > MAX_GRID_PAIRS:
+            raise ValueError(f"--grid must name at most {MAX_GRID_PAIRS} signatures")
+        pairs += [(n, r) for r in range(r_lo, r_hi + 1)]
     if not pairs:
         raise ValueError(f"grid {text!r} is empty")
     return pairs
@@ -188,8 +199,12 @@ def cmd_plan(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.steps > MAX_STEPS:
-        raise ValueError(f"--steps must be at most {MAX_STEPS}, got {args.steps}")
+    for flag, value, cap in (("--steps", args.steps, MAX_STEPS),
+                             ("--queries", args.queries, MAX_QUERIES),
+                             ("--continuity-probes", args.continuity_probes,
+                              MAX_CONTINUITY_PROBES)):
+        if value > cap:
+            raise ValueError(f"{flag} must be at most {cap}, got {value}")
     sig = AlgebraSignature(args.n, args.r)
     report = run_simulation(
         sig,

@@ -156,6 +156,7 @@ class CoordinateRule:
     rule_index: int = 0
     constant: bool = field(init=False)
     start_f: float = field(init=False)
+    end_f: float = field(init=False)
     delta_f: float = field(init=False)
     move_start_f: float = field(init=False)
     rest_start_f: float = field(init=False)
@@ -164,22 +165,29 @@ class CoordinateRule:
     def __post_init__(self):
         set_field = object.__setattr__
         s_p, s_q = self.start.value.as_integer_ratio()
+        e_p, e_q = self.end.value.as_integer_ratio()
         d_p, d_q = self.delta.as_integer_ratio()
         m_p, m_q = self.move_start.as_integer_ratio()
         r_p, r_q = self.rest_start.as_integer_ratio()
         set_field(self, "constant", not d_p)
         set_field(self, "start_f", s_p / s_q)
+        set_field(self, "end_f", e_p / e_q)
         set_field(self, "delta_f", d_p / d_q)
         set_field(self, "move_start_f", m_p / m_q)
         set_field(self, "rest_start_f", r_p / r_q)
         set_field(self, "span_f", (r_p * m_q - m_p * r_q) / (r_q * m_q))
 
     def value_at(self, t: Fraction):
-        if self.constant or t <= self.move_start:
+        if self.constant:
             return self.start
-        if t >= self.rest_start:
+        # rounding is monotone, so only a float tie needs an exact comparison
+        tf = t.numerator / t.denominator
+        ms, rs = self.move_start_f, self.rest_start_f
+        if tf < ms or tf == ms and t <= self.move_start:
+            return self.start
+        if tf > rs or tf == rs and t >= self.rest_start:
             return self.end
-        s = (float(t) - self.move_start_f) / self.span_f
+        s = (tf - ms) / self.span_f
         return (self.start_f + s * self.delta_f) % 1.0
 
 
@@ -288,25 +296,13 @@ class PlannerPath:
             if rule.constant:
                 columns.append([first] * m)
                 continue
-            last = float(rule.end.value) if floats else rule.end
+            last = rule.end_f if floats else rule.end
             hi = _count_through(times, tfs, rule.move_start, rule.move_start_f)
             lo = _count_below(times, tfs, rule.rest_start, rule.rest_start_f)
             s0, ms, span, dl = rule.start_f, rule.move_start_f, rule.span_f, rule.delta_f
             travel = [(s0 + ((tf - ms) / span) * dl) % 1.0 for tf in tfs[hi:lo]]
             columns.append([first] * hi + travel + [last] * (m - lo))
         return columns
-
-    def evaluate_many(self, times) -> list[EvaluatedPoint]:
-        """Points of the path at every time of an ascending rational list.
-
-        Equal to [self.evaluate(t) for t in times]; the values come from
-        columns().
-        """
-        columns = self.columns(times)
-        m = len(times)
-        circles = [None] * m if self.circle_rule is None else columns.pop()
-        base_rows = zip(*columns) if columns else [()] * m
-        return [EvaluatedPoint(base, circ) for base, circ in zip(base_rows, circles)]
 
     def phase_boundaries(self) -> tuple[Fraction, ...]:
         """Times where some coordinate switches phase, in ascending order."""
@@ -319,29 +315,66 @@ class PlannerPath:
                 cuts[rule.rest_start.as_integer_ratio()] = (rule.rest_start_f, rule.rest_start)
         return tuple(t for _, t in sorted(cuts.values()))
 
-    def exact_zero_counts(self, times) -> list[int]:
-        """Exact basepoint counts at each time of an ascending rational list.
+    def exact_zero_counts(self, steps: int) -> list[int]:
+        """Exact basepoint counts at the grid times k/steps, k = 0..steps.
 
-        Matches evaluate(t).exact_zero_count() pointwise.  A coordinate
-        resting at the basepoint contributes on a prefix (start side, up to
-        and including move_start) or a suffix (end side, from rest_start
-        on); each is found by one exact bisection of the times.  The first
-        and last time are checked as in columns(): a float raises TypeError
-        and a time outside [0, 1] ValueError.
+        Matches evaluate(Fraction(k, steps)).exact_zero_count() pointwise.
+        A coordinate resting at the basepoint counts on a prefix of the grid
+        (start side, up to and including move_start = p/q) or a suffix (end
+        side, from rest_start = p/q on).  k/steps <= p/q exactly when
+        k*q <= p*steps, so the prefix ends at index p*steps // q and the
+        suffix starts at the ceiling of p*steps / q: one integer division
+        per boundary, with no Fraction comparison.
         """
-        m = len(times)
-        if m:
-            _check_time(times[0])
-            _check_time(times[-1])
-        diff = [0] * (m + 1)
+        if not isinstance(steps, int):
+            raise TypeError(f"steps must be an integer, got {steps!r}")
+        if steps < 1:
+            raise ValueError(f"steps must be positive, got {steps}")
+        diff = [0] * (steps + 2)
         for rule in self.rules:
             if rule.start.is_zero:
                 diff[0] += 1
-                diff[m if rule.constant else bisect_right(times, rule.move_start)] -= 1
+                if not rule.constant:
+                    p, q = rule.move_start.as_integer_ratio()
+                    diff[p * steps // q + 1] -= 1
             if rule.end.is_zero and not rule.constant:
-                diff[bisect_left(times, rule.rest_start)] += 1
-                diff[m] -= 1
-        return list(accumulate(diff[:m]))
+                p, q = rule.rest_start.as_integer_ratio()
+                diff[-(-p * steps // q)] += 1
+        return list(accumulate(diff[:steps + 1]))
+
+    def least_zero_count(self) -> tuple[int, Fraction]:
+        """Least exact basepoint count over every t in [0, 1], and a time
+        where it occurs.
+
+        Between two consecutive phase boundaries every coordinate stays in
+        one phase, so the count is constant on each open piece.  The sweep
+        therefore has one integer slot per boundary (0 and 1 included) and
+        one per open piece between them, and the least count over the slots
+        is the least count over [0, 1].  Boundaries are matched to slots by
+        their numerator and denominator, so no Fraction is compared beyond
+        phase_boundaries' sort.  The time returned is the boundary itself,
+        or the midpoint of the open piece.
+        """
+        times = list(self.phase_boundaries())
+        if not times or times[0].numerator:
+            times.insert(0, _ZERO)
+        p, q = times[-1].as_integer_ratio()
+        if p != q:
+            times.append(_ONE)
+        slot = {t.as_integer_ratio(): 2 * i for i, t in enumerate(times)}
+        last = slot[1, 1]
+        diff = [0] * (last + 2)
+        for rule in self.rules:
+            if rule.start.is_zero:
+                diff[0] += 1
+                if not rule.constant:
+                    diff[slot[rule.move_start.as_integer_ratio()] + 1] -= 1
+            if rule.end.is_zero and not rule.constant:
+                diff[slot[rule.rest_start.as_integer_ratio()]] += 1
+        counts = list(accumulate(diff[:last + 1]))
+        low = min(counts)
+        i, inside = divmod(counts.index(low), 2)
+        return low, (times[i] + times[i + 1]) / 2 if inside else times[i]
 
 
 @functools.lru_cache(maxsize=4)
@@ -355,8 +388,9 @@ def sample_times(steps: int, *extra) -> list[Fraction]:
 
     An extra time p/q is grid point k = p*steps // q when the remainder is
     0, and otherwise lies strictly between grid points k and k+1, so each
-    is placed by integer arithmetic; only extras sharing a grid cell are
-    compared with one another.  Extras must be exact rationals in [0, 1].
+    is placed by integer arithmetic; extras sharing a grid cell are sorted
+    by float, with exact ties broken by the Fractions themselves.  Extras
+    must be exact rationals in [0, 1].
     """
     grid = _grid(steps)
     cells = {}
@@ -366,12 +400,12 @@ def sample_times(steps: int, *extra) -> list[Fraction]:
             p, q = t.as_integer_ratio()
             k, off = divmod(p * steps, q)
             if off:
-                cells.setdefault(k, {})[p, q] = t
+                cells.setdefault(k, {})[p, q] = (p / q, t)
     out = []
     done = 0
     for k in sorted(cells):
         out += grid[done:k + 1]
-        out += sorted(cells[k].values())
+        out += [t for _, t in sorted(cells[k].values())]
         done = k + 1
     out += grid[done:]
     return out

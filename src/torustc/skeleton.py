@@ -9,6 +9,7 @@ free circle coordinate for the product space.
 
 from __future__ import annotations
 
+import functools
 import random
 import re
 from dataclasses import dataclass
@@ -83,6 +84,8 @@ class Turn:
         return Turn(-self.value)
 
     def __eq__(self, other) -> bool:
+        if other is self:
+            return True
         if isinstance(other, Turn):
             return self.value.as_integer_ratio() == other.value.as_integer_ratio()
         return NotImplemented
@@ -136,6 +139,9 @@ class SkeletonPoint:
         return f"(circle={self.circle}; {inner})"
 
 
+_BASEPOINT = Turn(0)
+
+
 def membership(coords, sig) -> tuple[bool, frozenset[int]]:
     """Whether a coordinate tuple lies on the skeleton, with its support.
 
@@ -155,10 +161,19 @@ def is_member(point: SkeletonPoint, sig) -> bool:
     return ok
 
 
+@functools.lru_cache(maxsize=4096)
+def _shared_turn(p: int, q: int) -> Turn:
+    return Turn(Fraction(p, q))
+
+
 def random_turn(rng: random.Random, denominator_bound: int) -> Turn:
-    """Uniform choice of denominator q <= bound, then uniform p/q in [0, 1)."""
+    """Uniform choice of denominator q <= bound, then uniform p/q in [0, 1).
+
+    Equal draws return one shared Turn (Turns are never mutated), so a
+    sampled coordinate costs no Fraction normalisation once seen.
+    """
     q = rng.randint(1, denominator_bound)
-    return Turn(Fraction(rng.randrange(q), q))
+    return _shared_turn(rng.randrange(q), q)
 
 
 def sample(
@@ -176,7 +191,7 @@ def sample(
     if denominator_bound < 2:
         raise ValueError("denominator_bound must be at least 2")
     chosen = rng.sample(range(1, sig.n), sig.r - 1)
-    coords = [Turn(0)] * (sig.n - 1)
+    coords = [_BASEPOINT] * (sig.n - 1)
     for label in chosen:
         coords[label - 1] = random_turn(rng, denominator_bound)
     circle = random_turn(rng, denominator_bound) if with_circle else None

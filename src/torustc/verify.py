@@ -2,13 +2,16 @@
 
 run_simulation drives the planner over seeded random queries and checks,
 for every query: exact endpoint interpolation, a valid domain index that
-matches the endpoint agreement, and skeleton membership at every grid time
-and every phase boundary (at least n-r coordinates exactly at the
-basepoint).  Membership on the grid uses the path's bisection counter and
-is spot-checked against pointwise evaluation on a random grid time, so the
-fast path cannot drift from the reference semantics unnoticed.  Every
-violation is counted, and the first FAILURE_CAP are recorded with their
-queries.
+matches the endpoint agreement, and skeleton membership (at least n-r
+coordinates exactly at the basepoint) for every t in [0, 1], not at
+sampled times only.  Each coordinate's basepoint count is constant between
+two phase boundaries, so the path's boundary sweep, one slot per boundary
+and one per open piece, proves membership over the whole interval; the
+grid counter checks every grid time as well.  Both are spot-checked
+against pointwise evaluation, the sweep at the time of its least count and
+the grid at a random grid time, so neither fast path can drift from the
+reference semantics unnoticed.  Every violation is counted, and the first
+FAILURE_CAP are recorded with their queries.
 
 Continuity is probed by perturbing a query within its domain by at most
 eps per coordinate (DEFAULT_EPS in a simulation) and measuring how far the
@@ -20,11 +23,15 @@ moderate), and dedicated wrap probes carry one coordinate across the
 basepoint, the case where naive arithmetic on [0, 1) would tear.
 Perturbations never change the agreement set, the support sets, or the
 circle rule, so both paths come from one continuity domain and their
-distance must scale linearly with eps.
+distance must scale linearly with eps.  That distance is the supremum over
+every t in [0, 1], not a sample: each coordinate moves linearly between
+phase boundaries, so it is found at the boundaries unless a difference
+passes a half turn (path_deviation).
 """
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import asdict, dataclass, field
@@ -110,10 +117,10 @@ def run_simulation(
     """Check all planner invariants on seeded random queries.
 
     Every violation is counted and the first FAILURE_CAP are recorded with
-    their queries.  steps is the grid resolution: times k/steps for
-    k = 0..steps, always extended by the path's own phase boundaries.
-    continuity_probes perturbation probes follow the queries, each by at
-    most DEFAULT_EPS per coordinate; every fourth one is a wrap probe.
+    their queries.  steps is the resolution of the grid checked next to the
+    boundary sweep: times k/steps for k = 0..steps.  continuity_probes
+    perturbation probes follow the queries, each by at most DEFAULT_EPS per
+    coordinate; every fourth one is a wrap probe.
     """
     if mode not in ("skeleton", "product"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -124,7 +131,6 @@ def run_simulation(
     product = mode == "product"
     plan = plan_product if product else plan_skeleton
     rng = random.Random(seed)
-    grid = sample_times(steps)
     need = sig.n - sig.r
     top_domain = sig.n if product else sig.n - 1
     report = SimulationReport(
@@ -149,21 +155,23 @@ def run_simulation(
         if not _endpoints_exact(path, query):
             _flag(report, "endpoint", query, "path does not interpolate exactly")
 
-        counts = path.exact_zero_counts(grid)
-        spot = rng.randrange(len(grid))
-        if path.evaluate(grid[spot]).exact_zero_count() != counts[spot]:
+        counts = path.exact_zero_counts(steps)
+        spot = rng.randrange(steps + 1)
+        if path.evaluate(Fraction(spot, steps)).exact_zero_count() != counts[spot]:
             _flag(report, "membership", query,
-                  f"grid counter disagrees with evaluation at t={grid[spot]}")
+                  f"grid counter disagrees with evaluation at t={Fraction(spot, steps)}")
         low = min(counts)
         if low < need:
             _flag(report, "membership", query,
-                  f"only {low} coordinates at basepoint at t={grid[counts.index(low)]}, "
-                  f"need {need}")
-        cuts = path.phase_boundaries()
-        cut = next((cut for cut, point in zip(cuts, path.evaluate_many(cuts))
-                    if point.exact_zero_count() < need), None)
-        if cut is not None:
-            _flag(report, "membership", query, f"membership fails at phase boundary t={cut}")
+                  f"only {low} coordinates at basepoint at "
+                  f"t={Fraction(counts.index(low), steps)}, need {need}")
+        least, at = path.least_zero_count()
+        if path.evaluate(at).exact_zero_count() != least:
+            _flag(report, "membership", query,
+                  f"boundary sweep disagrees with evaluation at t={at}")
+        if least < need:
+            _flag(report, "membership", query,
+                  f"only {least} coordinates at basepoint at t={at}, need {need}")
 
     ratios = [continuity_ratio(sig, mode, rng, wrap=p % 4 == 3,
                                denominator_bound=denominator_bound)
@@ -287,15 +295,40 @@ def _wrap_query(sig, rng: random.Random, mode: str) -> tuple[PlannerQuery, dict[
     return PlannerQuery(start, end), forced
 
 
-def path_deviation(path_a: PlannerPath, path_b: PlannerPath, sample_steps: int = 64) -> float:
-    """Largest circle distance between the two paths over a shared time grid
-    extended by both paths' phase boundaries.
+def _passes_half_turn(rule_a, rule_b, tfs: list[float]) -> bool:
+    """Whether the lifted difference of two coordinates (their positions,
+    not reduced mod 1) passes a half turn between the first and the last of
+    the float times, which must include both rules' phase boundaries.  A
+    difference that only touches a half turn at one of the times may count
+    as passing it; the distance there is 1/2 either way."""
+    sa, da, ma, pa = rule_a.start_f, rule_a.delta_f, rule_a.move_start_f, rule_a.span_f
+    sb, db, mb, pb = rule_b.start_f, rule_b.delta_f, rule_b.move_start_f, rule_b.span_f
+    base = sa - sb - 0.5
+    # floor(x - 1/2) steps exactly where x passes a half turn; a constant
+    # rule has delta 0, so its progress never matters
+    floor = math.floor
+    turns = {floor(base + da * min(max((tf - ma) / pa, 0.0), 1.0)
+                   - db * min(max((tf - mb) / pb, 0.0), 1.0)) for tf in tfs}
+    return len(turns) > 1
 
-    The paths are compared coordinate by coordinate.  Two coordinates that
-    both rest for the whole path are the same distance apart at every time,
-    so that distance is taken once.
+
+def path_deviation(path_a: PlannerPath, path_b: PlannerPath) -> float:
+    """Largest circle distance between the two paths over all of [0, 1].
+
+    The paths are compared coordinate by coordinate, at 0, 1 and both
+    paths' phase boundaries, from the floats of columns(floats=True).
+    Between two consecutive times of that list each coordinate of each path
+    rests or travels at constant speed, so the lifted difference of two
+    coordinates (the difference of their positions, not reduced mod 1) is
+    linear there, and its circle distance peaks at the ends of the piece
+    unless it passes a half turn, where the distance is 1/2, the largest it
+    can be.  So the result is the largest distance at the listed times, or
+    1/2 when some lifted difference passes a half turn.  Two coordinates
+    that both rest for the whole path are the same distance apart at every
+    time, so that distance is taken once.
     """
-    times = sample_times(sample_steps, path_a.phase_boundaries(), path_b.phase_boundaries())
+    times = sample_times(1, path_a.phase_boundaries(), path_b.phase_boundaries())
+    tfs = [t.numerator / t.denominator for t in times]
     worst = 0.0
     for rule_a, rule_b, col_a, col_b in zip(
         path_a.coordinate_rules, path_b.coordinate_rules,
@@ -303,6 +336,8 @@ def path_deviation(path_a: PlannerPath, path_b: PlannerPath, sample_steps: int =
     ):
         if rule_a.constant and rule_b.constant:
             col_a, col_b = (rule_a.start_f,), (rule_b.start_f,)
+        elif _passes_half_turn(rule_a, rule_b, tfs):
+            return 0.5
         for va, vb in zip(col_a, col_b):
             d = abs(va - vb) % 1.0
             d = min(d, 1.0 - d)

@@ -12,7 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torustc import AlgebraSignature, cli, sample
-from torustc.cli import CSV_HEADER, MAX_STEPS, main
+from torustc.cli import (
+    CSV_HEADER,
+    MAX_CONTINUITY_PROBES,
+    MAX_GRID_PAIRS,
+    MAX_QUERIES,
+    MAX_STEPS,
+    main,
+)
 
 
 def run(capsys, *argv):
@@ -91,6 +98,24 @@ class TestTc:
         assert out == ""
         assert "cannot be combined" in err
         assert "Traceback" not in err
+
+    def test_grid_above_cap_is_usage_error(self, capsys):
+        assert MAX_GRID_PAIRS == 5_000
+        code, out, _ = run(capsys, "tc", "--grid", f"n=1..{MAX_GRID_PAIRS},r=1..1", "--csv")
+        assert code == 0
+        assert len(out.splitlines()) == MAX_GRID_PAIRS + 1
+        # refused before any row is built: one huge row, many rows, and a
+        # huge span of empty rows all answer at once
+        for grid in (f"n=1..{MAX_GRID_PAIRS + 1},r=1..1", "n=1000000000..1000000000,r=1..n",
+                     "n=1..1000000000,r=1..n", "n=1..1000000000,r=5..3"):
+            start = time.perf_counter()
+            code, out, err = run(capsys, "tc", "--grid", grid)
+            assert time.perf_counter() - start < 1.0, grid
+            assert code == 2, grid
+            assert out == ""
+            assert "Traceback" not in err
+        assert "--grid must name at most 5000 signatures" in run(
+            capsys, "tc", "--grid", f"n=1..{MAX_GRID_PAIRS + 1},r=1..1")[2]
 
     @pytest.mark.parametrize("n,r", [(30, 15), (2000, 1000)])
     def test_large_signature_answers_within_budget(self, capsys, n, r):
@@ -324,6 +349,22 @@ class TestSimulate:
         assert code == 0
         assert json.loads(out)["steps"] == MAX_STEPS
 
+    @pytest.mark.parametrize("flag, cap", [("--queries", MAX_QUERIES),
+                                           ("--continuity-probes", MAX_CONTINUITY_PROBES)])
+    def test_counts_above_cap_are_usage_errors(self, capsys, flag, cap):
+        assert (MAX_QUERIES, MAX_CONTINUITY_PROBES) == (1_000, 500)
+        code, out, err = run(capsys, "simulate", "2", "2", "--queries", "1", "--steps", "4",
+                             flag, str(cap + 1))
+        assert code == 2
+        assert out == ""
+        assert f"{flag} must be at most {cap}" in err
+        assert "Traceback" not in err
+        code, out, _ = run(capsys, "simulate", "2", "2", "--queries", "1", "--steps", "4",
+                           flag, str(cap))
+        assert code == 0
+        # a probe whose query admits no perturbation is not counted
+        assert 0 < json.loads(out)[flag[2:].replace("-", "_")] <= cap
+
     def test_zero_queries_is_usage_error(self, capsys):
         code, _, err = run(capsys, "simulate", "3", "2", "--queries", "0")
         assert code == 2
@@ -412,20 +453,28 @@ _COORDS = st.sampled_from(
 )
 _POINTS = st.lists(_COORDS, max_size=6).map(",".join)
 _COUNTS = st.sampled_from(["-1", "0", "1", "2", "4", "x"])
+# each capped count is drawn at, just below and just above its cap
+_QUERIES = st.sampled_from(["-1", "0", "1", "2", "4", "x",
+                            *(str(MAX_QUERIES + d) for d in (-1, 0, 1)), "1000000000"])
+_PROBES = st.sampled_from(["-1", "0", "1", "2", "4", "x",
+                           *(str(MAX_CONTINUITY_PROBES + d) for d in (-1, 0, 1)), "1000000000"])
 _STEPS = st.sampled_from(["-1", "0", "1", "2", "7", "64", str(MAX_STEPS + 1), "1000000000",
                           "1.5"])
 _FLAGS = {
     "tc": [("--grid", st.sampled_from(["n=1..4,r=1..n", "n=2..3,r=1..2", "n=3..1,r=1..n",
-                                       "n=0..2,r=0..n", "n=1..30,r=1..n", "n=1..3", "x"])),
+                                       "n=0..2,r=0..n", "n=1..30,r=1..n", "n=1..3", "x",
+                                       *(f"n=1..{MAX_GRID_PAIRS + d},r=1..1"
+                                         for d in (-1, 0, 1)),
+                                       "n=1..1000000000,r=1..n", "n=9..1000000000,r=9..3"])),
            ("--json", None), ("--csv", None)],
     "verify-lower-bound": [("--set", st.sampled_from(["1", "1,2", "2,4", "0", "-1", "", "1,,2",
                                                       "a", "1,1", "9"])),
                            ("--json", None)],
     "plan": [("--steps", _STEPS), ("--product", None), ("--from", _POINTS), ("--to", _POINTS)],
-    "simulate": [("--queries", _COUNTS), ("--steps", _STEPS), ("--seed", _COUNTS),
+    "simulate": [("--queries", _QUERIES), ("--steps", _STEPS), ("--seed", _COUNTS),
                  ("--product", None),
                  ("--denominator-bound", st.sampled_from(["-1", "1", "2", "8", "1000"])),
-                 ("--continuity-probes", _COUNTS)],
+                 ("--continuity-probes", _PROBES)],
     "search-zdcl": [("--brute", None), ("--json", None)],
 }
 

@@ -211,12 +211,13 @@ class TestPlanSkeleton:
             sig = AlgebraSignature(n, r)
             for _ in range(30):
                 path = plan_skeleton(query(sample(sig, rng), sample(sig, rng)), sig)
-                times = sorted(
-                    {F(k, 64) for k in range(65)} | set(path.phase_boundaries())
-                )
-                counts = path.exact_zero_counts(times)
-                for t, c in zip(times, counts):
-                    assert path.evaluate(t).exact_zero_count() == c
+                # 64 puts the boundary 1/2 on the grid, 7 puts it between
+                # two grid times
+                for steps in (64, 7, 1):
+                    counts = path.exact_zero_counts(steps)
+                    assert len(counts) == steps + 1
+                    for k, c in enumerate(counts):
+                        assert path.evaluate(F(k, steps)).exact_zero_count() == c
 
     def test_membership_invariant_randomized(self):
         rng = random.Random(55)
@@ -225,8 +226,8 @@ class TestPlanSkeleton:
             need = n - r
             for _ in range(50):
                 path = plan_skeleton(query(sample(sig, rng), sample(sig, rng)), sig)
-                times = sorted({F(k, 128) for k in range(129)} | set(path.phase_boundaries()))
-                assert min(path.exact_zero_counts(times)) >= need
+                assert min(path.exact_zero_counts(128)) >= need
+                assert path.least_zero_count()[0] >= need
 
 
 class TestPlanProduct:
@@ -305,13 +306,18 @@ def _values(p):
     return p.base if p.circle is None else (*p.base, p.circle)
 
 
+def _rows(path, times):
+    """The columns of a path read row by row, one tuple per time."""
+    return list(zip(*path.columns(times))) or [()] * len(times)
+
+
 def _float_rows(path, times):
     """The float columns of a path read row by row, one tuple per time."""
     return list(zip(*path.columns(times, floats=True))) or [()] * len(times)
 
 
 class TestEvaluateMany:
-    """The batch evaluator against pointwise evaluation, the reference."""
+    """The batch evaluator, columns, against pointwise evaluation, the reference."""
 
     @pytest.mark.parametrize("mode", ["skeleton", "product"])
     def test_matches_pointwise_evaluation(self, mode):
@@ -338,13 +344,12 @@ class TestEvaluateMany:
                 assert times == sorted({*grid, *cuts, *near, *dyadic})
                 assert times[0] == 0 and times[-1] == 1
 
-                want = [path.evaluate(t) for t in times]
-                got = path.evaluate_many(times)
+                want = [_values(path.evaluate(t)) for t in times]
+                got = _rows(path, times)
                 assert got == want
                 for g, w in zip(got, want):
-                    assert [type(v) for v in _values(g)] == [type(v) for v in _values(w)]
-                assert _float_rows(path, times) == [tuple(float(v) for v in _values(w))
-                                                    for w in want]
+                    assert [type(v) for v in g] == [type(v) for v in w]
+                assert _float_rows(path, times) == [tuple(float(v) for v in w) for w in want]
 
     @pytest.mark.parametrize("mode", ["skeleton", "product"])
     def test_exact_ties_hidden_by_float_rounding(self, mode):
@@ -368,14 +373,20 @@ class TestEvaluateMany:
                 assert times == sorted({*(F(k, 16) for k in range(17)), *cuts, *near})
 
                 want = [path.evaluate(t) for t in times]
-                got = path.evaluate_many(times)
-                assert got == want
+                got = _rows(path, times)
+                assert got == [_values(w) for w in want]
                 for g, w in zip(got, want):
-                    assert [type(v) for v in _values(g)] == [type(v) for v in _values(w)]
+                    assert [type(v) for v in g] == [type(v) for v in _values(w)]
                 assert _float_rows(path, times) == [
                     tuple(float(v) for v in _values(w)) for w in want
                 ]
-                assert path.exact_zero_counts(times) == [w.exact_zero_count() for w in want]
+                # every boundary and, through c +- 2**-80, a point of every
+                # open piece: the sweep's least count over [0, 1] is the
+                # least count over these times
+                assert path.least_zero_count()[0] == min(w.exact_zero_count() for w in want)
+                assert path.exact_zero_counts(16) == [
+                    w.exact_zero_count() for t, w in zip(times, want) if (16 * t).denominator == 1
+                ]
         assert ties > 100
 
     def test_sample_times_rejects_float_and_out_of_range_extras(self):
@@ -390,27 +401,64 @@ class TestEvaluateMany:
         sig = AlgebraSignature(3, 2)
         path = plan_product(query(point(0, "1/4", circle="1/8"),
                                   point("1/2", 0, circle="5/8")), sig)
-        assert path.evaluate_many([]) == []
+        assert path.columns([]) == [[], [], []]
+        assert _rows(path, []) == []
         assert _float_rows(path, []) == []
-        assert path.evaluate_many([F(1, 3)]) == [path.evaluate(F(1, 3))]
+        assert _rows(path, [F(1, 3)]) == [_values(path.evaluate(F(1, 3)))]
 
     def test_rejects_float_and_out_of_range_times(self):
         sig = AlgebraSignature(3, 2)
         path = plan_skeleton(query(point(0, 0), point(0, "1/4")), sig)
-        with pytest.raises(TypeError, match="exact rationals"):
-            path.evaluate_many([F(0), 0.5, F(1)])
-        with pytest.raises(ValueError, match="outside"):
-            path.evaluate_many([F(0), F(3, 2)])
-        with pytest.raises(ValueError, match="outside"):
-            path.evaluate_many([F(-1, 2), F(1)])
-        # the grid counter checks its first and last time, as columns does
-        worked = plan_skeleton(query(point(0, "1/4"), point("1/2", 0)), sig)
-        for times in ([0.25, 0.75, 7.0, -3], [F(0), F(1, 2), 1.0]):
+        for floats in (True, False):
             with pytest.raises(TypeError, match="exact rationals"):
-                worked.exact_zero_counts(times)
-        for times in ([F(1, 4), F(3, 4), 7, -3], [F(0), F(3, 2)], [F(-1, 2), F(1)]):
+                path.columns([F(0), 0.5, F(1)], floats=floats)
             with pytest.raises(ValueError, match="outside"):
-                worked.exact_zero_counts(times)
+                path.columns([F(0), F(3, 2)], floats=floats)
+            with pytest.raises(ValueError, match="outside"):
+                path.columns([F(-1, 2), F(1)], floats=floats)
+        for t in (0.5, 1.0):
+            with pytest.raises(TypeError, match="exact rationals"):
+                path.evaluate(t)
+        for t in (F(3, 2), F(-1, 2), 7, -3):
+            with pytest.raises(ValueError, match="outside"):
+                path.evaluate(t)
+        # the grid counter takes a positive integer step count
+        worked = plan_skeleton(query(point(0, "1/4"), point("1/2", 0)), sig)
+        for steps in (0.5, 4.0, F(4), "4"):
+            with pytest.raises(TypeError, match="integer"):
+                worked.exact_zero_counts(steps)
+        for steps in (0, -3):
+            with pytest.raises(ValueError, match="positive"):
+                worked.exact_zero_counts(steps)
+
+
+class TestLeastZeroCount:
+    """The boundary sweep against pointwise evaluation, the reference."""
+
+    @pytest.mark.parametrize("mode", ["skeleton", "product"])
+    def test_matches_pointwise_minimum(self, mode):
+        product = mode == "product"
+        plan = plan_product if product else plan_skeleton
+        rng = random.Random(91 + product)
+        tiny = F(1, 2**80)
+        for n in range(1, 11):
+            for r in sorted({1, (n + 1) // 2, n}):
+                sig = AlgebraSignature(n, r)
+                for _ in range(12):
+                    a = sample(sig, rng, with_circle=product)
+                    b = sample(sig, rng, with_circle=product)
+                    path = plan(query(a, b), sig)
+                    cuts = sorted({F(0), *path.phase_boundaries(), F(1)})
+                    # every boundary, the midpoint of every open piece, and
+                    # the points 2**-80 either side of every boundary, whose
+                    # floats tie with the boundary's
+                    times = [*cuts, *((x + y) / 2 for x, y in zip(cuts, cuts[1:])),
+                             *(c + s for c in cuts for s in (-tiny, tiny) if 0 <= c + s <= 1)]
+                    want = min(path.evaluate(t).exact_zero_count() for t in times)
+                    least, at = path.least_zero_count()
+                    assert least == want
+                    assert 0 <= at <= 1
+                    assert path.evaluate(at).exact_zero_count() == least
 
 
 @st.composite
@@ -430,8 +478,8 @@ class TestPlannerProperties:
         sig, q = data
         path = plan_skeleton(q, sig)
         need = sig.n - sig.r
-        times = sorted({F(k, 32) for k in range(33)} | set(path.phase_boundaries()))
-        assert min(path.exact_zero_counts(times)) >= need
+        assert min(path.exact_zero_counts(32)) >= need
+        assert path.least_zero_count()[0] >= need
 
     @settings(max_examples=150, deadline=None)
     @given(member_queries())

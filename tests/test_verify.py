@@ -1,6 +1,7 @@
 """The randomized verification harness itself: reports, perturbations, probes."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -20,16 +21,17 @@ from torustc import (
     run_simulation,
     sample,
 )
-from torustc import planner
+from torustc import planner, verify
 from torustc.cli import main
-from torustc.planner import Agreement, EvaluatedPoint, PlannerPath
+from torustc.planner import Agreement, CoordinateRule, EvaluatedPoint, PlannerPath
 from torustc.verify import _wrap_query
 
 F = Fraction
 
 
-def pointwise_deviation(path_a, path_b, sample_steps=64):
-    """Reference: path_deviation as one evaluate() per time and a sorted set."""
+def pointwise_deviation(path_a, path_b, sample_steps):
+    """Largest circle distance over the grid k/sample_steps and both paths'
+    phase boundaries, as one evaluate() per time and a sorted set."""
     times = {F(k, sample_steps) for k in range(sample_steps + 1)}
     times.update(path_a.phase_boundaries())
     times.update(path_b.phase_boundaries())
@@ -45,6 +47,35 @@ def pointwise_deviation(path_a, path_b, sample_steps=64):
             if d > worst:
                 worst = d
     return worst
+
+
+def _lift(rule, t):
+    """Exact position of one coordinate at time t, not reduced mod 1."""
+    if rule.constant or t <= rule.move_start:
+        return rule.start.value
+    if t >= rule.rest_start:
+        return rule.start.value + rule.delta
+    return rule.start.value + rule.delta * (t - rule.move_start) / (rule.rest_start - rule.move_start)
+
+
+def passes_half_turn(path_a, path_b):
+    """Whether some lifted coordinate difference passes a half turn strictly
+    inside a piece between consecutive boundaries, decided exactly."""
+    cuts = sorted({F(0), F(1), *path_a.phase_boundaries(), *path_b.phase_boundaries()})
+    for rule_a, rule_b in zip(path_a.coordinate_rules, path_b.coordinate_rules):
+        diffs = [_lift(rule_a, t) - _lift(rule_b, t) for t in cuts]
+        for lo, hi in zip(diffs, diffs[1:]):
+            lo, hi = min(lo, hi), max(lo, hi)
+            if math.floor(lo + F(1, 2)) + F(1, 2) < hi:
+                return True
+    return False
+
+
+def boundary_deviation(path_a, path_b):
+    """Reference for path_deviation: 1/2 when a lifted difference passes a
+    half turn inside a piece, else the pointwise largest distance over
+    {0, 1} and both paths' boundaries."""
+    return 0.5 if passes_half_turn(path_a, path_b) else pointwise_deviation(path_a, path_b, 1)
 
 
 class TestRunSimulation:
@@ -95,7 +126,7 @@ class TestRunSimulation:
 
 def _break_membership(monkeypatch):
     # the grid counter sees no coordinate at the basepoint anywhere
-    monkeypatch.setattr(PlannerPath, "exact_zero_counts", lambda self, times: [0] * len(times))
+    monkeypatch.setattr(PlannerPath, "exact_zero_counts", lambda self, steps: [0] * (steps + 1))
 
 
 def _break_agreement(monkeypatch):
@@ -120,6 +151,23 @@ def _break_start(monkeypatch):
         return EvaluatedPoint(tuple(v + F(1, 8) for v in point.base), point.circle)
 
     monkeypatch.setattr(PlannerPath, "evaluate", shifted)
+
+
+def _dipping_path(sig, query):
+    """A hand-built path for the query (0, 1/4) -> (1/2, 0) in (3, 2) whose
+    two coordinates are both away from the basepoint only on the open piece
+    (1/3, 2/5): coordinate 1 leaves 0 at 1/3, and coordinate 2 reaches 0
+    at 2/5.  Every boundary and every grid time k/4 has one coordinate at
+    the basepoint."""
+    (u1, u2), (v1, v2) = query.start.base, query.end.base
+    rules = (
+        CoordinateRule(label=1, start=u1, end=v1, move_start=F(1, 3), rest_start=F(1),
+                       delta=u1.ccw_gap(v1)),
+        CoordinateRule(label=2, start=u2, end=v2, move_start=F(0), rest_start=F(2, 5),
+                       delta=u2.ccw_gap(v2)),
+    )
+    return PlannerPath(sig=sig, query=query, mode="skeleton", agreement=frozenset(),
+                       domain_index=0, rules=rules)
 
 
 class TestViolations:
@@ -155,6 +203,25 @@ class TestViolations:
         assert doc["ok"] is False
         assert doc["domain_violations"] == 8
         assert [f["kind"] for f in doc["failures"]] == ["domain"] * 5
+
+    def test_membership_dip_inside_a_piece(self, monkeypatch):
+        sig = AlgebraSignature(3, 2)
+        start = SkeletonPoint((Turn(0), Turn(F(1, 4))))
+        end = SkeletonPoint((Turn(F(1, 2)), Turn(0)))
+        path = _dipping_path(sig, PlannerQuery(start, end))
+        cuts = path.phase_boundaries()
+        assert cuts == (F(0), F(1, 3), F(2, 5), F(1))
+        # boundaries alone and the grid alone both miss the dip
+        assert min(path.evaluate(t).exact_zero_count() for t in cuts) == 1
+        assert min(path.exact_zero_counts(4)) == 1
+        assert path.least_zero_count() == (0, F(11, 30))
+
+        points = iter([start, end] * 6)
+        monkeypatch.setattr(verify, "sample", lambda *args, **kwargs: next(points))
+        monkeypatch.setattr(verify, "plan_skeleton", lambda q, s: _dipping_path(s, q))
+        rep = run_simulation(sig, queries=6, steps=4, seed=0)
+        assert (rep.membership_violations, rep.endpoint_violations, rep.domain_violations) == (6, 0, 0)
+        assert rep.failures[0]["detail"] == "only 0 coordinates at basepoint at t=11/30, need 1"
 
 
 class TestPerturbation:
@@ -196,11 +263,13 @@ class TestPerturbation:
 
     @pytest.mark.parametrize("mode", ["skeleton", "product"])
     def test_deviation_matches_pointwise_reference(self, mode):
-        # identical floats, not approximately equal ones: the batch path
-        # must evaluate exactly what the pointwise reference evaluates
+        # identical floats, not approximately equal ones, with the pointwise
+        # reference over {0, 1} and both paths' boundaries; and never below
+        # the old 64-step grid sample beyond float rounding
         product = mode == "product"
         plan = plan_product if product else plan_skeleton
         rng = random.Random(17 + product)
+        crossings = 0
         for n, r in [(1, 1), (2, 2), (4, 2), (5, 3), (7, 7), (10, 4)]:
             sig = AlgebraSignature(n, r)
             for k in range(30):
@@ -221,9 +290,70 @@ class TestPerturbation:
                     if partner is None:
                         continue
                     path_b = plan(partner, sig)
+                    got = path_deviation(path, path_b)
+                    assert got == boundary_deviation(path, path_b)
+                    crossings += got == 0.5
                     for steps in (64, 7):
-                        want = pointwise_deviation(path, path_b, steps)
-                        assert path_deviation(path, path_b, steps) == want
+                        grid = pointwise_deviation(path, path_b, steps)
+                        assert got >= grid * (1 - 1e-12)
+        # unrelated partners pass a half turn now and then; perturbed ones never do
+        assert crossings > 0
+
+    def test_deviation_never_below_the_grid_on_the_probe_corpus(self):
+        # the probe corpus of criterion 6: the supremum is at least the old
+        # 64-step grid sample, up to float rounding, and equals it on most
+        # probes; no perturbed probe passes a half turn
+        equal = total = 0
+        for n in range(1, 7):
+            for r in range(1, n + 1):
+                sig = AlgebraSignature(n, r)
+                for mode in ("skeleton", "product"):
+                    plan = plan_product if mode == "product" else plan_skeleton
+                    rng = random.Random(7000 + n * 10 + r)
+                    for p in range(20):
+                        if p % 4 == 3:
+                            built = _wrap_query(sig, rng, mode)
+                            if built is None:
+                                continue
+                            q, forced = built
+                        else:
+                            q = PlannerQuery(sample(sig, rng, with_circle=mode == "product"),
+                                             sample(sig, rng, with_circle=mode == "product"))
+                            forced = {}
+                        near = perturb_query(q, sig, rng, forced_start=forced)
+                        if near is None:
+                            continue
+                        path_a, path_b = plan(q, sig), plan(near, sig)
+                        got = path_deviation(path_a, path_b)
+                        grid = pointwise_deviation(path_a, path_b, 64)
+                        assert got >= grid * (1 - 1e-12), (n, r, mode, p)
+                        assert got < 0.5
+                        total += 1
+                        equal += got == grid
+        assert total > 500
+        assert equal > 0.95 * total
+
+    def test_half_turn_inside_a_piece(self):
+        # circles 0 -> 2/5 and 0 -> 3/5 travel their shorter arcs in opposite
+        # directions; their lifted difference 4t/5 passes 1/2 at t = 5/8,
+        # strictly inside the only piece [0, 1]
+        sig = AlgebraSignature(1, 1)
+        start = SkeletonPoint((), Turn(0))
+        path_a = plan_product(PlannerQuery(start, SkeletonPoint((), Turn(F(2, 5)))), sig)
+        path_b = plan_product(PlannerQuery(start, SkeletonPoint((), Turn(F(3, 5)))), sig)
+        assert pointwise_deviation(path_a, path_b, 1) == pytest.approx(0.2)
+        assert path_deviation(path_a, path_b) == 0.5
+        # a base coordinate from 1/3 ccw to 1/8 and to 1/2: the difference
+        # passes 1/2 inside the first of the pieces split at the first
+        # path's dwell boundary, and ends at 5/8, 3/8 away
+        sig = AlgebraSignature(3, 2)
+        start = SkeletonPoint((Turn(0), Turn(F(1, 3))))
+        path_a = plan_skeleton(PlannerQuery(start, SkeletonPoint((Turn(0), Turn(F(1, 8))))), sig)
+        path_b = plan_skeleton(PlannerQuery(start, SkeletonPoint((Turn(0), Turn(F(1, 2))))), sig)
+        assert path_a.phase_boundaries()[0] == 0 and 0 < path_a.phase_boundaries()[1] < 1
+        assert boundary_deviation(path_a, path_b) == 0.5
+        assert pointwise_deviation(path_a, path_b, 1) < 0.5
+        assert path_deviation(path_a, path_b) == 0.5
 
     def test_wrap_probe_crosses_basepoint(self):
         # wrap probes must exercise a coordinate crossing 0 without tearing
