@@ -14,13 +14,12 @@ from torustc import (
     plan_skeleton,
     sample,
 )
+from torustc.planner import sample_times
 
 
 def show(path, steps: int) -> None:
-    print(f"mode={path.mode} domain={path.combined_index if path.mode == 'product' else path.domain_index} "
-          f"agreement={sorted(path.agreement)}")
-    times = sorted({Fraction(k, steps) for k in range(steps + 1)} | set(path.phase_boundaries()))
-    for t in times:
+    print(f"mode={path.mode} domain={path.domain} agreement={sorted(path.agreement)}")
+    for t in sample_times(steps, path.phase_boundaries()):
         point = path.evaluate(t)
         vals = list(point.base) if point.circle is None else [point.circle, *point.base]
         cells = []

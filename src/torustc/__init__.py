@@ -18,7 +18,6 @@ from .algebra import (
     ZdclSearchReport,
     apply_multiplication_map,
     lower_bound_certificate,
-    multiply_monomials,
     tensor,
     zdcl_brute_force,
     zdcl_degree_one,
@@ -32,13 +31,12 @@ from .planner import (
     InvalidEndpoint,
     PlannerPath,
     PlannerQuery,
-    ccw_arc,
     classify,
     dwell_time,
     plan_product,
     plan_skeleton,
 )
-from .skeleton import SkeletonPoint, Turn, is_member, membership, random_turn, sample
+from .skeleton import SkeletonPoint, Turn, membership, random_turn, sample
 from .verify import SimulationReport, continuity_ratio, path_deviation, perturb_query, run_simulation
 
 __version__ = "0.1.0"
@@ -65,15 +63,12 @@ __all__ = [
     "Turn",
     "ZdclSearchReport",
     "apply_multiplication_map",
-    "ccw_arc",
     "classify",
     "compute_bounds",
     "continuity_ratio",
     "dwell_time",
-    "is_member",
     "lower_bound_certificate",
     "membership",
-    "multiply_monomials",
     "path_deviation",
     "perturb_query",
     "plan_product",

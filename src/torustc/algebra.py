@@ -59,11 +59,6 @@ class AlgebraSignature:
         if self.n < self.r:
             raise InvalidSignature(f"invalid signature (n={self.n}, r={self.r}): r exceeds n")
 
-    @property
-    def truncation(self) -> int:
-        """Largest allowed count of generators with index >= 1 in a monomial."""
-        return self.r - 1
-
     def fits(self, bits: int) -> bool:
         """True when the bit-set monomial survives in this algebra."""
         return 0 <= bits < (1 << self.n) and (bits & ~1).bit_count() <= self.r - 1
@@ -77,9 +72,6 @@ class AlgebraSignature:
                     m |= 1 << i
                 yield m
                 yield m | 1
-
-    def basis_size(self) -> int:
-        return 2 * sum(math.comb(self.n - 1, k) for k in range(self.r))
 
 
 @dataclass(frozen=True)
@@ -135,16 +127,6 @@ def _merge(a: int, b: int) -> tuple[int, int]:
         inv += (a >> low.bit_length()).bit_count()
         rest ^= low
     return (-1 if inv & 1 else 1), a | b
-
-
-def multiply_monomials(a: ExteriorMonomial, b: ExteriorMonomial, sig: AlgebraSignature):
-    """Signed product of two monomials, or None when the product vanishes."""
-    if not (sig.fits(a.bits) and sig.fits(b.bits)):
-        raise ValueError("monomial does not belong to this algebra")
-    sign, bits = _merge(a.bits, b.bits)
-    if sign == 0 or not sig.fits(bits):
-        return None
-    return sign, ExteriorMonomial(bits)
 
 
 def _as_bits(key) -> int:
@@ -231,9 +213,6 @@ class AlgebraElement:
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(sorted({b.bit_count() for b in self._terms}))
-
-    def coefficients(self) -> tuple[int, ...]:
-        return tuple(sorted(self._terms.values()))
 
     def _check_mate(self, other):
         if type(other) is not type(self) or self.sig != other.sig:
@@ -444,8 +423,7 @@ class LowerBoundCertificate:
     chosen generators, right = the remaining chosen generators.  That pair
     lies in the bidegree (r, k+1-r) slice, where every coefficient is +1 or
     -1 and the number of terms has the closed form expected_terms.  The
-    slice is expanded only when component or component_terms is first read,
-    and the whole product afresh each time product is read.
+    slice is expanded only when component or component_terms is first read.
     """
 
     sig: AlgebraSignature
@@ -467,12 +445,14 @@ class LowerBoundCertificate:
         k+1-r are dropped: they can never reach the slice, and no kept term
         shares their key.  After all k+1 factors every term has total degree
         k+1, so what is left is exactly the slice.  Raises InstanceTooLarge
-        when the slice would have more than SLICE_TERM_CAP terms.
+        when the slice would have more than SLICE_TERM_CAP terms; the message
+        does not print the count, which can pass Python's 4,300-digit limit
+        on int-to-string conversion.
         """
         if self.expected_terms > SLICE_TERM_CAP:
             raise InstanceTooLarge(
                 f"bidegree {self.component_bidegree} slice for n={self.sig.n}, r={self.sig.r} "
-                f"has {self.expected_terms} terms; expansion is capped at {SLICE_TERM_CAP}"
+                f"has more than SLICE_TERM_CAP = {SLICE_TERM_CAP} terms; expansion is capped there"
             )
         n = self.sig.n
         low = (1 << n) - 1
@@ -486,11 +466,6 @@ class LowerBoundCertificate:
     @property
     def component_terms(self) -> int:
         return len(self.component)
-
-    @property
-    def product(self) -> TensorElement:
-        """The full product of the circle and index-set zero-divisors."""
-        return _pruned_product(self.sig, self.index_set, lambda p: True)
 
 
 def lower_bound_certificate(sig: AlgebraSignature, index_set=None) -> LowerBoundCertificate:
@@ -544,7 +519,7 @@ def lower_bound_certificate(sig: AlgebraSignature, index_set=None) -> LowerBound
     )
 
 
-def zdcl_degree_one(sig: AlgebraSignature, max_len: int | None = None) -> int:
+def zdcl_degree_one(sig: AlgebraSignature) -> int:
     """Longest nonzero product of distinct generator zero-divisors.
 
     Permuting e1..e{n-1} is an automorphism that keeps the truncation, and it
@@ -552,17 +527,14 @@ def zdcl_degree_one(sig: AlgebraSignature, max_len: int | None = None) -> int:
     product.  So whether a set of them multiplies to zero depends only on its
     size and on whether it contains e0, and subsets of nonzero products are
     nonzero.  Two prefix chains, e0, e1, e2, ... and e1, e2, ..., therefore
-    stand for every subset: each grows until its product vanishes or reaches
-    min(n, max_len) factors, and the longer one is the answer.
+    stand for every subset: each grows until its product vanishes or uses
+    every generator, and the longer one is the answer.
 
     A chain product at most doubles in size with each factor.  Once doubling
     could pass SLICE_TERM_CAP terms, the next product's terms are counted
     before it is formed, and a product of more than SLICE_TERM_CAP terms
     raises InstanceTooLarge instead of running on.
     """
-    if max_len is not None and max_len < 1:
-        raise ValueError("max_len must be at least 1")
-    limit = sig.n if max_len is None else min(max_len, sig.n)
     fits = TensorElement._fitter(sig)
 
     def next_size(prod, i) -> int:
@@ -575,7 +547,7 @@ def zdcl_degree_one(sig: AlgebraSignature, max_len: int | None = None) -> int:
     def chain(indices) -> int:
         prod = TensorElement.one(sig)
         length = 0
-        for i in indices[:limit]:
+        for i in indices:
             if 2 * len(prod) > SLICE_TERM_CAP and (size := next_size(prod, i)) > SLICE_TERM_CAP:
                 raise InstanceTooLarge(
                     f"zero-divisor chain for (n, r) = ({sig.n}, {sig.r}) would reach "
@@ -603,7 +575,6 @@ class ZdclSearchReport:
     sig: AlgebraSignature
     searched_length: int
     certified_minimum: int
-    matches_certified: bool
     witness: tuple[str, ...]
 
 
@@ -674,11 +645,9 @@ def zdcl_brute_force(sig: AlgebraSignature, cap: int = DEFAULT_BRUTE_FORCE_CAP) 
             stack.pop()
 
     descend(0, TensorElement.one(sig), 0, 0, [(1 << sig.n) - 2], [])
-    certified = min(sig.n, 2 * sig.r - 1)
     return ZdclSearchReport(
         sig=sig,
         searched_length=best_len,
-        certified_minimum=certified,
-        matches_certified=best_len == certified,
+        certified_minimum=min(sig.n, 2 * sig.r - 1),
         witness=best_witness,
     )

@@ -47,6 +47,14 @@ MAX_STEPS = 65_536
 MAX_QUERIES = 1_000
 MAX_CONTINUITY_PROBES = 500
 MAX_GRID_PAIRS = 5_000
+# a certificate multiplies min(n, 2r-1) zero-divisors whose packed keys are
+# 2n bits wide: tc and verify-lower-bound refuse more factors times n,
+# summed over the rows of one invocation, before forming any product
+MAX_CERTIFICATE_WORK = 20_000_000
+# simulate refuses a larger n squared times (queries + continuity probes):
+# a query costs time linear in n, but a probe compares every coordinate at
+# every phase boundary of two paths, so its time and memory grow with n^2
+MAX_SIMULATION_WORK = 1_500_000
 _GRID_RE = re.compile(r"^n=(\d+)\.\.(\d+),r=(\d+)\.\.(\d+|n)$")
 
 
@@ -72,6 +80,12 @@ def _parse_grid(text: str) -> list[tuple[int, int]]:
     return pairs
 
 
+def _check_certificate_work(sigs) -> None:
+    if sum(min(sig.n, 2 * sig.r - 1) * sig.n for sig in sigs) > MAX_CERTIFICATE_WORK:
+        raise InstanceTooLarge(f"certificate work (factors times n, summed over rows) "
+                               f"is capped at {MAX_CERTIFICATE_WORK}")
+
+
 def _parse_point(text: str, product: bool) -> SkeletonPoint:
     # "" is the point with no coordinates, the only point when n = 1
     turns = [Turn.parse(p) for p in text.split(",")] if text else []
@@ -93,6 +107,7 @@ def cmd_tc(args) -> int:
         pairs = [(args.n, args.r)]
     else:
         raise ValueError("give n and r, or --grid")
+    _check_certificate_work([AlgebraSignature(n, r) for n, r in pairs])
     rows = [compute_bounds(n, r) for n, r in pairs]
     if args.csv:
         print(CSV_HEADER)
@@ -118,6 +133,7 @@ def cmd_tc(args) -> int:
 
 def cmd_verify_lower_bound(args) -> int:
     sig = AlgebraSignature(args.n, args.r)
+    _check_certificate_work([sig])
     index_set = None
     if args.set is not None:
         index_set = tuple(int(p) for p in args.set.split(",") if p != "")
@@ -177,12 +193,11 @@ def cmd_plan(args) -> int:
     columns = path.columns(times)
     if path.mode == "product":
         columns.insert(0, columns.pop())
-    domain = path.combined_index if path.mode == "product" else path.domain_index
     head = json.dumps({
         "n": sig.n,
         "r": sig.r,
         "mode": path.mode,
-        "domain": domain,
+        "domain": path.domain,
         "agreement": sorted(path.agreement),
     }, indent=2)
     # The text of json.dumps(doc, indent=2) for doc = head plus "samples",
@@ -206,6 +221,9 @@ def cmd_simulate(args) -> int:
         if value > cap:
             raise ValueError(f"{flag} must be at most {cap}, got {value}")
     sig = AlgebraSignature(args.n, args.r)
+    if sig.n ** 2 * (args.queries + args.continuity_probes) > MAX_SIMULATION_WORK:
+        raise ValueError(f"n squared times (--queries + --continuity-probes) must be at most "
+                         f"{MAX_SIMULATION_WORK}")
     report = run_simulation(
         sig,
         mode="product" if args.product else "skeleton",

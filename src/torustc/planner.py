@@ -68,26 +68,6 @@ def dwell_time(z: Turn):
     return raw
 
 
-def ccw_arc(z: Turn, z_prime: Turn, s):
-    """Counterclockwise constant-speed travel from z to z_prime at local time s.
-
-    s runs over [0, 1]; the endpoints come back as exact Turns and interior
-    times as floats.  The endpoints must differ, so the travel direction is
-    well defined.
-    """
-    if z == z_prime:
-        raise ValueError("arc endpoints must differ")
-    s = Fraction(s) if not isinstance(s, float) else s
-    if not 0 <= s <= 1:
-        raise ValueError("local time must lie in [0, 1]")
-    if s == 0:
-        return z
-    if s == 1:
-        return z_prime
-    gap = z.ccw_gap(z_prime)
-    return (float(z.value) + float(s) * float(gap)) % 1.0
-
-
 @dataclass(frozen=True)
 class PlannerQuery:
     """An ordered pair of endpoints in the same space."""
@@ -202,10 +182,6 @@ class EvaluatedPoint:
         """Base coordinates exactly at the basepoint (floats never count)."""
         return sum(1 for v in self.base if isinstance(v, Turn) and v.is_zero)
 
-    def all_exact(self) -> bool:
-        vals = self.base if self.circle is None else (*self.base, self.circle)
-        return all(isinstance(v, Turn) for v in vals)
-
 
 def _check_time(t) -> Fraction:
     if type(t) is not Fraction:
@@ -245,10 +221,9 @@ def _count_below(times, floats, bound: Fraction, bound_f: float) -> int:
 
 @dataclass(frozen=True)
 class PlannerPath:
-    """A planned path together with the query data that produced it."""
+    """A planned path: its mode, the endpoints' agreement and domain, and
+    one schedule per coordinate."""
 
-    sig: object
-    query: PlannerQuery
     mode: str
     agreement: frozenset[int]
     domain_index: int
@@ -260,6 +235,11 @@ class PlannerPath:
     def coordinate_rules(self) -> tuple[CoordinateRule, ...]:
         """The rule of every coordinate: the base ones by label, then the circle."""
         return self.rules if self.circle_rule is None else (*self.rules, self.circle_rule)
+
+    @property
+    def domain(self) -> int:
+        """The continuity domain: combined_index in product mode, else domain_index."""
+        return self.domain_index if self.combined_index is None else self.combined_index
 
     def evaluate(self, t) -> EvaluatedPoint:
         """Point of the path at rational time t in [0, 1]."""
@@ -490,8 +470,6 @@ def _plan(query: PlannerQuery, sig) -> PlannerPath:
         circle_rule = _build_circle_rule(query.start.circle, query.end.circle)
         combined_index = agree.domain_index + circle_rule.rule_index
     return PlannerPath(
-        sig=sig,
-        query=query,
         mode="skeleton" if circle_rule is None else "product",
         agreement=agree.indices,
         domain_index=agree.domain_index,

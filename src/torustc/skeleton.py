@@ -57,15 +57,6 @@ class Turn:
         den = q * q2
         return Fraction((p2 * q - p * q2) % den, den)
 
-    def circle_distance(self, other: "Turn") -> Fraction:
-        """Length of the shorter arc between the two points, in [0, 1/2]."""
-        gap = self.ccw_gap(other)
-        return min(gap, 1 - gap)
-
-    def basepoint_distance(self) -> Fraction:
-        """Shorter-arc distance to the basepoint 0."""
-        return min(self.value, 1 - self.value)
-
     def __add__(self, other):
         if isinstance(other, Turn):
             return Turn(self.value + other.value)
@@ -119,13 +110,6 @@ class SkeletonPoint:
     def has_circle(self) -> bool:
         return self.circle is not None
 
-    def support(self) -> frozenset[int]:
-        """Labels of the coordinates away from the basepoint."""
-        return frozenset(j + 1 for j, t in enumerate(self.base) if not t.is_zero)
-
-    def coordinate(self, label: int) -> Turn:
-        return self.base[label - 1]
-
     def to_jsonable(self) -> dict:
         return {
             "base": [str(t) for t in self.base],
@@ -154,11 +138,6 @@ def membership(coords, sig) -> tuple[bool, frozenset[int]]:
         raise ValueError(f"expected {sig.n - 1} coordinates, got {len(coords)}")
     support = frozenset(j + 1 for j, t in enumerate(coords) if not t.is_zero)
     return len(support) <= sig.r - 1, support
-
-
-def is_member(point: SkeletonPoint, sig) -> bool:
-    ok, _ = membership(point.base, sig)
-    return ok
 
 
 @functools.lru_cache(maxsize=4096)

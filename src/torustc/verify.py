@@ -145,7 +145,7 @@ def run_simulation(
         query = PlannerQuery(start, end)
         path = plan(query, sig)
 
-        domain = path.combined_index if product else path.domain_index
+        domain = path.domain
         histogram[domain] = histogram.get(domain, 0) + 1
         agree = frozenset(j for j in range(1, sig.n) if start.base[j - 1] == end.base[j - 1])
         if not (0 <= domain <= top_domain and path.domain_index == len(path.agreement)

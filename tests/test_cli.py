@@ -1,8 +1,10 @@
-"""Command-line surface: schemas, golden outputs, exit codes."""
+"""Command-line surface: schemas, golden outputs, exit codes; and the
+public Python names, with README's API example run as written."""
 
 import contextlib
 import io
 import json
+import math
 import random
 import time
 from pathlib import Path
@@ -11,12 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import torustc
 from torustc import AlgebraSignature, cli, sample
 from torustc.cli import (
     CSV_HEADER,
+    MAX_CERTIFICATE_WORK,
     MAX_CONTINUITY_PROBES,
     MAX_GRID_PAIRS,
     MAX_QUERIES,
+    MAX_SIMULATION_WORK,
     MAX_STEPS,
     main,
 )
@@ -117,6 +122,26 @@ class TestTc:
         assert "--grid must name at most 5000 signatures" in run(
             capsys, "tc", "--grid", f"n=1..{MAX_GRID_PAIRS + 1},r=1..1")[2]
 
+    def test_certificate_work_above_budget_is_usage_error(self, capsys):
+        assert MAX_CERTIFICATE_WORK == 20_000_000
+        # work is min(n, 2r-1) factors times n, summed over rows: 4472 * 4472
+        # and 20,000,000 * 1 fit the budget, one more n does not
+        for argv in (("tc", "4472", "4472"), ("tc", "20000000", "1", "--json"),
+                     ("verify-lower-bound", "20000000", "1")):
+            assert run(capsys, *argv)[0] == 0, argv
+        # refused before any certificate product is formed; the grid is
+        # 2,001 rows near n = 1000, under the pair cap
+        for argv in (("tc", "4473", "4473"), ("tc", "20000001", "1"),
+                     ("tc", "128000", "64000"), ("verify-lower-bound", "4473", "4473"),
+                     ("verify-lower-bound", "15000", "7500"),
+                     ("tc", "--grid", "n=1000..1001,r=1..n", "--json")):
+            start = time.perf_counter()
+            code, out, err = run(capsys, *argv)
+            assert time.perf_counter() - start < 1.0, argv
+            assert code == 2, argv
+            assert out == ""
+            assert f"capped at {MAX_CERTIFICATE_WORK}" in err, argv
+
     @pytest.mark.parametrize("n,r", [(30, 15), (2000, 1000)])
     def test_large_signature_answers_within_budget(self, capsys, n, r):
         start = time.perf_counter()
@@ -168,11 +193,15 @@ class TestVerifyLowerBound:
             assert json.loads(out) == want
 
     def test_oversized_slice_is_usage_error(self, capsys):
-        code, out, err = run(capsys, "verify-lower-bound", "30", "15")
-        assert code == 2
-        assert out == ""
-        assert "capped" in err
-        assert "Traceback" not in err
+        # C(14999, 7499) and C(13999, 6999) have about 4,500 and 4,200 digits;
+        # both are refused with a one-line message that prints neither
+        for n, r in [(30, 15), (15000, 7500), (14000, 7000)]:
+            code, out, err = run(capsys, "verify-lower-bound", str(n), str(r))
+            assert code == 2
+            assert out == ""
+            assert "capped" in err
+            assert "Traceback" not in err
+            assert len(err) < 200 and "int_max_str_digits" not in err
 
 
 class TestPlan:
@@ -365,6 +394,25 @@ class TestSimulate:
         # a probe whose query admits no perturbation is not counted
         assert 0 < json.loads(out)[flag[2:].replace("-", "_")] <= cap
 
+    def test_simulation_work_above_budget_is_usage_error(self, capsys):
+        assert MAX_SIMULATION_WORK == 1_500_000
+        # work is n^2 (queries + continuity probes): 1224^2 * 1 fits the
+        # budget, and so does simulate 30 30 at the query and probe caps
+        code, out, _ = run(capsys, "simulate", "1224", "2", "--queries", "1", "--steps", "4")
+        assert code == 0 and json.loads(out)["ok"]
+        assert 30**2 * (MAX_QUERIES + MAX_CONTINUITY_PROBES) <= MAX_SIMULATION_WORK
+        for argv in (("simulate", "1225", "2", "--queries", "1"),
+                     ("simulate", "1224", "2", "--queries", "1", "--continuity-probes", "1"),
+                     ("simulate", "32", "32", "--product", "--queries", str(MAX_QUERIES),
+                      "--continuity-probes", str(MAX_CONTINUITY_PROBES)),
+                     ("simulate", "20000", "2", "--queries", "10")):
+            start = time.perf_counter()
+            code, out, err = run(capsys, *argv)
+            assert time.perf_counter() - start < 1.0, argv
+            assert code == 2, argv
+            assert out == ""
+            assert f"must be at most {MAX_SIMULATION_WORK}" in err, argv
+
     def test_zero_queries_is_usage_error(self, capsys):
         code, _, err = run(capsys, "simulate", "3", "2", "--queries", "0")
         assert code == 2
@@ -458,6 +506,18 @@ _QUERIES = st.sampled_from(["-1", "0", "1", "2", "4", "x",
                             *(str(MAX_QUERIES + d) for d in (-1, 0, 1)), "1000000000"])
 _PROBES = st.sampled_from(["-1", "0", "1", "2", "4", "x",
                            *(str(MAX_CONTINUITY_PROBES + d) for d in (-1, 0, 1)), "1000000000"])
+# signatures at and just past each work budget, for the commands it guards
+_ROOT = math.isqrt(MAX_CERTIFICATE_WORK)
+_AT_CERTIFICATE_BUDGET = [(_ROOT, _ROOT), (_ROOT + 1, _ROOT + 1),
+                          (MAX_CERTIFICATE_WORK, 1), (MAX_CERTIFICATE_WORK + 1, 1)]
+_AT_BUDGET = {
+    "tc": _AT_CERTIFICATE_BUDGET,
+    "verify-lower-bound": _AT_CERTIFICATE_BUDGET,
+    # n^2 times the default 100 queries, and times one query
+    "simulate": [(n, 2) for root in (math.isqrt(MAX_SIMULATION_WORK // 100),
+                                     math.isqrt(MAX_SIMULATION_WORK))
+                 for n in (root, root + 1)],
+}
 _STEPS = st.sampled_from(["-1", "0", "1", "2", "7", "64", str(MAX_STEPS + 1), "1000000000",
                           "1.5"])
 _FLAGS = {
@@ -486,6 +546,8 @@ def _argvs(draw):
     argv = [command] if command else []
     count = 2 if draw(st.integers(0, 9)) else draw(st.integers(0, 3))
     argv += draw(st.lists(_SIZES, min_size=count, max_size=count))
+    if command in _AT_BUDGET and count == 2 and not draw(st.integers(0, 3)):
+        argv[1:] = map(str, draw(st.sampled_from(_AT_BUDGET[command])))
     flags = draw(st.lists(st.sampled_from(_FLAGS.get(command, [])), max_size=5)
                  if command in _FLAGS else st.just([]))
     if command == "plan" and draw(st.integers(0, 4)):
@@ -515,3 +577,34 @@ class TestFuzzedArgv:
         assert time.perf_counter() - start < 5.0, argv
         assert code in (0, 1, 2), argv
         assert "Traceback" not in err.getvalue(), argv
+
+
+class TestPublicSurface:
+    """The supported Python API: exactly these names, each importable."""
+
+    KEPT = [
+        "Agreement", "AlgebraElement", "AlgebraSignature", "BoundMismatch",
+        "CertificateFailure", "CoordinateRule", "EvaluatedPoint", "ExteriorMonomial",
+        "InstanceTooLarge", "InvalidEndpoint", "InvalidSignature", "LowerBoundCertificate",
+        "PlannerPath", "PlannerQuery", "SimulationReport", "SkeletonPoint", "TcBounds",
+        "TensorElement", "Turn", "ZdclSearchReport", "apply_multiplication_map", "classify",
+        "compute_bounds", "continuity_ratio", "dwell_time", "lower_bound_certificate",
+        "membership", "path_deviation", "perturb_query", "plan_product", "plan_skeleton",
+        "random_turn", "run_simulation", "sample", "tensor", "zdcl_brute_force",
+        "zdcl_degree_one", "zero_divisor",
+    ]
+
+    def test_all_is_pinned_and_resolves(self):
+        assert sorted(torustc.__all__) == self.KEPT
+        for name in self.KEPT:
+            assert hasattr(torustc, name), name
+
+    def test_readme_python_api_example(self, capsys):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("\n## Python API\n", 1)[1]
+        block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+        exec(compile(block, "README.md", "exec"), {})
+        lines = capsys.readouterr().out.splitlines()
+        # the commented values: tc 6; 5 factors and a C(4, 2) = 6 term slice
+        assert lines[:2] == ["6", "5 6"]
+        assert lines[2].startswith("(Turn(0), ")

@@ -14,7 +14,6 @@ from torustc import (
     PlannerQuery,
     SkeletonPoint,
     Turn,
-    ccw_arc,
     classify,
     dwell_time,
     plan_product,
@@ -68,32 +67,29 @@ class TestDwellTime:
 
 
 class TestCcwArc:
+    """Travel of the one coordinate of a (2, 2) skeleton path."""
+
+    @staticmethod
+    def travel(a, b, t):
+        path = plan_skeleton(query(point(a), point(b)), AlgebraSignature(2, 2))
+        (value,) = path.evaluate(t).base
+        return value
+
     def test_frozen_examples(self):
-        assert ccw_arc(Turn(0), Turn(F(1, 2)), F(1, 2)) == 0.25
-        assert ccw_arc(Turn(F(3, 4)), Turn(F(1, 4)), F(1, 2)) == 0.0
+        # 0 dwells until 1/2, so t = 3/4 is mid-travel; 3/4 and 1/4 never dwell
+        assert self.travel(0, F(1, 2), F(3, 4)) == 0.25
+        assert self.travel(F(3, 4), F(1, 4), F(1, 2)) == 0.0
 
     def test_endpoints_exact(self):
-        a, b = Turn(F(1, 3)), Turn(F(1, 7))
-        assert ccw_arc(a, b, 0) == a
-        assert ccw_arc(a, b, 1) == b
-        assert isinstance(ccw_arc(a, b, 0), Turn)
-
-    def test_equal_endpoints_rejected(self):
-        with pytest.raises(ValueError, match="must differ"):
-            ccw_arc(Turn(0), Turn(0), F(1, 2))
+        a, b = F(1, 3), F(1, 7)
+        assert self.travel(a, b, 0) == Turn(a)
+        assert self.travel(a, b, 1) == Turn(b)
+        assert isinstance(self.travel(a, b, 0), Turn)
 
     def test_always_counterclockwise(self):
-        # the position advances by s times the ccw gap, never the short way
-        a, b = Turn(F(7, 8)), Turn(F(1, 8))  # ccw gap 1/4
-        mid = ccw_arc(a, b, F(1, 2))
-        assert mid == pytest.approx(0.0, abs=1e-15)
-        a, b = Turn(F(1, 8)), Turn(F(7, 8))  # ccw gap 3/4, the long way
-        mid = ccw_arc(a, b, F(1, 2))
-        assert mid == pytest.approx(0.5, abs=1e-15)
-
-    def test_out_of_range_local_time(self):
-        with pytest.raises(ValueError):
-            ccw_arc(Turn(0), Turn(F(1, 2)), F(3, 2))
+        # the position advances by t times the ccw gap, never the short way
+        assert self.travel(F(1, 4), F(1, 2), F(1, 2)) == 0.375  # ccw gap 1/4
+        assert self.travel(F(1, 2), F(1, 4), F(1, 2)) == 0.875  # ccw gap 3/4, the long way
 
 
 class TestClassify:
@@ -487,8 +483,8 @@ class TestPlannerProperties:
         # resting and constant phases return exact turns; endpoints always do
         sig, q = data
         path = plan_skeleton(q, sig)
-        assert path.evaluate(0).all_exact()
-        assert path.evaluate(1).all_exact()
+        for t in (0, 1):
+            assert all(isinstance(v, Turn) for v in path.evaluate(t).base)
         for rule in path.rules:
             if rule.constant:
                 continue

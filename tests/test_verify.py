@@ -14,6 +14,7 @@ from torustc import (
     Turn,
     classify,
     continuity_ratio,
+    membership,
     path_deviation,
     perturb_query,
     plan_product,
@@ -153,7 +154,7 @@ def _break_start(monkeypatch):
     monkeypatch.setattr(PlannerPath, "evaluate", shifted)
 
 
-def _dipping_path(sig, query):
+def _dipping_path(query):
     """A hand-built path for the query (0, 1/4) -> (1/2, 0) in (3, 2) whose
     two coordinates are both away from the basepoint only on the open piece
     (1/3, 2/5): coordinate 1 leaves 0 at 1/3, and coordinate 2 reaches 0
@@ -166,8 +167,7 @@ def _dipping_path(sig, query):
         CoordinateRule(label=2, start=u2, end=v2, move_start=F(0), rest_start=F(2, 5),
                        delta=u2.ccw_gap(v2)),
     )
-    return PlannerPath(sig=sig, query=query, mode="skeleton", agreement=frozenset(),
-                       domain_index=0, rules=rules)
+    return PlannerPath(mode="skeleton", agreement=frozenset(), domain_index=0, rules=rules)
 
 
 class TestViolations:
@@ -208,7 +208,7 @@ class TestViolations:
         sig = AlgebraSignature(3, 2)
         start = SkeletonPoint((Turn(0), Turn(F(1, 4))))
         end = SkeletonPoint((Turn(F(1, 2)), Turn(0)))
-        path = _dipping_path(sig, PlannerQuery(start, end))
+        path = _dipping_path(PlannerQuery(start, end))
         cuts = path.phase_boundaries()
         assert cuts == (F(0), F(1, 3), F(2, 5), F(1))
         # boundaries alone and the grid alone both miss the dip
@@ -218,7 +218,7 @@ class TestViolations:
 
         points = iter([start, end] * 6)
         monkeypatch.setattr(verify, "sample", lambda *args, **kwargs: next(points))
-        monkeypatch.setattr(verify, "plan_skeleton", lambda q, s: _dipping_path(s, q))
+        monkeypatch.setattr(verify, "plan_skeleton", lambda q, s: _dipping_path(q))
         rep = run_simulation(sig, queries=6, steps=4, seed=0)
         assert (rep.membership_violations, rep.endpoint_violations, rep.domain_violations) == (6, 0, 0)
         assert rep.failures[0]["detail"] == "only 0 coordinates at basepoint at t=11/30, need 1"
@@ -237,8 +237,8 @@ class TestPerturbation:
                 if near is None:
                     continue
                 assert classify(near, sig) == classify(q, sig)
-                assert near.start.support() == q.start.support()
-                assert near.end.support() == q.end.support()
+                for a, b in ((near.start, q.start), (near.end, q.end)):
+                    assert membership(a.base, sig)[1] == membership(b.base, sig)[1]
 
     def test_returns_none_when_nothing_moves(self):
         sig = AlgebraSignature(3, 1)
