@@ -40,6 +40,10 @@ class InstanceTooLarge(ValueError):
 
 DEFAULT_BRUTE_FORCE_CAP = 4
 SLICE_TERM_CAP = 200_000
+# zdcl_degree_one refuses a chain product whose terms times their 2n-bit
+# packed keys would pass this many bits, so its memory stays bounded for
+# every n; SLICE_TERM_CAP is the tighter limit up to n = 160
+CHAIN_KEY_BIT_CAP = 64_000_000
 
 
 @dataclass(frozen=True)
@@ -531,11 +535,13 @@ def zdcl_degree_one(sig: AlgebraSignature) -> int:
     every generator, and the longer one is the answer.
 
     A chain product at most doubles in size with each factor.  Once doubling
-    could pass SLICE_TERM_CAP terms, the next product's terms are counted
-    before it is formed, and a product of more than SLICE_TERM_CAP terms
-    raises InstanceTooLarge instead of running on.
+    could pass the chain's term limit, the next product's terms are counted
+    before it is formed, and a product over the limit raises
+    InstanceTooLarge instead of running on.  The limit is SLICE_TERM_CAP
+    terms, or fewer when their 2n-bit keys would pass CHAIN_KEY_BIT_CAP bits.
     """
     fits = TensorElement._fitter(sig)
+    limit = min(SLICE_TERM_CAP, CHAIN_KEY_BIT_CAP // (2 * sig.n))
 
     def next_size(prod, i) -> int:
         # Generator i is new to the chain, so it is in neither leg of any
@@ -548,10 +554,13 @@ def zdcl_degree_one(sig: AlgebraSignature) -> int:
         prod = TensorElement.one(sig)
         length = 0
         for i in indices:
-            if 2 * len(prod) > SLICE_TERM_CAP and (size := next_size(prod, i)) > SLICE_TERM_CAP:
+            if 2 * len(prod) > limit and (size := next_size(prod, i)) > limit:
+                cap = (f"{SLICE_TERM_CAP} terms" if limit == SLICE_TERM_CAP else
+                       f"CHAIN_KEY_BIT_CAP = {CHAIN_KEY_BIT_CAP} key bits, {limit} terms "
+                       f"of {2 * sig.n} bits")
                 raise InstanceTooLarge(
                     f"zero-divisor chain for (n, r) = ({sig.n}, {sig.r}) would reach "
-                    f"{size} terms; chain products are capped at {SLICE_TERM_CAP} terms"
+                    f"{size} terms; chain products are capped at {cap}"
                 )
             prod = prod * zero_divisor(sig, i)
             if prod.is_zero:

@@ -62,9 +62,14 @@ def _parse_grid(text: str) -> list[tuple[int, int]]:
     m = _GRID_RE.match(text.replace(" ", ""))
     if not m:
         raise ValueError(f"grid must look like n=1..6,r=1..n, got {text!r}")
-    n_lo, n_hi = int(m.group(1)), int(m.group(2))
-    r_lo = int(m.group(3))
-    r_top = None if m.group(4) == "n" else int(m.group(4))
+    try:
+        n_lo, n_hi = int(m.group(1)), int(m.group(2))
+        r_lo = int(m.group(3))
+        r_top = None if m.group(4) == "n" else int(m.group(4))
+    except ValueError:
+        # the digits matched, so only the interpreter's digit limit is left
+        raise ValueError(f"--grid bounds must have at most "
+                         f"{sys.get_int_max_str_digits()} digits") from None
     if r_top is not None and r_top < r_lo:
         raise ValueError(f"grid {text!r} is empty")
     pairs = []

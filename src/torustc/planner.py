@@ -27,7 +27,8 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import NamedTuple
@@ -53,7 +54,7 @@ def dwell_time(z: Turn):
     exact Fractions; the transition returns a float clamped into [0, 1/2) so
     that only the basepoint ever dwells for a full half turn of time.
     """
-    p, q = z.value.as_integer_ratio()
+    p, q = z.num, z.den
     if not p:
         return _HALF
     if q <= 4 * p <= 3 * q:
@@ -108,14 +109,16 @@ def classify(query: PlannerQuery, sig) -> Agreement:
     return Agreement(agree, len(agree))
 
 
-@dataclass(frozen=True)
-class CoordinateRule:
+class CoordinateRule(namedtuple("_RuleFields", (
+        "start end move_start rest_start delta rule_index constant "
+        "start_f end_f delta_f move_start_f rest_start_f span_f"))):
     """Schedule of one coordinate: rest at start until move_start, travel
     delta turns at constant speed, rest at end from rest_start on.
 
-    Labels 1..n-1 are base coordinates: the window comes from the dwell
-    times and delta is the counterclockwise gap.  Label 0 is the free circle
-    factor: the window is [0, 1] and delta is the signed shorter arc, with
+    A rule knows nothing of its coordinate, which is its position in
+    PlannerPath.coordinate_rules.  Base coordinates take their window from
+    the dwell times and delta is the counterclockwise gap.  The free circle
+    factor has the window [0, 1] and delta is the signed shorter arc, with
     rule_index 1 for exact antipodes (half a turn counterclockwise) and 0
     otherwise.  Base coordinates keep rule_index 0.
 
@@ -124,38 +127,29 @@ class CoordinateRule:
     travel phase, float evaluation and the phase search read, are derived
     from them here and nowhere else, from their integer numerators and
     denominators: each mirror is the correctly rounded float of its exact
-    value.
+    value.  A rule is an immutable tuple, so one rule may serve many paths;
+    copies and _replace go through the constructor, so the mirrors always
+    follow the exact fields.
     """
 
-    label: int
-    start: Turn
-    end: Turn
-    move_start: Fraction
-    rest_start: Fraction
-    delta: Fraction
-    rule_index: int = 0
-    constant: bool = field(init=False)
-    start_f: float = field(init=False)
-    end_f: float = field(init=False)
-    delta_f: float = field(init=False)
-    move_start_f: float = field(init=False)
-    rest_start_f: float = field(init=False)
-    span_f: float = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        set_field = object.__setattr__
-        s_p, s_q = self.start.value.as_integer_ratio()
-        e_p, e_q = self.end.value.as_integer_ratio()
-        d_p, d_q = self.delta.as_integer_ratio()
-        m_p, m_q = self.move_start.as_integer_ratio()
-        r_p, r_q = self.rest_start.as_integer_ratio()
-        set_field(self, "constant", not d_p)
-        set_field(self, "start_f", s_p / s_q)
-        set_field(self, "end_f", e_p / e_q)
-        set_field(self, "delta_f", d_p / d_q)
-        set_field(self, "move_start_f", m_p / m_q)
-        set_field(self, "rest_start_f", r_p / r_q)
-        set_field(self, "span_f", (r_p * m_q - m_p * r_q) / (r_q * m_q))
+    def __new__(cls, start: Turn, end: Turn, move_start: Fraction, rest_start: Fraction,
+                delta: Fraction, rule_index: int = 0):
+        d_p, d_q = delta.as_integer_ratio()
+        m_p, m_q = move_start.as_integer_ratio()
+        r_p, r_q = rest_start.as_integer_ratio()
+        return tuple.__new__(cls, (
+            start, end, move_start, rest_start, delta, rule_index, not d_p,
+            start.num / start.den, end.num / end.den, d_p / d_q, m_p / m_q, r_p / r_q,
+            (r_p * m_q - m_p * r_q) / (r_q * m_q)))
+
+    def __getnewargs__(self):
+        return self[:6]
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*tuple(fields)[:6])
 
     def value_at(self, t: Fraction):
         if self.constant:
@@ -201,10 +195,10 @@ def _count_through(times, floats, bound: Fraction, bound_f: float) -> int:
     bound_f = float(bound).  Rounding is monotone, so a time whose float
     differs from bound_f lies on the same side of bound as its float lies of
     bound_f; each time whose float ties with bound_f is settled by one exact
-    comparison.
+    comparison, unless it is the bound object itself.
     """
     k = bisect_right(floats, bound_f)
-    while k and floats[k - 1] == bound_f and times[k - 1] > bound:
+    while k and floats[k - 1] == bound_f and times[k - 1] is not bound and times[k - 1] > bound:
         k -= 1
     return k
 
@@ -214,7 +208,7 @@ def _count_below(times, floats, bound: Fraction, bound_f: float) -> int:
     is _count_through's."""
     k = bisect_left(floats, bound_f)
     m = len(times)
-    while k < m and floats[k] == bound_f and times[k] < bound:
+    while k < m and floats[k] == bound_f and times[k] is not bound and times[k] < bound:
         k += 1
     return k
 
@@ -233,7 +227,7 @@ class PlannerPath:
 
     @property
     def coordinate_rules(self) -> tuple[CoordinateRule, ...]:
-        """The rule of every coordinate: the base ones by label, then the circle."""
+        """The rule of every coordinate: the base ones in order, then the circle."""
         return self.rules if self.circle_rule is None else (*self.rules, self.circle_rule)
 
     @property
@@ -391,12 +385,17 @@ def sample_times(steps: int, *extra) -> list[Fraction]:
     return out
 
 
+# the rule of every coordinate parked at the basepoint at both ends
+_PARKED = CoordinateRule(start=Turn(0), end=Turn(0), move_start=_ZERO, rest_start=_ONE,
+                         delta=_ZERO)
+
+
 def _build_rules(start: SkeletonPoint, end: SkeletonPoint) -> tuple[CoordinateRule, ...]:
     rules = []
     for j, (u, v) in enumerate(zip(start.base, end.base), start=1):
         if u == v:
-            rules.append(CoordinateRule(label=j, start=u, end=v, move_start=_ZERO,
-                                        rest_start=_ONE, delta=_ZERO))
+            rules.append(_PARKED if u.is_zero else CoordinateRule(
+                start=u, end=v, move_start=_ZERO, rest_start=_ONE, delta=_ZERO))
             continue
         lead, tail = dwell_time(u), dwell_time(v)
         if type(lead) is float:
@@ -407,7 +406,7 @@ def _build_rules(start: SkeletonPoint, end: SkeletonPoint) -> tuple[CoordinateRu
         else:
             # an exact dwell is 1/2 or 0
             rest_start = _HALF if tail else _ONE
-        rule = CoordinateRule(label=j, start=u, end=v, move_start=lead,
+        rule = CoordinateRule(start=u, end=v, move_start=lead,
                               rest_start=rest_start, delta=u.ccw_gap(v))
         if rule.span_f <= 0.0:
             # unreachable: dwell is 1/2 only at the basepoint and u != v;
@@ -456,7 +455,7 @@ def plan_product(query: PlannerQuery, sig) -> PlannerPath:
 def _build_circle_rule(z: Turn, z_prime: Turn) -> CoordinateRule:
     gap = z.ccw_gap(z_prime)
     p, q = gap.as_integer_ratio()
-    return CoordinateRule(label=0, start=z, end=z_prime, move_start=_ZERO,
+    return CoordinateRule(start=z, end=z_prime, move_start=_ZERO,
                           rest_start=_ONE, delta=Fraction(p - q, q) if 2 * p > q else gap,
                           rule_index=int(2 * p == q))
 

@@ -23,10 +23,12 @@ class Turn:
 
     The value is normalised into [0, 1).  Floats are rejected on input so the
     basepoint test and endpoint-agreement tests stay decidable; use parse()
-    for the "p/q" command-line syntax.
+    for the "p/q" command-line syntax.  num and den are the value's numerator
+    and denominator as plain ints, so equality, the basepoint test and gaps
+    never go through Fraction.
     """
 
-    __slots__ = ("value",)
+    __slots__ = ("value", "num", "den")
 
     def __init__(self, value=0):
         if type(value) is not Fraction:
@@ -34,7 +36,11 @@ class Turn:
                 raise TypeError("turns must be exact rationals, not floats")
             value = Fraction(value)
         p, q = value.as_integer_ratio()
-        self.value = value if 0 <= p < q else value % 1
+        if not 0 <= p < q:
+            # p mod q stays coprime to q
+            p %= q
+            value = Fraction(p, q)
+        self.value, self.num, self.den = value, p, q
 
     @classmethod
     def parse(cls, text: str) -> "Turn":
@@ -48,12 +54,11 @@ class Turn:
 
     @property
     def is_zero(self) -> bool:
-        return not self.value.numerator
+        return not self.num
 
     def ccw_gap(self, other: "Turn") -> Fraction:
         """Counterclockwise distance from self to other, in [0, 1)."""
-        p, q = self.value.as_integer_ratio()
-        p2, q2 = other.value.as_integer_ratio()
+        p, q, p2, q2 = self.num, self.den, other.num, other.den
         den = q * q2
         return Fraction((p2 * q - p * q2) % den, den)
 
@@ -78,7 +83,7 @@ class Turn:
         if other is self:
             return True
         if isinstance(other, Turn):
-            return self.value.as_integer_ratio() == other.value.as_integer_ratio()
+            return self.num == other.num and self.den == other.den
         return NotImplemented
 
     def __hash__(self) -> int:

@@ -29,7 +29,7 @@ from torustc import (
     zdcl_degree_one,
     zero_divisor,
 )
-from torustc.algebra import SLICE_TERM_CAP
+from torustc.algebra import CHAIN_KEY_BIT_CAP, SLICE_TERM_CAP
 
 
 def mono(*indices):
@@ -485,6 +485,15 @@ class TestCupLengthSearches:
         # a product of more than SLICE_TERM_CAP / 2 terms is never multiplied
         with pytest.raises(InstanceTooLarge, match="capped"):
             zdcl_degree_one(AlgebraSignature(30, 15))
+
+    def test_degree_one_chain_key_bits_capped(self):
+        assert CHAIN_KEY_BIT_CAP == 64_000_000
+        # the term cap binds up to n = 160, the key-bit budget above it
+        assert CHAIN_KEY_BIT_CAP // (2 * 160) == SLICE_TERM_CAP
+        with pytest.raises(InstanceTooLarge, match="CHAIN_KEY_BIT_CAP"):
+            zdcl_degree_one(AlgebraSignature(2000, 1000))
+        # a chain of 2r-1 factors whose keys fit answers at any n
+        assert zdcl_degree_one(AlgebraSignature(100000, 3)) == 5
 
     def test_degree_one_counts_before_refusing(self):
         # the e0 chain at (18, 11) passes SLICE_TERM_CAP / 2 terms, but its

@@ -109,16 +109,19 @@ class TestTc:
         code, out, _ = run(capsys, "tc", "--grid", f"n=1..{MAX_GRID_PAIRS},r=1..1", "--csv")
         assert code == 0
         assert len(out.splitlines()) == MAX_GRID_PAIRS + 1
-        # refused before any row is built: one huge row, many rows, and a
-        # huge span of empty rows all answer at once
+        # refused before any row is built: one huge row, many rows, a huge
+        # span of empty rows, and a bound past Python's 4,300-digit limit for
+        # converting digits to an int all answer at once, in one line
         for grid in (f"n=1..{MAX_GRID_PAIRS + 1},r=1..1", "n=1000000000..1000000000,r=1..n",
-                     "n=1..1000000000,r=1..n", "n=1..1000000000,r=5..3"):
+                     "n=1..1000000000,r=1..n", "n=1..1000000000,r=5..3",
+                     f"n=1..{'9' * 4400},r=1..n"):
             start = time.perf_counter()
             code, out, err = run(capsys, "tc", "--grid", grid)
             assert time.perf_counter() - start < 1.0, grid
             assert code == 2, grid
             assert out == ""
             assert "Traceback" not in err
+            assert "int_max_str_digits" not in err and err.count("\n") == 1
         assert "--grid must name at most 5000 signatures" in run(
             capsys, "tc", "--grid", f"n=1..{MAX_GRID_PAIRS + 1},r=1..1")[2]
 
@@ -461,6 +464,18 @@ class TestSearchZdcl:
         assert out == ""
         assert "capped" in err
         assert "Traceback" not in err
+
+    def test_chain_key_bits_over_budget_is_usage_error(self, capsys):
+        # large n: the chain's 2n-bit keys pass CHAIN_KEY_BIT_CAP long before
+        # the term cap, at r = n/2 and at small r alike
+        for n, r in (("8000", "4000"), ("100000", "9")):
+            start = time.perf_counter()
+            code, out, err = run(capsys, "search-zdcl", n, r)
+            assert time.perf_counter() - start < 1.0, (n, r)
+            assert code == 2, (n, r)
+            assert out == ""
+            assert "CHAIN_KEY_BIT_CAP = 64000000" in err
+            assert "Traceback" not in err
 
     def test_brute_force_cap_env(self, capsys, monkeypatch):
         monkeypatch.setenv("TC_BRUTE_CAP", "3")

@@ -1,6 +1,8 @@
 """Path planning: schedules, exactness discipline, membership, domains."""
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from torustc import (
     AlgebraSignature,
+    CoordinateRule,
     InvalidEndpoint,
     PlannerQuery,
     SkeletonPoint,
@@ -268,9 +271,9 @@ class TestPlanProduct:
         assert path.circle_rule.rule_index == 0
         assert path.circle_rule.delta == F(-499, 1000)
         assert path.evaluate(F(1, 2)).circle == pytest.approx(0.7505, abs=1e-15)
-        # the circle is coordinate 0, moving over the whole of [0, 1]
+        # the circle moves over the whole of [0, 1]
         rule = path.circle_rule
-        assert (rule.label, rule.move_start, rule.rest_start) == (0, 0, 1)
+        assert (rule.move_start, rule.rest_start) == (0, 1)
 
     def test_antipodes_travel_ccw_half_turn(self):
         sig = AlgebraSignature(1, 1)
@@ -455,6 +458,59 @@ class TestLeastZeroCount:
                     assert least == want
                     assert 0 <= at <= 1
                     assert path.evaluate(at).exact_zero_count() == least
+
+
+class TestCoordinateRule:
+    """Rules are immutable values, shared where a coordinate is parked, with
+    float mirrors that are the correctly rounded floats of their exact fields."""
+
+    def test_immutable(self):
+        rule = CoordinateRule(start=Turn(F(1, 4)), end=Turn(F(1, 2)), move_start=F(0),
+                              rest_start=F(1), delta=F(1, 4))
+        for name, value in (("start", Turn(0)), ("delta_f", 0.5), ("label", 1)):
+            with pytest.raises(AttributeError):
+                setattr(rule, name, value)
+        with pytest.raises(AttributeError):
+            del rule.start
+        assert rule.start == Turn(F(1, 4)) and rule.delta_f == 0.25
+        # copies and replacements are built by the constructor, mirrors included
+        assert copy.copy(rule) == rule and pickle.loads(pickle.dumps(rule)) == rule
+        moved = rule._replace(delta=F(1, 2))
+        assert moved.delta_f == 0.5 and rule.delta_f == 0.25
+
+    def test_parked_coordinates_share_one_rule(self):
+        sig = AlgebraSignature(5, 3)
+        one = plan_skeleton(query(point(0, "1/3", 0, 0), point(0, 0, "1/2", 0)), sig)
+        two = plan_product(query(point("1/4", 0, 0, 0, "2/3", circle=0),
+                                 point("1/4", 0, "1/5", 0, 0, circle="1/2")),
+                           AlgebraSignature(6, 3))
+        parked = [one.rules[0], one.rules[3], two.rules[1], two.rules[3]]
+        assert all(rule is parked[0] for rule in parked)
+        assert parked[0].constant and parked[0].start.is_zero and parked[0].end.is_zero
+        # a coordinate resting away from the basepoint gets its own rule
+        assert two.rules[0] is not parked[0] and two.rules[0].start == Turn(F(1, 4))
+
+    @pytest.mark.parametrize("denominator_bound", [8, 1000])
+    def test_float_mirrors_match_exact_fields(self, denominator_bound):
+        rng = random.Random(denominator_bound)
+        checked = 0
+        for n in range(1, 9):
+            for r in range(1, n + 1):
+                sig = AlgebraSignature(n, r)
+                for product, plan in ((False, plan_skeleton), (True, plan_product)):
+                    for _ in range(4):
+                        path = plan(query(sample(sig, rng, denominator_bound, product),
+                                          sample(sig, rng, denominator_bound, product)), sig)
+                        for rule in path.coordinate_rules:
+                            assert rule.constant == (rule.delta == 0)
+                            assert rule.start_f == float(rule.start.value)
+                            assert rule.end_f == float(rule.end.value)
+                            assert rule.delta_f == float(rule.delta)
+                            assert rule.move_start_f == float(rule.move_start)
+                            assert rule.rest_start_f == float(rule.rest_start)
+                            assert rule.span_f == float(rule.rest_start - rule.move_start)
+                            checked += 1
+        assert checked > 1000
 
 
 @st.composite

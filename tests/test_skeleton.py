@@ -56,6 +56,21 @@ class TestTurn:
         assert Turn(Fraction(1, 8)) - Fraction(1, 4) == Turn(Fraction(7, 8))
         assert -Turn(Fraction(1, 4)) == Turn(Fraction(3, 4))
 
+    @settings(max_examples=400, deadline=None)
+    @given(rationals, st.one_of(rationals, st.integers(-7, 7)))
+    def test_equality_matches_fraction_definition(self, a, b):
+        # b is a free rational, or a moved by whole turns, so equal pairs occur
+        if isinstance(b, int):
+            b = a + b
+        x, y = Turn(a), Turn(b)
+        assert (x == y) == (a % 1 == b % 1)
+        assert (x != y) == (a % 1 != b % 1)
+        if x == y:
+            assert hash(x) == hash(y)
+        assert (x.num, x.den) == ((a % 1).numerator, (a % 1).denominator)
+        assert x.is_zero == (a % 1 == 0)
+        assert x.ccw_gap(y) == (b - a) % 1
+
     def test_equality_is_exact(self):
         assert Turn(Fraction(1, 3)) == Turn(Fraction(2, 6))
         assert Turn(Fraction(1, 3)) != Turn(Fraction(333333, 1000000))

@@ -162,9 +162,9 @@ def _dipping_path(query):
     the basepoint."""
     (u1, u2), (v1, v2) = query.start.base, query.end.base
     rules = (
-        CoordinateRule(label=1, start=u1, end=v1, move_start=F(1, 3), rest_start=F(1),
+        CoordinateRule(start=u1, end=v1, move_start=F(1, 3), rest_start=F(1),
                        delta=u1.ccw_gap(v1)),
-        CoordinateRule(label=2, start=u2, end=v2, move_start=F(0), rest_start=F(2, 5),
+        CoordinateRule(start=u2, end=v2, move_start=F(0), rest_start=F(2, 5),
                        delta=u2.ccw_gap(v2)),
     )
     return PlannerPath(mode="skeleton", agreement=frozenset(), domain_index=0, rules=rules)
