@@ -51,25 +51,40 @@ MAX_GRID_PAIRS = 5_000
 # 2n bits wide: tc and verify-lower-bound refuse more factors times n,
 # summed over the rows of one invocation, before forming any product
 MAX_CERTIFICATE_WORK = 20_000_000
-# simulate refuses a larger n squared times (queries + continuity probes):
-# a query costs time linear in n, but a probe compares every coordinate at
-# every phase boundary of two paths, so its time and memory grow with n^2
+# simulate refuses a larger n squared times (queries + continuity probes).
+# A query and a probe (one coordinate pair at a time) cost time linear in
+# n; the budget dates from quadratic probes and is kept, so every input it
+# refused stays refused.  The largest admitted probe, n = 866 with one
+# query, takes about 17 ms on a 2-core x86-64 VM
 MAX_SIMULATION_WORK = 1_500_000
 _GRID_RE = re.compile(r"^n=(\d+)\.\.(\d+),r=(\d+)\.\.(\d+|n)$")
+
+
+def _integer(text: str) -> int:
+    """Every integer the command line takes: n, r, the integer options, the
+    --set entries and the --grid bounds.
+
+    argparse's type=int repeats a rejected argument whole, and int() names
+    sys.set_int_max_str_digits() for digits past the interpreter's limit;
+    neither message here repeats the argument.  Past the limit it raises
+    OverflowError, which argparse lets through to main, so the answer is
+    one line without the usage text.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        if re.fullmatch(r"\s*[+-]?\d+\s*", text):
+            raise OverflowError(f"integer arguments must have at most "
+                                f"{sys.get_int_max_str_digits()} digits") from None
+        raise argparse.ArgumentTypeError("expected a decimal integer") from None
 
 
 def _parse_grid(text: str) -> list[tuple[int, int]]:
     m = _GRID_RE.match(text.replace(" ", ""))
     if not m:
         raise ValueError(f"grid must look like n=1..6,r=1..n, got {text!r}")
-    try:
-        n_lo, n_hi = int(m.group(1)), int(m.group(2))
-        r_lo = int(m.group(3))
-        r_top = None if m.group(4) == "n" else int(m.group(4))
-    except ValueError:
-        # the digits matched, so only the interpreter's digit limit is left
-        raise ValueError(f"--grid bounds must have at most "
-                         f"{sys.get_int_max_str_digits()} digits") from None
+    n_lo, n_hi, r_lo = _integer(m.group(1)), _integer(m.group(2)), _integer(m.group(3))
+    r_top = None if m.group(4) == "n" else _integer(m.group(4))
     if r_top is not None and r_top < r_lo:
         raise ValueError(f"grid {text!r} is empty")
     pairs = []
@@ -139,10 +154,7 @@ def cmd_tc(args) -> int:
 def cmd_verify_lower_bound(args) -> int:
     sig = AlgebraSignature(args.n, args.r)
     _check_certificate_work([sig])
-    index_set = None
-    if args.set is not None:
-        index_set = tuple(int(p) for p in args.set.split(",") if p != "")
-    cert = lower_bound_certificate(sig, index_set)
+    cert = lower_bound_certificate(sig, args.set)
     payload = {
         "n": sig.n,
         "r": sig.r,
@@ -186,9 +198,9 @@ def _coord_cells(column) -> list[str]:
 
 def cmd_plan(args) -> int:
     if args.steps < 1:
-        raise ValueError(f"--steps must be at least 1, got {args.steps}")
+        raise ValueError("--steps must be at least 1")
     if args.steps > MAX_STEPS:
-        raise ValueError(f"--steps must be at most {MAX_STEPS}, got {args.steps}")
+        raise ValueError(f"--steps must be at most {MAX_STEPS}")
     sig = AlgebraSignature(args.n, args.r)
     start = _parse_point(getattr(args, "from"), args.product)
     end = _parse_point(args.to, args.product)
@@ -224,7 +236,7 @@ def cmd_simulate(args) -> int:
                              ("--continuity-probes", args.continuity_probes,
                               MAX_CONTINUITY_PROBES)):
         if value > cap:
-            raise ValueError(f"{flag} must be at most {cap}, got {value}")
+            raise ValueError(f"{flag} must be at most {cap}")
     sig = AlgebraSignature(args.n, args.r)
     if sig.n ** 2 * (args.queries + args.continuity_probes) > MAX_SIMULATION_WORK:
         raise ValueError(f"n squared times (--queries + --continuity-probes) must be at most "
@@ -286,26 +298,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_tc = sub.add_parser("tc", help="reconciled bounds for signatures")
-    p_tc.add_argument("n", type=int, nargs="?")
-    p_tc.add_argument("r", type=int, nargs="?")
+    p_tc.add_argument("n", type=_integer, nargs="?")
+    p_tc.add_argument("r", type=_integer, nargs="?")
     p_tc.add_argument("--grid", help="signature grid, e.g. n=1..6,r=1..n")
     p_tc.add_argument("--json", action="store_true")
     p_tc.add_argument("--csv", action="store_true")
     p_tc.set_defaults(func=cmd_tc)
 
     p_v = sub.add_parser("verify-lower-bound", help="check the zero-divisor certificate")
-    p_v.add_argument("n", type=int)
-    p_v.add_argument("r", type=int)
-    p_v.add_argument("--set", help="comma-separated positive generator indices")
+    p_v.add_argument("n", type=_integer)
+    p_v.add_argument("r", type=_integer)
+    p_v.add_argument("--set", type=lambda text: tuple(_integer(p) for p in text.split(",") if p),
+                     help="comma-separated positive generator indices")
     p_v.add_argument("--json", action="store_true")
     p_v.set_defaults(func=cmd_verify_lower_bound)
 
     p_plan = sub.add_parser("plan", help="plan one path and sample it")
-    p_plan.add_argument("n", type=int)
-    p_plan.add_argument("r", type=int)
+    p_plan.add_argument("n", type=_integer)
+    p_plan.add_argument("r", type=_integer)
     p_plan.add_argument("--from", required=True, help="start point, comma-separated rationals")
     p_plan.add_argument("--to", required=True, help="end point, comma-separated rationals")
-    p_plan.add_argument("--steps", type=int, default=256)
+    p_plan.add_argument("--steps", type=_integer, default=256)
     p_plan.add_argument(
         "--product", action="store_true",
         help="plan in the circle-times-skeleton product; the first coordinate is the circle",
@@ -313,19 +326,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.set_defaults(func=cmd_plan)
 
     p_sim = sub.add_parser("simulate", help="randomized planner verification")
-    p_sim.add_argument("n", type=int)
-    p_sim.add_argument("r", type=int)
-    p_sim.add_argument("--queries", type=int, default=100)
-    p_sim.add_argument("--steps", type=int, default=256)
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("n", type=_integer)
+    p_sim.add_argument("r", type=_integer)
+    p_sim.add_argument("--queries", type=_integer, default=100)
+    p_sim.add_argument("--steps", type=_integer, default=256)
+    p_sim.add_argument("--seed", type=_integer, default=0)
     p_sim.add_argument("--product", action="store_true")
-    p_sim.add_argument("--denominator-bound", type=int, default=8)
-    p_sim.add_argument("--continuity-probes", type=int, default=0)
+    p_sim.add_argument("--denominator-bound", type=_integer, default=8)
+    p_sim.add_argument("--continuity-probes", type=_integer, default=0)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_z = sub.add_parser("search-zdcl", help="zero-divisor cup-length search")
-    p_z.add_argument("n", type=int)
-    p_z.add_argument("r", type=int)
+    p_z.add_argument("n", type=_integer)
+    p_z.add_argument("r", type=_integer)
     p_z.add_argument("--brute", action="store_true",
                      help="also search the full spanning family (env TC_BRUTE_CAP bounds n)")
     p_z.add_argument("--json", action="store_true")
@@ -335,11 +348,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (InvalidSignature, InvalidEndpoint, InstanceTooLarge, ValueError) as exc:
+    except (InvalidSignature, InvalidEndpoint, InstanceTooLarge, ValueError,
+            OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (CertificateFailure, BoundMismatch) as exc:

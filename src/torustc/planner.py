@@ -154,12 +154,13 @@ class CoordinateRule(namedtuple("_RuleFields", (
     def value_at(self, t: Fraction):
         if self.constant:
             return self.start
-        # rounding is monotone, so only a float tie needs an exact comparison
+        # rounding is monotone, so only a float tie needs an exact
+        # comparison, and none when t is the boundary object itself
         tf = t.numerator / t.denominator
         ms, rs = self.move_start_f, self.rest_start_f
-        if tf < ms or tf == ms and t <= self.move_start:
+        if tf < ms or tf == ms and (t is self.move_start or t <= self.move_start):
             return self.start
-        if tf > rs or tf == rs and t >= self.rest_start:
+        if tf > rs or tf == rs and (t is self.rest_start or t >= self.rest_start):
             return self.end
         s = (tf - ms) / self.span_f
         return (self.start_f + s * self.delta_f) % 1.0
@@ -242,17 +243,16 @@ class PlannerPath:
         circ = self.circle_rule.value_at(t) if self.circle_rule is not None else None
         return EvaluatedPoint(base, circ)
 
-    def columns(self, times, floats: bool = False) -> list[list]:
+    def columns(self, times) -> list[list]:
         """Values of each coordinate at every time of an ascending rational
         list, one list per entry of coordinate_rules.
 
         Equal to the values of [self.evaluate(t) for t in times], Turn for
-        Turn and float for float.  Each rule's phases are found by bisecting
-        the floats of the times, with ties settled exactly (_count_through),
-        so no time is placed by Fraction comparisons; travel values use
-        value_at's float expression on float(t), taken once per time.  With
-        floats=True resting values come from the float mirrors instead, so
-        no Turn is converted per time.
+        Turn and float for float; a resting coordinate repeats one Turn
+        object.  Each rule's phases are found by bisecting the floats of the
+        times, with ties settled exactly (_count_through), so no time is
+        placed by Fraction comparisons; travel values use value_at's float
+        expression on float(t), taken once per time.
         """
         try:
             # float(t) as the correctly rounded quotient of two integers;
@@ -266,16 +266,14 @@ class PlannerPath:
         m = len(times)
         columns = []
         for rule in self.coordinate_rules:
-            first = rule.start_f if floats else rule.start
             if rule.constant:
-                columns.append([first] * m)
+                columns.append([rule.start] * m)
                 continue
-            last = rule.end_f if floats else rule.end
             hi = _count_through(times, tfs, rule.move_start, rule.move_start_f)
             lo = _count_below(times, tfs, rule.rest_start, rule.rest_start_f)
             s0, ms, span, dl = rule.start_f, rule.move_start_f, rule.span_f, rule.delta_f
             travel = [(s0 + ((tf - ms) / span) * dl) % 1.0 for tf in tfs[hi:lo]]
-            columns.append([first] * hi + travel + [last] * (m - lo))
+            columns.append([rule.start] * hi + travel + [rule.end] * (m - lo))
         return columns
 
     def phase_boundaries(self) -> tuple[Fraction, ...]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import random
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -51,6 +52,11 @@ class Turn:
             return cls(Fraction(text))
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {text!r}") from None
+        except ValueError:
+            # the text matched, so only the interpreter's digit limit is left;
+            # its message would name sys.set_int_max_str_digits()
+            raise ValueError(f"numerators and denominators must have at most "
+                             f"{sys.get_int_max_str_digits()} digits") from None
 
     @property
     def is_zero(self) -> bool:
@@ -90,7 +96,8 @@ class Turn:
         return hash((Turn, self.value))
 
     def __float__(self) -> float:
-        return float(self.value)
+        # the correctly rounded quotient, as float(self.value) computes it
+        return self.num / self.den
 
     def __str__(self) -> str:
         return str(self.value)

@@ -24,9 +24,11 @@ basepoint, the case where naive arithmetic on [0, 1) would tear.
 Perturbations never change the agreement set, the support sets, or the
 circle rule, so both paths come from one continuity domain and their
 distance must scale linearly with eps.  That distance is the supremum over
-every t in [0, 1], not a sample: each coordinate moves linearly between
-phase boundaries, so it is found at the boundaries unless a difference
-passes a half turn (path_deviation).
+every t in [0, 1], not a sample, taken one coordinate pair at a time
+(path_deviation): each coordinate moves linearly between its own phase
+boundaries, so a pair's distance peaks at 0, 1 or one of the pair's at
+most four boundaries unless their difference passes a half turn.  A probe
+costs time and memory linear in n.
 """
 
 from __future__ import annotations
@@ -37,13 +39,16 @@ import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
+# the planner's own 0 and 1, so value_at settles a rule's window ending at
+# either by identity, without a Fraction comparison
 from .planner import (
+    _ONE,
+    _ZERO,
     PlannerPath,
     PlannerQuery,
     classify,
     plan_product,
     plan_skeleton,
-    sample_times,
 )
 from .skeleton import SkeletonPoint, Turn, random_turn, sample
 
@@ -97,7 +102,7 @@ def _flag(report: SimulationReport, kind: str, query: PlannerQuery, detail: str)
 
 
 def _endpoints_exact(path: PlannerPath, query: PlannerQuery) -> bool:
-    for t, want in ((Fraction(0), query.start), (Fraction(1), query.end)):
+    for t, want in ((_ZERO, query.start), (_ONE, query.end)):
         got = path.evaluate(t)
         pairs = zip((*got.base, got.circle), (*want.base, want.circle))
         if not all(w is None or (isinstance(g, Turn) and g == w) for g, w in pairs):
@@ -297,8 +302,8 @@ def _wrap_query(sig, rng: random.Random, mode: str) -> tuple[PlannerQuery, dict[
 
 def _passes_half_turn(rule_a, rule_b, tfs: list[float]) -> bool:
     """Whether the lifted difference of two coordinates (their positions,
-    not reduced mod 1) passes a half turn between the first and the last of
-    the float times, which must include both rules' phase boundaries.  A
+    not reduced mod 1) passes a half turn over the float times, which must
+    include 0, 1 and both rules' phase boundaries, in any order.  A
     difference that only touches a half turn at one of the times may count
     as passing it; the distance there is 1/2 either way."""
     sa, da, ma, pa = rule_a.start_f, rule_a.delta_f, rule_a.move_start_f, rule_a.span_f
@@ -315,31 +320,27 @@ def _passes_half_turn(rule_a, rule_b, tfs: list[float]) -> bool:
 def path_deviation(path_a: PlannerPath, path_b: PlannerPath) -> float:
     """Largest circle distance between the two paths over all of [0, 1].
 
-    The paths are compared coordinate by coordinate, at 0, 1 and both
-    paths' phase boundaries, from the floats of columns(floats=True).
-    Between two consecutive times of that list each coordinate of each path
-    rests or travels at constant speed, so the lifted difference of two
-    coordinates (the difference of their positions, not reduced mod 1) is
-    linear there, and its circle distance peaks at the ends of the piece
-    unless it passes a half turn, where the distance is 1/2, the largest it
-    can be.  So the result is the largest distance at the listed times, or
-    1/2 when some lifted difference passes a half turn.  Two coordinates
-    that both rest for the whole path are the same distance apart at every
-    time, so that distance is taken once.
+    The paths are compared one coordinate pair at a time, at 0, 1 and the
+    pair's own phase boundaries (at most 6 times), through value_at.
+    Between two consecutive times of that list each of the two coordinates
+    rests or travels at constant speed, so their lifted difference (the
+    difference of their positions, not reduced mod 1) is linear there, and
+    its circle distance peaks at the ends of the piece unless it passes a
+    half turn, where the distance is 1/2, the largest it can be.  So the
+    result is the largest distance at the listed times, or 1/2 when some
+    lifted difference passes a half turn.  Time and memory are linear in
+    the number of coordinates.
     """
-    times = sample_times(1, path_a.phase_boundaries(), path_b.phase_boundaries())
-    tfs = [t.numerator / t.denominator for t in times]
     worst = 0.0
-    for rule_a, rule_b, col_a, col_b in zip(
-        path_a.coordinate_rules, path_b.coordinate_rules,
-        path_a.columns(times, floats=True), path_b.columns(times, floats=True),
-    ):
-        if rule_a.constant and rule_b.constant:
-            col_a, col_b = (rule_a.start_f,), (rule_b.start_f,)
-        elif _passes_half_turn(rule_a, rule_b, tfs):
+    for rule_a, rule_b in zip(path_a.coordinate_rules, path_b.coordinate_rules):
+        times = [_ZERO, _ONE]
+        for rule in (rule_a, rule_b):
+            if not rule.constant:
+                times += (rule.move_start, rule.rest_start)
+        if _passes_half_turn(rule_a, rule_b, [t.numerator / t.denominator for t in times]):
             return 0.5
-        for va, vb in zip(col_a, col_b):
-            d = abs(va - vb) % 1.0
+        for t in times:
+            d = abs(float(rule_a.value_at(t)) - float(rule_b.value_at(t))) % 1.0
             d = min(d, 1.0 - d)
             if d > worst:
                 worst = d

@@ -33,6 +33,20 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# past Python's 4,300-digit limit for converting digits to an int
+NINES = "9" * 4400
+
+
+def assert_short_refusal(capsys, *argv):
+    """The argument vector exits 2 with a short message that repeats no
+    argument and names no interpreter setting."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2, argv[:3]
+    assert out == ""
+    assert len(err) < 300 and "9" * 40 not in err, argv[:3]
+    assert "int_max_str_digits" not in err and "Traceback" not in err
+
+
 class TestTc:
     def test_single_signature_table(self, capsys):
         code, out, _ = run(capsys, "tc", "3", "2")
@@ -80,6 +94,8 @@ class TestTc:
         code, _, err = run(capsys, "tc", "2", "3")
         assert code == 2
         assert "r exceeds n" in err
+        assert_short_refusal(capsys, "tc", NINES, "1")
+        assert_short_refusal(capsys, "tc", "1", NINES, "--json")
 
     def test_missing_arguments_exit_2(self, capsys):
         code, _, err = run(capsys, "tc")
@@ -178,6 +194,8 @@ class TestVerifyLowerBound:
         code, _, err = run(capsys, "verify-lower-bound", "5", "2", "--set", "1,2,3")
         assert code == 2
         assert "size" in err
+        assert_short_refusal(capsys, "verify-lower-bound", "5", "2", "--set", f"1,{NINES}")
+        assert_short_refusal(capsys, "verify-lower-bound", NINES, "2")
 
     def test_text_output_mentions_certificate(self, capsys):
         code, out, _ = run(capsys, "verify-lower-bound", "3", "2")
@@ -267,6 +285,9 @@ class TestPlan:
         assert out == ""
         assert "zero denominator" in err
         assert "Traceback" not in err
+        # a numerator or denominator past the digit limit
+        for coord in (f"{NINES}/{NINES}1", f"1/{NINES}", NINES):
+            assert_short_refusal(capsys, "plan", "3", "2", "--from", f"0,{coord}", "--to", "0,0")
 
     def test_outputs_frozen(self, capsys):
         # plan prints json.dumps(doc, indent=2); the file stores each doc
@@ -310,6 +331,10 @@ class TestPlan:
         assert out == ""
         assert "--steps must be at most 65536" in err
         assert "Traceback" not in err
+        for argv in (("--steps", NINES), ("--steps", "9" * 4000)):
+            assert_short_refusal(capsys, "plan", "3", "2", "--from", "0,1/4", "--to", "1/2,0",
+                                 *argv)
+        assert_short_refusal(capsys, "plan", NINES, "2", "--from", "0,1/4", "--to", "1/2,0")
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 7), st.integers(1, 7), st.booleans(), st.integers(1, 40),
@@ -375,6 +400,14 @@ class TestSimulate:
         assert out == ""
         assert "--steps must be at most 65536" in err
         assert "Traceback" not in err
+        # every integer argument, past the digit limit; a capped one just
+        # under the limit is refused without being repeated
+        for flag in ("--steps", "--queries", "--seed", "--denominator-bound",
+                     "--continuity-probes"):
+            assert_short_refusal(capsys, "simulate", "3", "2", flag, NINES)
+        assert_short_refusal(capsys, "simulate", NINES, "2")
+        assert_short_refusal(capsys, "simulate", "3", NINES)
+        assert_short_refusal(capsys, "simulate", "3", "2", "--steps", "9" * 4000)
         code, out, _ = run(
             capsys, "simulate", "3", "2", "--queries", "2", "--steps", str(MAX_STEPS)
         )
@@ -456,6 +489,7 @@ class TestSearchZdcl:
         assert out == ""
         assert "capped" in err
         assert "Traceback" not in err
+        assert_short_refusal(capsys, "search-zdcl", NINES, "2")
 
     def test_chain_over_cap_is_usage_error(self, capsys):
         # (20, 11): the e0 chain's next product would have 272,272 terms

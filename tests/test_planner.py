@@ -310,11 +310,6 @@ def _rows(path, times):
     return list(zip(*path.columns(times))) or [()] * len(times)
 
 
-def _float_rows(path, times):
-    """The float columns of a path read row by row, one tuple per time."""
-    return list(zip(*path.columns(times, floats=True))) or [()] * len(times)
-
-
 class TestEvaluateMany:
     """The batch evaluator, columns, against pointwise evaluation, the reference."""
 
@@ -348,7 +343,6 @@ class TestEvaluateMany:
                 assert got == want
                 for g, w in zip(got, want):
                     assert [type(v) for v in g] == [type(v) for v in w]
-                assert _float_rows(path, times) == [tuple(float(v) for v in w) for w in want]
 
     @pytest.mark.parametrize("mode", ["skeleton", "product"])
     def test_exact_ties_hidden_by_float_rounding(self, mode):
@@ -376,9 +370,6 @@ class TestEvaluateMany:
                 assert got == [_values(w) for w in want]
                 for g, w in zip(got, want):
                     assert [type(v) for v in g] == [type(v) for v in _values(w)]
-                assert _float_rows(path, times) == [
-                    tuple(float(v) for v in _values(w)) for w in want
-                ]
                 # every boundary and, through c +- 2**-80, a point of every
                 # open piece: the sweep's least count over [0, 1] is the
                 # least count over these times
@@ -402,19 +393,17 @@ class TestEvaluateMany:
                                   point("1/2", 0, circle="5/8")), sig)
         assert path.columns([]) == [[], [], []]
         assert _rows(path, []) == []
-        assert _float_rows(path, []) == []
         assert _rows(path, [F(1, 3)]) == [_values(path.evaluate(F(1, 3)))]
 
     def test_rejects_float_and_out_of_range_times(self):
         sig = AlgebraSignature(3, 2)
         path = plan_skeleton(query(point(0, 0), point(0, "1/4")), sig)
-        for floats in (True, False):
-            with pytest.raises(TypeError, match="exact rationals"):
-                path.columns([F(0), 0.5, F(1)], floats=floats)
-            with pytest.raises(ValueError, match="outside"):
-                path.columns([F(0), F(3, 2)], floats=floats)
-            with pytest.raises(ValueError, match="outside"):
-                path.columns([F(-1, 2), F(1)], floats=floats)
+        with pytest.raises(TypeError, match="exact rationals"):
+            path.columns([F(0), 0.5, F(1)])
+        with pytest.raises(ValueError, match="outside"):
+            path.columns([F(0), F(3, 2)])
+        with pytest.raises(ValueError, match="outside"):
+            path.columns([F(-1, 2), F(1)])
         for t in (0.5, 1.0):
             with pytest.raises(TypeError, match="exact rationals"):
                 path.evaluate(t)

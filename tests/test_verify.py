@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,11 @@ from torustc.verify import _wrap_query
 F = Fraction
 
 
+def _coords(point):
+    """The values of an evaluated point in coordinate_rules order."""
+    return point.base if point.circle is None else (*point.base, point.circle)
+
+
 def pointwise_deviation(path_a, path_b, sample_steps):
     """Largest circle distance over the grid k/sample_steps and both paths'
     phase boundaries, as one evaluate() per time and a sorted set."""
@@ -38,11 +44,7 @@ def pointwise_deviation(path_a, path_b, sample_steps):
     times.update(path_b.phase_boundaries())
     worst = 0.0
     for t in sorted(times):
-        pa = path_a.evaluate(t)
-        pb = path_b.evaluate(t)
-        vals_a = pa.base if pa.circle is None else (*pa.base, pa.circle)
-        vals_b = pb.base if pb.circle is None else (*pb.base, pb.circle)
-        for va, vb in zip(vals_a, vals_b):
+        for va, vb in zip(_coords(path_a.evaluate(t)), _coords(path_b.evaluate(t))):
             d = abs(float(va) - float(vb)) % 1.0
             d = min(d, 1.0 - d)
             if d > worst:
@@ -59,11 +61,18 @@ def _lift(rule, t):
     return rule.start.value + rule.delta * (t - rule.move_start) / (rule.rest_start - rule.move_start)
 
 
+def _own_times(rule_a, rule_b):
+    """0, 1 and the phase boundaries of one coordinate pair, ascending."""
+    return sorted({F(0), F(1), *(t for rule in (rule_a, rule_b) if not rule.constant
+                                 for t in (rule.move_start, rule.rest_start))})
+
+
 def passes_half_turn(path_a, path_b):
     """Whether some lifted coordinate difference passes a half turn strictly
-    inside a piece between consecutive boundaries, decided exactly."""
-    cuts = sorted({F(0), F(1), *path_a.phase_boundaries(), *path_b.phase_boundaries()})
+    inside a piece between consecutive times of its pair's own boundaries,
+    decided exactly."""
     for rule_a, rule_b in zip(path_a.coordinate_rules, path_b.coordinate_rules):
+        cuts = _own_times(rule_a, rule_b)
         diffs = [_lift(rule_a, t) - _lift(rule_b, t) for t in cuts]
         for lo, hi in zip(diffs, diffs[1:]):
             lo, hi = min(lo, hi), max(lo, hi)
@@ -74,9 +83,20 @@ def passes_half_turn(path_a, path_b):
 
 def boundary_deviation(path_a, path_b):
     """Reference for path_deviation: 1/2 when a lifted difference passes a
-    half turn inside a piece, else the pointwise largest distance over
-    {0, 1} and both paths' boundaries."""
-    return 0.5 if passes_half_turn(path_a, path_b) else pointwise_deviation(path_a, path_b, 1)
+    half turn inside a piece, else the largest distance of each coordinate
+    pair at 0, 1 and that pair's own phase boundaries, from one evaluate()
+    per path and time."""
+    if passes_half_turn(path_a, path_b):
+        return 0.5
+    own = [_own_times(*pair) for pair in zip(path_a.coordinate_rules, path_b.coordinate_rules)]
+    at = {t: (_coords(path_a.evaluate(t)), _coords(path_b.evaluate(t)))
+          for t in set().union(*own)}
+    worst = 0.0
+    for i, times in enumerate(own):
+        for t in times:
+            d = abs(float(at[t][0][i]) - float(at[t][1][i])) % 1.0
+            worst = max(worst, min(d, 1.0 - d))
+    return worst
 
 
 class TestRunSimulation:
@@ -264,8 +284,8 @@ class TestPerturbation:
     @pytest.mark.parametrize("mode", ["skeleton", "product"])
     def test_deviation_matches_pointwise_reference(self, mode):
         # identical floats, not approximately equal ones, with the pointwise
-        # reference over {0, 1} and both paths' boundaries; and never below
-        # the old 64-step grid sample beyond float rounding
+        # reference over {0, 1} and each coordinate pair's own boundaries;
+        # and never below the old 64-step grid sample beyond float rounding
         product = mode == "product"
         plan = plan_product if product else plan_skeleton
         rng = random.Random(17 + product)
@@ -332,6 +352,24 @@ class TestPerturbation:
                         equal += got == grid
         assert total > 500
         assert equal > 0.95 * total
+
+    def test_deviation_memory_is_linear_in_n(self):
+        # one product-mode probe with 552 moving coordinates; walking
+        # every coordinate at every boundary of both paths peaks near 7 MB
+        # here and grows with n squared, one pair at a time stays far below
+        sig = AlgebraSignature(1000, 500)
+        rng = random.Random(0)
+        q = PlannerQuery(sample(sig, rng, with_circle=True), sample(sig, rng, with_circle=True))
+        path_a, path_b = plan_product(q, sig), plan_product(perturb_query(q, sig, rng), sig)
+        assert len(path_b.phase_boundaries()) > 200
+        tracemalloc.start()
+        try:
+            got = path_deviation(path_a, path_b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert got == boundary_deviation(path_a, path_b)
 
     def test_half_turn_inside_a_piece(self):
         # circles 0 -> 2/5 and 0 -> 3/5 travel their shorter arcs in opposite
