@@ -11,11 +11,13 @@ only ever need coefficients in {-1, +1}, and a nonzero integer combination
 stays nonzero over every field of characteristic zero, so integer arithmetic
 is enough to certify the topological lower bounds downstream.
 
-Monomials are stored as bit sets (bit i set means generator e_i is present),
-with product signs computed by counting inversions between the two bit sets.
-The tensor square is the exterior algebra on 2n generators, truncated per
-leg: a term a (x) b is the bit set a | (b << n), and shares every ring
-operation with the algebra itself.
+Monomials are stored as bit sets (bit i set means generator e_i is present).
+The sign of a product a*b is the parity of the pairs (x in a, y in b) with
+x > y.  It is read off one mask per right factor b, the positions that have
+an odd number of b's bits below them: the sign is the parity of a's bits in
+that mask, one popcount per pair.  The tensor square is the exterior
+algebra on 2n generators, truncated per leg: a term a (x) b is the bit set
+a | (b << n), and shares every ring operation with the algebra itself.
 """
 
 from __future__ import annotations
@@ -46,6 +48,18 @@ SLICE_TERM_CAP = 200_000
 CHAIN_KEY_BIT_CAP = 64_000_000
 
 
+def shown(value: int | str) -> str:
+    """value as an error message repeats it: the digits of an int, the repr
+    of a string.  Past 40 characters only the first 12 and the length are
+    shown, so an argument thousands of digits long is not echoed whole."""
+    text = repr(value)
+    if len(text) <= 40:
+        return text
+    if isinstance(value, str):
+        return f"{text[:12]}... ({len(value)} characters)"
+    return f"{text[:12]}... ({len(text) - (value < 0)} digits)"
+
+
 @dataclass(frozen=True)
 class AlgebraSignature:
     """Ambient parameters: n generators overall, subtorus dimension r-1.
@@ -58,10 +72,10 @@ class AlgebraSignature:
     r: int
 
     def __post_init__(self):
-        if self.r < 1:
-            raise InvalidSignature(f"invalid signature (n={self.n}, r={self.r}): r must be at least 1")
-        if self.n < self.r:
-            raise InvalidSignature(f"invalid signature (n={self.n}, r={self.r}): r exceeds n")
+        if self.r < 1 or self.n < self.r:
+            why = "r must be at least 1" if self.r < 1 else "r exceeds n"
+            raise InvalidSignature(
+                f"invalid signature (n={shown(self.n)}, r={shown(self.r)}): {why}")
 
     def fits(self, bits: int) -> bool:
         """True when the bit-set monomial survives in this algebra."""
@@ -115,22 +129,33 @@ class ExteriorMonomial:
         return "*".join(f"e{i}" for i in self.indices)
 
 
+def _odd_below(b: int) -> int:
+    """The positions that have an odd number of b's bits below them.
+
+    The XOR of -(low << 1), all positions above low, over every bit low of
+    b.  The mask is negative exactly when b has odd degree.  For a disjoint
+    from b, (a & mask).bit_count() has the parity of the pairs (x in a,
+    y in b) with x > y, so it gives the Koszul sign of the product a*b.
+    """
+    mask = 0
+    while b:
+        low = b & -b
+        mask ^= -(low << 1)
+        b ^= low
+    return mask
+
+
 def _merge(a: int, b: int) -> tuple[int, int]:
     """Sign and union for the concatenation of two bit-set monomials.
 
     Returns (0, 0) when the sets share a generator.  The sign is the parity
     of the number of pairs (x in a, y in b) with x > y, which is exactly the
-    number of transpositions needed to sort the concatenated index list.
+    number of transpositions needed to sort the concatenated index list; it
+    is the parity of a's bits in the mask _odd_below(b).
     """
     if a & b:
         return 0, 0
-    inv = 0
-    rest = b
-    while rest:
-        low = rest & -rest
-        inv += (a >> low.bit_length()).bit_count()
-        rest ^= low
-    return (-1 if inv & 1 else 1), a | b
+    return (-1 if (a & _odd_below(b)).bit_count() & 1 else 1), a | b
 
 
 def _as_bits(key) -> int:
@@ -148,11 +173,11 @@ class AlgebraElement:
     __slots__ = ("sig", "_terms")
 
     def __init__(self, sig: AlgebraSignature, terms=None):
-        fits = self._fitter(sig)
+        left, right, cap = self._truncation(sig)
         clean: dict[int, int] = {}
         for key, coeff in (terms or {}).items():
             bits = self._pack(sig, key)
-            if coeff and fits(bits):
+            if coeff and (bits & left).bit_count() <= cap and (bits & right).bit_count() <= cap:
                 clean[bits] = clean.get(bits, 0) + coeff
         self.sig = sig
         self._terms = {b: c for b, c in clean.items() if c}
@@ -166,9 +191,10 @@ class AlgebraElement:
         return bits
 
     @staticmethod
-    def _fitter(sig):
-        """The truncation test for this element type's bit sets."""
-        return sig.fits
+    def _truncation(sig) -> tuple[int, int, int]:
+        """(left, right, cap): a bit set of this element type survives when
+        neither (bits & left) nor (bits & right) has more than cap bits."""
+        return (1 << sig.n) - 2, 0, sig.r - 1
 
     @classmethod
     def _raw(cls, sig, terms: dict[int, int]) -> "AlgebraElement":
@@ -219,7 +245,7 @@ class AlgebraElement:
         return tuple(sorted({b.bit_count() for b in self._terms}))
 
     def _check_mate(self, other):
-        if type(other) is not type(self) or self.sig != other.sig:
+        if type(other) is not type(self) or (other.sig is not self.sig and self.sig != other.sig):
             raise ValueError("elements live in different algebras")
 
     def __eq__(self, other) -> bool:
@@ -254,14 +280,21 @@ class AlgebraElement:
                 return self.zero(self.sig)
             return self._raw(self.sig, {b: other * c for b, c in self._terms.items()})
         self._check_mate(other)
-        fits = self._fitter(self.sig)
+        left, right, cap = self._truncation(self.sig)
         out: dict[int, int] = {}
-        for ab, ac in self._terms.items():
-            for bb, bc in other._terms.items():
-                sign, bits = _merge(ab, bb)
-                if sign == 0 or not fits(bits):
+        get = out.get
+        terms = self._terms.items()
+        # the right operand is the small one in every search, so each of its
+        # terms builds its sign mask once and meets every left term inline
+        for bb, bc in other._terms.items():
+            odd = _odd_below(bb)
+            for ab, ac in terms:
+                if ab & bb:
                     continue
-                s = out.get(bits, 0) + sign * ac * bc
+                bits = ab | bb
+                if (bits & left).bit_count() > cap or (bits & right).bit_count() > cap:
+                    continue
+                s = get(bits, 0) + (-ac * bc if (ab & odd).bit_count() & 1 else ac * bc)
                 if s:
                     out[bits] = s
                 elif bits in out:
@@ -317,11 +350,9 @@ class TensorElement(AlgebraElement):
         return AlgebraElement._pack(sig, left) | AlgebraElement._pack(sig, right) << sig.n
 
     @staticmethod
-    def _fitter(sig):
-        cap = sig.r - 1
+    def _truncation(sig) -> tuple[int, int, int]:
         left = (1 << sig.n) - 2
-        right = left << sig.n
-        return lambda bits: (bits & left).bit_count() <= cap and (bits & right).bit_count() <= cap
+        return left, left << sig.n, sig.r - 1
 
     def coefficient(self, left, right) -> int:
         a, b = _as_bits(left), _as_bits(right)
@@ -540,15 +571,17 @@ def zdcl_degree_one(sig: AlgebraSignature) -> int:
     InstanceTooLarge instead of running on.  The limit is SLICE_TERM_CAP
     terms, or fewer when their 2n-bit keys would pass CHAIN_KEY_BIT_CAP bits.
     """
-    fits = TensorElement._fitter(sig)
+    left, right, cap = TensorElement._truncation(sig)
     limit = min(SLICE_TERM_CAP, CHAIN_KEY_BIT_CAP // (2 * sig.n))
 
     def next_size(prod, i) -> int:
         # Generator i is new to the chain, so it is in neither leg of any
         # term: a (x) b yields a (x) b.e_i and a.e_i (x) b where they fit,
         # and no two terms yield the same one, so nothing cancels.
-        left, right = 1 << i, 1 << (i + sig.n)
-        return sum(fits(bits | left) + fits(bits | right) for bits in prod._terms)
+        grown = (1 << i, 1 << (i + sig.n))
+        return sum(((bits := p | g) & left).bit_count() <= cap
+                   and (bits & right).bit_count() <= cap
+                   for p in prod._terms for g in grown)
 
     def chain(indices) -> int:
         prod = TensorElement.one(sig)

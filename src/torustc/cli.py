@@ -62,7 +62,7 @@ _GRID_RE = re.compile(r"^n=(\d+)\.\.(\d+),r=(\d+)\.\.(\d+|n)$")
 
 def _integer(text: str) -> int:
     """Every integer the command line takes: n, r, the integer options, the
-    --set entries and the --grid bounds.
+    --set entries, the --grid bounds and TC_BRUTE_CAP.
 
     argparse's type=int repeats a rejected argument whole, and int() names
     sys.set_int_max_str_digits() for digits past the interpreter's limit;
@@ -268,7 +268,10 @@ def cmd_search_zdcl(args) -> int:
     }
     best_known = degree_one
     if args.brute:
-        cap = int(os.environ.get("TC_BRUTE_CAP", DEFAULT_BRUTE_FORCE_CAP))
+        try:
+            cap = _integer(os.environ.get("TC_BRUTE_CAP", str(DEFAULT_BRUTE_FORCE_CAP)))
+        except (argparse.ArgumentTypeError, OverflowError) as exc:
+            raise ValueError(f"TC_BRUTE_CAP: {exc}") from None
         report = zdcl_brute_force(sig, cap=cap)
         payload["brute_force_length"] = report.searched_length
         payload["witness"] = list(report.witness)

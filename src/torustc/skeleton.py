@@ -16,6 +16,8 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .algebra import shown
+
 _TURN_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
@@ -47,11 +49,11 @@ class Turn:
     def parse(cls, text: str) -> "Turn":
         text = text.strip()
         if not _TURN_RE.match(text):
-            raise ValueError(f"expected an exact rational like 3/4 or 0, got {text!r}")
+            raise ValueError(f"expected an exact rational like 3/4 or 0, got {shown(text)}")
         try:
             return cls(Fraction(text))
         except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {text!r}") from None
+            raise ValueError(f"zero denominator in {shown(text)}") from None
         except ValueError:
             # the text matched, so only the interpreter's digit limit is left;
             # its message would name sys.set_int_max_str_digits()

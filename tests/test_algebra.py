@@ -29,7 +29,7 @@ from torustc import (
     zdcl_degree_one,
     zero_divisor,
 )
-from torustc.algebra import CHAIN_KEY_BIT_CAP, SLICE_TERM_CAP
+from torustc.algebra import CHAIN_KEY_BIT_CAP, SLICE_TERM_CAP, _merge, _odd_below
 
 
 def mono(*indices):
@@ -58,6 +58,21 @@ def coefficients(x):
     return {c for *_, c in x.terms()}
 
 
+def mixed_parity(rng, sig, cls, size=4):
+    """An element of cls with size terms, or every basis term when there are
+    fewer, some of odd and some of even total degree (1 and e0 survive in
+    every signature, so both exist)."""
+    pool = list(sig.basis_bits())
+    legs = 2 if cls is TensorElement else 1
+    size = min(size, len(pool) ** legs)
+    terms, parities = {}, set()
+    while len(terms) < size or len(parities) < 2:
+        key = tuple(rng.choice(pool) for _ in range(legs))
+        terms[key if legs == 2 else key[0]] = rng.choice([-3, -2, -1, 1, 2, 3])
+        parities.add(sum(bits.bit_count() for bits in key) % 2)
+    return cls(sig, terms)
+
+
 class TestSignature:
     def test_valid_range(self):
         for n in range(1, 9):
@@ -75,6 +90,14 @@ class TestSignature:
     def test_rejects_nonpositive_r(self):
         with pytest.raises(InvalidSignature):
             AlgebraSignature(3, 0)
+
+    def test_message_shortens_long_values(self):
+        with pytest.raises(InvalidSignature, match=r"^invalid signature \(n=3, r=0\): r must"):
+            AlgebraSignature(3, 0)
+        with pytest.raises(InvalidSignature, match=r"\(n=2, r=100000000000\.\.\. \(51 digits\)\)"):
+            AlgebraSignature(2, 10**50)
+        with pytest.raises(InvalidSignature, match=r"\(n=-10000000000\.\.\. \(51 digits\), r=1\)"):
+            AlgebraSignature(-(10**50), 1)
 
     def test_basis_size_closed_form(self):
         for n in range(1, 8):
@@ -109,6 +132,66 @@ class TestMonomialProducts:
         s1, m1 = mono_product(sig, (1,), (3,))
         s2, m2 = mono_product(sig, (3,), (1,))
         assert m1 == m2 and s1 == -s2 == 1
+
+
+class TestProductKernel:
+    """The shared product kernel at signatures up to n = 8.  Right operands
+    mix odd and even degrees, so the sign masks of _odd_below are both
+    negative and non-negative."""
+
+    def test_odd_below_parity_matches_bubble_sort(self):
+        rng = random.Random(707)
+        for _ in range(2000):
+            width = rng.randint(1, 64)
+            a = rng.getrandbits(width)
+            b = rng.getrandbits(width) & ~a
+            mask = _odd_below(b)
+            assert (mask < 0) == (b.bit_count() % 2 == 1)
+            indices = ExteriorMonomial(a).indices + ExteriorMonomial(b).indices
+            sign, _ = naive.sort_with_sign(indices)
+            assert (-1 if (a & mask).bit_count() & 1 else 1) == sign, (a, b)
+            assert _merge(a, b) == (sign, a | b)
+            if a and b:
+                assert _merge(a | b, b) == (0, 0)
+
+    def test_algebra_products_match_oracle(self):
+        rng = random.Random(606)
+        nonzero = 0
+        for _ in range(1000):
+            sig = randgen.random_signature(rng, max_n=8)
+            x = mixed_parity(rng, sig, AlgebraElement, size=rng.randint(1, 6))
+            y = mixed_parity(rng, sig, AlgebraElement, size=rng.randint(2, 5))
+            got = randgen.to_naive_element(x * y)
+            want = naive.elem_mul(
+                randgen.to_naive_element(x), randgen.to_naive_element(y), sig.n, sig.r
+            )
+            assert got == want
+            nonzero += bool(got)
+        assert nonzero > 700
+
+    def test_tensor_products_match_oracle(self):
+        rng = random.Random(616)
+        nonzero = 0
+        for _ in range(1000):
+            sig = randgen.random_signature(rng, max_n=8)
+            x = mixed_parity(rng, sig, TensorElement, size=rng.randint(1, 6))
+            y = mixed_parity(rng, sig, TensorElement, size=rng.randint(2, 4))
+            got = randgen.to_naive_tensor(x * y)
+            want = naive.tensor_mul(
+                randgen.to_naive_tensor(x), randgen.to_naive_tensor(y), sig.n, sig.r
+            )
+            assert got == want
+            nonzero += bool(got)
+        assert nonzero > 450
+
+    def test_multiplication_map_matches_oracle(self):
+        rng = random.Random(626)
+        for _ in range(1000):
+            sig = randgen.random_signature(rng, max_n=8)
+            x = mixed_parity(rng, sig, TensorElement, size=rng.randint(2, 8))
+            got = randgen.to_naive_element(apply_multiplication_map(x))
+            want = naive.contract(randgen.to_naive_tensor(x), sig.n, sig.r)
+            assert got == want
 
 
 class TestElementArithmetic:

@@ -35,6 +35,8 @@ def run(capsys, *argv):
 
 # past Python's 4,300-digit limit for converting digits to an int
 NINES = "9" * 4400
+# below that limit: converts, but is still too long to repeat in a message
+SHORT_NINES = "9" * 4000
 
 
 def assert_short_refusal(capsys, *argv):
@@ -43,7 +45,7 @@ def assert_short_refusal(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert code == 2, argv[:3]
     assert out == ""
-    assert len(err) < 300 and "9" * 40 not in err, argv[:3]
+    assert len(err) < 300 and "9" * 40 not in err and "0" * 40 not in err, argv[:3]
     assert "int_max_str_digits" not in err and "Traceback" not in err
 
 
@@ -93,9 +95,15 @@ class TestTc:
     def test_invalid_signature_exits_2(self, capsys):
         code, _, err = run(capsys, "tc", "2", "3")
         assert code == 2
-        assert "r exceeds n" in err
+        assert err == "error: invalid signature (n=2, r=3): r exceeds n\n"
         assert_short_refusal(capsys, "tc", NINES, "1")
         assert_short_refusal(capsys, "tc", "1", NINES, "--json")
+        # below the digit limit the signature converts, and its message
+        # shows the first digits and the length instead of the whole value
+        assert_short_refusal(capsys, "tc", "2", SHORT_NINES)
+        _, _, err = run(capsys, "tc", "2", SHORT_NINES)
+        assert err == ("error: invalid signature (n=2, r=999999999999... (4000 digits)): "
+                       "r exceeds n\n")
 
     def test_missing_arguments_exit_2(self, capsys):
         code, _, err = run(capsys, "tc")
@@ -267,7 +275,9 @@ class TestPlan:
     def test_float_input_rejected(self, capsys):
         code, _, err = run(capsys, "plan", "3", "2", "--from", "0.5,0", "--to", "0,0")
         assert code == 2
-        assert "exact rational" in err
+        assert err == "error: expected an exact rational like 3/4 or 0, got '0.5'\n"
+        assert_short_refusal(capsys, "plan", "3", "2", "--from", "0,x" + SHORT_NINES,
+                             "--to", "0,0")
 
     @pytest.mark.parametrize("steps", ["0", "-3"])
     def test_steps_below_one_is_usage_error(self, capsys, steps):
@@ -283,8 +293,9 @@ class TestPlan:
         code, out, err = run(capsys, "plan", "3", "2", "--from", "0,1/0", "--to", "0,0")
         assert code == 2
         assert out == ""
-        assert "zero denominator" in err
-        assert "Traceback" not in err
+        assert err == "error: zero denominator in '1/0'\n"
+        assert_short_refusal(capsys, "plan", "3", "2", "--from", "0,1/" + "0" * 4000,
+                             "--to", "0,0")
         # a numerator or denominator past the digit limit
         for coord in (f"{NINES}/{NINES}1", f"1/{NINES}", NINES):
             assert_short_refusal(capsys, "plan", "3", "2", "--from", f"0,{coord}", "--to", "0,0")
@@ -520,6 +531,24 @@ class TestSearchZdcl:
         code, out, _ = run(capsys, "search-zdcl", "4", "2", "--brute", "--json")
         assert code == 0
         assert json.loads(out)["brute_force_length"] == 3
+
+    def test_brute_force_cap_env_not_an_integer(self, capsys, monkeypatch):
+        # the message names the variable, repeats no value and names no
+        # interpreter setting
+        monkeypatch.setenv("TC_BRUTE_CAP", "abc")
+        code, out, err = run(capsys, "search-zdcl", "4", "2", "--brute")
+        assert (code, out) == (2, "")
+        assert err == "error: TC_BRUTE_CAP: expected a decimal integer\n"
+        monkeypatch.setenv("TC_BRUTE_CAP", NINES)
+        assert_short_refusal(capsys, "search-zdcl", "4", "2", "--brute")
+        _, _, err = run(capsys, "search-zdcl", "4", "2", "--brute")
+        assert err.startswith("error: TC_BRUTE_CAP: ")
+        # the variable is read only for --brute
+        code, _, _ = run(capsys, "search-zdcl", "4", "2")
+        assert code == 0
+
+    def test_invalid_signature_below_digit_limit_is_not_echoed(self, capsys):
+        assert_short_refusal(capsys, "search-zdcl", "1", SHORT_NINES)
 
 
 class TestParserReuse:

@@ -35,6 +35,18 @@ class TestTurn:
             with pytest.raises(ValueError):
                 Turn.parse(bad)
 
+    def test_parse_messages_shorten_long_text(self):
+        # short text is repeated whole, long text by its start and length
+        with pytest.raises(ValueError, match=r"^expected an exact rational like 3/4 or 0, "
+                                             r"got 'pi'$"):
+            Turn.parse("pi")
+        with pytest.raises(ValueError, match=r"^zero denominator in '-3/00'$"):
+            Turn.parse("-3/00")
+        with pytest.raises(ValueError, match=r"got 'x9999999999\.\.\. \(4001 characters\)$"):
+            Turn.parse("x" + "9" * 4000)
+        with pytest.raises(ValueError, match=r"in '1/000000000\.\.\. \(4002 characters\)$"):
+            Turn.parse("1/" + "0" * 4000)
+
     @settings(max_examples=300, deadline=None)
     @given(rationals, rationals)
     def test_ccw_gap_and_distance(self, a, b):
