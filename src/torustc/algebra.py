@@ -555,53 +555,49 @@ def lower_bound_certificate(sig: AlgebraSignature, index_set=None) -> LowerBound
 
 
 def zdcl_degree_one(sig: AlgebraSignature) -> int:
-    """Longest nonzero product of distinct generator zero-divisors.
+    """The zero-divisor cup-length: the longest nonzero product of distinct
+    generator zero-divisors, found along one chain of them.
 
-    Permuting e1..e{n-1} is an automorphism that keeps the truncation, and it
-    maps a product of generator zero-divisors to plus or minus another such
-    product.  So whether a set of them multiplies to zero depends only on its
-    size and on whether it contains e0, and subsets of nonzero products are
-    nonzero.  Two prefix chains, e0, e1, e2, ... and e1, e2, ..., therefore
-    stand for every subset: each grows until its product vanishes or uses
-    every generator, and the longer one is the answer.
+    The algebra is generated in degree one, so the kernel of the
+    multiplication map is the ideal generated by the generator
+    zero-divisors 1 (x) e_i - e_i (x) 1, and each of them squares to zero.
+    A product of zero-divisors is therefore nonzero exactly when some
+    product of as many distinct generator zero-divisors is (Farber and
+    Yuzvinsky 2004).  Permuting e1..e{n-1} keeps the truncation and maps
+    such a product to plus or minus another, and sub-products of a nonzero
+    product are nonzero.  A nonzero product P of zero-divisors of e_i with
+    i >= 1 stays nonzero times that of e0: e0 is never truncated and lies
+    in neither leg of P's terms, so P's terms go one-to-one onto two
+    disjoint sets of surviving terms.  So the chain e0, e1, e2, ...
+    stands for every subset, and the answer is the number of its factors
+    before the product vanishes, at most n.
 
-    A chain product at most doubles in size with each factor.  Once doubling
-    could pass the chain's term limit, the next product's terms are counted
-    before it is formed, and a product over the limit raises
-    InstanceTooLarge instead of running on.  The limit is SLICE_TERM_CAP
-    terms, or fewer when their 2n-bit keys would pass CHAIN_KEY_BIT_CAP bits.
+    Nothing cancels in a chain product: each of its terms puts every
+    factor's generator on one leg, so the product through e_j has
+    2 * sum C(j, a) terms over max(0, j-r+1) <= a <= min(j, r-1).  Every
+    such count is checked against the chain's limit before any product is
+    formed, and the first one over it raises InstanceTooLarge.  The limit
+    is SLICE_TERM_CAP terms, or fewer when their 2n-bit keys would pass
+    CHAIN_KEY_BIT_CAP bits.
     """
-    left, right, cap = TensorElement._truncation(sig)
-    limit = min(SLICE_TERM_CAP, CHAIN_KEY_BIT_CAP // (2 * sig.n))
-
-    def next_size(prod, i) -> int:
-        # Generator i is new to the chain, so it is in neither leg of any
-        # term: a (x) b yields a (x) b.e_i and a.e_i (x) b where they fit,
-        # and no two terms yield the same one, so nothing cancels.
-        grown = (1 << i, 1 << (i + sig.n))
-        return sum(((bits := p | g) & left).bit_count() <= cap
-                   and (bits & right).bit_count() <= cap
-                   for p in prod._terms for g in grown)
-
-    def chain(indices) -> int:
-        prod = TensorElement.one(sig)
-        length = 0
-        for i in indices:
-            if 2 * len(prod) > limit and (size := next_size(prod, i)) > limit:
-                cap = (f"{SLICE_TERM_CAP} terms" if limit == SLICE_TERM_CAP else
-                       f"CHAIN_KEY_BIT_CAP = {CHAIN_KEY_BIT_CAP} key bits, {limit} terms "
-                       f"of {2 * sig.n} bits")
-                raise InstanceTooLarge(
-                    f"zero-divisor chain for (n, r) = ({sig.n}, {sig.r}) would reach "
-                    f"{size} terms; chain products are capped at {cap}"
-                )
-            prod = prod * zero_divisor(sig, i)
-            if prod.is_zero:
-                break
-            length += 1
-        return length
-
-    return max(chain(range(sig.n)), chain(range(1, sig.n)))
+    n, r = sig.n, sig.r
+    limit = min(SLICE_TERM_CAP, CHAIN_KEY_BIT_CAP // (2 * n))
+    for j in range(min(n, 2 * r - 1)):
+        size = 2 * sum(math.comb(j, a) for a in range(max(0, j - r + 1), min(j, r - 1) + 1))
+        if size > limit:
+            cap = (f"{SLICE_TERM_CAP} terms" if limit == SLICE_TERM_CAP else
+                   f"CHAIN_KEY_BIT_CAP = {CHAIN_KEY_BIT_CAP} key bits, {limit} terms "
+                   f"of {shown(2 * n)} bits")
+            raise InstanceTooLarge(
+                f"zero-divisor chain for (n, r) = ({shown(n)}, {shown(r)}) would reach "
+                f"{size} terms; chain products are capped at {cap}"
+            )
+    prod = TensorElement.one(sig)
+    for i in range(n):
+        prod = prod * zero_divisor(sig, i)
+        if prod.is_zero:
+            return i
+    return n
 
 
 @dataclass(frozen=True)
@@ -609,9 +605,12 @@ class ZdclSearchReport:
     """Outcome of the brute-force zero-divisor cup-length search.
 
     searched_length is the longest nonzero product found over the full
-    spanning family of basis zero-divisors with repetition allowed; it is a
-    lower bound on the true cup-length, claimed exact only when it matches
-    certified_minimum = min(n, 2r-1), the value the certificate guarantees.
+    spanning family of basis zero-divisors with repetition allowed.  The
+    algebra is generated in degree one, so this is the cup-length that
+    zdcl_degree_one computes from one chain; the search only cross-checks
+    it.  certified_minimum = min(n, 2r-1) is the factor count of the
+    certificate's nonzero product; each generator zero-divisor puts its
+    generator on one leg, so no product of more distinct ones survives.
     """
 
     sig: AlgebraSignature
@@ -621,14 +620,17 @@ class ZdclSearchReport:
 
 
 def zdcl_brute_force(sig: AlgebraSignature, cap: int = DEFAULT_BRUTE_FORCE_CAP) -> ZdclSearchReport:
-    """Search products over the full spanning family of basis zero-divisors.
+    """Cross-check zdcl_degree_one over the full spanning family of basis
+    zero-divisors.
 
     Every zero-divisor of the tensor square is an algebra combination of
     a-bar = 1 (x) a - a (x) 1 for positive-degree basis monomials a, so the
     longest nonzero product over that family (repetition allowed; a-bar
-    squares to -2 a (x) a for even-degree a, so repeats matter) is the true
-    cup-length.  Factors commute up to sign, hence non-decreasing multisets
-    suffice, and total degree is capped by 2r, the top of the tensor square.
+    squares to -2 a (x) a for even-degree a, so repeats matter) is the
+    cup-length, found without the degree-one lemma that zdcl_degree_one
+    rests on; the two must agree.  Factors commute up to sign, hence
+    non-decreasing multisets suffice, and total degree is capped by 2r, the
+    top of the tensor square.
 
     The family is ordered by degree, then index tuple, and the search visits
     one factor per orbit of the permutations of e1..e{n-1} that fix every

@@ -5,8 +5,14 @@ Subcommands:
   verify-lower-bound  expand and check the zero-divisor product certificate
   plan                plan one path and print sampled coordinates as JSON
   simulate            randomized verification of the planner invariants
-  search-zdcl         zero-divisor cup-length, exhaustive over generators,
-                      optionally brute-force over the full spanning family
+  search-zdcl         zero-divisor cup-length along one chain of generator
+                      zero-divisors, optionally cross-checked by brute force
+                      over the full spanning family
+
+The algebra is generated in degree one, so its zero-divisor cup-length is
+the longest nonzero product of distinct generator zero-divisors, and
+search-zdcl multiplies them along one chain; --brute must find the same
+length over the whole spanning family.
 
 Exit status is 0 exactly when every mathematical check performed by the
 invocation passes; bad arguments exit 2, failed checks exit 1.  All
@@ -47,6 +53,12 @@ MAX_STEPS = 65_536
 MAX_QUERIES = 1_000
 MAX_CONTINUITY_PROBES = 500
 MAX_GRID_PAIRS = 5_000
+# simulate refuses a larger --denominator-bound: a run's cost grows with the
+# bound's digit count (simulate 38 20 --product --queries 100
+# --continuity-probes 38 --steps 4096 takes 0.85 s with a 7-digit bound,
+# 1.6 s with a 1,000-digit one and 9.7 s with a 4,000-digit one on a 2-core
+# x86-64 VM)
+MAX_DENOMINATOR_BOUND = 1_000_000
 # a certificate multiplies min(n, 2r-1) zero-divisors whose packed keys are
 # 2n bits wide: tc and verify-lower-bound refuse more factors times n,
 # summed over the rows of one invocation, before forming any product
@@ -231,11 +243,10 @@ def cmd_plan(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    for flag, value, cap in (("--steps", args.steps, MAX_STEPS),
-                             ("--queries", args.queries, MAX_QUERIES),
-                             ("--continuity-probes", args.continuity_probes,
-                              MAX_CONTINUITY_PROBES)):
-        if value > cap:
+    for flag, cap in (("--steps", MAX_STEPS), ("--queries", MAX_QUERIES),
+                      ("--continuity-probes", MAX_CONTINUITY_PROBES),
+                      ("--denominator-bound", MAX_DENOMINATOR_BOUND)):
+        if getattr(args, flag[2:].replace("-", "_")) > cap:
             raise ValueError(f"{flag} must be at most {cap}")
     sig = AlgebraSignature(args.n, args.r)
     if sig.n ** 2 * (args.queries + args.continuity_probes) > MAX_SIMULATION_WORK:
@@ -256,17 +267,16 @@ def cmd_simulate(args) -> int:
 
 def cmd_search_zdcl(args) -> int:
     sig = AlgebraSignature(args.n, args.r)
-    degree_one = zdcl_degree_one(sig)
-    certified = min(sig.n, 2 * sig.r - 1)
+    cup_length = zdcl_degree_one(sig)
     bounds = compute_bounds(args.n, args.r)
     payload = {
         "n": sig.n,
         "r": sig.r,
-        "degree_one_length": degree_one,
-        "certified_minimum": certified,
+        "degree_one_length": cup_length,
+        "certified_minimum": bounds.lower - 1,
         "tc": bounds.tc,
     }
-    best_known = degree_one
+    consistent = cup_length + 1 == bounds.tc
     if args.brute:
         try:
             cap = _integer(os.environ.get("TC_BRUTE_CAP", str(DEFAULT_BRUTE_FORCE_CAP)))
@@ -275,19 +285,18 @@ def cmd_search_zdcl(args) -> int:
         report = zdcl_brute_force(sig, cap=cap)
         payload["brute_force_length"] = report.searched_length
         payload["witness"] = list(report.witness)
-        best_known = max(best_known, report.searched_length)
-    consistent = best_known + 1 == bounds.tc
-    payload["cup_length"] = best_known
+        consistent = consistent and report.searched_length == cup_length
+    payload["cup_length"] = cup_length
     payload["conjecture"] = "consistent" if consistent else "inconsistent"
     if args.json:
         print(json.dumps(payload, indent=2))
     else:
         print(f"signature: n={sig.n} r={sig.r}")
-        print(f"longest nonzero product of generator zero-divisors: {degree_one}")
+        print(f"longest nonzero product of generator zero-divisors: {cup_length}")
         if args.brute:
             print(f"brute-force over the spanning family: {payload['brute_force_length']} "
                   f"(witness {', '.join(payload['witness']) or 'empty'})")
-        print(f"certified minimum: {certified}, tc: {bounds.tc}")
+        print(f"certified minimum: {payload['certified_minimum']}, tc: {bounds.tc}")
         print(f"cup-length + 1 == tc: {payload['conjecture']}")
     return 0 if consistent else 1
 

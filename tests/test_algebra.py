@@ -6,6 +6,7 @@ import json
 import math
 import operator
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -52,6 +53,12 @@ def full_product(cert):
     for i in cert.index_set:
         out = out * zero_divisor(cert.sig, i)
     return out
+
+
+def _chain_terms(j, r):
+    """Terms of the product of the zero-divisors of e0..ej: e0 on either leg,
+    and a of e1..ej on the left and j - a on the right, at most r - 1 each."""
+    return 2 * sum(math.comb(j, a) for a in range(max(0, j - r + 1), min(j, r - 1) + 1))
 
 
 def coefficients(x):
@@ -582,6 +589,38 @@ class TestCupLengthSearches:
         # the e0 chain at (18, 11) passes SLICE_TERM_CAP / 2 terms, but its
         # next product has 175,032 terms, under the cap, so it still answers
         assert zdcl_degree_one(AlgebraSignature(18, 11)) == 18
+
+    def test_chain_term_counts_closed_form(self):
+        # nothing cancels in a chain product, and the count reaches 0
+        # exactly where the chain ends
+        for n in range(1, 10):
+            for r in range(1, n + 1):
+                sig = AlgebraSignature(n, r)
+                prod = TensorElement.one(sig)
+                for j in range(n):
+                    prod = prod * zero_divisor(sig, j)
+                    assert len(prod) == _chain_terms(j, r), (n, r, j)
+
+    def test_degree_one_refusal_names_first_count_over_the_limit(self):
+        for n, r in [(19, 11), (20, 11), (30, 15), (160, 11), (2000, 1000), (100000, 9)]:
+            limit = min(SLICE_TERM_CAP, CHAIN_KEY_BIT_CAP // (2 * n))
+            size = next(s for j in range(n) if (s := _chain_terms(j, r)) > limit)
+            with pytest.raises(InstanceTooLarge, match=f"would reach {size} terms"):
+                zdcl_degree_one(AlgebraSignature(n, r))
+
+    def test_degree_one_refuses_before_building_keys(self):
+        # no 1 << n key can be built for n = 10**4000, and at (10**8, 2) the
+        # leg masks alone would take 12.5 MB
+        with pytest.raises(InstanceTooLarge, match="CHAIN_KEY_BIT_CAP"):
+            zdcl_degree_one(AlgebraSignature(10**4000, 2))
+        tracemalloc.start()
+        try:
+            with pytest.raises(InstanceTooLarge, match="CHAIN_KEY_BIT_CAP"):
+                zdcl_degree_one(AlgebraSignature(10**8, 2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_degree_one_matches_exhaustive_subset_search(self, n):

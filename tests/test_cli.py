@@ -2,6 +2,7 @@
 public Python names, with README's API example run as written."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -19,6 +20,7 @@ from torustc.cli import (
     CSV_HEADER,
     MAX_CERTIFICATE_WORK,
     MAX_CONTINUITY_PROBES,
+    MAX_DENOMINATOR_BOUND,
     MAX_GRID_PAIRS,
     MAX_QUERIES,
     MAX_SIMULATION_WORK,
@@ -441,6 +443,17 @@ class TestSimulate:
         # a probe whose query admits no perturbation is not counted
         assert 0 < json.loads(out)[flag[2:].replace("-", "_")] <= cap
 
+    def test_denominator_bound_above_cap_is_usage_error(self, capsys):
+        assert MAX_DENOMINATOR_BOUND == 1_000_000
+        code, out, err = run(capsys, "simulate", "2", "2", "--queries", "1", "--steps", "4",
+                             "--denominator-bound", str(MAX_DENOMINATOR_BOUND + 1))
+        assert (code, out) == (2, "")
+        assert err == f"error: --denominator-bound must be at most {MAX_DENOMINATOR_BOUND}\n"
+        assert_short_refusal(capsys, "simulate", "3", "2", "--denominator-bound", SHORT_NINES)
+        code, out, _ = run(capsys, "simulate", "2", "2", "--queries", "1", "--steps", "4",
+                           "--denominator-bound", str(MAX_DENOMINATOR_BOUND))
+        assert code == 0 and json.loads(out)["ok"]
+
     def test_simulation_work_above_budget_is_usage_error(self, capsys):
         assert MAX_SIMULATION_WORK == 1_500_000
         # work is n^2 (queries + continuity probes): 1224^2 * 1 fits the
@@ -521,6 +534,27 @@ class TestSearchZdcl:
             assert out == ""
             assert "CHAIN_KEY_BIT_CAP = 64000000" in err
             assert "Traceback" not in err
+
+    def test_huge_n_refused_before_any_product(self, capsys):
+        assert_short_refusal(capsys, "search-zdcl", SHORT_NINES, "2")
+        _, _, err = run(capsys, "search-zdcl", SHORT_NINES, "2")
+        assert "CHAIN_KEY_BIT_CAP" in err
+
+    def test_brute_force_disagreement_is_inconsistent(self, capsys, monkeypatch):
+        # --brute cross-checks the chain: a different length fails the check
+        search = cli.zdcl_brute_force
+
+        def one_short(sig, cap):
+            rep = search(sig, cap=cap)
+            return dataclasses.replace(rep, searched_length=rep.searched_length - 1)
+
+        monkeypatch.setattr(cli, "zdcl_brute_force", one_short)
+        code, out, _ = run(capsys, "search-zdcl", "4", "3", "--brute", "--json")
+        assert code == 1
+        doc = json.loads(out)
+        assert (doc["degree_one_length"], doc["brute_force_length"]) == (4, 3)
+        assert doc["cup_length"] == 4
+        assert doc["conjecture"] == "inconsistent"
 
     def test_brute_force_cap_env(self, capsys, monkeypatch):
         monkeypatch.setenv("TC_BRUTE_CAP", "3")
