@@ -51,8 +51,13 @@ CHAIN_KEY_BIT_CAP = 64_000_000
 def shown(value: int | str) -> str:
     """value as an error message repeats it: the digits of an int, the repr
     of a string.  Past 40 characters only the first 12 and the length are
-    shown, so an argument thousands of digits long is not echoed whole."""
-    text = repr(value)
+    shown, so an argument thousands of digits long is not echoed whole.  An
+    int past the interpreter's limit for converting it to digits is shown by
+    its bit length, with no conversion."""
+    try:
+        text = repr(value)
+    except ValueError:
+        return f"{'-' if value < 0 else ''}<{value.bit_length()}-bit int>"
     if len(text) <= 40:
         return text
     if isinstance(value, str):

@@ -104,7 +104,7 @@ def classify(query: PlannerQuery, sig) -> Agreement:
     agree = frozenset(
         j + 1
         for j, (a, b) in enumerate(zip(query.start.base, query.end.base))
-        if a == b
+        if a is b or a == b
     )
     return Agreement(agree, len(agree))
 
@@ -388,23 +388,43 @@ _PARKED = CoordinateRule(start=Turn(0), end=Turn(0), move_start=_ZERO, rest_star
                          delta=_ZERO)
 
 
-def _build_rules(start: SkeletonPoint, end: SkeletonPoint) -> tuple[CoordinateRule, ...]:
-    rules = []
-    for j, (u, v) in enumerate(zip(start.base, end.base), start=1):
-        if u == v:
-            rules.append(_PARKED if u.is_zero else CoordinateRule(
-                start=u, end=v, move_start=_ZERO, rest_start=_ONE, delta=_ZERO))
-            continue
-        lead, tail = dwell_time(u), dwell_time(v)
+def _schedule_ends(u: Turn, v: Turn) -> tuple[Fraction, Fraction]:
+    """move_start of a coordinate leaving u and rest_start of one arriving
+    at v: the dwell time at u, and 1 minus the dwell time at v.
+
+    Each is cached on its Turn the first time it is needed, so a Turn shared
+    between queries pays for dwell_time and its exact conversion once.
+    """
+    lead = u.move_start
+    if lead is None:
+        lead = dwell_time(u)
         if type(lead) is float:
             lead = Fraction(lead)
+        u.move_start = lead
+    rest_start = v.rest_start
+    if rest_start is None:
+        tail = dwell_time(v)
         if type(tail) is float:
             num, den = tail.as_integer_ratio()
             rest_start = Fraction(den - num, den)
         else:
             # an exact dwell is 1/2 or 0
             rest_start = _HALF if tail else _ONE
-        rule = CoordinateRule(start=u, end=v, move_start=lead,
+        v.rest_start = rest_start
+    return lead, rest_start
+
+
+def _build_rules(start: SkeletonPoint, end: SkeletonPoint) -> tuple[CoordinateRule, ...]:
+    rules = []
+    for j, (u, v) in enumerate(zip(start.base, end.base), start=1):
+        if u is v or u == v:
+            rules.append(_PARKED if u.is_zero else CoordinateRule(
+                start=u, end=v, move_start=_ZERO, rest_start=_ONE, delta=_ZERO))
+            continue
+        move_start, rest_start = u.move_start, v.rest_start
+        if move_start is None or rest_start is None:
+            move_start, rest_start = _schedule_ends(u, v)
+        rule = CoordinateRule(start=u, end=v, move_start=move_start,
                               rest_start=rest_start, delta=u.ccw_gap(v))
         if rule.span_f <= 0.0:
             # unreachable: dwell is 1/2 only at the basepoint and u != v;

@@ -10,6 +10,7 @@ free circle coordinate for the product space.
 from __future__ import annotations
 
 import functools
+import math
 import random
 import re
 import sys
@@ -26,12 +27,18 @@ class Turn:
 
     The value is normalised into [0, 1).  Floats are rejected on input so the
     basepoint test and endpoint-agreement tests stay decidable; use parse()
-    for the "p/q" command-line syntax.  num and den are the value's numerator
-    and denominator as plain ints, so equality, the basepoint test and gaps
-    never go through Fraction.
+    for the "p/q" command-line syntax.  A Turn holds only its reduced
+    numerator and denominator, num and den, as plain ints: equality,
+    hashing, the basepoint test, gaps and sums never go through Fraction,
+    and value builds the Fraction on demand.
+
+    Turns are never mutated, except for two slots the planner fills once per
+    Turn: the time a coordinate leaving this point starts to move, and the
+    time one arriving here comes to rest (planner._schedule_ends).  They die
+    with the Turn.
     """
 
-    __slots__ = ("value", "num", "den")
+    __slots__ = ("num", "den", "move_start", "rest_start")
 
     def __init__(self, value=0):
         if type(value) is not Fraction:
@@ -39,11 +46,19 @@ class Turn:
                 raise TypeError("turns must be exact rationals, not floats")
             value = Fraction(value)
         p, q = value.as_integer_ratio()
-        if not 0 <= p < q:
-            # p mod q stays coprime to q
-            p %= q
-            value = Fraction(p, q)
-        self.value, self.num, self.den = value, p, q
+        # p mod q stays coprime to q
+        self.num, self.den = p % q, q
+        self.move_start = self.rest_start = None
+
+    @classmethod
+    def of(cls, p: int, q: int) -> "Turn":
+        """The Turn p/q mod 1, for ints p and q > 0 in any common scale."""
+        p %= q
+        g = math.gcd(p, q)
+        turn = object.__new__(cls)
+        turn.num, turn.den = p // g, q // g
+        turn.move_start = turn.rest_start = None
+        return turn
 
     @classmethod
     def parse(cls, text: str) -> "Turn":
@@ -61,6 +76,10 @@ class Turn:
                              f"{sys.get_int_max_str_digits()} digits") from None
 
     @property
+    def value(self) -> Fraction:
+        return Fraction(self.num, self.den)
+
+    @property
     def is_zero(self) -> bool:
         return not self.num
 
@@ -72,20 +91,23 @@ class Turn:
 
     def __add__(self, other):
         if isinstance(other, Turn):
-            return Turn(self.value + other.value)
-        if isinstance(other, (Fraction, int)):
-            return Turn(self.value + other)
-        return NotImplemented
+            p, q = other.num, other.den
+        elif isinstance(other, (Fraction, int)):
+            p, q = other.as_integer_ratio()
+        else:
+            return NotImplemented
+        return Turn.of(self.num * q + p * self.den, self.den * q)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, (Fraction, int)):
-            return Turn(self.value - other)
+            p, q = other.as_integer_ratio()
+            return Turn.of(self.num * q - p * self.den, self.den * q)
         return NotImplemented
 
     def __neg__(self):
-        return Turn(-self.value)
+        return Turn.of(-self.num, self.den)
 
     def __eq__(self, other) -> bool:
         if other is self:
@@ -95,17 +117,17 @@ class Turn:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((Turn, self.value))
+        return hash((self.num, self.den))
 
     def __float__(self) -> float:
         # the correctly rounded quotient, as float(self.value) computes it
         return self.num / self.den
 
     def __str__(self) -> str:
-        return str(self.value)
+        return str(self.num) if self.den == 1 else f"{self.num}/{self.den}"
 
     def __repr__(self) -> str:
-        return f"Turn({self.value})"
+        return f"Turn({self})"
 
 
 @dataclass(frozen=True)
@@ -156,16 +178,17 @@ def membership(coords, sig) -> tuple[bool, frozenset[int]]:
 
 @functools.lru_cache(maxsize=4096)
 def _shared_turn(p: int, q: int) -> Turn:
-    return Turn(Fraction(p, q))
+    return Turn.of(p, q)
 
 
 def random_turn(rng: random.Random, denominator_bound: int) -> Turn:
     """Uniform choice of denominator q <= bound, then uniform p/q in [0, 1).
 
-    Equal draws return one shared Turn (Turns are never mutated), so a
-    sampled coordinate costs no Fraction normalisation once seen.
+    Equal draws return one shared Turn, so a sampled coordinate is reduced
+    once, and the planner's schedule ends cached on it are computed once.
+    1 + randrange(bound) draws exactly as randint(1, bound) does.
     """
-    q = rng.randint(1, denominator_bound)
+    q = 1 + rng.randrange(denominator_bound)
     return _shared_turn(rng.randrange(q), q)
 
 

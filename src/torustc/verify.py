@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 # the planner's own 0 and 1, so value_at settles a rule's window ending at
@@ -85,12 +85,23 @@ class SimulationReport:
         )
 
     def to_jsonable(self) -> dict:
-        out = asdict(self)
-        out["domain_histogram"] = {str(k): v for k, v in sorted(self.domain_histogram.items())}
-        out["wall_time_s"] = round(self.wall_time_s, 3)
-        out["ok"] = self.ok
-        out["failures"] = out.pop("failures")
-        return out
+        return {
+            "n": self.n,
+            "r": self.r,
+            "mode": self.mode,
+            "queries": self.queries,
+            "steps": self.steps,
+            "seed": self.seed,
+            "domain_histogram": {str(k): v for k, v in sorted(self.domain_histogram.items())},
+            "endpoint_violations": self.endpoint_violations,
+            "membership_violations": self.membership_violations,
+            "domain_violations": self.domain_violations,
+            "continuity_probes": self.continuity_probes,
+            "max_continuity_ratio": self.max_continuity_ratio,
+            "wall_time_s": round(self.wall_time_s, 3),
+            "ok": self.ok,
+            "failures": [dict(f) for f in self.failures],
+        }
 
 
 def _flag(report: SimulationReport, kind: str, query: PlannerQuery, detail: str):
@@ -152,7 +163,8 @@ def run_simulation(
 
         domain = path.domain
         histogram[domain] = histogram.get(domain, 0) + 1
-        agree = frozenset(j for j in range(1, sig.n) if start.base[j - 1] == end.base[j - 1])
+        agree = frozenset(j for j, (a, b) in enumerate(zip(start.base, end.base), start=1)
+                          if a is b or a == b)
         if not (0 <= domain <= top_domain and path.domain_index == len(path.agreement)
                 and path.agreement == agree):
             _flag(report, "domain", query, f"domain index {domain}")
@@ -188,18 +200,27 @@ def run_simulation(
     return report
 
 
-def _perturbation(rng: random.Random, eps: Fraction) -> Fraction:
-    # nonzero rational shift with |delta| <= eps
+def _perturbation(rng: random.Random, eps: Fraction) -> tuple[int, int]:
+    """Nonzero rational shift p/q with |p/q| <= eps, as a pair of ints."""
     # the same draw as rng.choice over the nonzero integers in [-1000, 1000]
     k = rng.randrange(2000)
     k = k - 1000 if k < 1000 else k - 999
-    return Fraction(k, 1000) * eps
+    p, q = eps.as_integer_ratio()
+    return k * p, 1000 * q
 
 
-def _shift(u: Turn, delta: Fraction) -> Turn:
+def _plus(u: Turn, delta: tuple[int, int]) -> Turn:
+    p, q = delta
+    return Turn.of(u.num * q + p * u.den, u.den * q)
+
+
+def _shift(u: Turn, delta: tuple[int, int]) -> Turn:
     """u moved by delta, or by delta/2 where delta would land it on the basepoint."""
-    moved = u + delta
-    return u + delta / 2 if moved.is_zero else moved
+    moved = _plus(u, delta)
+    if moved.is_zero:
+        p, q = delta
+        return _plus(u, (p, 2 * q))
+    return moved
 
 
 def _perturb_point(
@@ -207,7 +228,7 @@ def _perturb_point(
     other: SkeletonPoint,
     rng: random.Random,
     eps: Fraction,
-    forced: dict[int, Fraction],
+    forced: dict[int, tuple[int, int]],
 ) -> tuple[Turn, ...]:
     """Perturbed base coordinates of one endpoint, support preserved.
 
@@ -218,7 +239,7 @@ def _perturb_point(
     which shifts are forced.
     """
     return tuple(
-        u if u == v or u.is_zero else _shift(u, forced.get(j, _perturbation(rng, eps)))
+        u if u is v or u == v or u.is_zero else _shift(u, forced.get(j, _perturbation(rng, eps)))
         for j, (u, v) in enumerate(zip(point.base, other.base), start=1)
     )
 
@@ -241,10 +262,10 @@ def perturb_query(
     (the shorter-arc rule tolerates eps-sized changes because sampled gaps
     are never within eps of half a turn).
     """
-    forced_start = forced_start or {}
+    forced = {j: shift.as_integer_ratio() for j, shift in (forced_start or {}).items()}
     agree = classify(query, sig).indices
     start, end = query.start, query.end
-    start_base = list(_perturb_point(start, end, rng, eps, forced_start))
+    start_base = list(_perturb_point(start, end, rng, eps, forced))
     end_base = list(_perturb_point(end, start, rng, eps, {}))
     for j in agree:
         u = start.base[j - 1]
@@ -257,10 +278,10 @@ def perturb_query(
         start_circle = end_circle = None
     elif start.circle.ccw_gap(end.circle) in (0, Fraction(1, 2)):
         delta = _perturbation(rng, eps)
-        start_circle, end_circle = start.circle + delta, end.circle + delta
+        start_circle, end_circle = _plus(start.circle, delta), _plus(end.circle, delta)
     else:
-        start_circle = start.circle + forced_start.get(0, _perturbation(rng, eps))
-        end_circle = end.circle + _perturbation(rng, eps)
+        start_circle = _plus(start.circle, forced.get(0, _perturbation(rng, eps)))
+        end_circle = _plus(end.circle, _perturbation(rng, eps))
     return PlannerQuery(
         SkeletonPoint(tuple(start_base), start_circle),
         SkeletonPoint(tuple(end_base), end_circle),
@@ -321,30 +342,54 @@ def path_deviation(path_a: PlannerPath, path_b: PlannerPath) -> float:
     """Largest circle distance between the two paths over all of [0, 1].
 
     The paths are compared one coordinate pair at a time, at 0, 1 and the
-    pair's own phase boundaries (at most 6 times), through value_at.
-    Between two consecutive times of that list each of the two coordinates
-    rests or travels at constant speed, so their lifted difference (the
-    difference of their positions, not reduced mod 1) is linear there, and
-    its circle distance peaks at the ends of the piece unless it passes a
-    half turn, where the distance is 1/2, the largest it can be.  So the
-    result is the largest distance at the listed times, or 1/2 when some
-    lifted difference passes a half turn.  Time and memory are linear in
-    the number of coordinates.
+    pair's own phase boundaries (at most 6 times).  Between two consecutive
+    times of that list each of the two coordinates rests or travels at
+    constant speed, so their lifted difference (the difference of their
+    positions, not reduced mod 1) is linear there, and its circle distance
+    peaks at the ends of the piece unless it passes a half turn, where the
+    distance is 1/2, the largest it can be.  So the result is the largest
+    distance at the listed times, or 1/2 when some lifted difference passes
+    a half turn.  Time and memory are linear in the number of coordinates.
+
+    A rule is at its start at its own move_start and at its end at its own
+    rest_start (value_at settles both ties exactly), so only the other
+    rule's boundaries go through value_at.  Both rules rest before the
+    pair's first boundary and after its last, so the distances at 0 and 1
+    repeat distances taken there.  A pair sharing one rule object never
+    drifts apart, and two constant rules keep one distance, which passes no
+    half turn.
     """
     worst = 0.0
     for rule_a, rule_b in zip(path_a.coordinate_rules, path_b.coordinate_rules):
-        times = [_ZERO, _ONE]
-        for rule in (rule_a, rule_b):
-            if not rule.constant:
-                times += (rule.move_start, rule.rest_start)
-        if _passes_half_turn(rule_a, rule_b, [t.numerator / t.denominator for t in times]):
-            return 0.5
-        for t in times:
-            d = abs(float(rule_a.value_at(t)) - float(rule_b.value_at(t))) % 1.0
-            d = min(d, 1.0 - d)
+        if rule_a is rule_b:
+            continue
+        if rule_a.constant and rule_b.constant:
+            pairs = ((rule_a.start_f, rule_b.start_f),)
+        else:
+            pairs, tfs = [], [0.0, 1.0]
+            if not rule_a.constant:
+                pairs += ((rule_a.start_f, _float_at(rule_b, rule_a.move_start)),
+                          (rule_a.end_f, _float_at(rule_b, rule_a.rest_start)))
+                tfs += (rule_a.move_start_f, rule_a.rest_start_f)
+            if not rule_b.constant:
+                pairs += ((_float_at(rule_a, rule_b.move_start), rule_b.start_f),
+                          (_float_at(rule_a, rule_b.rest_start), rule_b.end_f))
+                tfs += (rule_b.move_start_f, rule_b.rest_start_f)
+            if _passes_half_turn(rule_a, rule_b, tfs):
+                return 0.5
+        for va, vb in pairs:
+            d = abs(va - vb) % 1.0
+            if d > 0.5:
+                d = 1.0 - d
             if d > worst:
                 worst = d
     return worst
+
+
+def _float_at(rule, t: Fraction) -> float:
+    """float(rule.value_at(t)): a Turn's float is its correctly rounded quotient."""
+    value = rule.value_at(t)
+    return value if type(value) is float else value.num / value.den
 
 
 def continuity_ratio(

@@ -106,6 +106,14 @@ class TestSignature:
         with pytest.raises(InvalidSignature, match=r"\(n=-10000000000\.\.\. \(51 digits\), r=1\)"):
             AlgebraSignature(-(10**50), 1)
 
+    def test_message_gives_overlong_values_by_bit_length(self):
+        # past the interpreter's 4,300-digit limit no digits are formed
+        with pytest.raises(InvalidSignature, match=r"^invalid signature "
+                                                   r"\(n=1, r=<16610-bit int>\): r exceeds n$"):
+            AlgebraSignature(1, 10**5000)
+        with pytest.raises(InvalidSignature, match=r"\(n=3, r=-<16610-bit int>\): r must"):
+            AlgebraSignature(3, -(10**5000))
+
     def test_basis_size_closed_form(self):
         for n in range(1, 8):
             for r in range(1, n + 1):
@@ -584,6 +592,13 @@ class TestCupLengthSearches:
             zdcl_degree_one(AlgebraSignature(2000, 1000))
         # a chain of 2r-1 factors whose keys fit answers at any n
         assert zdcl_degree_one(AlgebraSignature(100000, 3)) == 5
+
+    def test_degree_one_refuses_overlong_n_by_its_bit_length(self):
+        # 10**5000 has more digits than the interpreter converts, so the
+        # message gives its size in bits instead of Python's digit-limit error
+        with pytest.raises(InstanceTooLarge, match=r"^zero-divisor chain for \(n, r\) = "
+                                                   r"\(<16610-bit int>, 2\) would reach"):
+            zdcl_degree_one(AlgebraSignature(10**5000, 2))
 
     def test_degree_one_counts_before_refusing(self):
         # the e0 chain at (18, 11) passes SLICE_TERM_CAP / 2 terms, but its

@@ -1,5 +1,6 @@
 """Exact circle coordinates, skeleton membership, and random sampling."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -87,6 +88,66 @@ class TestTurn:
         assert Turn(Fraction(1, 3)) == Turn(Fraction(2, 6))
         assert Turn(Fraction(1, 3)) != Turn(Fraction(333333, 1000000))
         assert hash(Turn(Fraction(1, 3))) == hash(Turn(Fraction(2, 6)))
+
+
+def _reduced_mod_one(t, want):
+    """t is the Turn of want mod 1, in lowest terms, in every view."""
+    want %= 1
+    assert (t.num, t.den) == (want.numerator, want.denominator)
+    assert math.gcd(t.num, t.den) == 1 and 0 <= t.num < t.den
+    assert t.value == want and type(t.value) is Fraction
+    assert t == Turn(want) and hash(t) == hash(Turn(want))
+    assert str(t) == str(want) and float(t) == float(want)
+    assert t.is_zero == (want == 0)
+
+
+class TestTurnArithmetic:
+    """Integer arithmetic on num/den against Fraction arithmetic mod 1."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rationals, st.one_of(rationals, st.integers(-7, 7)))
+    def test_sums_and_differences(self, a, b):
+        x = Turn(a)
+        _reduced_mod_one(x + b, a + b)
+        _reduced_mod_one(b + x, a + b)
+        _reduced_mod_one(x + Turn(b), a + b)
+        _reduced_mod_one(Turn(b) + x, a + b)
+        _reduced_mod_one(x - b, a - b)
+        _reduced_mod_one(-x, -a)
+        assert x.ccw_gap(Turn(b)) == (b - a) % 1
+        assert Turn(b).ccw_gap(x) == (a - b) % 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-10**9, 10**9), st.integers(1, 10**6), st.integers(1, 60))
+    def test_of_reduces_any_sign_and_scale(self, p, q, k):
+        t = Turn.of(p * k, q * k)
+        _reduced_mod_one(t, Fraction(p, q))
+        assert t == Turn.of(p, q) and hash(t) == hash(Turn.of(p, q))
+        assert t.move_start is None and t.rest_start is None
+
+    def test_of_edge_values(self):
+        for p, q, want in [(0, 7, "0"), (-7, 7, "0"), (14, 7, "0"), (-1, 4, "3/4"),
+                           (6, 8, "3/4"), (-9, 6, "1/2"), (10**30 + 1, 10**30, f"1/{10**30}")]:
+            t = Turn.of(p, q)
+            assert str(t) == want
+            _reduced_mod_one(t, Fraction(p, q))
+        assert repr(Turn.of(-1, 4)) == "Turn(3/4)" and repr(Turn(0)) == "Turn(0)"
+
+    def test_unsupported_operands(self):
+        with pytest.raises(TypeError):
+            Turn(0) + 0.5
+        with pytest.raises(TypeError):
+            Turn(0) - Turn(0)
+        assert Turn(0) != 0 and Turn(Fraction(1, 2)) != Fraction(1, 2)
+
+    def test_random_turn_draws_as_randint(self):
+        # the planner's seeded draws: q uniform in 1..bound, then p below q
+        for seed in range(5):
+            rng, ref = random.Random(seed), random.Random(seed)
+            for _ in range(500):
+                q = ref.randint(1, 12)
+                assert random_turn(rng, 12) == Turn(Fraction(ref.randrange(q), q))
+            assert rng.random() == ref.random()
 
 
 class TestMembership:

@@ -319,6 +319,85 @@ class TestPerturbation:
         # unrelated partners pass a half turn now and then; perturbed ones never do
         assert crossings > 0
 
+    @pytest.mark.parametrize("mode", ["skeleton", "product"])
+    def test_deviation_matches_reference_on_shared_and_constant_pairs(self, mode):
+        # the pairs path_deviation settles without value_at: one shared
+        # _PARKED rule, and two constant rules at different nonzero values
+        # (an agreeing coordinate, or an equal circle pair, moved by one
+        # shared shift); plus wrap probes, which carry a coordinate across 0
+        product = mode == "product"
+        plan = plan_product if product else plan_skeleton
+        rng = random.Random(23 + product)
+        shared = constant = wraps = 0
+        for n, r in [(2, 2), (5, 2), (6, 4), (8, 3), (5, 5)]:
+            sig = AlgebraSignature(n, r)
+            for k in range(40):
+                if k % 4 == 3:
+                    built = _wrap_query(sig, rng, mode)
+                    if built is None:
+                        continue
+                    q, forced = built
+                    wraps += 1
+                else:
+                    start = sample(sig, rng, with_circle=product)
+                    # every other coordinate agrees, the rest go to 0
+                    base = tuple(u if j % 2 else Turn(0) for j, u in enumerate(start.base))
+                    circle = start.circle if k % 2 or not product else start.circle + F(1, 3)
+                    q, forced = PlannerQuery(start, SkeletonPoint(base, circle)), {}
+                near = perturb_query(q, sig, rng, forced_start=forced)
+                if near is None:
+                    continue
+                path_a, path_b = plan(q, sig), plan(near, sig)
+                for rule_a, rule_b in zip(path_a.coordinate_rules, path_b.coordinate_rules):
+                    shared += rule_a is rule_b is planner._PARKED
+                    constant += (rule_a.constant and rule_b.constant
+                                 and not rule_a.start.is_zero and rule_a.start != rule_b.start)
+                got = path_deviation(path_a, path_b)
+                assert got == boundary_deviation(path_a, path_b)
+                assert got < 0.5
+        assert shared > 50 and constant > 50 and wraps > 10
+
+    def test_deviation_of_constant_pairs(self):
+        # two constant rules contribute their one distance, across 0 too
+        def still(*values):
+            return PlannerPath(mode="skeleton", agreement=frozenset(), domain_index=0,
+                               rules=tuple(CoordinateRule(start=Turn(v), end=Turn(v),
+                                                          move_start=F(0), rest_start=F(1),
+                                                          delta=F(0)) for v in values))
+
+        path_a, path_b = still(F(1, 3), F(999, 1000)), still(F(1, 3), F(1, 1000))
+        assert path_deviation(path_a, path_b) == boundary_deviation(path_a, path_b)
+        assert path_deviation(path_a, path_b) == pytest.approx(0.002)
+        path_c = still(F(1, 3) + F(1, 200), F(999, 1000))
+        assert path_deviation(path_a, path_c) == boundary_deviation(path_a, path_c)
+        assert path_deviation(path_a, path_c) == pytest.approx(0.005)
+
+    def test_deviation_with_boundaries_tied_in_float(self):
+        # rule b's boundaries sit 10**-30 inside rule a's: their floats tie,
+        # so value_at places each at the other rule's boundary by an exact
+        # comparison; the answer is the pointwise reference's all the same
+        tiny = F(1, 10**30)
+
+        def moving(move_start, rest_start, end=F(1, 2)):
+            rule = CoordinateRule(start=Turn(F(1, 8)), end=Turn(end), move_start=move_start,
+                                  rest_start=rest_start, delta=Turn(F(1, 8)).ccw_gap(Turn(end)))
+            return PlannerPath(mode="skeleton", agreement=frozenset(), domain_index=0,
+                               rules=(rule,))
+
+        path_a = moving(F(1, 3), F(1, 2))
+        path_b = moving(F(1, 3) + tiny, F(1, 2) - tiny, end=F(1, 2) + F(1, 1000))
+        (rule_a,), (rule_b,) = path_a.rules, path_b.rules
+        assert rule_a.move_start_f == rule_b.move_start_f
+        assert rule_a.rest_start_f == rule_b.rest_start_f
+        assert rule_b.value_at(rule_a.move_start) is rule_b.start
+        assert type(rule_a.value_at(rule_b.move_start)) is float
+        assert rule_b.value_at(rule_a.rest_start) is rule_b.end
+        assert type(rule_a.value_at(rule_b.rest_start)) is float
+        got = path_deviation(path_a, path_b)
+        assert got == boundary_deviation(path_a, path_b)
+        assert got == path_deviation(path_b, path_a)
+        assert got == pytest.approx(0.001)
+
     def test_deviation_never_below_the_grid_on_the_probe_corpus(self):
         # the probe corpus of criterion 6: the supremum is at least the old
         # 64-step grid sample, up to float rounding, and equals it on most
