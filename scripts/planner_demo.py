@@ -14,20 +14,14 @@ from torustc import (
     plan_skeleton,
     sample,
 )
-from torustc.planner import sample_times
 
 
 def show(path, steps: int) -> None:
     print(f"mode={path.mode} domain={path.domain} agreement={sorted(path.agreement)}")
-    for t in sample_times(steps, path.phase_boundaries()):
-        point = path.evaluate(t)
-        vals = list(point.base) if point.circle is None else [point.circle, *point.base]
-        cells = []
-        for v in vals:
-            if isinstance(v, Turn):
-                cells.append(f"{str(v):>8}")
-            else:
-                cells.append(f"{v:>8.4f}")
+    times, columns = path.samples(steps)
+    for k, t in enumerate(times):
+        values = [column[k] for column in columns]
+        cells = [f"{str(v):>8}" if isinstance(v, Turn) else f"{v:>8.4f}" for v in values]
         print(f"  t={str(t):>6}  " + " ".join(cells))
 
 

@@ -39,14 +39,15 @@ from .algebra import (
     zdcl_degree_one,
 )
 from .bounds import BoundMismatch, compute_bounds
-from .planner import InvalidEndpoint, PlannerQuery, plan_product, plan_skeleton, sample_times
+from .planner import InvalidEndpoint, PlannerQuery, plan_product, plan_skeleton
 from .skeleton import SkeletonPoint, Turn
 from .verify import run_simulation
 
 CSV_HEADER = "n,r,lower,upper_constructive,upper_dimension,tc"
 # plan and simulate refuse finer time grids: time, memory and output grow
-# linearly with --steps (a 65,536-step (9,6) plan prints 19 MB, in about
-# 0.6 s and 120 MB of RSS on a 2-core x86-64 VM)
+# linearly with --steps (a 65,536-step (9,6) plan with all eight coordinates
+# moving prints 22 MB, in about 0.8 s and 128 MB of RSS on a 2-core x86-64
+# VM; with --product and the circle moving too, 26 MB, 1 s and 143 MB)
 MAX_STEPS = 65_536
 # simulate refuses more queries or probes, and tc larger grids: each is
 # linear in its count (README gives the measured worst cases)
@@ -195,8 +196,9 @@ def cmd_verify_lower_bound(args) -> int:
 
 
 def _coord_cells(column) -> list[str]:
-    """One coordinate's values as the indented JSON that plan prints for
-    them.  A resting coordinate repeats one Turn object, rendered once."""
+    """One coordinate's values, a column of PlannerPath.samples, as the
+    indented JSON that plan prints for them.  A resting coordinate repeats
+    one Turn object, rendered once."""
     cells = []
     last = cell = None
     for value in column:
@@ -218,10 +220,7 @@ def cmd_plan(args) -> int:
     end = _parse_point(args.to, args.product)
     query = PlannerQuery(start, end)
     path = plan_product(query, sig) if args.product else plan_skeleton(query, sig)
-    times = sample_times(args.steps, path.phase_boundaries())
-    columns = path.columns(times)
-    if path.mode == "product":
-        columns.insert(0, columns.pop())
+    times, columns = path.samples(args.steps)
     head = json.dumps({
         "n": sig.n,
         "r": sig.r,

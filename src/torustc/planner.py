@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import math
-from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
@@ -123,13 +122,15 @@ class CoordinateRule(namedtuple("_RuleFields", (
     otherwise.  Base coordinates keep rule_index 0.
 
     The fields passed in are exact, so phase membership at rational times
-    is decided exactly.  constant and the *_f float mirrors, which the
-    travel phase, float evaluation and the phase search read, are derived
-    from them here and nowhere else, from their integer numerators and
+    is decided exactly.  The window must satisfy 0 <= move_start <
+    rest_start <= 1, for constant rules too, so span_f is positive;
+    anything else raises ValueError.  constant and the *_f float mirrors,
+    which the travel phase and float evaluation read, are derived from the
+    exact fields here and nowhere else, from their integer numerators and
     denominators: each mirror is the correctly rounded float of its exact
     value.  A rule is an immutable tuple, so one rule may serve many paths;
-    copies and _replace go through the constructor, so the mirrors always
-    follow the exact fields.
+    copies and _replace go through the constructor, so the window check and
+    the mirrors always follow the exact fields.
     """
 
     __slots__ = ()
@@ -139,10 +140,14 @@ class CoordinateRule(namedtuple("_RuleFields", (
         d_p, d_q = delta.as_integer_ratio()
         m_p, m_q = move_start.as_integer_ratio()
         r_p, r_q = rest_start.as_integer_ratio()
+        span = r_p * m_q - m_p * r_q
+        if m_p < 0 or span <= 0 or r_p > r_q:
+            raise ValueError(f"a rule's window needs 0 <= move_start < rest_start <= 1, "
+                             f"got [{move_start}, {rest_start}]")
         return tuple.__new__(cls, (
             start, end, move_start, rest_start, delta, rule_index, not d_p,
             start.num / start.den, end.num / end.den, d_p / d_q, m_p / m_q, r_p / r_q,
-            (r_p * m_q - m_p * r_q) / (r_q * m_q)))
+            span / (r_q * m_q)))
 
     def __getnewargs__(self):
         return self[:6]
@@ -189,29 +194,11 @@ def _check_time(t) -> Fraction:
     return t
 
 
-def _count_through(times, floats, bound: Fraction, bound_f: float) -> int:
-    """How many times of an ascending rational list are <= bound.
-
-    The search runs on floats, where floats[k] = float(times[k]) and
-    bound_f = float(bound).  Rounding is monotone, so a time whose float
-    differs from bound_f lies on the same side of bound as its float lies of
-    bound_f; each time whose float ties with bound_f is settled by one exact
-    comparison, unless it is the bound object itself.
-    """
-    k = bisect_right(floats, bound_f)
-    while k and floats[k - 1] == bound_f and times[k - 1] is not bound and times[k - 1] > bound:
-        k -= 1
-    return k
-
-
-def _count_below(times, floats, bound: Fraction, bound_f: float) -> int:
-    """How many times of an ascending rational list are < bound; the search
-    is _count_through's."""
-    k = bisect_left(floats, bound_f)
-    m = len(times)
-    while k < m and floats[k] == bound_f and times[k] is not bound and times[k] < bound:
-        k += 1
-    return k
+def _check_steps(steps) -> None:
+    if not isinstance(steps, int):
+        raise TypeError(f"steps must be an integer, got {steps!r}")
+    if steps < 1:
+        raise ValueError(f"steps must be positive, got {steps}")
 
 
 @dataclass(frozen=True)
@@ -243,39 +230,6 @@ class PlannerPath:
         circ = self.circle_rule.value_at(t) if self.circle_rule is not None else None
         return EvaluatedPoint(base, circ)
 
-    def columns(self, times) -> list[list]:
-        """Values of each coordinate at every time of an ascending rational
-        list, one list per entry of coordinate_rules.
-
-        Equal to the values of [self.evaluate(t) for t in times], Turn for
-        Turn and float for float; a resting coordinate repeats one Turn
-        object.  Each rule's phases are found by bisecting the floats of the
-        times, with ties settled exactly (_count_through), so no time is
-        placed by Fraction comparisons; travel values use value_at's float
-        expression on float(t), taken once per time.
-        """
-        try:
-            # float(t) as the correctly rounded quotient of two integers;
-            # floats have no numerator
-            tfs = [t.numerator / t.denominator for t in times]
-        except AttributeError:
-            raise TypeError("evaluation times must be exact rationals, not floats") from None
-        if times:
-            _check_time(times[0])
-            _check_time(times[-1])
-        m = len(times)
-        columns = []
-        for rule in self.coordinate_rules:
-            if rule.constant:
-                columns.append([rule.start] * m)
-                continue
-            hi = _count_through(times, tfs, rule.move_start, rule.move_start_f)
-            lo = _count_below(times, tfs, rule.rest_start, rule.rest_start_f)
-            s0, ms, span, dl = rule.start_f, rule.move_start_f, rule.span_f, rule.delta_f
-            travel = [(s0 + ((tf - ms) / span) * dl) % 1.0 for tf in tfs[hi:lo]]
-            columns.append([rule.start] * hi + travel + [rule.end] * (m - lo))
-        return columns
-
     def phase_boundaries(self) -> tuple[Fraction, ...]:
         """Times where some coordinate switches phase, in ascending order."""
         cuts = {}
@@ -286,6 +240,53 @@ class PlannerPath:
                 cuts[rule.move_start.as_integer_ratio()] = (rule.move_start_f, rule.move_start)
                 cuts[rule.rest_start.as_integer_ratio()] = (rule.rest_start_f, rule.rest_start)
         return tuple(t for _, t in sorted(cuts.values()))
+
+    def samples(self, steps: int) -> tuple[list[Fraction], list[list]]:
+        """The path on one exact timeline: the times, and the values of each
+        coordinate at every time, one list per coordinate in label order
+        (the circle, label 0, first).
+
+        The times are the grid k/steps for k = 0..steps and every phase
+        boundary, each once, in ascending order.  A boundary p/q is grid
+        point k = p*steps // q when the remainder is 0, and otherwise lies
+        strictly between grid points k and k+1, so it is placed by integer
+        arithmetic; phase_boundaries is already ascending.  The values equal
+        those of evaluate(t), Turn for Turn and float for float, and a
+        resting coordinate repeats one Turn object.  Each rule rests through
+        the position of its move_start and from the position of its
+        rest_start on, both looked up by numerator and denominator (the
+        circle's window is [0, 1]); travel values are value_at's float
+        expression.
+        """
+        _check_steps(steps)
+        grid = _grid(steps)
+        times = []
+        at = {(0, 1): 0}
+        done = 0
+        for t in self.phase_boundaries():
+            p, q = t.as_integer_ratio()
+            k, off = divmod(p * steps, q)
+            times += grid[done:k + 1]
+            done = k + 1
+            if off:
+                times.append(t)
+            at[p, q] = len(times) - 1
+        times += grid[done:]
+        m = len(times)
+        at[1, 1] = m - 1
+        # float(t) as the correctly rounded quotient of two integers
+        tfs = [t.numerator / t.denominator for t in times]
+        columns = []
+        for rule in self.rules if self.circle_rule is None else (self.circle_rule, *self.rules):
+            if rule.constant:
+                columns.append([rule.start] * m)
+                continue
+            hi = at[rule.move_start.as_integer_ratio()] + 1
+            lo = at[rule.rest_start.as_integer_ratio()]
+            s0, ms, span, dl = rule.start_f, rule.move_start_f, rule.span_f, rule.delta_f
+            travel = [(s0 + ((tf - ms) / span) * dl) % 1.0 for tf in tfs[hi:lo]]
+            columns.append([rule.start] * hi + travel + [rule.end] * (m - lo))
+        return times, columns
 
     def exact_zero_counts(self, steps: int) -> list[int]:
         """Exact basepoint counts at the grid times k/steps, k = 0..steps.
@@ -298,10 +299,7 @@ class PlannerPath:
         suffix starts at the ceiling of p*steps / q: one integer division
         per boundary, with no Fraction comparison.
         """
-        if not isinstance(steps, int):
-            raise TypeError(f"steps must be an integer, got {steps!r}")
-        if steps < 1:
-            raise ValueError(f"steps must be positive, got {steps}")
+        _check_steps(steps)
         diff = [0] * (steps + 2)
         for rule in self.rules:
             if rule.start.is_zero:
@@ -354,35 +352,6 @@ def _grid(steps: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(k, steps) for k in range(steps + 1))
 
 
-def sample_times(steps: int, *extra) -> list[Fraction]:
-    """The grid k/steps for k = 0..steps with the extra times inserted, in
-    ascending order and each time once.
-
-    An extra time p/q is grid point k = p*steps // q when the remainder is
-    0, and otherwise lies strictly between grid points k and k+1, so each
-    is placed by integer arithmetic; extras sharing a grid cell are sorted
-    by float, with exact ties broken by the Fractions themselves.  Extras
-    must be exact rationals in [0, 1].
-    """
-    grid = _grid(steps)
-    cells = {}
-    for run in extra:
-        for t in run:
-            t = _check_time(t)
-            p, q = t.as_integer_ratio()
-            k, off = divmod(p * steps, q)
-            if off:
-                cells.setdefault(k, {})[p, q] = (p / q, t)
-    out = []
-    done = 0
-    for k in sorted(cells):
-        out += grid[done:k + 1]
-        out += [t for _, t in sorted(cells[k].values())]
-        done = k + 1
-    out += grid[done:]
-    return out
-
-
 # the rule of every coordinate parked at the basepoint at both ends
 _PARKED = CoordinateRule(start=Turn(0), end=Turn(0), move_start=_ZERO, rest_start=_ONE,
                          delta=_ZERO)
@@ -416,7 +385,7 @@ def _schedule_ends(u: Turn, v: Turn) -> tuple[Fraction, Fraction]:
 
 def _build_rules(start: SkeletonPoint, end: SkeletonPoint) -> tuple[CoordinateRule, ...]:
     rules = []
-    for j, (u, v) in enumerate(zip(start.base, end.base), start=1):
+    for u, v in zip(start.base, end.base):
         if u is v or u == v:
             rules.append(_PARKED if u.is_zero else CoordinateRule(
                 start=u, end=v, move_start=_ZERO, rest_start=_ONE, delta=_ZERO))
@@ -424,14 +393,8 @@ def _build_rules(start: SkeletonPoint, end: SkeletonPoint) -> tuple[CoordinateRu
         move_start, rest_start = u.move_start, v.rest_start
         if move_start is None or rest_start is None:
             move_start, rest_start = _schedule_ends(u, v)
-        rule = CoordinateRule(start=u, end=v, move_start=move_start,
-                              rest_start=rest_start, delta=u.ccw_gap(v))
-        if rule.span_f <= 0.0:
-            # unreachable: dwell is 1/2 only at the basepoint and u != v;
-            # span_f is rest_start - move_start correctly rounded, so it is
-            # positive exactly when the window is
-            raise RuntimeError(f"scheduling window collapsed for coordinate {j}")
-        rules.append(rule)
+        rules.append(CoordinateRule(start=u, end=v, move_start=move_start,
+                                    rest_start=rest_start, delta=u.ccw_gap(v)))
     return tuple(rules)
 
 

@@ -14,6 +14,7 @@ from torustc import (
     AlgebraSignature,
     CoordinateRule,
     InvalidEndpoint,
+    PlannerPath,
     PlannerQuery,
     SkeletonPoint,
     Turn,
@@ -23,7 +24,6 @@ from torustc import (
     plan_skeleton,
     sample,
 )
-from torustc.planner import sample_times
 
 F = Fraction
 
@@ -302,47 +302,88 @@ class TestPlanProduct:
 
 
 def _values(p):
-    return p.base if p.circle is None else (*p.base, p.circle)
+    """The values of an evaluated point in label order, the circle first."""
+    return p.base if p.circle is None else (p.circle, *p.base)
 
 
-def _rows(path, times):
-    """The columns of a path read row by row, one tuple per time."""
-    return list(zip(*path.columns(times))) or [()] * len(times)
+_STEPS = (1, 2, 3, 16, 256)
+_TINY = F(1, 2**80)
+
+
+def _check_samples(path, steps):
+    """samples(steps) against evaluate, the reference, at every time it
+    returns; the times are checked first.  Returns the times."""
+    times, columns = path.samples(steps)
+    # equal to a sorted set: strictly ascending, every grid point and
+    # boundary exactly once, and nothing else
+    assert times == sorted({*(F(k, steps) for k in range(steps + 1)), *path.phase_boundaries()})
+    assert all(type(t) is Fraction for t in times)
+    assert len(columns) == len(path.coordinate_rules)
+    assert all(len(column) == len(times) for column in columns)
+    for k, t in enumerate(times):
+        want = _values(path.evaluate(t))
+        got = tuple(column[k] for column in columns)
+        assert got == want
+        assert [type(v) for v in got] == [type(v) for v in want]
+    return times
+
+
+def _tied_path(product):
+    """A hand-built path whose phase boundaries fall on grid points (0, 1/4,
+    1/3, 1/2, 2/3, 3/4, 1) and pair up with boundaries 2**-80 away, whose
+    floats tie with theirs."""
+    def rule(u, v, move_start, rest_start):
+        return CoordinateRule(start=Turn(F(u)), end=Turn(F(v)), move_start=move_start,
+                              rest_start=rest_start, delta=Turn(F(u)).ccw_gap(Turn(F(v))))
+
+    rules = (
+        rule(0, "1/4", F(1, 4), F(3, 4)),
+        rule("1/3", 0, F(1, 4) - _TINY, F(3, 4) + _TINY),
+        rule("1/8", "5/8", F(1, 3), F(2, 3)),
+        rule("7/8", "1/8", F(1, 3) + _TINY, F(2, 3) - _TINY),
+        rule("1/2", "1/2", F(0), F(1)),
+        rule(0, "1/3", F(0), F(1, 2)),
+        rule("2/5", 0, F(1, 2) + _TINY, F(1)),
+    )
+    circle = rule("1/8", "3/4", F(0), F(1)) if product else None
+    return PlannerPath(mode="product" if product else "skeleton", agreement=frozenset({5}),
+                       domain_index=1, rules=rules, circle_rule=circle,
+                       combined_index=1 if product else None)
 
 
 class TestEvaluateMany:
-    """The batch evaluator, columns, against pointwise evaluation, the reference."""
+    """PlannerPath.samples, the one sampled timeline, against pointwise
+    evaluation, the reference."""
 
     @pytest.mark.parametrize("mode", ["skeleton", "product"])
     def test_matches_pointwise_evaluation(self, mode):
         product = mode == "product"
         plan = plan_product if product else plan_skeleton
         rng = random.Random(61 + product)
+        on_grid = 0
         for n, r in [(1, 1), (2, 2), (3, 2), (4, 2), (5, 3), (6, 6), (8, 4), (10, 5)]:
             sig = AlgebraSignature(n, r)
-            for _ in range(25):
+            for _ in range(12):
                 a = sample(sig, rng, with_circle=product)
                 b = sample(sig, rng, with_circle=product)
                 path = plan(query(a, b), sig)
-                cuts = path.phase_boundaries()
-                # floats one ulp either side of every boundary, taken back
-                # exactly: dyadic times just inside and outside each phase
-                near = [
-                    F(math.nextafter(float(c), toward))
-                    for c in cuts for toward in (0.0, 1.0)
-                ]
-                near = [t for t in near if 0 <= t <= 1]
-                dyadic = [F(rng.random()) for _ in range(8)]
-                times = sample_times(16, cuts, near, dyadic)
-                grid = [F(k, 16) for k in range(17)]
-                assert times == sorted({*grid, *cuts, *near, *dyadic})
-                assert times[0] == 0 and times[-1] == 1
+                for steps in _STEPS:
+                    times = _check_samples(path, steps)
+                    assert times[0] == 0 and times[-1] == 1
+                    on_grid += sum(1 for c in path.phase_boundaries()
+                                   if 0 < c < 1 and (c * steps).denominator == 1)
+        # boundaries at 1/2, where a coordinate leaves or reaches the basepoint
+        assert on_grid > 50
 
-                want = [_values(path.evaluate(t)) for t in times]
-                got = _rows(path, times)
-                assert got == want
-                for g, w in zip(got, want):
-                    assert [type(v) for v in g] == [type(v) for v in w]
+    @pytest.mark.parametrize("mode", ["skeleton", "product"])
+    def test_boundaries_on_grid_points_and_tied_in_float(self, mode):
+        path = _tied_path(mode == "product")
+        cuts = path.phase_boundaries()
+        assert len(cuts) == 12
+        assert len({float(c) for c in cuts}) == 7
+        for steps in _STEPS:
+            times = _check_samples(path, steps)
+            assert len(times) == steps + 1 + sum(1 for c in cuts if (c * steps).denominator != 1)
 
     @pytest.mark.parametrize("mode", ["skeleton", "product"])
     def test_exact_ties_hidden_by_float_rounding(self, mode):
@@ -351,7 +392,6 @@ class TestEvaluateMany:
         product = mode == "product"
         plan = plan_product if product else plan_skeleton
         rng = random.Random(71 + product)
-        tiny = F(1, 2**80)
         ties = 0
         for n, r in [(1, 1), (2, 2), (3, 2), (4, 2), (5, 3), (6, 6), (8, 4), (10, 5)]:
             sig = AlgebraSignature(n, r)
@@ -360,16 +400,22 @@ class TestEvaluateMany:
                 b = sample(sig, rng, with_circle=product)
                 path = plan(query(a, b), sig)
                 cuts = path.phase_boundaries()
-                near = [c + s for c in cuts for s in (-tiny, tiny) if 0 <= c + s <= 1]
+                near = [c + s for c in cuts for s in (-_TINY, _TINY) if 0 <= c + s <= 1]
                 ties += sum(1 for t in near if float(t) in {float(c) for c in cuts})
-                times = sample_times(16, near, cuts)
-                assert times == sorted({*(F(k, 16) for k in range(17)), *cuts, *near})
+                times = sorted({*(F(k, 16) for k in range(17)), *cuts, *near})
 
                 want = [path.evaluate(t) for t in times]
-                got = _rows(path, times)
-                assert got == [_values(w) for w in want]
-                for g, w in zip(got, want):
-                    assert [type(v) for v in g] == [type(v) for v in _values(w)]
+                # each coordinate rests exactly through move_start and from
+                # rest_start on, and travels, as a float, strictly between
+                rules = (path.circle_rule, *path.rules) if product else path.rules
+                for t, w in zip(times, want):
+                    for rule, v in zip(rules, _values(w)):
+                        if rule.constant or t <= rule.move_start:
+                            assert type(v) is Turn and v == rule.start
+                        elif t >= rule.rest_start:
+                            assert type(v) is Turn and v == rule.end
+                        else:
+                            assert type(v) is float
                 # every boundary and, through c +- 2**-80, a point of every
                 # open piece: the sweep's least count over [0, 1] is the
                 # least count over these times
@@ -379,45 +425,45 @@ class TestEvaluateMany:
                 ]
         assert ties > 100
 
-    def test_sample_times_rejects_float_and_out_of_range_extras(self):
-        with pytest.raises(TypeError, match="exact rationals"):
-            sample_times(4, [F(1, 3)], [0.5])
-        with pytest.raises(ValueError, match="outside"):
-            sample_times(4, [F(3, 2)])
-        with pytest.raises(ValueError, match="outside"):
-            sample_times(4, [F(-1, 2)])
-
-    def test_empty_and_single_time(self):
+    @pytest.mark.parametrize("mode", ["skeleton", "product"])
+    def test_no_coordinates_and_one_step(self, mode):
+        # n = 1: the skeleton path has no coordinates, the product path only
+        # the circle
+        sig = AlgebraSignature(1, 1)
+        if mode == "skeleton":
+            path = plan_skeleton(query(point(), point()), sig)
+            assert path.samples(1) == ([F(0), F(1)], [])
+        else:
+            path = plan_product(query(point(circle="1/8"), point(circle="5/8")), sig)
+            times, (circle,) = path.samples(1)
+            assert times == [F(0), F(1)] and circle == [Turn(F(1, 8)), Turn(F(5, 8))]
+        for steps in _STEPS:
+            _check_samples(path, steps)
+        # one step: the grid is 0 and 1, and every boundary lies between
         sig = AlgebraSignature(3, 2)
-        path = plan_product(query(point(0, "1/4", circle="1/8"),
-                                  point("1/2", 0, circle="5/8")), sig)
-        assert path.columns([]) == [[], [], []]
-        assert _rows(path, []) == []
-        assert _rows(path, [F(1, 3)]) == [_values(path.evaluate(F(1, 3)))]
+        worked = plan_product(query(point(0, "1/4", circle="1/8"),
+                                    point("1/2", 0, circle="5/8")), sig)
+        times = _check_samples(worked, 1)
+        assert times == [F(0), *worked.phase_boundaries()[1:-1], F(1)]
 
     def test_rejects_float_and_out_of_range_times(self):
         sig = AlgebraSignature(3, 2)
         path = plan_skeleton(query(point(0, 0), point(0, "1/4")), sig)
-        with pytest.raises(TypeError, match="exact rationals"):
-            path.columns([F(0), 0.5, F(1)])
-        with pytest.raises(ValueError, match="outside"):
-            path.columns([F(0), F(3, 2)])
-        with pytest.raises(ValueError, match="outside"):
-            path.columns([F(-1, 2), F(1)])
         for t in (0.5, 1.0):
             with pytest.raises(TypeError, match="exact rationals"):
                 path.evaluate(t)
         for t in (F(3, 2), F(-1, 2), 7, -3):
             with pytest.raises(ValueError, match="outside"):
                 path.evaluate(t)
-        # the grid counter takes a positive integer step count
+        # the grid counter and the sampler take a positive integer step count
         worked = plan_skeleton(query(point(0, "1/4"), point("1/2", 0)), sig)
-        for steps in (0.5, 4.0, F(4), "4"):
-            with pytest.raises(TypeError, match="integer"):
-                worked.exact_zero_counts(steps)
-        for steps in (0, -3):
-            with pytest.raises(ValueError, match="positive"):
-                worked.exact_zero_counts(steps)
+        for method in (worked.exact_zero_counts, worked.samples):
+            for steps in (0.5, 4.0, F(4), "4"):
+                with pytest.raises(TypeError, match="integer"):
+                    method(steps)
+            for steps in (0, -3):
+                with pytest.raises(ValueError, match="positive"):
+                    method(steps)
 
 
 class TestLeastZeroCount:
@@ -466,6 +512,25 @@ class TestCoordinateRule:
         assert copy.copy(rule) == rule and pickle.loads(pickle.dumps(rule)) == rule
         moved = rule._replace(delta=F(1, 2))
         assert moved.delta_f == 0.5 and rule.delta_f == 0.25
+
+    def test_rejects_empty_reversed_and_out_of_range_windows(self):
+        def rule(move_start, rest_start, start="1/3", delta=F(0)):
+            return CoordinateRule(start=Turn(F(start)), end=Turn(F(start) + delta),
+                                  move_start=move_start, rest_start=rest_start, delta=delta)
+
+        # a constant rule on the empty window [1/2, 1/2] used to be accepted,
+        # and path_deviation then divided by its zero span
+        for window in ((F(1, 2), F(1, 2)), (F(3, 4), F(1, 4)), (F(1, 2), F(3, 2)),
+                       (F(-1, 4), F(1, 2)), (F(1), F(1)), (F(1, 3), F(1, 3) - F(1, 2**80))):
+            for delta in (F(0), F(1, 4)):
+                with pytest.raises(ValueError, match="window"):
+                    rule(*window, delta=delta)
+        moving = rule(F(1, 4), F(3, 4), delta=F(1, 4))
+        with pytest.raises(ValueError, match="window"):
+            moving._replace(rest_start=F(1, 4))
+        # the widest and narrowest windows that are allowed
+        assert rule(F(0), F(1)).span_f == 1.0
+        assert 0.0 < rule(F(1, 3), F(1, 3) + F(1, 2**80), delta=F(1, 4)).span_f
 
     def test_parked_coordinates_share_one_rule(self):
         sig = AlgebraSignature(5, 3)
