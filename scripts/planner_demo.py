@@ -14,6 +14,7 @@ from torustc import (
     plan_skeleton,
     sample,
 )
+from torustc.cli import MAX_STEPS
 
 
 def show(path, steps: int) -> None:
@@ -30,6 +31,8 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--steps", type=int, default=8)
     args = parser.parse_args()
+    if not 1 <= args.steps <= MAX_STEPS:
+        parser.error(f"--steps must be between 1 and {MAX_STEPS}")
 
     sig = AlgebraSignature(3, 2)
     fixed = PlannerQuery(

@@ -25,7 +25,6 @@ from .algebra import (
 )
 from .bounds import BoundMismatch, TcBounds, compute_bounds
 from .planner import (
-    Agreement,
     CoordinateRule,
     EvaluatedPoint,
     InvalidEndpoint,
@@ -44,7 +43,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraElement",
     "AlgebraSignature",
-    "Agreement",
     "BoundMismatch",
     "CertificateFailure",
     "CoordinateRule",

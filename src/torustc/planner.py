@@ -11,10 +11,11 @@ exactly at the basepoint at every moment; that is the membership invariant
 keeping the whole path on the skeleton.
 
 The planner for the product space adds the free circle factor as label 0,
-with the window [0, 1] and a signed delta: it travels its shorter arc, and
-exact antipodes go half a turn counterclockwise.  The rule applied to a
-query is indexed by how many coordinates the two endpoints share, which
-partitions all queries into n+1 domains of continuity.
+with the window [0, 1]: it travels its shorter arc, and exact antipodes go
+half a turn counterclockwise.  A query's domain of continuity is the number
+of base coordinates its two endpoints share, plus 1 when its circle
+endpoints are exact antipodes, which partitions all queries into n+1
+domains.
 
 Exactness discipline: evaluation at a time inside a resting phase (or at
 t = 0, 1) returns exact Turn values; strictly inside a travel phase it
@@ -30,7 +31,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import NamedTuple
 
 from .skeleton import SkeletonPoint, Turn, membership
 
@@ -85,59 +85,65 @@ class PlannerQuery:
         return {"from": self.start.to_jsonable(), "to": self.end.to_jsonable()}
 
 
-class Agreement(NamedTuple):
-    """Base coordinates shared by the two endpoints, and the domain they select."""
-
-    indices: frozenset[int]
-    domain_index: int
-
-
-def classify(query: PlannerQuery, sig) -> Agreement:
-    """Agreement set J and domain index i = |J| of a query.
+def classify(query: PlannerQuery, sig) -> frozenset[int]:
+    """Agreement set J of a query: the labels of the base coordinates its
+    endpoints share.
 
     Exact coordinate equality is decidable because coordinates are rational,
-    so every query falls in exactly one domain, 0 <= i <= n-1.
+    so every query's base agreement count |J| is one of 0..n-1.
     """
     if len(query.start.base) != sig.n - 1:
         raise ValueError(f"expected {sig.n - 1} base coordinates, got {len(query.start.base)}")
-    agree = frozenset(
+    return frozenset(
         j + 1
         for j, (a, b) in enumerate(zip(query.start.base, query.end.base))
         if a is b or a == b
     )
-    return Agreement(agree, len(agree))
+
+
+def _travel(start: Turn, end: Turn, shorter_arc: bool) -> tuple[int, int]:
+    """Turns from start to end as a numerator and denominator: the
+    counterclockwise gap in [0, 1), or with shorter_arc the signed shorter
+    arc in (-1/2, 1/2], where exact antipodes get +1/2."""
+    p, q, p2, q2 = start.num, start.den, end.num, end.den
+    den = q * q2
+    num = (p2 * q - p * q2) % den
+    if shorter_arc and 2 * num > den:
+        num -= den
+    return num, den
 
 
 class CoordinateRule(namedtuple("_RuleFields", (
-        "start end move_start rest_start delta rule_index constant "
+        "start end move_start rest_start shorter_arc constant "
         "start_f end_f delta_f move_start_f rest_start_f span_f"))):
     """Schedule of one coordinate: rest at start until move_start, travel
     delta turns at constant speed, rest at end from rest_start on.
 
     A rule knows nothing of its coordinate, which is its position in
-    PlannerPath.coordinate_rules.  Base coordinates take their window from
-    the dwell times and delta is the counterclockwise gap.  The free circle
-    factor has the window [0, 1] and delta is the signed shorter arc, with
-    rule_index 1 for exact antipodes (half a turn counterclockwise) and 0
-    otherwise.  Base coordinates keep rule_index 0.
+    PlannerPath.coordinate_rules.  Its travel delta is fixed by its
+    endpoints: the counterclockwise gap from start to end, or with
+    shorter_arc the signed shorter arc, where exact antipodes travel half a
+    turn counterclockwise.  Base coordinates take their window from the
+    dwell times and travel counterclockwise; the free circle factor has the
+    window [0, 1] and travels its shorter arc.
 
     The fields passed in are exact, so phase membership at rational times
     is decided exactly.  The window must satisfy 0 <= move_start <
     rest_start <= 1, for constant rules too, so span_f is positive;
-    anything else raises ValueError.  constant and the *_f float mirrors,
-    which the travel phase and float evaluation read, are derived from the
-    exact fields here and nowhere else, from their integer numerators and
-    denominators: each mirror is the correctly rounded float of its exact
-    value.  A rule is an immutable tuple, so one rule may serve many paths;
-    copies and _replace go through the constructor, so the window check and
-    the mirrors always follow the exact fields.
+    anything else raises ValueError.  constant (start == end) and the *_f
+    float mirrors, which the travel phase and float evaluation read, are
+    derived from the exact fields here and nowhere else, from their integer
+    numerators and denominators: each mirror is the correctly rounded float
+    of its exact value.  A rule is an immutable tuple, so one rule may serve
+    many paths; copies and _replace go through the constructor, so the
+    window check, the travel and the mirrors always follow the exact fields.
     """
 
     __slots__ = ()
 
     def __new__(cls, start: Turn, end: Turn, move_start: Fraction, rest_start: Fraction,
-                delta: Fraction, rule_index: int = 0):
-        d_p, d_q = delta.as_integer_ratio()
+                shorter_arc: bool = False):
+        d_p, d_q = _travel(start, end, shorter_arc)
         m_p, m_q = move_start.as_integer_ratio()
         r_p, r_q = rest_start.as_integer_ratio()
         span = r_p * m_q - m_p * r_q
@@ -145,16 +151,21 @@ class CoordinateRule(namedtuple("_RuleFields", (
             raise ValueError(f"a rule's window needs 0 <= move_start < rest_start <= 1, "
                              f"got [{move_start}, {rest_start}]")
         return tuple.__new__(cls, (
-            start, end, move_start, rest_start, delta, rule_index, not d_p,
+            start, end, move_start, rest_start, shorter_arc, not d_p,
             start.num / start.den, end.num / end.den, d_p / d_q, m_p / m_q, r_p / r_q,
             span / (r_q * m_q)))
 
     def __getnewargs__(self):
-        return self[:6]
+        return self[:5]
 
     @classmethod
     def _make(cls, fields):
-        return cls(*tuple(fields)[:6])
+        return cls(*tuple(fields)[:5])
+
+    @property
+    def delta(self) -> Fraction:
+        """The exact travel in turns, start + delta == end mod 1."""
+        return Fraction(*_travel(self.start, self.end, self.shorter_arc))
 
     def value_at(self, t: Fraction):
         if self.constant:
@@ -203,25 +214,29 @@ def _check_steps(steps) -> None:
 
 @dataclass(frozen=True)
 class PlannerPath:
-    """A planned path: its mode, the endpoints' agreement and domain, and
-    one schedule per coordinate."""
+    """A planned path: the endpoints' agreement set, the rules of the base
+    coordinates, and the circle's rule in product mode."""
 
-    mode: str
     agreement: frozenset[int]
-    domain_index: int
     rules: tuple[CoordinateRule, ...]
     circle_rule: CoordinateRule | None = None
-    combined_index: int | None = None
+
+    @property
+    def mode(self) -> str:
+        return "skeleton" if self.circle_rule is None else "product"
 
     @property
     def coordinate_rules(self) -> tuple[CoordinateRule, ...]:
-        """The rule of every coordinate: the base ones in order, then the circle."""
-        return self.rules if self.circle_rule is None else (*self.rules, self.circle_rule)
+        """The rule of every coordinate in label order: the circle, label 0,
+        first, then the base ones."""
+        return self.rules if self.circle_rule is None else (self.circle_rule, *self.rules)
 
     @property
     def domain(self) -> int:
-        """The continuity domain: combined_index in product mode, else domain_index."""
-        return self.domain_index if self.combined_index is None else self.combined_index
+        """The continuity domain: the base agreement count, plus 1 when the
+        circle travels half a turn (exact antipodes)."""
+        rule = self.circle_rule
+        return len(self.agreement) + (rule is not None and rule.delta == _HALF)
 
     def evaluate(self, t) -> EvaluatedPoint:
         """Point of the path at rational time t in [0, 1]."""
@@ -277,7 +292,7 @@ class PlannerPath:
         # float(t) as the correctly rounded quotient of two integers
         tfs = [t.numerator / t.denominator for t in times]
         columns = []
-        for rule in self.rules if self.circle_rule is None else (self.circle_rule, *self.rules):
+        for rule in self.coordinate_rules:
             if rule.constant:
                 columns.append([rule.start] * m)
                 continue
@@ -353,8 +368,7 @@ def _grid(steps: int) -> tuple[Fraction, ...]:
 
 
 # the rule of every coordinate parked at the basepoint at both ends
-_PARKED = CoordinateRule(start=Turn(0), end=Turn(0), move_start=_ZERO, rest_start=_ONE,
-                         delta=_ZERO)
+_PARKED = CoordinateRule(start=Turn(0), end=Turn(0), move_start=_ZERO, rest_start=_ONE)
 
 
 def _schedule_ends(u: Turn, v: Turn) -> tuple[Fraction, Fraction]:
@@ -387,14 +401,12 @@ def _build_rules(start: SkeletonPoint, end: SkeletonPoint) -> tuple[CoordinateRu
     rules = []
     for u, v in zip(start.base, end.base):
         if u is v or u == v:
-            rules.append(_PARKED if u.is_zero else CoordinateRule(
-                start=u, end=v, move_start=_ZERO, rest_start=_ONE, delta=_ZERO))
+            rules.append(_PARKED if u.is_zero else CoordinateRule(u, v, _ZERO, _ONE))
             continue
         move_start, rest_start = u.move_start, v.rest_start
         if move_start is None or rest_start is None:
             move_start, rest_start = _schedule_ends(u, v)
-        rules.append(CoordinateRule(start=u, end=v, move_start=move_start,
-                                    rest_start=rest_start, delta=u.ccw_gap(v)))
+        rules.append(CoordinateRule(u, v, move_start, rest_start))
     return tuple(rules)
 
 
@@ -425,35 +437,21 @@ def plan_product(query: PlannerQuery, sig) -> PlannerPath:
 
     The base coordinates follow the skeleton schedule; the circle factor
     takes its shorter arc, counterclockwise for exact antipodes.  The
-    combined domain index is the base agreement count plus the circle rule
-    index, giving n+1 domains in total.
+    domain is the base agreement count plus 1 for exact antipodes, giving
+    n+1 domains in total.
     """
     if not query.start.has_circle:
         raise InvalidEndpoint("product planning expects endpoints with a circle factor")
     return _plan(query, sig)
 
 
-def _build_circle_rule(z: Turn, z_prime: Turn) -> CoordinateRule:
-    gap = z.ccw_gap(z_prime)
-    p, q = gap.as_integer_ratio()
-    return CoordinateRule(start=z, end=z_prime, move_start=_ZERO,
-                          rest_start=_ONE, delta=Fraction(p - q, q) if 2 * p > q else gap,
-                          rule_index=int(2 * p == q))
-
-
 def _plan(query: PlannerQuery, sig) -> PlannerPath:
     _require_membership(query.start, sig, "start")
     _require_membership(query.end, sig, "end")
-    agree = classify(query, sig)
-    circle_rule = combined_index = None
-    if query.start.has_circle:
-        circle_rule = _build_circle_rule(query.start.circle, query.end.circle)
-        combined_index = agree.domain_index + circle_rule.rule_index
+    start, end = query.start, query.end
     return PlannerPath(
-        mode="skeleton" if circle_rule is None else "product",
-        agreement=agree.indices,
-        domain_index=agree.domain_index,
-        rules=_build_rules(query.start, query.end),
-        circle_rule=circle_rule,
-        combined_index=combined_index,
+        agreement=classify(query, sig),
+        rules=_build_rules(start, end),
+        circle_rule=None if start.circle is None else CoordinateRule(
+            start.circle, end.circle, _ZERO, _ONE, shorter_arc=True),
     )

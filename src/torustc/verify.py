@@ -1,17 +1,18 @@
 """Randomized verification of the planner invariants.
 
 run_simulation drives the planner over seeded random queries and checks,
-for every query: exact endpoint interpolation, a valid domain index that
-matches the endpoint agreement, and skeleton membership (at least n-r
-coordinates exactly at the basepoint) for every t in [0, 1], not at
-sampled times only.  Each coordinate's basepoint count is constant between
-two phase boundaries, so the path's boundary sweep, one slot per boundary
-and one per open piece, proves membership over the whole interval; the
-grid counter checks every grid time as well.  Both are spot-checked
-against pointwise evaluation, the sweep at the time of its least count and
-the grid at a random grid time, so neither fast path can drift from the
-reference semantics unnoticed.  Every violation is counted, and the first
-FAILURE_CAP are recorded with their queries.
+for every query: exact endpoint interpolation, a domain that matches the
+endpoint agreement (plus 1 for exact antipodes on the circle), and
+skeleton membership (at least n-r coordinates exactly at the basepoint)
+for every t in [0, 1], not at sampled times only.  Each coordinate's
+basepoint count is constant between two phase boundaries, so the path's
+boundary sweep, one slot per boundary and one per open piece, proves
+membership over the whole interval; the grid counter checks every grid
+time as well.  Both are spot-checked against pointwise evaluation, the
+sweep at the time of its least count and the grid at a random grid time,
+so neither fast path can drift from the reference semantics unnoticed.
+Every violation is counted, and the first FAILURE_CAP are recorded with
+their queries.
 
 Continuity is probed by perturbing a query within its domain by at most
 eps per coordinate (DEFAULT_EPS in a simulation) and measuring how far the
@@ -42,6 +43,7 @@ from fractions import Fraction
 # the planner's own 0 and 1, so value_at settles a rule's window ending at
 # either by identity, without a Fraction comparison
 from .planner import (
+    _HALF,
     _ONE,
     _ZERO,
     PlannerPath,
@@ -148,7 +150,6 @@ def run_simulation(
     plan = plan_product if product else plan_skeleton
     rng = random.Random(seed)
     need = sig.n - sig.r
-    top_domain = sig.n if product else sig.n - 1
     report = SimulationReport(
         n=sig.n, r=sig.r, mode=mode, queries=queries, steps=steps, seed=seed
     )
@@ -165,8 +166,8 @@ def run_simulation(
         histogram[domain] = histogram.get(domain, 0) + 1
         agree = frozenset(j for j, (a, b) in enumerate(zip(start.base, end.base), start=1)
                           if a is b or a == b)
-        if not (0 <= domain <= top_domain and path.domain_index == len(path.agreement)
-                and path.agreement == agree):
+        antipodes = product and start.circle.ccw_gap(end.circle) == _HALF
+        if not (path.agreement == agree and domain == len(agree) + antipodes):
             _flag(report, "domain", query, f"domain index {domain}")
 
         if not _endpoints_exact(path, query):
@@ -263,7 +264,7 @@ def perturb_query(
     are never within eps of half a turn).
     """
     forced = {j: shift.as_integer_ratio() for j, shift in (forced_start or {}).items()}
-    agree = classify(query, sig).indices
+    agree = classify(query, sig)
     start, end = query.start, query.end
     start_base = list(_perturb_point(start, end, rng, eps, forced))
     end_base = list(_perturb_point(end, start, rng, eps, {}))
@@ -276,7 +277,7 @@ def perturb_query(
         if (start_base, end_base) == (list(start.base), list(end.base)):
             return None
         start_circle = end_circle = None
-    elif start.circle.ccw_gap(end.circle) in (0, Fraction(1, 2)):
+    elif start.circle.ccw_gap(end.circle) in (0, _HALF):
         delta = _perturbation(rng, eps)
         start_circle, end_circle = _plus(start.circle, delta), _plus(end.circle, delta)
     else:
@@ -428,6 +429,6 @@ def continuity_ratio(
     path_b = plan(nearby, sig)
     if path_a.agreement != path_b.agreement:
         raise RuntimeError("perturbation changed the agreement set; corpus bug")
-    if product and path_a.circle_rule.rule_index != path_b.circle_rule.rule_index:
+    if path_a.domain != path_b.domain:
         raise RuntimeError("perturbation changed the circle rule; corpus bug")
     return path_deviation(path_a, path_b) / float(eps)

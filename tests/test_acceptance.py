@@ -190,8 +190,8 @@ def test_criterion_5_worked_path_matches_frozen_values():
     )
     path = plan_skeleton(query, sig)
     issues = []
-    if path.domain_index != 0:
-        issues.append(f"domain {path.domain_index}")
+    if path.domain != 0:
+        issues.append(f"domain {path.domain}")
     quarter = path.evaluate(Fraction(1, 4))
     if not (isinstance(quarter.base[0], Turn) and quarter.base[0].is_zero):
         issues.append("coordinate 1 not exactly 0 at t=1/4")

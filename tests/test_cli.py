@@ -695,7 +695,7 @@ class TestPublicSurface:
     """The supported Python API: exactly these names, each importable."""
 
     KEPT = [
-        "Agreement", "AlgebraElement", "AlgebraSignature", "BoundMismatch",
+        "AlgebraElement", "AlgebraSignature", "BoundMismatch",
         "CertificateFailure", "CoordinateRule", "EvaluatedPoint", "ExteriorMonomial",
         "InstanceTooLarge", "InvalidEndpoint", "InvalidSignature", "LowerBoundCertificate",
         "PlannerPath", "PlannerQuery", "SimulationReport", "SkeletonPoint", "TcBounds",

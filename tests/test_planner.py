@@ -99,9 +99,10 @@ class TestClassify:
     def test_agreement_and_domain_index(self):
         sig = AlgebraSignature(4, 2)
         q = query(point(0, "1/3", 0), point(0, "1/4", 0))
-        agree = classify(q, sig)
-        assert agree.indices == frozenset({1, 3})
-        assert agree.domain_index == 2
+        assert classify(q, sig) == frozenset({1, 3})
+        path = plan_skeleton(q, sig)
+        assert path.agreement == frozenset({1, 3})
+        assert path.domain == 2
 
     def test_domain_range(self):
         sig = AlgebraSignature(4, 3)
@@ -109,14 +110,18 @@ class TestClassify:
         for _ in range(500):
             q = query(sample(sig, rng), sample(sig, rng))
             agree = classify(q, sig)
-            assert 0 <= agree.domain_index <= sig.n - 1
-            assert agree.domain_index == len(agree.indices)
+            assert type(agree) is frozenset and agree <= set(range(1, sig.n))
+            path = plan_skeleton(q, sig)
+            assert path.agreement == agree
+            assert 0 <= path.domain <= sig.n - 1
+            assert path.domain == len(agree)
 
     def test_identical_endpoints_share_everything(self):
         sig = AlgebraSignature(3, 2)
         p = point(0, "1/5")
         agree = classify(query(p, p), sig)
-        assert agree.domain_index == sig.n - 1
+        assert agree == frozenset(range(1, sig.n))
+        assert plan_skeleton(query(p, p), sig).domain == sig.n - 1
 
 
 class TestWorkedPath:
@@ -129,8 +134,9 @@ class TestWorkedPath:
         )
 
     def test_domain(self):
-        assert self.path.domain_index == 0
+        assert self.path.domain == 0
         assert self.path.agreement == frozenset()
+        assert self.path.mode == "skeleton"
 
     def test_quarter_time(self):
         p = self.path.evaluate(F(1, 4))
@@ -248,27 +254,32 @@ class TestPlanProduct:
                 a = sample(sig, rng, with_circle=True)
                 b = sample(sig, rng, with_circle=True)
                 path = plan_product(query(a, b), sig)
-                assert floor <= path.combined_index <= sig.n
-                seen.add(path.combined_index)
+                assert floor <= path.domain <= sig.n
+                antipodes = a.circle.ccw_gap(b.circle) == F(1, 2)
+                assert path.domain == len(path.agreement) + antipodes
+                assert path.mode == "product"
+                assert len(path.rules) == n - 1
+                assert len(path.coordinate_rules) == n
+                seen.add(path.domain)
             assert seen == set(range(floor, sig.n + 1))
 
     def test_circle_shorter_arc(self):
         sig = AlgebraSignature(1, 1)
         # ccw gap 1/4: travel ccw
         path = plan_product(query(point(circle=0), point(circle="1/4")), sig)
-        assert path.circle_rule.rule_index == 0
+        assert path.circle_rule.delta == F(1, 4) and path.domain == 0
         assert path.evaluate(F(1, 2)).circle == pytest.approx(0.125, abs=1e-15)
         # ccw gap 3/4: travel clockwise instead
         path = plan_product(query(point(circle=0), point(circle="3/4")), sig)
-        assert path.circle_rule.rule_index == 0
+        assert path.circle_rule.delta == F(-1, 4) and path.domain == 0
         assert path.evaluate(F(1, 2)).circle == pytest.approx(0.875, abs=1e-15)
         # just short of and just past the antipode
         path = plan_product(query(point(circle=0), point(circle="499/1000")), sig)
-        assert path.circle_rule.rule_index == 0
+        assert path.domain == 0
         assert path.circle_rule.delta == F(499, 1000)
         assert path.evaluate(F(1, 2)).circle == pytest.approx(0.2495, abs=1e-15)
         path = plan_product(query(point(circle=0), point(circle="501/1000")), sig)
-        assert path.circle_rule.rule_index == 0
+        assert path.domain == 0
         assert path.circle_rule.delta == F(-499, 1000)
         assert path.evaluate(F(1, 2)).circle == pytest.approx(0.7505, abs=1e-15)
         # the circle moves over the whole of [0, 1]
@@ -278,14 +289,20 @@ class TestPlanProduct:
     def test_antipodes_travel_ccw_half_turn(self):
         sig = AlgebraSignature(1, 1)
         path = plan_product(query(point(circle="1/4"), point(circle="3/4")), sig)
-        assert path.circle_rule.rule_index == 1
-        assert path.combined_index == 1
+        assert path.circle_rule.delta == F(1, 2)
+        assert path.domain == 1
         assert path.evaluate(F(1, 2)).circle == pytest.approx(0.5, abs=1e-15)
+        # the other way round is half a turn counterclockwise too
+        path = plan_product(query(point(circle="3/4"), point(circle="1/4")), sig)
+        assert path.circle_rule.delta == F(1, 2)
+        assert path.domain == 1
+        assert path.evaluate(F(1, 4)).circle == pytest.approx(0.875, abs=1e-15)
 
     def test_equal_circle_points_stay_put(self):
         sig = AlgebraSignature(1, 1)
         path = plan_product(query(point(circle="1/3"), point(circle="1/3")), sig)
-        assert path.circle_rule.rule_index == 0
+        assert path.circle_rule.delta == 0 and path.circle_rule.constant
+        assert path.domain == 0
         for k in range(9):
             v = path.evaluate(F(k, 8)).circle
             assert isinstance(v, Turn) and v == Turn(F(1, 3))
@@ -334,7 +351,7 @@ def _tied_path(product):
     floats tie with theirs."""
     def rule(u, v, move_start, rest_start):
         return CoordinateRule(start=Turn(F(u)), end=Turn(F(v)), move_start=move_start,
-                              rest_start=rest_start, delta=Turn(F(u)).ccw_gap(Turn(F(v))))
+                              rest_start=rest_start)
 
     rules = (
         rule(0, "1/4", F(1, 4), F(3, 4)),
@@ -346,9 +363,7 @@ def _tied_path(product):
         rule("2/5", 0, F(1, 2) + _TINY, F(1)),
     )
     circle = rule("1/8", "3/4", F(0), F(1)) if product else None
-    return PlannerPath(mode="product" if product else "skeleton", agreement=frozenset({5}),
-                       domain_index=1, rules=rules, circle_rule=circle,
-                       combined_index=1 if product else None)
+    return PlannerPath(agreement=frozenset({5}), rules=rules, circle_rule=circle)
 
 
 class TestEvaluateMany:
@@ -495,28 +510,54 @@ class TestLeastZeroCount:
                     assert path.evaluate(at).exact_zero_count() == least
 
 
+def _turns():
+    return st.builds(lambda p, q: Turn(F(p % q, q)), st.integers(0, 10**9), st.integers(1, 10**6))
+
+
+@st.composite
+def rule_args(draw):
+    """A start, an end and a second end, each equal to, antipodal to or
+    independent of the start, and a valid window."""
+    start = draw(_turns())
+    end, other = (draw(st.one_of(_turns(), st.just(start), st.just(start + F(1, 2)),
+                                 st.just(start + F(-1, 2))))
+                  for _ in range(2))
+    q = draw(st.integers(1, 10**6))
+    i = draw(st.integers(0, q - 1))
+    j = draw(st.integers(i + 1, q))
+    return start, end, other, F(i, q), F(j, q)
+
+
 class TestCoordinateRule:
     """Rules are immutable values, shared where a coordinate is parked, with
     float mirrors that are the correctly rounded floats of their exact fields."""
 
     def test_immutable(self):
         rule = CoordinateRule(start=Turn(F(1, 4)), end=Turn(F(1, 2)), move_start=F(0),
-                              rest_start=F(1), delta=F(1, 4))
-        for name, value in (("start", Turn(0)), ("delta_f", 0.5), ("label", 1)):
+                              rest_start=F(1))
+        for name, value in (("start", Turn(0)), ("delta_f", 0.5), ("delta", F(1, 2)),
+                            ("shorter_arc", True), ("label", 1)):
             with pytest.raises(AttributeError):
                 setattr(rule, name, value)
         with pytest.raises(AttributeError):
             del rule.start
-        assert rule.start == Turn(F(1, 4)) and rule.delta_f == 0.25
-        # copies and replacements are built by the constructor, mirrors included
+        assert rule.start == Turn(F(1, 4)) and rule.delta == F(1, 4) and rule.delta_f == 0.25
+        # copies and replacements are built by the constructor, mirrors and
+        # travel included; the travel is not a field of its own
         assert copy.copy(rule) == rule and pickle.loads(pickle.dumps(rule)) == rule
-        moved = rule._replace(delta=F(1, 2))
-        assert moved.delta_f == 0.5 and rule.delta_f == 0.25
+        moved = rule._replace(end=Turn(F(3, 4)))
+        assert moved.delta == F(1, 2) and moved.delta_f == 0.5 and rule.delta_f == 0.25
+        back = moved._replace(end=Turn(0), shorter_arc=True)
+        assert back.delta == F(-1, 4) and back.delta_f == -0.25
+        with pytest.raises(ValueError):
+            rule._replace(delta=F(1, 2))
 
     def test_rejects_empty_reversed_and_out_of_range_windows(self):
         def rule(move_start, rest_start, start="1/3", delta=F(0)):
-            return CoordinateRule(start=Turn(F(start)), end=Turn(F(start) + delta),
-                                  move_start=move_start, rest_start=rest_start, delta=delta)
+            built = CoordinateRule(start=Turn(F(start)), end=Turn(F(start) + delta),
+                                   move_start=move_start, rest_start=rest_start)
+            assert built.delta == delta
+            return built
 
         # a constant rule on the empty window [1/2, 1/2] used to be accepted,
         # and path_deviation then divided by its zero span
@@ -531,6 +572,27 @@ class TestCoordinateRule:
         # the widest and narrowest windows that are allowed
         assert rule(F(0), F(1)).span_f == 1.0
         assert 0.0 < rule(F(1, 3), F(1, 3) + F(1, 2**80), delta=F(1, 4)).span_f
+
+    @settings(max_examples=300, deadline=None)
+    @given(rule_args(), st.booleans())
+    def test_travel_follows_the_endpoints(self, args, shorter_arc):
+        # delta is derived from the endpoints, so it always carries start
+        # to end, and a replaced endpoint re-derives it
+        start, end, other, move_start, rest_start = args
+        rule = CoordinateRule(start, end, move_start, rest_start, shorter_arc=shorter_arc)
+        for built, target in ((rule, end), (rule._replace(end=other), other)):
+            delta = built.delta
+            assert type(delta) is Fraction
+            assert (start.value + delta) % 1 == target.value
+            antipodes = (target.value - start.value) % 1 == F(1, 2)
+            if shorter_arc:
+                assert -F(1, 2) < delta <= F(1, 2)
+                assert (delta == F(1, 2)) == antipodes
+            else:
+                assert 0 <= delta < 1
+            assert built.delta_f == float(delta)
+            assert built.constant == (start == target)
+            assert built.shorter_arc is shorter_arc
 
     def test_parked_coordinates_share_one_rule(self):
         sig = AlgebraSignature(5, 3)

@@ -25,15 +25,16 @@ from torustc import (
 )
 from torustc import planner, verify
 from torustc.cli import main
-from torustc.planner import Agreement, CoordinateRule, EvaluatedPoint, PlannerPath
+from torustc.planner import CoordinateRule, EvaluatedPoint, PlannerPath
 from torustc.verify import _wrap_query
 
 F = Fraction
 
 
 def _coords(point):
-    """The values of an evaluated point in coordinate_rules order."""
-    return point.base if point.circle is None else (*point.base, point.circle)
+    """The values of an evaluated point in coordinate_rules order, the
+    circle first."""
+    return point.base if point.circle is None else (point.circle, *point.base)
 
 
 def pointwise_deviation(path_a, path_b, sample_steps):
@@ -155,8 +156,7 @@ def _break_agreement(monkeypatch):
     real = planner.classify
 
     def wrong(query, sig):
-        indices = real(query, sig).indices ^ {1}
-        return Agreement(indices, len(indices))
+        return real(query, sig) ^ {1}
 
     monkeypatch.setattr(planner, "classify", wrong)
 
@@ -182,12 +182,10 @@ def _dipping_path(query):
     the basepoint."""
     (u1, u2), (v1, v2) = query.start.base, query.end.base
     rules = (
-        CoordinateRule(start=u1, end=v1, move_start=F(1, 3), rest_start=F(1),
-                       delta=u1.ccw_gap(v1)),
-        CoordinateRule(start=u2, end=v2, move_start=F(0), rest_start=F(2, 5),
-                       delta=u2.ccw_gap(v2)),
+        CoordinateRule(start=u1, end=v1, move_start=F(1, 3), rest_start=F(1)),
+        CoordinateRule(start=u2, end=v2, move_start=F(0), rest_start=F(2, 5)),
     )
-    return PlannerPath(mode="skeleton", agreement=frozenset(), domain_index=0, rules=rules)
+    return PlannerPath(agreement=frozenset(), rules=rules)
 
 
 class TestViolations:
@@ -223,6 +221,30 @@ class TestViolations:
         assert doc["ok"] is False
         assert doc["domain_violations"] == 8
         assert [f["kind"] for f in doc["failures"]] == ["domain"] * 5
+
+    def test_wrong_circle_domain(self, monkeypatch):
+        # on (2, 1) the one base coordinate is always 0, so the agreement is
+        # {1} and the domain is 1, plus 1 when the circle endpoints are exact
+        # antipodes; with denominators at most 2 about a third of the
+        # queries are antipodal
+        sig = AlgebraSignature(2, 1)
+        honest = run_simulation(sig, mode="product", queries=60, steps=8, seed=7,
+                                denominator_bound=2)
+        assert honest.ok and set(honest.domain_histogram) == {1, 2}
+        antipodal = honest.domain_histogram[2]
+        # a planner that leaves the circle out of the domain is caught on
+        # exactly those queries, and on no others
+        monkeypatch.setattr(PlannerPath, "domain", property(lambda path: len(path.agreement)))
+        rep = run_simulation(sig, mode="product", queries=60, steps=8, seed=7,
+                             denominator_bound=2)
+        assert rep.domain_violations == antipodal
+        assert (rep.membership_violations, rep.endpoint_violations) == (0, 0)
+        assert [f["kind"] for f in rep.failures] == ["domain"] * 5
+        for failure in rep.failures:
+            circles = failure["query"]["from"]["circle"], failure["query"]["to"]["circle"]
+            assert sorted(circles) == ["0", "1/2"]
+        assert run_simulation(sig, mode="skeleton", queries=60, steps=8, seed=7,
+                              denominator_bound=2).ok
 
     def test_membership_dip_inside_a_piece(self, monkeypatch):
         sig = AlgebraSignature(3, 2)
@@ -360,10 +382,10 @@ class TestPerturbation:
     def test_deviation_of_constant_pairs(self):
         # two constant rules contribute their one distance, across 0 too
         def still(*values):
-            return PlannerPath(mode="skeleton", agreement=frozenset(), domain_index=0,
+            return PlannerPath(agreement=frozenset(),
                                rules=tuple(CoordinateRule(start=Turn(v), end=Turn(v),
-                                                          move_start=F(0), rest_start=F(1),
-                                                          delta=F(0)) for v in values))
+                                                          move_start=F(0), rest_start=F(1))
+                                           for v in values))
 
         path_a, path_b = still(F(1, 3), F(999, 1000)), still(F(1, 3), F(1, 1000))
         assert path_deviation(path_a, path_b) == boundary_deviation(path_a, path_b)
@@ -380,9 +402,8 @@ class TestPerturbation:
 
         def moving(move_start, rest_start, end=F(1, 2)):
             rule = CoordinateRule(start=Turn(F(1, 8)), end=Turn(end), move_start=move_start,
-                                  rest_start=rest_start, delta=Turn(F(1, 8)).ccw_gap(Turn(end)))
-            return PlannerPath(mode="skeleton", agreement=frozenset(), domain_index=0,
-                               rules=(rule,))
+                                  rest_start=rest_start)
+            return PlannerPath(agreement=frozenset(), rules=(rule,))
 
         path_a = moving(F(1, 3), F(1, 2))
         path_b = moving(F(1, 3) + tiny, F(1, 2) - tiny, end=F(1, 2) + F(1, 1000))
