@@ -14,7 +14,7 @@ from torustc import (
     plan_skeleton,
     sample,
 )
-from torustc.cli import MAX_STEPS
+from torustc.cli import MAX_STEPS, _integer
 
 
 def show(path, steps: int) -> None:
@@ -28,9 +28,12 @@ def show(path, steps: int) -> None:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--steps", type=int, default=8)
-    args = parser.parse_args()
+    parser.add_argument("--seed", type=_integer, default=0)
+    parser.add_argument("--steps", type=_integer, default=8)
+    try:
+        args = parser.parse_args()
+    except OverflowError as exc:
+        parser.error(str(exc))
     if not 1 <= args.steps <= MAX_STEPS:
         parser.error(f"--steps must be between 1 and {MAX_STEPS}")
 

@@ -75,7 +75,8 @@ _GRID_RE = re.compile(r"^n=(\d+)\.\.(\d+),r=(\d+)\.\.(\d+|n)$")
 
 def _integer(text: str) -> int:
     """Every integer the command line takes: n, r, the integer options, the
-    --set entries, the --grid bounds and TC_BRUTE_CAP.
+    --set entries, the --grid bounds and TC_BRUTE_CAP, and the --seed and
+    --steps of scripts/planner_demo.py.
 
     argparse's type=int repeats a rejected argument whole, and int() names
     sys.set_int_max_str_digits() for digits past the interpreter's limit;

@@ -236,7 +236,10 @@ class PlannerPath:
         """The continuity domain: the base agreement count, plus 1 when the
         circle travels half a turn (exact antipodes)."""
         rule = self.circle_rule
-        return len(self.agreement) + (rule is not None and rule.delta == _HALF)
+        if rule is None:
+            return len(self.agreement)
+        gap, den = _travel(rule.start, rule.end, rule.shorter_arc)
+        return len(self.agreement) + (2 * gap == den)
 
     def evaluate(self, t) -> EvaluatedPoint:
         """Point of the path at rational time t in [0, 1]."""

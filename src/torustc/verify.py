@@ -43,11 +43,11 @@ from fractions import Fraction
 # the planner's own 0 and 1, so value_at settles a rule's window ending at
 # either by identity, without a Fraction comparison
 from .planner import (
-    _HALF,
     _ONE,
     _ZERO,
     PlannerPath,
     PlannerQuery,
+    _travel,
     classify,
     plan_product,
     plan_skeleton,
@@ -166,8 +166,9 @@ def run_simulation(
         histogram[domain] = histogram.get(domain, 0) + 1
         agree = frozenset(j for j, (a, b) in enumerate(zip(start.base, end.base), start=1)
                           if a is b or a == b)
-        antipodes = product and start.circle.ccw_gap(end.circle) == _HALF
-        if not (path.agreement == agree and domain == len(agree) + antipodes):
+        # the circle adds a domain exactly at antipodes, a half-turn gap
+        gap, den = _travel(start.circle, end.circle, False) if product else (0, 1)
+        if not (path.agreement == agree and domain == len(agree) + (2 * gap == den)):
             _flag(report, "domain", query, f"domain index {domain}")
 
         if not _endpoints_exact(path, query):
@@ -277,12 +278,14 @@ def perturb_query(
         if (start_base, end_base) == (list(start.base), list(end.base)):
             return None
         start_circle = end_circle = None
-    elif start.circle.ccw_gap(end.circle) in (0, _HALF):
-        delta = _perturbation(rng, eps)
-        start_circle, end_circle = _plus(start.circle, delta), _plus(end.circle, delta)
     else:
-        start_circle = _plus(start.circle, forced.get(0, _perturbation(rng, eps)))
-        end_circle = _plus(end.circle, _perturbation(rng, eps))
+        gap, den = _travel(start.circle, end.circle, False)
+        if 2 * gap in (0, den):
+            delta = _perturbation(rng, eps)
+            start_circle, end_circle = _plus(start.circle, delta), _plus(end.circle, delta)
+        else:
+            start_circle = _plus(start.circle, forced.get(0, _perturbation(rng, eps)))
+            end_circle = _plus(end.circle, _perturbation(rng, eps))
     return PlannerQuery(
         SkeletonPoint(tuple(start_base), start_circle),
         SkeletonPoint(tuple(end_base), end_circle),

@@ -30,6 +30,7 @@ from torustc import (
     zdcl_degree_one,
     zero_divisor,
 )
+from torustc import algebra
 from torustc.algebra import CHAIN_KEY_BIT_CAP, SLICE_TERM_CAP, _merge, _odd_below
 
 
@@ -198,6 +199,65 @@ class TestProductKernel:
             assert got == want
             nonzero += bool(got)
         assert nonzero > 450
+
+    def test_right_terms_in_both_legs_match_oracle(self):
+        # every right term adds positive generators to both legs, so both
+        # truncation counts decide; at r = 2 one generator fills a leg
+        rng = random.Random(636)
+        cut_right = nonzero = 0
+        for _ in range(1000):
+            n = rng.randint(3, 7)
+            sig = AlgebraSignature(n, rng.randint(2, n))
+            positive = [b for b in sig.basis_bits() if b & ~1]
+            y = TensorElement(sig, {(rng.choice(positive), rng.choice(positive)):
+                                    rng.choice([-2, -1, 1, 3]) for _ in range(rng.randint(1, 3))})
+            x = mixed_parity(rng, sig, TensorElement, size=rng.randint(1, 6))
+            got = randgen.to_naive_tensor(x * y)
+            assert got == naive.tensor_mul(
+                randgen.to_naive_tensor(x), randgen.to_naive_tensor(y), sig.n, sig.r)
+            nonzero += bool(got)
+            # some product survives the left leg's count and dies on the right
+            cut_right += any(
+                not (a & b or c & d)
+                and sig.fits(a | b) and not sig.fits(c | d)
+                for (a, c), (b, d) in itertools.product(
+                    [(m.bits, w.bits) for m, w, _ in x.terms()],
+                    [(m.bits, w.bits) for m, w, _ in y.terms()]))
+        assert nonzero > 150 and cut_right > 100, (nonzero, cut_right)
+
+    def test_integer_scaling_matches_oracle(self):
+        rng = random.Random(646)
+        for _ in range(300):
+            sig = randgen.random_signature(rng, max_n=6)
+            k = rng.choice([0, 1, -1, 2, -3, 10**30])
+            x = randgen.random_element(rng, sig)
+            t = randgen.random_tensor(rng, sig)
+            want_x = naive.elem_scale(randgen.to_naive_element(x), k)
+            want_t = naive.tensor_scale(randgen.to_naive_tensor(t), k)
+            for got, want in [(x * k, want_x), (k * x, want_x)]:
+                assert type(got) is AlgebraElement and got.sig is sig
+                assert randgen.to_naive_element(got) == want
+            for got, want in [(t * k, want_t), (k * t, want_t)]:
+                assert type(got) is TensorElement and got.sig is sig
+                assert randgen.to_naive_tensor(got) == want
+
+    def test_equal_signatures_multiply_and_unequal_ones_raise(self):
+        # the product's fast path takes one signature object; an equal copy
+        # takes the checked path and gives the same product
+        rng = random.Random(656)
+        for cls, view, naive_mul in [
+            (AlgebraElement, randgen.to_naive_element, naive.elem_mul),
+            (TensorElement, randgen.to_naive_tensor, naive.tensor_mul),
+        ]:
+            sig, twin = AlgebraSignature(5, 3), AlgebraSignature(5, 3)
+            x = mixed_parity(rng, sig, cls, size=5)
+            y = mixed_parity(rng, twin, cls, size=3)
+            assert view(x * y) == naive_mul(view(x), view(y), 5, 3)
+            for other in (AlgebraSignature(5, 2), AlgebraSignature(4, 3), AlgebraSignature(6, 3)):
+                with pytest.raises(ValueError, match="different algebras"):
+                    x * cls.one(other)
+                with pytest.raises(ValueError, match="different algebras"):
+                    cls.one(other) * x
 
     def test_multiplication_map_matches_oracle(self):
         rng = random.Random(626)
@@ -650,6 +710,56 @@ class TestCupLengthSearches:
             rep = zdcl_brute_force(AlgebraSignature(rec["n"], rec["r"]), cap=rec["n"])
             got = (rep.searched_length, rep.certified_minimum, list(rep.witness))
             assert got == (rec["searched_length"], rec["certified_minimum"], rec["witness"]), rec
+
+    def test_brute_force_pruning_skips_only_zero_products(self, monkeypatch):
+        # every node the search visits is flip-symmetric, so one leg's
+        # summary speaks for both; a factor the summary rules out multiplies
+        # the node's product to zero; the search forms no product the
+        # summary rules out; and it visits the same nodes, in the same order,
+        # as a search whose summary rules out nothing
+        nodes, formed = [], []
+        leg_room, mul = algebra._leg_room, TensorElement.__mul__
+
+        def recording_mul(self, other):
+            formed.append((self, other))
+            return mul(self, other)
+
+        def ruled_out(prod, a):
+            meet, room = leg_room(prod)
+            return bool(a & meet or (a & ~1).bit_count() > room)
+
+        def search(sig, summary):
+            nodes.clear()
+            formed.clear()
+            monkeypatch.setattr(algebra, "_leg_room",
+                                lambda prod: nodes.append(prod) or summary(prod))
+            monkeypatch.setattr(TensorElement, "__mul__", recording_mul)
+            report = zdcl_brute_force(sig, cap=5)
+            monkeypatch.undo()
+            return report, [prod._terms for prod in nodes]
+
+        products = {"unpruned": 0, "pruned": 0}
+        for n in range(1, 6):
+            low = (1 << n) - 1
+            for r in range(1, n + 1):
+                sig = AlgebraSignature(n, r)
+                unpruned = search(sig, lambda prod: (0, n))
+                products["unpruned"] += len(formed)
+                assert search(sig, leg_room) == unpruned, (n, r)
+                products["pruned"] += len(formed)
+                for prod, bar in formed:
+                    assert not ruled_out(prod, min(bar._terms)), (n, r)
+                skipped = 0
+                for prod in nodes:
+                    keys = set(prod._terms)
+                    assert {p >> n | (p & low) << n for p in keys} == keys, (n, r, prod)
+                    for a in sig.basis_bits():
+                        if a and ruled_out(prod, a):
+                            bar = TensorElement(sig, {(0, a): 1, (a, 0): -1})
+                            assert (prod * bar).is_zero, (n, r, prod, a)
+                            skipped += 1
+                assert skipped > 0 or r == 1, (n, r)
+        assert products["pruned"] < products["unpruned"] / 2, products
 
     def test_brute_force_agrees_with_degree_one_search(self):
         for n, r in [(1, 1), (2, 2), (3, 2), (4, 2), (4, 3)]:

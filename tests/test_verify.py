@@ -282,6 +282,21 @@ class TestPerturbation:
                 for a, b in ((near.start, q.start), (near.end, q.end)):
                     assert membership(a.base, sig)[1] == membership(b.base, sig)[1]
 
+    def test_equal_and_antipodal_circles_share_their_shift(self):
+        # equal or antipodal circle endpoints move together, so the circle
+        # keeps its gap and the path its domain; any other pair moves freely
+        sig = AlgebraSignature(3, 2)
+        rng = random.Random(19)
+        base = SkeletonPoint((Turn(F(1, 3)), Turn(0)), Turn(F(1, 8)))
+        for gap in (F(0), F(1, 2), F(1, 4), F(3, 8), F(5, 8)):
+            end = SkeletonPoint((Turn(0), Turn(F(2, 5))), base.circle + gap)
+            q = PlannerQuery(base, end)
+            for _ in range(20):
+                near = perturb_query(q, sig, rng)
+                moved_gap = near.start.circle.ccw_gap(near.end.circle)
+                assert (moved_gap == gap) == (gap in (0, F(1, 2))), (gap, near)
+                assert plan_product(near, sig).domain == plan_product(q, sig).domain
+
     def test_returns_none_when_nothing_moves(self):
         sig = AlgebraSignature(3, 1)
         zeros = SkeletonPoint((Turn(0), Turn(0)))
