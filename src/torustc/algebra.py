@@ -386,18 +386,6 @@ class TensorElement(AlgebraElement):
         for p in sorted(self._terms, key=sort_key):
             yield ExteriorMonomial(p & low), ExteriorMonomial(p >> n), self._terms[p]
 
-    def bidegree_part(self, left_degree: int, right_degree: int) -> "TensorElement":
-        n = self.sig.n
-        low = (1 << n) - 1
-        return self._raw(
-            self.sig,
-            {
-                p: c
-                for p, c in self._terms.items()
-                if (p & low).bit_count() == left_degree and (p >> n).bit_count() == right_degree
-            },
-        )
-
     total_degrees = AlgebraElement.degrees
 
     def _labelled_terms(self):

@@ -64,12 +64,14 @@ MAX_DENOMINATOR_BOUND = 1_000_000
 # 2n bits wide: tc and verify-lower-bound refuse more factors times n,
 # summed over the rows of one invocation, before forming any product
 MAX_CERTIFICATE_WORK = 20_000_000
-# simulate refuses a larger n squared times (queries + continuity probes).
-# A query and a probe (one coordinate pair at a time) cost time linear in
-# n; the budget dates from quadratic probes and is kept, so every input it
-# refused stays refused.  The largest admitted probe, n = 866 with one
-# query, takes about 17 ms on a 2-core x86-64 VM
-MAX_SIMULATION_WORK = 1_500_000
+# simulate refuses a larger n times (queries + continuity probes): a query
+# and a probe each cost time and memory linear in n.  The slowest admitted
+# runs take about 1.8 s (simulate 100 100 --product --queries 1
+# --continuity-probes 499) and 1.7 s in 46 MB (simulate 25000 25000
+# --product --queries 1 --continuity-probes 1), whole-process on a 2-core
+# x86-64 VM, and every input the older budget, n squared times (queries +
+# probes) at most 1,500,000, admitted still fits
+MAX_SIMULATION_WORK = 50_000
 _GRID_RE = re.compile(r"^n=(\d+)\.\.(\d+),r=(\d+)\.\.(\d+|n)$")
 
 
@@ -249,8 +251,8 @@ def cmd_simulate(args) -> int:
         if getattr(args, flag[2:].replace("-", "_")) > cap:
             raise ValueError(f"{flag} must be at most {cap}")
     sig = AlgebraSignature(args.n, args.r)
-    if sig.n ** 2 * (args.queries + args.continuity_probes) > MAX_SIMULATION_WORK:
-        raise ValueError(f"n squared times (--queries + --continuity-probes) must be at most "
+    if sig.n * (args.queries + args.continuity_probes) > MAX_SIMULATION_WORK:
+        raise ValueError(f"n times (--queries + --continuity-probes) must be at most "
                          f"{MAX_SIMULATION_WORK}")
     report = run_simulation(
         sig,

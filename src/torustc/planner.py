@@ -53,7 +53,11 @@ def dwell_time(z: Turn):
     exact Fractions; the transition returns a float clamped into [0, 1/2) so
     that only the basepoint ever dwells for a full half turn of time.
     """
-    p, q = z.num, z.den
+    return _dwell(z.num, z.den)
+
+
+def _dwell(p: int, q: int):
+    """dwell_time of the Turn p/q, given in lowest terms."""
     if not p:
         return _HALF
     if q <= 4 * p <= 3 * q:
@@ -101,18 +105,6 @@ def classify(query: PlannerQuery, sig) -> frozenset[int]:
     )
 
 
-def _travel(start: Turn, end: Turn, shorter_arc: bool) -> tuple[int, int]:
-    """Turns from start to end as a numerator and denominator: the
-    counterclockwise gap in [0, 1), or with shorter_arc the signed shorter
-    arc in (-1/2, 1/2], where exact antipodes get +1/2."""
-    p, q, p2, q2 = start.num, start.den, end.num, end.den
-    den = q * q2
-    num = (p2 * q - p * q2) % den
-    if shorter_arc and 2 * num > den:
-        num -= den
-    return num, den
-
-
 class CoordinateRule(namedtuple("_RuleFields", (
         "start end move_start rest_start shorter_arc constant "
         "start_f end_f delta_f move_start_f rest_start_f span_f"))):
@@ -143,7 +135,9 @@ class CoordinateRule(namedtuple("_RuleFields", (
 
     def __new__(cls, start: Turn, end: Turn, move_start: Fraction, rest_start: Fraction,
                 shorter_arc: bool = False):
-        d_p, d_q = _travel(start, end, shorter_arc)
+        d_p, d_q = start.ccw_gap(end)
+        if shorter_arc and 2 * d_p > d_q:
+            d_p -= d_q
         m_p, m_q = move_start.as_integer_ratio()
         r_p, r_q = rest_start.as_integer_ratio()
         span = r_p * m_q - m_p * r_q
@@ -165,7 +159,8 @@ class CoordinateRule(namedtuple("_RuleFields", (
     @property
     def delta(self) -> Fraction:
         """The exact travel in turns, start + delta == end mod 1."""
-        return Fraction(*_travel(self.start, self.end, self.shorter_arc))
+        gap = Fraction(*self.start.ccw_gap(self.end))
+        return gap - 1 if self.shorter_arc and gap > _HALF else gap
 
     def value_at(self, t: Fraction):
         if self.constant:
@@ -195,14 +190,21 @@ class EvaluatedPoint:
 
 
 def _check_time(t) -> Fraction:
+    """t as a Fraction in [0, 1]: the planner's own _ZERO or _ONE at either
+    end, so value_at settles a window ending there by identity, without a
+    Fraction comparison."""
     if type(t) is not Fraction:
         if isinstance(t, float):
             raise TypeError("evaluation times must be exact rationals, not floats")
-        t = Fraction(t)
+        t = (_ZERO, _ONE)[t] if type(t) is int and 0 <= t <= 1 else Fraction(t)
     p, q = t.as_integer_ratio()
-    if not 0 <= p <= q:
-        raise ValueError(f"time {t} outside [0, 1]")
-    return t
+    if 0 < p < q:
+        return t
+    if p == 0:
+        return _ZERO
+    if p == q:
+        return _ONE
+    raise ValueError(f"time {t} outside [0, 1]")
 
 
 def _check_steps(steps) -> None:
@@ -238,7 +240,7 @@ class PlannerPath:
         rule = self.circle_rule
         if rule is None:
             return len(self.agreement)
-        gap, den = _travel(rule.start, rule.end, rule.shorter_arc)
+        gap, den = rule.start.ccw_gap(rule.end)
         return len(self.agreement) + (2 * gap == den)
 
     def evaluate(self, t) -> EvaluatedPoint:
@@ -374,30 +376,24 @@ def _grid(steps: int) -> tuple[Fraction, ...]:
 _PARKED = CoordinateRule(start=Turn(0), end=Turn(0), move_start=_ZERO, rest_start=_ONE)
 
 
-def _schedule_ends(u: Turn, v: Turn) -> tuple[Fraction, Fraction]:
-    """move_start of a coordinate leaving u and rest_start of one arriving
-    at v: the dwell time at u, and 1 minus the dwell time at v.
+@functools.lru_cache(maxsize=64)
+def _move_start(num: int, den: int) -> Fraction:
+    """move_start of a coordinate leaving the Turn num/den: its dwell time,
+    exact.  Cached by value, so equal Turns share one Fraction."""
+    lead = _dwell(num, den)
+    return Fraction(lead) if type(lead) is float else lead
 
-    Each is cached on its Turn the first time it is needed, so a Turn shared
-    between queries pays for dwell_time and its exact conversion once.
-    """
-    lead = u.move_start
-    if lead is None:
-        lead = dwell_time(u)
-        if type(lead) is float:
-            lead = Fraction(lead)
-        u.move_start = lead
-    rest_start = v.rest_start
-    if rest_start is None:
-        tail = dwell_time(v)
-        if type(tail) is float:
-            num, den = tail.as_integer_ratio()
-            rest_start = Fraction(den - num, den)
-        else:
-            # an exact dwell is 1/2 or 0
-            rest_start = _HALF if tail else _ONE
-        v.rest_start = rest_start
-    return lead, rest_start
+
+@functools.lru_cache(maxsize=64)
+def _rest_start(num: int, den: int) -> Fraction:
+    """rest_start of a coordinate arriving at the Turn num/den: 1 minus its
+    dwell time, exact.  Cached by value, like _move_start."""
+    tail = _dwell(num, den)
+    if type(tail) is float:
+        p, q = tail.as_integer_ratio()
+        return Fraction(q - p, q)
+    # an exact dwell is 1/2 or 0
+    return _HALF if tail else _ONE
 
 
 def _build_rules(start: SkeletonPoint, end: SkeletonPoint) -> tuple[CoordinateRule, ...]:
@@ -405,11 +401,9 @@ def _build_rules(start: SkeletonPoint, end: SkeletonPoint) -> tuple[CoordinateRu
     for u, v in zip(start.base, end.base):
         if u is v or u == v:
             rules.append(_PARKED if u.is_zero else CoordinateRule(u, v, _ZERO, _ONE))
-            continue
-        move_start, rest_start = u.move_start, v.rest_start
-        if move_start is None or rest_start is None:
-            move_start, rest_start = _schedule_ends(u, v)
-        rules.append(CoordinateRule(u, v, move_start, rest_start))
+        else:
+            rules.append(CoordinateRule(u, v, _move_start(u.num, u.den),
+                                        _rest_start(v.num, v.den)))
     return tuple(rules)
 
 

@@ -30,15 +30,10 @@ class Turn:
     for the "p/q" command-line syntax.  A Turn holds only its reduced
     numerator and denominator, num and den, as plain ints: equality,
     hashing, the basepoint test, gaps and sums never go through Fraction,
-    and value builds the Fraction on demand.
-
-    Turns are never mutated, except for two slots the planner fills once per
-    Turn: the time a coordinate leaving this point starts to move, and the
-    time one arriving here comes to rest (planner._schedule_ends).  They die
-    with the Turn.
+    and value builds the Fraction on demand.  Turns are never mutated.
     """
 
-    __slots__ = ("num", "den", "move_start", "rest_start")
+    __slots__ = ("num", "den")
 
     def __init__(self, value=0):
         if type(value) is not Fraction:
@@ -48,7 +43,6 @@ class Turn:
         p, q = value.as_integer_ratio()
         # p mod q stays coprime to q
         self.num, self.den = p % q, q
-        self.move_start = self.rest_start = None
 
     @classmethod
     def of(cls, p: int, q: int) -> "Turn":
@@ -57,7 +51,6 @@ class Turn:
         g = math.gcd(p, q)
         turn = object.__new__(cls)
         turn.num, turn.den = p // g, q // g
-        turn.move_start = turn.rest_start = None
         return turn
 
     @classmethod
@@ -83,11 +76,13 @@ class Turn:
     def is_zero(self) -> bool:
         return not self.num
 
-    def ccw_gap(self, other: "Turn") -> Fraction:
-        """Counterclockwise distance from self to other, in [0, 1)."""
+    def ccw_gap(self, other: "Turn") -> tuple[int, int]:
+        """Counterclockwise distance from self to other, in [0, 1), as a
+        numerator and denominator (num, den), not necessarily reduced: the
+        two points are antipodes exactly when 2 * num == den."""
         p, q, p2, q2 = self.num, self.den, other.num, other.den
         den = q * q2
-        return Fraction((p2 * q - p * q2) % den, den)
+        return (p2 * q - p * q2) % den, den
 
     def __add__(self, other):
         if isinstance(other, Turn):
@@ -178,6 +173,7 @@ def membership(coords, sig) -> tuple[bool, frozenset[int]]:
 
 @functools.lru_cache(maxsize=4096)
 def _shared_turn(p: int, q: int) -> Turn:
+    """The Turn p/q, one object per recently drawn value."""
     return Turn.of(p, q)
 
 
@@ -185,8 +181,9 @@ def random_turn(rng: random.Random, denominator_bound: int) -> Turn:
     """Uniform choice of denominator q <= bound, then uniform p/q in [0, 1).
 
     Equal draws return one shared Turn, so a sampled coordinate is reduced
-    once, and the planner's schedule ends cached on it are computed once.
-    1 + randrange(bound) draws exactly as randint(1, bound) does.
+    once and equal coordinates are often the same object, which settles
+    equality by identity.  1 + randrange(bound) draws exactly as
+    randint(1, bound) does.
     """
     q = 1 + rng.randrange(denominator_bound)
     return _shared_turn(rng.randrange(q), q)

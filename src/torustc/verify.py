@@ -21,7 +21,8 @@ basepoint is halved, so supports never change.  The probe corpus is
 controlled: nonzero coordinates of ordinary base queries stay at least 1/8
 of a turn from the basepoint (where the schedule's local stretch is
 moderate), and dedicated wrap probes carry one coordinate across the
-basepoint, the case where naive arithmetic on [0, 1) would tear.
+basepoint, the case where naive arithmetic on [0, 1) would tear, from
+(125/256) * eps below it to (67/256) * eps past it, so they scale with eps.
 Perturbations never change the agreement set, the support sets, or the
 circle rule, so both paths come from one continuity domain and their
 distance must scale linearly with eps.  That distance is the supremum over
@@ -30,6 +31,9 @@ every t in [0, 1], not a sample, taken one coordinate pair at a time
 boundaries, so a pair's distance peaks at 0, 1 or one of the pair's at
 most four boundaries unless their difference passes a half turn.  A probe
 costs time and memory linear in n.
+
+The verifier uses only the planner's public names, and decides exact
+antipodes by Turn.ccw_gap, the one gap function the planner uses too.
 """
 
 from __future__ import annotations
@@ -40,23 +44,11 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-# the planner's own 0 and 1, so value_at settles a rule's window ending at
-# either by identity, without a Fraction comparison
-from .planner import (
-    _ONE,
-    _ZERO,
-    PlannerPath,
-    PlannerQuery,
-    _travel,
-    classify,
-    plan_product,
-    plan_skeleton,
-)
+from .planner import PlannerPath, PlannerQuery, classify, plan_product, plan_skeleton
 from .skeleton import SkeletonPoint, Turn, random_turn, sample
 
 DEFAULT_EPS = Fraction(1, 1000)
 FAILURE_CAP = 5  # violations recorded with their queries in one report
-_WRAP_VALUE = Fraction(2047, 2048)  # within eps of the basepoint from below
 
 
 @dataclass
@@ -115,7 +107,7 @@ def _flag(report: SimulationReport, kind: str, query: PlannerQuery, detail: str)
 
 
 def _endpoints_exact(path: PlannerPath, query: PlannerQuery) -> bool:
-    for t, want in ((_ZERO, query.start), (_ONE, query.end)):
+    for t, want in ((0, query.start), (1, query.end)):
         got = path.evaluate(t)
         pairs = zip((*got.base, got.circle), (*want.base, want.circle))
         if not all(w is None or (isinstance(g, Turn) and g == w) for g, w in pairs):
@@ -167,7 +159,7 @@ def run_simulation(
         agree = frozenset(j for j, (a, b) in enumerate(zip(start.base, end.base), start=1)
                           if a is b or a == b)
         # the circle adds a domain exactly at antipodes, a half-turn gap
-        gap, den = _travel(start.circle, end.circle, False) if product else (0, 1)
+        gap, den = start.circle.ccw_gap(end.circle) if product else (0, 1)
         if not (path.agreement == agree and domain == len(agree) + (2 * gap == den)):
             _flag(report, "domain", query, f"domain index {domain}")
 
@@ -279,7 +271,7 @@ def perturb_query(
             return None
         start_circle = end_circle = None
     else:
-        gap, den = _travel(start.circle, end.circle, False)
+        gap, den = start.circle.ccw_gap(end.circle)
         if 2 * gap in (0, den):
             delta = _perturbation(rng, eps)
             start_circle, end_circle = _plus(start.circle, delta), _plus(end.circle, delta)
@@ -292,18 +284,23 @@ def perturb_query(
     )
 
 
-def _wrap_query(sig, rng: random.Random, mode: str) -> tuple[PlannerQuery, dict[int, Fraction]] | None:
+def _wrap_query(sig, rng: random.Random, mode: str,
+                eps: Fraction = DEFAULT_EPS) -> tuple[PlannerQuery, dict[int, Fraction]] | None:
     """A query carrying one coordinate just below a full turn, plus forced
     shifts that push it across the basepoint, or None if there is no
     coordinate to carry (r = 1 without the circle).
 
-    With r >= 2 the carried coordinate is the first of r-1 random base
-    labels; in product mode the circle is carried too.
+    The carried coordinate starts (125/256) * eps below the basepoint
+    (2047/2048 at DEFAULT_EPS) and is pushed (3/4) * eps forward, so it
+    lands (67/256) * eps past the basepoint whatever eps is.  With r >= 2
+    it is the first of r-1 random base labels; in product mode the circle
+    is carried too.
     """
     product = mode == "product"
     if sig.r < 2 and not product:
         return None
-    push = Fraction(3, 4) * DEFAULT_EPS
+    wrap = Turn(1 - Fraction(125, 256) * eps)
+    push = Fraction(3, 4) * eps
     forced: dict[int, Fraction] = {}
     start_base = [Turn(0)] * (sig.n - 1)
     end_base = [Turn(0)] * (sig.n - 1)
@@ -313,12 +310,12 @@ def _wrap_query(sig, rng: random.Random, mode: str) -> tuple[PlannerQuery, dict[
             start_base[label - 1] = random_turn(rng, 8)
             end_base[label - 1] = random_turn(rng, 8)
         target = support[0]
-        start_base[target - 1] = Turn(_WRAP_VALUE)
+        start_base[target - 1] = wrap
         end_base[target - 1] = Turn(Fraction(1, 2))
         forced[target] = push
     start_circle = end_circle = None
     if product:
-        start_circle, end_circle = Turn(_WRAP_VALUE), Turn(Fraction(1, 4))
+        start_circle, end_circle = wrap, Turn(Fraction(1, 4))
         forced[0] = push
     start = SkeletonPoint(tuple(start_base), start_circle)
     end = SkeletonPoint(tuple(end_base), end_circle)
@@ -414,7 +411,7 @@ def continuity_ratio(
     product = mode == "product"
     forced: dict[int, Fraction] = {}
     if wrap:
-        built = _wrap_query(sig, rng, mode)
+        built = _wrap_query(sig, rng, mode, eps)
         if built is None:
             return None
         query, forced = built

@@ -456,15 +456,19 @@ class TestSimulate:
         assert code == 0 and json.loads(out)["ok"]
 
     def test_simulation_work_above_budget_is_usage_error(self, capsys):
-        assert MAX_SIMULATION_WORK == 1_500_000
-        # work is n^2 (queries + continuity probes): 1224^2 * 1 fits the
-        # budget, and so does simulate 30 30 at the query and probe caps
-        code, out, _ = run(capsys, "simulate", "1224", "2", "--queries", "1", "--steps", "4")
+        assert MAX_SIMULATION_WORK == 50_000
+        # work is n (queries + continuity probes): 50000 * 1 fits the budget,
+        # and so does simulate 33 33 at the query and probe caps
+        code, out, _ = run(capsys, "simulate", "50000", "2", "--queries", "1", "--steps", "4")
         assert code == 0 and json.loads(out)["ok"]
-        assert 30**2 * (MAX_QUERIES + MAX_CONTINUITY_PROBES) <= MAX_SIMULATION_WORK
-        for argv in (("simulate", "1225", "2", "--queries", "1"),
-                     ("simulate", "1224", "2", "--queries", "1", "--continuity-probes", "1"),
-                     ("simulate", "32", "32", "--product", "--queries", str(MAX_QUERIES),
+        assert 33 * (MAX_QUERIES + MAX_CONTINUITY_PROBES) <= MAX_SIMULATION_WORK
+        # the old budget, n^2 (queries + probes) <= 1,500,000, admitted at
+        # most min(1,500,000 / n, n * 1500) <= sqrt(1,500,000 * 1500) of
+        # this work, so everything it admitted is still admitted
+        assert math.isqrt(1_500_000 * (MAX_QUERIES + MAX_CONTINUITY_PROBES)) < MAX_SIMULATION_WORK
+        for argv in (("simulate", "50001", "2", "--queries", "1"),
+                     ("simulate", "50000", "2", "--queries", "1", "--continuity-probes", "1"),
+                     ("simulate", "34", "34", "--product", "--queries", str(MAX_QUERIES),
                       "--continuity-probes", str(MAX_CONTINUITY_PROBES)),
                      ("simulate", "20000", "2", "--queries", "10")):
             start = time.perf_counter()
@@ -472,7 +476,8 @@ class TestSimulate:
             assert time.perf_counter() - start < 1.0, argv
             assert code == 2, argv
             assert out == ""
-            assert f"must be at most {MAX_SIMULATION_WORK}" in err, argv
+            assert err == ("error: n times (--queries + --continuity-probes) must be at most "
+                           f"{MAX_SIMULATION_WORK}\n"), argv
 
     def test_zero_queries_is_usage_error(self, capsys):
         code, _, err = run(capsys, "simulate", "3", "2", "--queries", "0")
@@ -658,10 +663,9 @@ _AT_CERTIFICATE_BUDGET = [(_ROOT, _ROOT), (_ROOT + 1, _ROOT + 1),
 _AT_BUDGET = {
     "tc": _AT_CERTIFICATE_BUDGET,
     "verify-lower-bound": _AT_CERTIFICATE_BUDGET,
-    # n^2 times the default 100 queries, and times one query
-    "simulate": [(n, 2) for root in (math.isqrt(MAX_SIMULATION_WORK // 100),
-                                     math.isqrt(MAX_SIMULATION_WORK))
-                 for n in (root, root + 1)],
+    # n times the default 100 queries, and times one query
+    "simulate": [(n, 2) for most in (MAX_SIMULATION_WORK // 100, MAX_SIMULATION_WORK)
+                 for n in (most, most + 1)],
 }
 _STEPS = st.sampled_from(["-1", "0", "1", "2", "7", "64", str(MAX_STEPS + 1), "1000000000",
                           "1.5"])

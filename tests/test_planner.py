@@ -255,7 +255,7 @@ class TestPlanProduct:
                 b = sample(sig, rng, with_circle=True)
                 path = plan_product(query(a, b), sig)
                 assert floor <= path.domain <= sig.n
-                antipodes = a.circle.ccw_gap(b.circle) == F(1, 2)
+                antipodes = F(*a.circle.ccw_gap(b.circle)) == F(1, 2)
                 assert path.domain == len(path.agreement) + antipodes
                 assert path.mode == "product"
                 assert len(path.rules) == n - 1
@@ -605,6 +605,19 @@ class TestCoordinateRule:
         assert parked[0].constant and parked[0].start.is_zero and parked[0].end.is_zero
         # a coordinate resting away from the basepoint gets its own rule
         assert two.rules[0] is not parked[0] and two.rules[0].start == Turn(F(1, 4))
+
+    def test_equal_turns_share_their_schedule_ends(self):
+        # distinct but equal Turns get one move_start and one rest_start
+        # object, the exact dwell time and 1 minus it
+        sig = AlgebraSignature(4, 4)
+        one = plan_skeleton(query(point("1/8", "5/8", 0), point("5/8", 0, "1/8")), sig)
+        two = plan_skeleton(query(point(0, "1/8", "5/8"), point("1/8", "5/8", 0)), sig)
+        assert one.rules[0].move_start is two.rules[1].move_start == F(dwell_time(Turn(F(1, 8))))
+        assert one.rules[1].move_start is two.rules[2].move_start == 0
+        assert one.rules[2].rest_start is two.rules[0].rest_start
+        assert one.rules[2].rest_start == 1 - F(dwell_time(Turn(F(1, 8))))
+        assert one.rules[0].rest_start is two.rules[1].rest_start == 1
+        assert one.rules[1].rest_start is two.rules[2].rest_start == F(1, 2)
 
     @pytest.mark.parametrize("denominator_bound", [8, 1000])
     def test_float_mirrors_match_exact_fields(self, denominator_bound):

@@ -293,7 +293,7 @@ class TestPerturbation:
             q = PlannerQuery(base, end)
             for _ in range(20):
                 near = perturb_query(q, sig, rng)
-                moved_gap = near.start.circle.ccw_gap(near.end.circle)
+                moved_gap = F(*near.start.circle.ccw_gap(near.end.circle))
                 assert (moved_gap == gap) == (gap in (0, F(1, 2))), (gap, near)
                 assert plan_product(near, sig).domain == plan_product(q, sig).domain
 
@@ -516,6 +516,26 @@ class TestPerturbation:
         ratios = [x for x in ratios if x is not None]
         assert ratios
         assert max(ratios) < 64
+
+    @pytest.mark.parametrize("mode", ["skeleton", "product"])
+    def test_wrap_probe_scales_with_eps(self, mode):
+        # the carried coordinate starts (125/256) eps below the basepoint and
+        # is pushed (3/4) eps, so it crosses at every eps; the worst ratio
+        # over a seeded corpus is then the same at eps = 10^-3, 10^-5 and
+        # 10^-7, where a fixed push would read 75 and 7,500
+        for eps in (F(1, 10**3), F(1, 10**5), F(1, 10**7)):
+            q, forced = _wrap_query(AlgebraSignature(3, 3), random.Random(5), mode, eps)
+            assert len(forced) == 1 + (mode == "product")
+            for j, push in forced.items():
+                u = q.start.circle if j == 0 else q.start.base[j - 1]
+                assert u == Turn(1 - F(125, 256) * eps) and push == F(3, 4) * eps
+                assert u + push == Turn(F(67, 256) * eps)
+        for n, r, want in [(3, 3, 3.09), (5, 3, 4.13), (6, 2, 0.978)]:
+            sig = AlgebraSignature(n, r)
+            for eps in (F(1, 10**3), F(1, 10**5), F(1, 10**7)):
+                ratios = [continuity_ratio(sig, mode, random.Random(seed), eps=eps, wrap=True)
+                          for seed in range(40)]
+                assert max(ratios) == pytest.approx(want, rel=0.01), (n, r, eps)
 
     def test_continuity_ratio_bounded_on_ordinary_corpus(self):
         rng = random.Random(14)
