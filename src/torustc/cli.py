@@ -45,10 +45,18 @@ from .verify import run_simulation
 
 CSV_HEADER = "n,r,lower,upper_constructive,upper_dimension,tc"
 # plan and simulate refuse finer time grids: time, memory and output grow
-# linearly with --steps (a 65,536-step (9,6) plan with all eight coordinates
-# moving prints 22 MB, in about 0.8 s and 128 MB of RSS on a 2-core x86-64
-# VM; with --product and the circle moving too, 26 MB, 1 s and 143 MB)
+# linearly with --steps
 MAX_STEPS = 65_536
+# plan refuses more than MAX_PLAN_WORK sample cells, checked before any point
+# is parsed: at most n coordinates at each of the steps + 1 grid times and
+# the at most 2(n - 1) phase boundaries, n times (steps + 2n - 1) in all.
+# Time, memory and output grow linearly with the cells.  The budget admits
+# the 65,536-step (9,6) plans with all eight base coordinates moving
+# (589,977 cells): 26 MB in about 1.3 s and 148 MB of RSS, and with
+# --product and the circle moving too 30 MB, 1.1 s and 161 MB,
+# whole-process on a 2-core x86-64 VM.  Counting the grid alone would
+# admit plan 1000 1000 --steps 1, which prints 80 MB
+MAX_PLAN_WORK = 600_000
 # simulate refuses more queries or probes, and tc larger grids: each is
 # linear in its count (README gives the measured worst cases)
 MAX_QUERIES = 1_000
@@ -219,6 +227,8 @@ def cmd_plan(args) -> int:
     if args.steps > MAX_STEPS:
         raise ValueError(f"--steps must be at most {MAX_STEPS}")
     sig = AlgebraSignature(args.n, args.r)
+    if sig.n * (args.steps + 2 * sig.n - 1) > MAX_PLAN_WORK:
+        raise ValueError(f"n times (--steps + 2n - 1) must be at most {MAX_PLAN_WORK}")
     start = _parse_point(getattr(args, "from"), args.product)
     end = _parse_point(args.to, args.product)
     query = PlannerQuery(start, end)

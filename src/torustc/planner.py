@@ -15,7 +15,8 @@ with the window [0, 1]: it travels its shorter arc, and exact antipodes go
 half a turn counterclockwise.  A query's domain of continuity is the number
 of base coordinates its two endpoints share, plus 1 when its circle
 endpoints are exact antipodes, which partitions all queries into n+1
-domains.
+domains.  A path keeps only its rules: its agreement set is the labels of
+its constant base rules, and its domain follows from them.
 
 Exactness discipline: evaluation at a time inside a resting phase (or at
 t = 0, 1) returns exact Turn values; strictly inside a travel phase it
@@ -94,7 +95,11 @@ def classify(query: PlannerQuery, sig) -> frozenset[int]:
     endpoints share.
 
     Exact coordinate equality is decidable because coordinates are rational,
-    so every query's base agreement count |J| is one of 0..n-1.
+    so every query's base agreement count |J| is one of 0..n-1.  The planner
+    does not call this: it decides agreement once, rule by rule, and a
+    path's agreement is the set of its constant base rules.  classify is the
+    same decision made from the query alone, so the verifier can check the
+    planner against it.
     """
     if len(query.start.base) != sig.n - 1:
         raise ValueError(f"expected {sig.n - 1} base coordinates, got {len(query.start.base)}")
@@ -216,10 +221,10 @@ def _check_steps(steps) -> None:
 
 @dataclass(frozen=True)
 class PlannerPath:
-    """A planned path: the endpoints' agreement set, the rules of the base
-    coordinates, and the circle's rule in product mode."""
+    """A planned path: the rules of the base coordinates, and the circle's
+    rule in product mode.  Everything else about the path, its agreement
+    set and its domain included, is read off these rules."""
 
-    agreement: frozenset[int]
     rules: tuple[CoordinateRule, ...]
     circle_rule: CoordinateRule | None = None
 
@@ -232,6 +237,12 @@ class PlannerPath:
         """The rule of every coordinate in label order: the circle, label 0,
         first, then the base ones."""
         return self.rules if self.circle_rule is None else (self.circle_rule, *self.rules)
+
+    @functools.cached_property
+    def agreement(self) -> frozenset[int]:
+        """The labels of the base coordinates whose endpoints agree: those
+        whose rule is constant.  Cached, since domain reads it too."""
+        return frozenset(j for j, rule in enumerate(self.rules, start=1) if rule.constant)
 
     @property
     def domain(self) -> int:
@@ -397,6 +408,8 @@ def _rest_start(num: int, den: int) -> Fraction:
 
 
 def _build_rules(start: SkeletonPoint, end: SkeletonPoint) -> tuple[CoordinateRule, ...]:
+    """The base rules, and with them the planner's one agreement decision:
+    a coordinate whose endpoints agree gets a constant rule."""
     rules = []
     for u, v in zip(start.base, end.base):
         if u is v or u == v:
@@ -410,8 +423,10 @@ def _build_rules(start: SkeletonPoint, end: SkeletonPoint) -> tuple[CoordinateRu
 def _require_membership(point: SkeletonPoint, sig, which: str):
     ok, support = membership(point.base, sig)
     if not ok:
+        # the first few labels only, so the message stays short for any n
+        shown = ", ".join(map(str, sorted(support)[:5])) + (", ..." if len(support) > 5 else "")
         raise InvalidEndpoint(
-            f"{which} endpoint has support {sorted(support)} of size "
+            f"{which} endpoint has support [{shown}] of size "
             f"{len(support)}, but at most {sig.r - 1} coordinates may be "
             f"away from the basepoint"
         )
@@ -447,7 +462,6 @@ def _plan(query: PlannerQuery, sig) -> PlannerPath:
     _require_membership(query.end, sig, "end")
     start, end = query.start, query.end
     return PlannerPath(
-        agreement=classify(query, sig),
         rules=_build_rules(start, end),
         circle_rule=None if start.circle is None else CoordinateRule(
             start.circle, end.circle, _ZERO, _ONE, shorter_arc=True),

@@ -23,6 +23,7 @@ from torustc.cli import (
     MAX_CONTINUITY_PROBES,
     MAX_DENOMINATOR_BOUND,
     MAX_GRID_PAIRS,
+    MAX_PLAN_WORK,
     MAX_QUERIES,
     MAX_SIMULATION_WORK,
     MAX_STEPS,
@@ -275,6 +276,39 @@ class TestPlan:
         assert code == 2
         assert "support" in err
 
+    def test_membership_violation_names_few_labels(self, capsys):
+        # a small support is named whole, a large one by its size and its
+        # first five labels, so the message stays short for any n
+        code, _, err = run(capsys, "plan", "3", "1", "--from", "1/2,1/3", "--to", "0,0")
+        assert code == 2
+        assert err == ("error: start endpoint has support [1, 2] of size 2, but at most 0 "
+                       "coordinates may be away from the basepoint\n")
+        halves, zeros = ",".join(["1/2"] * 499), ",".join(["0"] * 499)
+        code, out, err = run(capsys, "plan", "500", "2", "--steps", "1",
+                             "--from", zeros, "--to", halves)
+        assert code == 2
+        assert out == ""
+        assert err == ("error: end endpoint has support [1, 2, 3, 4, 5, ...] of size 499, "
+                       "but at most 1 coordinates may be away from the basepoint\n")
+
+    def test_work_budget(self, capsys):
+        # at most n coordinates at steps + 1 grid times and 2(n - 1) phase
+        # boundaries, refused before any point is parsed; the README's
+        # 65,536-step (9,6) plans fit in both modes
+        assert MAX_PLAN_WORK == 600_000
+        assert 9 * (MAX_STEPS + 2 * 9 - 1) <= MAX_PLAN_WORK
+        zeros = ",".join(["0"] * 546)
+        code, out, _ = run(capsys, "plan", "547", "2", "--steps", "1", "--from", zeros,
+                           "--to", zeros)
+        assert code == 0
+        assert json.loads(out)["domain"] == 546
+        for n, steps in (("548", "1"), ("10", str(MAX_STEPS)), ("200", str(MAX_STEPS))):
+            code, out, err = run(capsys, "plan", n, "2", "--steps", steps, "--from", "x",
+                                 "--to", "x")
+            assert code == 2
+            assert out == ""
+            assert err == "error: n times (--steps + 2n - 1) must be at most 600000\n"
+
     def test_float_input_rejected(self, capsys):
         code, _, err = run(capsys, "plan", "3", "2", "--from", "0.5,0", "--to", "0,0")
         assert code == 2
@@ -390,6 +424,15 @@ class TestSimulate:
         )
         assert code == 0
         assert json.loads(out)["mode"] == "product"
+
+    def test_report_keys_in_order(self, capsys):
+        code, out, _ = run(capsys, "simulate", "3", "2", "--queries", "4", "--steps", "8")
+        assert code == 0
+        assert list(json.loads(out)) == [
+            "n", "r", "mode", "queries", "steps", "seed", "domain_histogram",
+            "endpoint_violations", "membership_violations", "domain_violations",
+            "continuity_probes", "max_continuity_ratio", "wall_time_s", "ok", "failures",
+        ]
 
     def test_seeded_reports_frozen(self, capsys):
         # exact reports, max_continuity_ratio included, with wall_time_s

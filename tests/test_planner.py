@@ -1,6 +1,7 @@
 """Path planning: schedules, exactness discipline, membership, domains."""
 
 import copy
+import dataclasses
 import math
 import pickle
 import random
@@ -24,6 +25,7 @@ from torustc import (
     plan_skeleton,
     sample,
 )
+from torustc import planner
 
 F = Fraction
 
@@ -122,6 +124,40 @@ class TestClassify:
         agree = classify(query(p, p), sig)
         assert agree == frozenset(range(1, sig.n))
         assert plan_skeleton(query(p, p), sig).domain == sig.n - 1
+
+    def test_planner_decides_agreement_without_classify(self, monkeypatch):
+        # the planner decides agreement once, in its rules; classify is the
+        # verifier's independent decision, so planning must never call it
+        def refuse(query, sig):
+            raise AssertionError("the planner called classify")
+
+        monkeypatch.setattr(planner, "classify", refuse)
+        sig = AlgebraSignature(4, 2)
+        path = plan_skeleton(query(point(0, "1/3", 0), point(0, "1/4", 0)), sig)
+        assert (path.agreement, path.domain) == (frozenset({1, 3}), 2)
+        path = plan_product(query(point(0, "1/3", 0, circle="1/8"),
+                                  point(0, 0, 0, circle="5/8")), sig)
+        assert (path.agreement, path.domain) == (frozenset({1, 3}), 3)
+
+    def test_hand_built_paths_read_agreement_and_domain_off_their_rules(self):
+        def rule(u, v, move_start=F(0), shorter_arc=False):
+            return CoordinateRule(Turn(F(u)), Turn(F(v)), move_start, F(1), shorter_arc)
+
+        # a path stores its rules and nothing else
+        assert [f.name for f in dataclasses.fields(PlannerPath)] == ["rules", "circle_rule"]
+        with pytest.raises(TypeError):
+            PlannerPath(agreement=frozenset(), rules=())
+        rules = (rule("1/3", "1/3"), rule(0, "1/4", F(1, 2)), rule(0, 0), rule("1/8", "7/8"))
+        path = PlannerPath(rules=rules)
+        assert (path.agreement, path.domain) == (frozenset({1, 3}), 2)
+        # the circle adds a domain exactly at antipodes, whichever way round
+        for a, b, antipodes in (("1/8", "1/8", 0), ("1/8", "5/8", 1), ("5/8", "1/8", 1),
+                                ("1/8", "3/8", 0), (0, "1/2", 1), ("1/3", "5/6", 1)):
+            path = PlannerPath(rules=rules, circle_rule=rule(a, b, shorter_arc=True))
+            assert (path.agreement, path.domain) == (frozenset({1, 3}), 2 + antipodes)
+        assert PlannerPath(rules=()).agreement == frozenset()
+        path = PlannerPath(rules=(), circle_rule=rule(0, "1/2", shorter_arc=True))
+        assert (path.agreement, path.domain) == (frozenset(), 1)
 
 
 class TestWorkedPath:
@@ -363,7 +399,7 @@ def _tied_path(product):
         rule("2/5", 0, F(1, 2) + _TINY, F(1)),
     )
     circle = rule("1/8", "3/4", F(0), F(1)) if product else None
-    return PlannerPath(agreement=frozenset({5}), rules=rules, circle_rule=circle)
+    return PlannerPath(rules=rules, circle_rule=circle)
 
 
 class TestEvaluateMany:

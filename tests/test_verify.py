@@ -152,13 +152,9 @@ def _break_membership(monkeypatch):
 
 
 def _break_agreement(monkeypatch):
-    # every plan reports coordinate 1 flipped in or out of its agreement set
-    real = planner.classify
-
-    def wrong(query, sig):
-        return real(query, sig) ^ {1}
-
-    monkeypatch.setattr(planner, "classify", wrong)
+    # every path reports coordinate 1 flipped in or out of its agreement set
+    real = PlannerPath.agreement.func
+    monkeypatch.setattr(PlannerPath, "agreement", property(lambda path: real(path) ^ {1}))
 
 
 def _break_start(monkeypatch):
@@ -185,7 +181,7 @@ def _dipping_path(query):
         CoordinateRule(start=u1, end=v1, move_start=F(1, 3), rest_start=F(1)),
         CoordinateRule(start=u2, end=v2, move_start=F(0), rest_start=F(2, 5)),
     )
-    return PlannerPath(agreement=frozenset(), rules=rules)
+    return PlannerPath(rules=rules)
 
 
 class TestViolations:
@@ -397,10 +393,9 @@ class TestPerturbation:
     def test_deviation_of_constant_pairs(self):
         # two constant rules contribute their one distance, across 0 too
         def still(*values):
-            return PlannerPath(agreement=frozenset(),
-                               rules=tuple(CoordinateRule(start=Turn(v), end=Turn(v),
-                                                          move_start=F(0), rest_start=F(1))
-                                           for v in values))
+            return PlannerPath(rules=tuple(CoordinateRule(start=Turn(v), end=Turn(v),
+                                                      move_start=F(0), rest_start=F(1))
+                                       for v in values))
 
         path_a, path_b = still(F(1, 3), F(999, 1000)), still(F(1, 3), F(1, 1000))
         assert path_deviation(path_a, path_b) == boundary_deviation(path_a, path_b)
@@ -418,7 +413,7 @@ class TestPerturbation:
         def moving(move_start, rest_start, end=F(1, 2)):
             rule = CoordinateRule(start=Turn(F(1, 8)), end=Turn(end), move_start=move_start,
                                   rest_start=rest_start)
-            return PlannerPath(agreement=frozenset(), rules=(rule,))
+            return PlannerPath(rules=(rule,))
 
         path_a = moving(F(1, 3), F(1, 2))
         path_b = moving(F(1, 3) + tiny, F(1, 2) - tiny, end=F(1, 2) + F(1, 1000))
