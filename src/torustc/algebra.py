@@ -41,7 +41,11 @@ class InstanceTooLarge(ValueError):
     """Raised when a search is asked to run past its configured size cap."""
 
 
-DEFAULT_BRUTE_FORCE_CAP = 4
+# zdcl_brute_force refuses a larger n, whatever r.  Its cost follows r far
+# more than n: in process on a 2-core x86-64 VM, (8, 7) takes 1.3 s and
+# (8, 8) 3.1 s, while past the limit (30, 3) would take 13 ms, (9, 7) 3.6 s
+# and (10, 8) 30 s
+BRUTE_FORCE_MAX_N = 8
 SLICE_TERM_CAP = 200_000
 # zdcl_degree_one refuses a chain product whose terms times their 2n-bit
 # packed keys would pass this many bits, so its memory stays bounded for
@@ -640,7 +644,7 @@ class ZdclSearchReport:
     witness: tuple[str, ...]
 
 
-def zdcl_brute_force(sig: AlgebraSignature, cap: int = DEFAULT_BRUTE_FORCE_CAP) -> ZdclSearchReport:
+def zdcl_brute_force(sig: AlgebraSignature) -> ZdclSearchReport:
     """Cross-check zdcl_degree_one over the full spanning family of basis
     zero-divisors.
 
@@ -672,13 +676,12 @@ def zdcl_brute_force(sig: AlgebraSignature, cap: int = DEFAULT_BRUTE_FORCE_CAP) 
     are unchanged; at (5, 5) the search forms 1,073 of the 3,561 products it
     formed without the skip.
 
-    Cost grows quickly with n; instances with n > cap raise InstanceTooLarge.
+    Cost grows quickly with r and n; instances with n > BRUTE_FORCE_MAX_N
+    raise InstanceTooLarge.
     """
-    if sig.n > cap:
-        raise InstanceTooLarge(
-            f"brute-force search capped at n <= {cap}; got n = {sig.n} "
-            f"(raise the cap explicitly to proceed)"
-        )
+    if sig.n > BRUTE_FORCE_MAX_N:
+        raise InstanceTooLarge(f"brute-force search is limited to n <= {BRUTE_FORCE_MAX_N}; "
+                               f"got n = {sig.n}")
     family = []
     for bits in sig.basis_bits():
         if bits == 0:

@@ -24,14 +24,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import re
 import sys
 
 from .algebra import (
     AlgebraSignature,
     CertificateFailure,
-    DEFAULT_BRUTE_FORCE_CAP,
+    BRUTE_FORCE_MAX_N,
     InstanceTooLarge,
     InvalidSignature,
     lower_bound_certificate,
@@ -85,8 +84,8 @@ _GRID_RE = re.compile(r"^n=(\d+)\.\.(\d+),r=(\d+)\.\.(\d+|n)$")
 
 def _integer(text: str) -> int:
     """Every integer the command line takes: n, r, the integer options, the
-    --set entries, the --grid bounds and TC_BRUTE_CAP, and the --seed and
-    --steps of scripts/planner_demo.py.
+    --set entries and the --grid bounds, and the --seed and --steps of
+    scripts/planner_demo.py.
 
     argparse's type=int repeats a rejected argument whole, and int() names
     sys.set_int_max_str_digits() for digits past the interpreter's limit;
@@ -290,11 +289,7 @@ def cmd_search_zdcl(args) -> int:
     }
     consistent = cup_length + 1 == bounds.tc
     if args.brute:
-        try:
-            cap = _integer(os.environ.get("TC_BRUTE_CAP", str(DEFAULT_BRUTE_FORCE_CAP)))
-        except (argparse.ArgumentTypeError, OverflowError) as exc:
-            raise ValueError(f"TC_BRUTE_CAP: {exc}") from None
-        report = zdcl_brute_force(sig, cap=cap)
+        report = zdcl_brute_force(sig)
         payload["brute_force_length"] = report.searched_length
         payload["witness"] = list(report.witness)
         consistent = consistent and report.searched_length == cup_length
@@ -364,7 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_z.add_argument("n", type=_integer)
     p_z.add_argument("r", type=_integer)
     p_z.add_argument("--brute", action="store_true",
-                     help="also search the full spanning family (env TC_BRUTE_CAP bounds n)")
+                     help="also search the full spanning family "
+                          f"(n <= {BRUTE_FORCE_MAX_N})")
     p_z.add_argument("--json", action="store_true")
     p_z.set_defaults(func=cmd_search_zdcl)
 

@@ -272,24 +272,16 @@ class PlannerPath:
                 cuts[rule.rest_start.as_integer_ratio()] = (rule.rest_start_f, rule.rest_start)
         return tuple(t for _, t in sorted(cuts.values()))
 
-    def samples(self, steps: int) -> tuple[list[Fraction], list[list]]:
-        """The path on one exact timeline: the times, and the values of each
-        coordinate at every time, one list per coordinate in label order
-        (the circle, label 0, first).
+    def _timeline(self, steps: int) -> tuple[list[Fraction], dict]:
+        """The grid k/steps for k = 0..steps and every phase boundary, each
+        once, in ascending order, and the position of each boundary, 0 and 1
+        on that timeline, keyed by numerator and denominator.
 
-        The times are the grid k/steps for k = 0..steps and every phase
-        boundary, each once, in ascending order.  A boundary p/q is grid
-        point k = p*steps // q when the remainder is 0, and otherwise lies
-        strictly between grid points k and k+1, so it is placed by integer
-        arithmetic; phase_boundaries is already ascending.  The values equal
-        those of evaluate(t), Turn for Turn and float for float, and a
-        resting coordinate repeats one Turn object.  Each rule rests through
-        the position of its move_start and from the position of its
-        rest_start on, both looked up by numerator and denominator (the
-        circle's window is [0, 1]); travel values are value_at's float
-        expression.
+        A boundary p/q is grid point k = p*steps // q when the remainder is
+        0, and otherwise lies strictly between grid points k and k+1, so it
+        is placed by integer arithmetic; phase_boundaries is already
+        ascending.  With steps = 1 the times are 0, 1 and the boundaries.
         """
-        _check_steps(steps)
         grid = _grid(steps)
         times = []
         at = {(0, 1): 0}
@@ -303,8 +295,44 @@ class PlannerPath:
                 times.append(t)
             at[p, q] = len(times) - 1
         times += grid[done:]
+        at[1, 1] = len(times) - 1
+        return times, at
+
+    def _rest_counts(self, cells: int, leaving, arriving) -> list[int]:
+        """Exact basepoint counts over cells 0..cells-1 of some timeline.
+
+        A coordinate parked for the whole path counts everywhere.  One that
+        starts at the basepoint counts on the cells before
+        leaving(move_start.as_integer_ratio()), and one that ends there on
+        the cells from arriving(rest_start.as_integer_ratio()) on: one
+        difference sweep, whatever the cells are.
+        """
+        diff = [0] * (cells + 1)
+        for rule in self.rules:
+            if rule.start.is_zero:
+                diff[0] += 1
+                if not rule.constant:
+                    diff[leaving(rule.move_start.as_integer_ratio())] -= 1
+            if rule.end.is_zero and not rule.constant:
+                diff[arriving(rule.rest_start.as_integer_ratio())] += 1
+        return list(accumulate(diff[:cells]))
+
+    def samples(self, steps: int) -> tuple[list[Fraction], list[list]]:
+        """The path on one exact timeline: the times, and the values of each
+        coordinate at every time, one list per coordinate in label order
+        (the circle, label 0, first).
+
+        The times are _timeline(steps): the grid k/steps for k = 0..steps
+        and every phase boundary, each once, in ascending order.  The values
+        equal those of evaluate(t), Turn for Turn and float for float, and a
+        resting coordinate repeats one Turn object.  Each rule rests through
+        the position of its move_start and from the position of its
+        rest_start on (the circle's window is [0, 1]); travel values are
+        value_at's float expression.
+        """
+        _check_steps(steps)
+        times, at = self._timeline(steps)
         m = len(times)
-        at[1, 1] = m - 1
         # float(t) as the correctly rounded quotient of two integers
         tfs = [t.numerator / t.denominator for t in times]
         columns = []
@@ -323,59 +351,47 @@ class PlannerPath:
         """Exact basepoint counts at the grid times k/steps, k = 0..steps.
 
         Matches evaluate(Fraction(k, steps)).exact_zero_count() pointwise.
-        A coordinate resting at the basepoint counts on a prefix of the grid
-        (start side, up to and including move_start = p/q) or a suffix (end
-        side, from rest_start = p/q on).  k/steps <= p/q exactly when
-        k*q <= p*steps, so the prefix ends at index p*steps // q and the
-        suffix starts at the ceiling of p*steps / q: one integer division
-        per boundary, with no Fraction comparison.
+        The cells of _rest_counts are the grid points.  A coordinate leaving
+        the basepoint at move_start = p/q rests there at k/steps exactly
+        when k*q <= p*steps, so it stops counting at index p*steps // q + 1;
+        one arriving at rest_start = p/q counts from the ceiling of
+        p*steps / q on: one integer division per boundary, with no Fraction
+        comparison.
         """
         _check_steps(steps)
-        diff = [0] * (steps + 2)
-        for rule in self.rules:
-            if rule.start.is_zero:
-                diff[0] += 1
-                if not rule.constant:
-                    p, q = rule.move_start.as_integer_ratio()
-                    diff[p * steps // q + 1] -= 1
-            if rule.end.is_zero and not rule.constant:
-                p, q = rule.rest_start.as_integer_ratio()
-                diff[-(-p * steps // q)] += 1
-        return list(accumulate(diff[:steps + 1]))
+        return self._rest_counts(steps + 1, lambda pq: pq[0] * steps // pq[1] + 1,
+                                 lambda pq: -(-pq[0] * steps // pq[1]))
 
     def least_zero_count(self) -> tuple[int, Fraction]:
         """Least exact basepoint count over every t in [0, 1], and a time
-        where it occurs.
+        where it occurs: the midpoint of an open piece between consecutive
+        times of _timeline(1), which are 0, 1 and the phase boundaries.
 
-        Between two consecutive phase boundaries every coordinate stays in
-        one phase, so the count is constant on each open piece.  The sweep
-        therefore has one integer slot per boundary (0 and 1 included) and
-        one per open piece between them, and the least count over the slots
-        is the least count over [0, 1].  Boundaries are matched to slots by
-        their numerator and denominator, so no Fraction is compared beyond
-        phase_boundaries' sort.  The time returned is the boundary itself,
-        or the midpoint of the open piece.
+        The least count over [0, 1] is the least count over the open pieces.
+        Let t_0 = 0 < ... < t_k = 1 be those times and C the number of
+        coordinates parked for the whole path.  A coordinate that leaves
+        the basepoint rests there exactly while t <= move_start, and one
+        that arrives there exactly while t >= rest_start; no boundary lies
+        strictly inside a piece.  So on (t_i, t_{i+1}) the count is
+        C + #{move_start >= t_{i+1}} + #{rest_start <= t_i}, the first set
+        over the leaving coordinates and the second over the arriving ones,
+        and at t_i, for i < k, it is C + #{move_start >= t_i} +
+        #{rest_start <= t_i}, never smaller as t_i < t_{i+1}.  At t = 1 it
+        is C + #{move_start >= 1} + #{rest_start <= 1}, never smaller than
+        on (t_{k-1}, 1).  The cells
+        of _rest_counts are therefore the pieces: piece i counts a leaving
+        coordinate while i is below the position of its move_start, and an
+        arriving one once i reaches the position of its rest_start, both
+        looked up by numerator and denominator, so no Fraction is compared
+        beyond phase_boundaries' sort.
         """
-        times = list(self.phase_boundaries())
-        if not times or times[0].numerator:
-            times.insert(0, _ZERO)
-        p, q = times[-1].as_integer_ratio()
-        if p != q:
-            times.append(_ONE)
-        slot = {t.as_integer_ratio(): 2 * i for i, t in enumerate(times)}
-        last = slot[1, 1]
-        diff = [0] * (last + 2)
-        for rule in self.rules:
-            if rule.start.is_zero:
-                diff[0] += 1
-                if not rule.constant:
-                    diff[slot[rule.move_start.as_integer_ratio()] + 1] -= 1
-            if rule.end.is_zero and not rule.constant:
-                diff[slot[rule.rest_start.as_integer_ratio()]] += 1
-        counts = list(accumulate(diff[:last + 1]))
+        times, at = self._timeline(1)
+        counts = self._rest_counts(len(times) - 1, at.__getitem__, at.__getitem__)
         low = min(counts)
-        i, inside = divmod(counts.index(low), 2)
-        return low, (times[i] + times[i + 1]) / 2 if inside else times[i]
+        i = counts.index(low)
+        # the midpoint in one normalisation, cheaper than Fraction arithmetic
+        (p, q), (p2, q2) = times[i].as_integer_ratio(), times[i + 1].as_integer_ratio()
+        return low, Fraction(p * q2 + p2 * q, 2 * q * q2)
 
 
 @functools.lru_cache(maxsize=4)

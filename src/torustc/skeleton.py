@@ -29,8 +29,9 @@ class Turn:
     basepoint test and endpoint-agreement tests stay decidable; use parse()
     for the "p/q" command-line syntax.  A Turn holds only its reduced
     numerator and denominator, num and den, as plain ints: equality,
-    hashing, the basepoint test, gaps and sums never go through Fraction,
-    and value builds the Fraction on demand.  Turns are never mutated.
+    hashing, the basepoint test and gaps never go through Fraction, and
+    value builds the Fraction on demand.  Turns are never mutated and have
+    no arithmetic; Turn.of builds the Turn of an integer ratio.
     """
 
     __slots__ = ("num", "den")
@@ -83,26 +84,6 @@ class Turn:
         p, q, p2, q2 = self.num, self.den, other.num, other.den
         den = q * q2
         return (p2 * q - p * q2) % den, den
-
-    def __add__(self, other):
-        if isinstance(other, Turn):
-            p, q = other.num, other.den
-        elif isinstance(other, (Fraction, int)):
-            p, q = other.as_integer_ratio()
-        else:
-            return NotImplemented
-        return Turn.of(self.num * q + p * self.den, self.den * q)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (Fraction, int)):
-            p, q = other.as_integer_ratio()
-            return Turn.of(self.num * q - p * self.den, self.den * q)
-        return NotImplemented
-
-    def __neg__(self):
-        return Turn.of(-self.num, self.den)
 
     def __eq__(self, other) -> bool:
         if other is self:

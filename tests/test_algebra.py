@@ -711,7 +711,7 @@ class TestCupLengthSearches:
         # captured from the unreduced search, which visited every multiset
         frozen = json.loads((Path(__file__).parent / "data" / "zdcl_brute_frozen.json").read_text())
         for rec in frozen:
-            rep = zdcl_brute_force(AlgebraSignature(rec["n"], rec["r"]), cap=rec["n"])
+            rep = zdcl_brute_force(AlgebraSignature(rec["n"], rec["r"]))
             got = (rep.searched_length, rep.certified_minimum, list(rep.witness))
             assert got == (rec["searched_length"], rec["certified_minimum"], rec["witness"]), rec
 
@@ -738,7 +738,7 @@ class TestCupLengthSearches:
             monkeypatch.setattr(algebra, "_leg_room",
                                 lambda prod: nodes.append(prod) or summary(prod))
             monkeypatch.setattr(TensorElement, "__mul__", recording_mul)
-            report = zdcl_brute_force(sig, cap=5)
+            report = zdcl_brute_force(sig)
             monkeypatch.undo()
             return report, [prod._terms for prod in nodes]
 
@@ -772,10 +772,12 @@ class TestCupLengthSearches:
             assert rep.searched_length == zdcl_degree_one(sig) == rep.certified_minimum
 
     def test_brute_force_cap(self):
-        with pytest.raises(InstanceTooLarge):
-            zdcl_brute_force(AlgebraSignature(5, 2))
-        rep = zdcl_brute_force(AlgebraSignature(5, 2), cap=5)
-        assert rep.searched_length == 3
+        # a fixed limit on n, refused before any product
+        assert algebra.BRUTE_FORCE_MAX_N == 8
+        with pytest.raises(InstanceTooLarge, match=r"^brute-force search is limited to "
+                                                     r"n <= 8; got n = 9$"):
+            zdcl_brute_force(AlgebraSignature(9, 2))
+        assert zdcl_brute_force(AlgebraSignature(8, 2)).searched_length == 3
 
     def test_even_degree_elements_square_nontrivially(self):
         # a-bar squared is -2 a(x)a for even-degree a, so repetition matters

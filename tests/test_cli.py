@@ -593,8 +593,8 @@ class TestSearchZdcl:
         # --brute cross-checks the chain: a different length fails the check
         search = cli.zdcl_brute_force
 
-        def one_short(sig, cap):
-            rep = search(sig, cap=cap)
+        def one_short(sig):
+            rep = search(sig)
             return dataclasses.replace(rep, searched_length=rep.searched_length - 1)
 
         monkeypatch.setattr(cli, "zdcl_brute_force", one_short)
@@ -605,30 +605,18 @@ class TestSearchZdcl:
         assert doc["cup_length"] == 4
         assert doc["conjecture"] == "inconsistent"
 
-    def test_brute_force_cap_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("TC_BRUTE_CAP", "3")
-        code, _, err = run(capsys, "search-zdcl", "4", "2", "--brute")
-        assert code == 2
-        assert "capped" in err
-        monkeypatch.setenv("TC_BRUTE_CAP", "4")
-        code, out, _ = run(capsys, "search-zdcl", "4", "2", "--brute", "--json")
-        assert code == 0
-        assert json.loads(out)["brute_force_length"] == 3
-
-    def test_brute_force_cap_env_not_an_integer(self, capsys, monkeypatch):
-        # the message names the variable, repeats no value and names no
-        # interpreter setting
-        monkeypatch.setenv("TC_BRUTE_CAP", "abc")
-        code, out, err = run(capsys, "search-zdcl", "4", "2", "--brute")
+    def test_brute_force_limit_ignores_the_environment(self, capsys, monkeypatch):
+        # n <= 8 is a constant: no environment variable raises it
+        monkeypatch.setenv("TC_BRUTE_CAP", "99")
+        code, out, err = run(capsys, "search-zdcl", "9", "2", "--brute")
         assert (code, out) == (2, "")
-        assert err == "error: TC_BRUTE_CAP: expected a decimal integer\n"
-        monkeypatch.setenv("TC_BRUTE_CAP", NINES)
-        assert_short_refusal(capsys, "search-zdcl", "4", "2", "--brute")
-        _, _, err = run(capsys, "search-zdcl", "4", "2", "--brute")
-        assert err.startswith("error: TC_BRUTE_CAP: ")
-        # the variable is read only for --brute
-        code, _, _ = run(capsys, "search-zdcl", "4", "2")
+        assert err == "error: brute-force search is limited to n <= 8; got n = 9\n"
+        monkeypatch.delenv("TC_BRUTE_CAP")
+        code, out, _ = run(capsys, "search-zdcl", "8", "3", "--brute", "--json")
         assert code == 0
+        doc = json.loads(out)
+        assert doc["brute_force_length"] == doc["degree_one_length"] == 5
+        assert doc["conjecture"] == "consistent"
 
     def test_invalid_signature_below_digit_limit_is_not_echoed(self, capsys):
         assert_short_refusal(capsys, "search-zdcl", "1", SHORT_NINES)

@@ -517,6 +517,12 @@ class TestEvaluateMany:
                     method(steps)
 
 
+# window ends for hand-built rules: 0 and 1, ties, and 2**-80 offsets whose
+# floats tie with a boundary's
+_WINDOW_ENDS = (F(0), F(1), F(1, 3), F(1, 2), F(1, 2) - _TINY, F(1, 2) + _TINY, _TINY,
+                1 - _TINY, F(2, 3))
+
+
 class TestLeastZeroCount:
     """The boundary sweep against pointwise evaluation, the reference."""
 
@@ -542,8 +548,40 @@ class TestLeastZeroCount:
                     want = min(path.evaluate(t).exact_zero_count() for t in times)
                     least, at = path.least_zero_count()
                     assert least == want
-                    assert 0 <= at <= 1
+                    assert at in {(x + y) / 2 for x, y in zip(cuts, cuts[1:])}
                     assert path.evaluate(at).exact_zero_count() == least
+
+    def test_paths_without_boundaries(self):
+        # no phase boundaries: the one open piece is (0, 1)
+        sig = AlgebraSignature(4, 2)
+        parked = plan_skeleton(query(point(0, 0, "1/3"), point(0, 0, "1/3")), sig)
+        assert parked.phase_boundaries() == ()
+        assert parked.least_zero_count() == (2, F(1, 2))
+        sig = AlgebraSignature(1, 1)
+        assert plan_skeleton(query(point(), point()), sig).least_zero_count() == (0, F(1, 2))
+        circle_only = plan_product(query(point(circle="1/8"), point(circle="5/8")), sig)
+        assert circle_only.least_zero_count() == (0, F(1, 2))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["0", "1/4", "1/2", "5/8"]),
+                              st.sampled_from(["0", "1/4", "1/2", "5/8"]),
+                              st.sampled_from(_WINDOW_ENDS), st.sampled_from(_WINDOW_ENDS)),
+                    min_size=1, max_size=6))
+    def test_no_boundary_below_its_piece(self, drawn):
+        # hand-built windows with ties, 2**-80 offsets and ends at 0 and 1:
+        # every time of the timeline counts at least as many coordinates as
+        # the open piece after it (before it, for t = 1), so the least count
+        # over [0, 1] is the least count over the pieces
+        rules = tuple(CoordinateRule(Turn(F(u)), Turn(F(v)), min(a, b), max(a, b))
+                      for u, v, a, b in drawn if a != b)
+        path = PlannerPath(rules=rules)
+        cuts = sorted({F(0), *path.phase_boundaries(), F(1)})
+        mids = [(x + y) / 2 for x, y in zip(cuts, cuts[1:])]
+        pieces = [path.evaluate(m).exact_zero_count() for m in mids]
+        for i, t in enumerate(cuts):
+            assert path.evaluate(t).exact_zero_count() >= pieces[min(i, len(pieces) - 1)], t
+        least, at = path.least_zero_count()
+        assert least == min(pieces) and at == mids[pieces.index(least)]
 
 
 def _turns():
@@ -555,8 +593,8 @@ def rule_args(draw):
     """A start, an end and a second end, each equal to, antipodal to or
     independent of the start, and a valid window."""
     start = draw(_turns())
-    end, other = (draw(st.one_of(_turns(), st.just(start), st.just(start + F(1, 2)),
-                                 st.just(start + F(-1, 2))))
+    end, other = (draw(st.one_of(_turns(), st.just(start), st.just(Turn(start.value + F(1, 2))),
+                                 st.just(Turn(start.value - F(1, 2)))))
                   for _ in range(2))
     q = draw(st.integers(1, 10**6))
     i = draw(st.integers(0, q - 1))

@@ -165,7 +165,7 @@ def _break_start(monkeypatch):
         point = real(self, t)
         if t != 0:
             return point
-        return EvaluatedPoint(tuple(v + F(1, 8) for v in point.base), point.circle)
+        return EvaluatedPoint(tuple(Turn(v.value + F(1, 8)) for v in point.base), point.circle)
 
     monkeypatch.setattr(PlannerPath, "evaluate", shifted)
 
@@ -285,7 +285,7 @@ class TestPerturbation:
         rng = random.Random(19)
         base = SkeletonPoint((Turn(F(1, 3)), Turn(0)), Turn(F(1, 8)))
         for gap in (F(0), F(1, 2), F(1, 4), F(3, 8), F(5, 8)):
-            end = SkeletonPoint((Turn(0), Turn(F(2, 5))), base.circle + gap)
+            end = SkeletonPoint((Turn(0), Turn(F(2, 5))), Turn(base.circle.value + gap))
             q = PlannerQuery(base, end)
             for _ in range(20):
                 near = perturb_query(q, sig, rng)
@@ -375,7 +375,7 @@ class TestPerturbation:
                     start = sample(sig, rng, with_circle=product)
                     # every other coordinate agrees, the rest go to 0
                     base = tuple(u if j % 2 else Turn(0) for j, u in enumerate(start.base))
-                    circle = start.circle if k % 2 or not product else start.circle + F(1, 3)
+                    circle = start.circle if k % 2 or not product else Turn(start.circle.value + F(1, 3))
                     q, forced = PlannerQuery(start, SkeletonPoint(base, circle)), {}
                 near = perturb_query(q, sig, rng, forced_start=forced)
                 if near is None:
@@ -524,7 +524,7 @@ class TestPerturbation:
             for j, push in forced.items():
                 u = q.start.circle if j == 0 else q.start.base[j - 1]
                 assert u == Turn(1 - F(125, 256) * eps) and push == F(3, 4) * eps
-                assert u + push == Turn(F(67, 256) * eps)
+                assert Turn(u.value + push) == Turn(F(67, 256) * eps)
         for n, r, want in [(3, 3, 3.09), (5, 3, 4.13), (6, 2, 0.978)]:
             sig = AlgebraSignature(n, r)
             for eps in (F(1, 10**3), F(1, 10**5), F(1, 10**7)):
