@@ -18,7 +18,6 @@ from .algebra import (
     ZdclSearchReport,
     apply_multiplication_map,
     lower_bound_certificate,
-    tensor,
     zdcl_brute_force,
     zdcl_degree_one,
     zero_divisor,
@@ -74,7 +73,6 @@ __all__ = [
     "random_turn",
     "run_simulation",
     "sample",
-    "tensor",
     "zdcl_brute_force",
     "zdcl_degree_one",
     "zero_divisor",

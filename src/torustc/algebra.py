@@ -17,11 +17,16 @@ x > y.  It is read off one mask per right factor b, the positions that have
 an odd number of b's bits below them: the sign is the parity of a's bits in
 that mask, one popcount per pair.  The tensor square is the exterior
 algebra on 2n generators, truncated per leg: a term a (x) b is the bit set
-a | (b << n), and shares every ring operation with the algebra itself.
+a | (b << n), and shares every ring operation with the algebra itself.  The
+multiplication map a (x) b -> a*b is that same product too, taken one term
+at a time, so the product loop in AlgebraElement.__mul__ is the only place
+a sign is counted, and AlgebraSignature._leg_masks the only statement of
+the truncation rule.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -98,7 +103,8 @@ class AlgebraSignature:
 
     def fits(self, bits: int) -> bool:
         """True when the bit-set monomial survives in this algebra."""
-        return 0 <= bits < (1 << self.n) and (bits & ~1).bit_count() <= self.r - 1
+        left, _, cap = self._leg_masks
+        return 0 <= bits < (1 << self.n) and (bits & left).bit_count() <= cap
 
     def basis_bits(self):
         """All surviving monomials as bit sets, grouped by positive part."""
@@ -127,10 +133,6 @@ class ExteriorMonomial:
                 raise ValueError(f"repeated generator index {i}")
             bits |= 1 << i
         return cls(bits)
-
-    @property
-    def degree(self) -> int:
-        return self.bits.bit_count()
 
     @property
     def indices(self) -> tuple[int, ...]:
@@ -162,19 +164,6 @@ def _odd_below(b: int) -> int:
         mask ^= -(low << 1)
         b ^= low
     return mask
-
-
-def _merge(a: int, b: int) -> tuple[int, int]:
-    """Sign and union for the concatenation of two bit-set monomials.
-
-    Returns (0, 0) when the sets share a generator.  The sign is the parity
-    of the number of pairs (x in a, y in b) with x > y, which is exactly the
-    number of transpositions needed to sort the concatenated index list; it
-    is the parity of a's bits in the mask _odd_below(b).
-    """
-    if a & b:
-        return 0, 0
-    return (-1 if (a & _odd_below(b)).bit_count() & 1 else 1), a | b
 
 
 def _as_bits(key) -> int:
@@ -225,36 +214,19 @@ class AlgebraElement:
     def one(cls, sig) -> "AlgebraElement":
         return cls._raw(sig, {0: 1})
 
-    @classmethod
-    def generator(cls, sig, i: int) -> "AlgebraElement":
-        """e_i as an element; zero when the truncation kills it (r = 1, i >= 1)."""
-        if not 0 <= i < sig.n:
-            raise ValueError(f"generator index {i} out of range for n={sig.n}")
-        return cls(sig, {1 << i: 1})
-
-    @classmethod
-    def monomial(cls, sig, indices, coeff: int = 1) -> "AlgebraElement":
-        return cls(sig, {ExteriorMonomial.from_indices(indices): coeff})
-
     @property
     def is_zero(self) -> bool:
         return not self._terms
 
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
     def __len__(self) -> int:
         return len(self._terms)
-
-    def coefficient(self, mono) -> int:
-        return self._terms.get(_as_bits(mono), 0)
 
     def terms(self):
         """Pairs (monomial, coefficient) sorted by degree then bit pattern."""
         for bits in sorted(self._terms, key=lambda b: (b.bit_count(), b)):
             yield ExteriorMonomial(bits), self._terms[bits]
 
-    def degrees(self) -> tuple[int, ...]:
+    def total_degrees(self) -> tuple[int, ...]:
         return tuple(sorted({b.bit_count() for b in self._terms}))
 
     def _check_mate(self, other):
@@ -294,6 +266,8 @@ class AlgebraElement:
                 if other == 0:
                     return self.zero(sig)
                 return self._raw(sig, {b: other * c for b, c in self._terms.items()})
+            if not isinstance(other, AlgebraElement):
+                return NotImplemented
             self._check_mate(other)
         left, right, cap = sig._leg_masks
         out: dict[int, int] = {}
@@ -361,8 +335,8 @@ class TensorElement(AlgebraElement):
     bit n+i.  Every right-leg bit lies above every left-leg bit, so the sign
     of merging two packed keys already carries the crossing sign, (-1) raised
     to |b1|*|a2|, and the ring operations are inherited unchanged.  Only the
-    truncation test and the pair-shaped views differ; sig stays the
-    signature of one leg.
+    key packing and the pair-shaped views differ; sig stays the signature
+    of one leg.
     """
 
     __slots__ = ()
@@ -390,23 +364,9 @@ class TensorElement(AlgebraElement):
         for p in sorted(self._terms, key=sort_key):
             yield ExteriorMonomial(p & low), ExteriorMonomial(p >> n), self._terms[p]
 
-    total_degrees = AlgebraElement.degrees
-
     def _labelled_terms(self):
         for left, right, coeff in self.terms():
             yield f"{left} (x) {right}", coeff
-
-
-def tensor(x: AlgebraElement, y: AlgebraElement) -> TensorElement:
-    """Form x (x) y from two elements of the same algebra."""
-    if type(x) is not AlgebraElement or type(y) is not AlgebraElement or x.sig != y.sig:
-        raise ValueError("tensor factors live in different algebras")
-    n = x.sig.n
-    out: dict[int, int] = {}
-    for a, ca in x._terms.items():
-        for b, cb in y._terms.items():
-            out[a | b << n] = ca * cb
-    return TensorElement._raw(x.sig, out)
 
 
 def zero_divisor(sig: AlgebraSignature, i: int) -> TensorElement:
@@ -423,23 +383,24 @@ def zero_divisor(sig: AlgebraSignature, i: int) -> TensorElement:
 
 
 def apply_multiplication_map(x: TensorElement) -> AlgebraElement:
-    """Multiply the two tensor legs together: a (x) b maps to a*b."""
+    """Multiply the two tensor legs together: a (x) b maps to a*b.
+
+    Each term c a (x) b is the algebra product of the one-term elements
+    c a and b, so its Koszul sign and its truncation are those of
+    AlgebraElement.__mul__; the map is the sum of these products, added
+    into one table so the cost stays linear in the terms.  Its kernel is
+    the ideal of zero-divisors.
+    """
     if type(x) is not TensorElement:
         raise ValueError("the multiplication map takes an element of the tensor square")
-    fits = x.sig.fits
-    n = x.sig.n
+    sig = x.sig
+    n = sig.n
     low = (1 << n) - 1
-    out: dict[int, int] = {}
+    raw = AlgebraElement._raw
+    out = collections.Counter()
     for p, c in x._terms.items():
-        sign, bits = _merge(p & low, p >> n)
-        if sign == 0 or not fits(bits):
-            continue
-        s = out.get(bits, 0) + sign * c
-        if s:
-            out[bits] = s
-        elif bits in out:
-            del out[bits]
-    return AlgebraElement._raw(x.sig, out)
+        out.update((raw(sig, {p & low: c}) * raw(sig, {p >> n: 1}))._terms)
+    return raw(sig, {bits: c for bits, c in out.items() if c})
 
 
 def _pruned_product(sig: AlgebraSignature, indices, keep) -> TensorElement:
@@ -688,7 +649,7 @@ def zdcl_brute_force(sig: AlgebraSignature) -> ZdclSearchReport:
             continue
         mono = ExteriorMonomial(bits)
         bar = TensorElement._raw(sig, {bits << sig.n: 1, bits: -1})
-        family.append((mono.degree, mono.indices, bits, (bits & ~1).bit_count(), str(mono), bar))
+        family.append((bits.bit_count(), mono.indices, bits, (bits & ~1).bit_count(), str(mono), bar))
     family.sort(key=lambda t: t[:2])
 
     budget = 2 * sig.r

@@ -32,13 +32,12 @@ from .algebra import (
     CertificateFailure,
     BRUTE_FORCE_MAX_N,
     InstanceTooLarge,
-    InvalidSignature,
     lower_bound_certificate,
     zdcl_brute_force,
     zdcl_degree_one,
 )
 from .bounds import BoundMismatch, compute_bounds
-from .planner import InvalidEndpoint, PlannerQuery, plan_product, plan_skeleton
+from .planner import PlannerQuery, plan_product, plan_skeleton
 from .skeleton import SkeletonPoint, Turn
 from .verify import run_simulation
 
@@ -371,8 +370,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (InvalidSignature, InvalidEndpoint, InstanceTooLarge, ValueError,
-            OverflowError) as exc:
+    # InvalidSignature, InvalidEndpoint and InstanceTooLarge are ValueErrors
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (CertificateFailure, BoundMismatch) as exc:

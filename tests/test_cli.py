@@ -770,7 +770,7 @@ class TestPublicSurface:
         "TensorElement", "Turn", "ZdclSearchReport", "apply_multiplication_map", "classify",
         "compute_bounds", "continuity_ratio", "dwell_time", "lower_bound_certificate",
         "membership", "path_deviation", "perturb_query", "plan_product", "plan_skeleton",
-        "random_turn", "run_simulation", "sample", "tensor", "zdcl_brute_force",
+        "random_turn", "run_simulation", "sample", "zdcl_brute_force",
         "zdcl_degree_one", "zero_divisor",
     ]
 
@@ -778,6 +778,14 @@ class TestPublicSurface:
         assert sorted(torustc.__all__) == self.KEPT
         for name in self.KEPT:
             assert hasattr(torustc, name), name
+
+    def test_usage_errors_are_value_errors(self):
+        # main exits 2 on every ValueError, so these need no entry of their own
+        for cls in (torustc.InvalidSignature, torustc.InvalidEndpoint, torustc.InstanceTooLarge):
+            assert issubclass(cls, ValueError), cls
+        # a failed check is no usage error: it exits 1
+        for cls in (torustc.CertificateFailure, torustc.BoundMismatch):
+            assert not issubclass(cls, ValueError), cls
 
     def test_readme_python_api_example(self, capsys):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
