@@ -25,7 +25,6 @@ from .algebra import (
 from .bounds import BoundMismatch, TcBounds, compute_bounds
 from .planner import (
     CoordinateRule,
-    EvaluatedPoint,
     InvalidEndpoint,
     PlannerPath,
     PlannerQuery,
@@ -45,7 +44,6 @@ __all__ = [
     "BoundMismatch",
     "CertificateFailure",
     "CoordinateRule",
-    "EvaluatedPoint",
     "ExteriorMonomial",
     "InstanceTooLarge",
     "InvalidEndpoint",

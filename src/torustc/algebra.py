@@ -167,7 +167,8 @@ def _odd_below(b: int) -> int:
 
 
 def _as_bits(key) -> int:
-    return key.bits if isinstance(key, ExteriorMonomial) else int(key)
+    # operator.index takes ints only, where int() would truncate 1.7 or parse "2"
+    return key.bits if isinstance(key, ExteriorMonomial) else operator.index(key)
 
 
 class AlgebraElement:
@@ -175,7 +176,9 @@ class AlgebraElement:
 
     Terms whose monomial dies under the truncation rule are identically zero
     and are dropped on construction; an out-of-range generator index is an
-    error rather than a zero.
+    error rather than a zero.  Keys and coefficients must be integers (a key
+    may be an ExteriorMonomial): anything else raises TypeError, so no float
+    or Fraction enters the exact arithmetic.
     """
 
     __slots__ = ("sig", "_terms")
@@ -185,7 +188,9 @@ class AlgebraElement:
         clean: dict[int, int] = {}
         for key, coeff in (terms or {}).items():
             bits = self._pack(sig, key)
-            if coeff and (bits & left).bit_count() <= cap and (bits & right).bit_count() <= cap:
+            # operator.index refuses a float or Fraction coefficient
+            if operator.index(coeff) and ((bits & left).bit_count() <= cap
+                                          and (bits & right).bit_count() <= cap):
                 clean[bits] = clean.get(bits, 0) + coeff
         self.sig = sig
         self._terms = {b: c for b, c in clean.items() if c}
@@ -491,12 +496,13 @@ def lower_bound_certificate(sig: AlgebraSignature, index_set=None) -> LowerBound
         indices = tuple(range(1, k + 1))
     else:
         indices = tuple(sorted(index_set))
+        if len(indices) != k:
+            raise ValueError(f"certificate index set must have size {k} for this "
+                             f"signature, got {len(indices)}")
         if len(set(indices)) != len(indices):
             raise ValueError("certificate index set has repeats")
         if any(not 1 <= i <= sig.n - 1 for i in indices):
             raise ValueError(f"certificate indices must lie in 1..{sig.n - 1}")
-        if len(indices) != k:
-            raise ValueError(f"certificate index set must have size {k} for this signature")
 
     left = ExteriorMonomial.from_indices((0, *indices[: sig.r - 1]))
     right = ExteriorMonomial.from_indices(indices[sig.r - 1 :])

@@ -128,12 +128,17 @@ def _check_certificate_work(sigs) -> None:
                                f"is capped at {MAX_CERTIFICATE_WORK}")
 
 
-def _parse_point(text: str, product: bool) -> SkeletonPoint:
+def _parse_point(text: str, flag: str, sig, product: bool) -> SkeletonPoint:
+    """The point typed after flag: n coordinates with --product, the circle
+    first, and n - 1 without it, counted before any is parsed."""
     # "" is the point with no coordinates, the only point when n = 1
-    turns = [Turn.parse(p) for p in text.split(",")] if text else []
+    parts = text.split(",") if text else []
+    want = sig.n if product else sig.n - 1
+    if len(parts) != want:
+        circle = " (the circle first)" if product else ""
+        raise ValueError(f"{flag} takes {want} coordinates{circle}, got {len(parts)}")
+    turns = [Turn.parse(p) for p in parts]
     if product:
-        if not turns:
-            raise ValueError("product points need at least the circle coordinate")
         return SkeletonPoint(tuple(turns[1:]), turns[0])
     return SkeletonPoint(tuple(turns), None)
 
@@ -227,8 +232,8 @@ def cmd_plan(args) -> int:
     sig = AlgebraSignature(args.n, args.r)
     if sig.n * (args.steps + 2 * sig.n - 1) > MAX_PLAN_WORK:
         raise ValueError(f"n times (--steps + 2n - 1) must be at most {MAX_PLAN_WORK}")
-    start = _parse_point(getattr(args, "from"), args.product)
-    end = _parse_point(args.to, args.product)
+    start = _parse_point(getattr(args, "from"), "--from", sig, args.product)
+    end = _parse_point(args.to, "--to", sig, args.product)
     query = PlannerQuery(start, end)
     path = plan_product(query, sig) if args.product else plan_skeleton(query, sig)
     times, columns = path.samples(args.steps)

@@ -182,18 +182,6 @@ class CoordinateRule(namedtuple("_RuleFields", (
         return (self.start_f + s * self.delta_f) % 1.0
 
 
-@dataclass(frozen=True)
-class EvaluatedPoint:
-    """Snapshot of a path at one time; values are exact Turns or floats."""
-
-    base: tuple
-    circle: object = None
-
-    def exact_zero_count(self) -> int:
-        """Base coordinates exactly at the basepoint (floats never count)."""
-        return sum(1 for v in self.base if isinstance(v, Turn) and v.is_zero)
-
-
 def _check_time(t) -> Fraction:
     """t as a Fraction in [0, 1]: the planner's own _ZERO or _ONE at either
     end, so value_at settles a window ending there by identity, without a
@@ -254,12 +242,14 @@ class PlannerPath:
         gap, den = rule.start.ccw_gap(rule.end)
         return len(self.agreement) + (2 * gap == den)
 
-    def evaluate(self, t) -> EvaluatedPoint:
-        """Point of the path at rational time t in [0, 1]."""
+    def evaluate(self, t) -> SkeletonPoint:
+        """Point of the path at rational time t in [0, 1]: exact Turns, but
+        floats for the coordinates strictly inside their travel phase.  At
+        t = 0 and t = 1 it equals the query's endpoints."""
         t = _check_time(t)
         base = tuple(rule.value_at(t) for rule in self.rules)
         circ = self.circle_rule.value_at(t) if self.circle_rule is not None else None
-        return EvaluatedPoint(base, circ)
+        return SkeletonPoint(base, circ)
 
     def phase_boundaries(self) -> tuple[Fraction, ...]:
         """Times where some coordinate switches phase, in ascending order."""
@@ -404,23 +394,16 @@ _PARKED = CoordinateRule(start=Turn(0), end=Turn(0), move_start=_ZERO, rest_star
 
 
 @functools.lru_cache(maxsize=64)
-def _move_start(num: int, den: int) -> Fraction:
-    """move_start of a coordinate leaving the Turn num/den: its dwell time,
-    exact.  Cached by value, so equal Turns share one Fraction."""
-    lead = _dwell(num, den)
-    return Fraction(lead) if type(lead) is float else lead
-
-
-@functools.lru_cache(maxsize=64)
-def _rest_start(num: int, den: int) -> Fraction:
-    """rest_start of a coordinate arriving at the Turn num/den: 1 minus its
-    dwell time, exact.  Cached by value, like _move_start."""
-    tail = _dwell(num, den)
-    if type(tail) is float:
-        p, q = tail.as_integer_ratio()
-        return Fraction(q - p, q)
-    # an exact dwell is 1/2 or 0
-    return _HALF if tail else _ONE
+def _window_ends(num: int, den: int) -> tuple[Fraction, Fraction]:
+    """(move_start, rest_start) of a coordinate leaving, or arriving at, the
+    Turn num/den: its dwell time and 1 minus it, exact.  Cached by value, so
+    equal Turns share one Fraction, and exact dwells (1/2 or 0) share the
+    planner's own _HALF, _ZERO and _ONE."""
+    dwell = _dwell(num, den)
+    if type(dwell) is not float:
+        return dwell, _HALF if dwell else _ONE
+    p, q = dwell.as_integer_ratio()
+    return Fraction(p, q), Fraction(q - p, q)
 
 
 def _build_rules(start: SkeletonPoint, end: SkeletonPoint) -> tuple[CoordinateRule, ...]:
@@ -431,8 +414,8 @@ def _build_rules(start: SkeletonPoint, end: SkeletonPoint) -> tuple[CoordinateRu
         if u is v or u == v:
             rules.append(_PARKED if u.is_zero else CoordinateRule(u, v, _ZERO, _ONE))
         else:
-            rules.append(CoordinateRule(u, v, _move_start(u.num, u.den),
-                                        _rest_start(v.num, v.den)))
+            rules.append(CoordinateRule(u, v, _window_ends(u.num, u.den)[0],
+                                        _window_ends(v.num, v.den)[1]))
     return tuple(rules)
 
 

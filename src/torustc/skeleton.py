@@ -112,7 +112,9 @@ class SkeletonPoint:
 
     base holds the n-1 coordinates of the subtorus union; circle, when
     present, is the extra factor of the product space.  Coordinate labels
-    are 1-based: base[j-1] is the coordinate with label j.
+    are 1-based: base[j-1] is the coordinate with label j.  Coordinates are
+    exact Turns; floats appear only in the points PlannerPath.evaluate
+    returns strictly inside a travel phase, and a float never equals a Turn.
     """
 
     base: tuple[Turn, ...]
@@ -121,6 +123,10 @@ class SkeletonPoint:
     @property
     def has_circle(self) -> bool:
         return self.circle is not None
+
+    def exact_zero_count(self) -> int:
+        """Base coordinates exactly at the basepoint (floats never count)."""
+        return sum(1 for v in self.base if isinstance(v, Turn) and v.is_zero)
 
     def to_jsonable(self) -> dict:
         return {

@@ -1,9 +1,10 @@
 """Randomized verification of the planner invariants.
 
 run_simulation drives the planner over seeded random queries and checks,
-for every query: exact endpoint interpolation, a domain that matches the
-endpoint agreement (plus 1 for exact antipodes on the circle), and
-skeleton membership (at least n-r coordinates exactly at the basepoint)
+for every query: exact endpoint interpolation (the path's points at t = 0
+and t = 1 equal the query's endpoints, Turn for Turn), a domain that
+matches the endpoint agreement (plus 1 for exact antipodes on the circle),
+and skeleton membership (at least n-r coordinates exactly at the basepoint)
 for every t in [0, 1], not at sampled times only.  Each coordinate's
 basepoint count is constant between two phase boundaries, so the path's
 boundary sweep, one slot per boundary and one per open piece, proves
@@ -14,15 +15,17 @@ so neither fast path can drift from the reference semantics unnoticed.
 Every violation is counted, and the first FAILURE_CAP are recorded with
 their queries.
 
-Continuity is probed by perturbing a query within its domain by at most
-eps per coordinate (DEFAULT_EPS in a simulation) and measuring how far the
-two paths drift apart.  A shift that would land a coordinate exactly on the
+Continuity is probed on pairs of queries: a query and a nearby query,
+perturbed within its domain by at most eps per coordinate (DEFAULT_EPS in a
+simulation) by perturb_query, and the probe measures how far the two paths
+drift apart.  A shift that would land a coordinate exactly on the
 basepoint is halved, so supports never change.  The probe corpus is
 controlled: nonzero coordinates of ordinary base queries stay at least 1/8
 of a turn from the basepoint (where the schedule's local stretch is
 moderate), and dedicated wrap probes carry one coordinate across the
 basepoint, the case where naive arithmetic on [0, 1) would tear, from
-(125/256) * eps below it to (67/256) * eps past it, so they scale with eps.
+(125/256) * eps below it in the query to (67/256) * eps past it in the
+nearby query (_wrap_probe), so they scale with eps.
 Perturbations never change the agreement set, the support sets, or the
 circle rule, so both paths come from one continuity domain and their
 distance must scale linearly with eps.  That distance is the supremum over
@@ -101,15 +104,6 @@ def _flag(report: SimulationReport, kind: str, query: PlannerQuery, detail: str)
         report.failures.append({"kind": kind, "detail": detail, "query": query.to_jsonable()})
 
 
-def _endpoints_exact(path: PlannerPath, query: PlannerQuery) -> bool:
-    for t, want in ((0, query.start), (1, query.end)):
-        got = path.evaluate(t)
-        pairs = zip((*got.base, got.circle), (*want.base, want.circle))
-        if not all(w is None or (isinstance(g, Turn) and g == w) for g, w in pairs):
-            return False
-    return True
-
-
 def run_simulation(
     sig,
     mode: str = "skeleton",
@@ -157,7 +151,8 @@ def run_simulation(
         if not (path.agreement == agree and domain == len(agree) + (2 * gap == den)):
             _flag(report, "domain", query, f"domain index {domain}")
 
-        if not _endpoints_exact(path, query):
+        # a float never equals a Turn, so only exact values pass
+        if not (path.evaluate(0) == start and path.evaluate(1) == end):
             _flag(report, "endpoint", query, "path does not interpolate exactly")
 
         counts = path.exact_zero_counts(steps)
@@ -216,18 +211,15 @@ def _perturb_point(
     agree: frozenset[int],
     rng: random.Random,
     eps: Fraction,
-    forced: dict[int, tuple[int, int]],
 ) -> tuple[Turn, ...]:
     """Perturbed base coordinates of one endpoint, support preserved.
 
     The labels in agree are handled by the caller (both endpoints must be
     shifted identically there); this helper only moves the coordinates where
-    the endpoints differ, keeping zero coordinates exactly zero.  A forced
-    shift still draws its perturbation, so the draws do not depend on which
-    shifts are forced.
+    the endpoints differ, keeping zero coordinates exactly zero.
     """
     return tuple(
-        u if j in agree or u.is_zero else _shift(u, forced.get(j, _perturbation(rng, eps)))
+        u if j in agree or u.is_zero else _shift(u, _perturbation(rng, eps))
         for j, u in enumerate(point.base, start=1)
     )
 
@@ -237,10 +229,9 @@ def perturb_query(
     sig,
     rng: random.Random,
     eps: Fraction = DEFAULT_EPS,
-    forced_start: dict[int, Fraction] | None = None,
 ) -> PlannerQuery | None:
     """A nearby query in the same continuity domain, or None if the query
-    has nothing to move.
+    has nothing to move: the second query of a continuity probe.
 
     Coordinates where the endpoints agree get one shared shift so they keep
     agreeing; coordinates where they differ move independently.  Exact zeros
@@ -250,11 +241,10 @@ def perturb_query(
     (the shorter-arc rule tolerates eps-sized changes because sampled gaps
     are never within eps of half a turn).
     """
-    forced = {j: shift.as_integer_ratio() for j, shift in (forced_start or {}).items()}
     agree = classify(query, sig)
     start, end = query.start, query.end
-    start_base = list(_perturb_point(start, agree, rng, eps, forced))
-    end_base = list(_perturb_point(end, agree, rng, eps, {}))
+    start_base = list(_perturb_point(start, agree, rng, eps))
+    end_base = list(_perturb_point(end, agree, rng, eps))
     for j in agree:
         u = start.base[j - 1]
         if not u.is_zero:
@@ -270,7 +260,7 @@ def perturb_query(
             delta = _perturbation(rng, eps)
             start_circle, end_circle = _plus(start.circle, delta), _plus(end.circle, delta)
         else:
-            start_circle = _plus(start.circle, forced.get(0, _perturbation(rng, eps)))
+            start_circle = _plus(start.circle, _perturbation(rng, eps))
             end_circle = _plus(end.circle, _perturbation(rng, eps))
     return PlannerQuery(
         SkeletonPoint(tuple(start_base), start_circle),
@@ -278,42 +268,44 @@ def perturb_query(
     )
 
 
-def _wrap_query(sig, rng: random.Random, mode: str,
-                eps: Fraction = DEFAULT_EPS) -> tuple[PlannerQuery, dict[int, Fraction]] | None:
-    """A query carrying one coordinate just below a full turn, plus forced
-    shifts that push it across the basepoint, or None if there is no
-    coordinate to carry (r = 1 without the circle).
+def _wrap_probe(sig, rng: random.Random, product: bool,
+                eps: Fraction = DEFAULT_EPS) -> tuple[PlannerQuery, PlannerQuery] | None:
+    """A continuity probe that carries one coordinate across the basepoint:
+    a query and its nearby query, or None if there is no coordinate to
+    carry (r = 1 without the circle).
 
     The carried coordinate starts (125/256) * eps below the basepoint
-    (2047/2048 at DEFAULT_EPS) and is pushed (3/4) * eps forward, so it
-    lands (67/256) * eps past the basepoint whatever eps is.  With r >= 2
-    it is the first of r-1 random base labels; in product mode the circle
-    is carried too.
+    (2047/2048 at DEFAULT_EPS) in the query and (67/256) * eps past it in
+    the nearby query, a push of (3/4) * eps, so it crosses whatever eps is.
+    With r >= 2 it is the first of r-1 random base labels; in product mode
+    the circle is carried too.  Everything else about the nearby query is
+    perturb_query's, whose draws include one for each carried coordinate.
     """
-    product = mode == "product"
     if sig.r < 2 and not product:
         return None
     wrap = Turn(1 - Fraction(125, 256) * eps)
-    push = Fraction(3, 4) * eps
-    forced: dict[int, Fraction] = {}
     start_base = [Turn(0)] * (sig.n - 1)
     end_base = [Turn(0)] * (sig.n - 1)
+    target = None
     if sig.r >= 2:
         support = sorted(rng.sample(range(1, sig.n), sig.r - 1))
         for label in support:
             start_base[label - 1] = random_turn(rng, 8)
             end_base[label - 1] = random_turn(rng, 8)
-        target = support[0]
-        start_base[target - 1] = wrap
-        end_base[target - 1] = Turn(Fraction(1, 2))
-        forced[target] = push
-    start_circle = end_circle = None
-    if product:
-        start_circle, end_circle = wrap, Turn(Fraction(1, 4))
-        forced[0] = push
-    start = SkeletonPoint(tuple(start_base), start_circle)
-    end = SkeletonPoint(tuple(end_base), end_circle)
-    return PlannerQuery(start, end), forced
+        target = support[0] - 1
+        start_base[target] = wrap
+        end_base[target] = Turn(Fraction(1, 2))
+    circles = (wrap, Turn(Fraction(1, 4))) if product else (None, None)
+    query = PlannerQuery(SkeletonPoint(tuple(start_base), circles[0]),
+                         SkeletonPoint(tuple(end_base), circles[1]))
+    # the carried coordinate moves, so perturb_query never returns None here
+    nearby = perturb_query(query, sig, rng, eps)
+    crossed = Turn(Fraction(67, 256) * eps)
+    base = list(nearby.start.base)
+    if target is not None:
+        base[target] = crossed
+    start = SkeletonPoint(tuple(base), crossed if product else None)
+    return query, PlannerQuery(start, nearby.end)
 
 
 def _passes_half_turn(rule_a, rule_b, tfs: list[float]) -> bool:
@@ -403,24 +395,17 @@ def continuity_ratio(
     the ratio measures the planner's local stretch there.
     """
     product = mode == "product"
-    forced: dict[int, Fraction] = {}
     if wrap:
-        built = _wrap_query(sig, rng, mode, eps)
-        if built is None:
-            return None
-        query, forced = built
+        pair = _wrap_probe(sig, rng, product, eps)
     else:
-        start = sample(sig, rng, denominator_bound, with_circle=product)
-        end = sample(sig, rng, denominator_bound, with_circle=product)
-        query = PlannerQuery(start, end)
-
-    nearby = perturb_query(query, sig, rng, eps=eps, forced_start=forced)
-    if nearby is None:
+        query = PlannerQuery(sample(sig, rng, denominator_bound, with_circle=product),
+                             sample(sig, rng, denominator_bound, with_circle=product))
+        pair = query, perturb_query(query, sig, rng, eps=eps)
+    if pair is None or pair[1] is None:
         return None
 
     plan = plan_product if product else plan_skeleton
-    path_a = plan(query, sig)
-    path_b = plan(nearby, sig)
+    path_a, path_b = (plan(q, sig) for q in pair)
     if path_a.agreement != path_b.agreement:
         raise RuntimeError("perturbation changed the agreement set; corpus bug")
     if path_a.domain != path_b.domain:

@@ -290,6 +290,36 @@ class TestElementArithmetic:
         with pytest.raises(ValueError, match="out of range"):
             AlgebraElement(sig, {1 << 4: 1})
 
+    def test_non_integer_keys_are_errors(self):
+        # keys were converted with int(), so 1.7 read as e0 and "2" as e1
+        sig = AlgebraSignature(3, 2)
+        for key in (1.7, "2", Fraction(1), 1.0):
+            with pytest.raises(TypeError):
+                AlgebraElement(sig, {key: 1})
+        with pytest.raises(TypeError):
+            TensorElement(sig, {(1.9, True): 2})
+        x = TensorElement(sig, {(1, 0): 3})
+        with pytest.raises(TypeError):
+            x.coefficient(1.5, 2)
+        with pytest.raises(TypeError):
+            x.coefficient(1, "0")
+        # ints, bools and monomials still key the same terms
+        assert AlgebraElement(sig, {True: 1}) == AlgebraElement(sig, {mono(0): 1})
+        assert x.coefficient(1, 0) == x.coefficient(mono(0), mono()) == 3
+
+    def test_non_integer_coefficients_are_errors(self):
+        # a float or Fraction coefficient used to print as 0.5*e0 and 1/2*e0
+        sig = AlgebraSignature(3, 2)
+        for coeff in (0.5, Fraction(1, 2), 2.0, Fraction(2), "1"):
+            with pytest.raises(TypeError):
+                AlgebraElement(sig, {1: coeff})
+            with pytest.raises(TypeError):
+                TensorElement(sig, {(1, 2): coeff})
+        # a term that truncation drops is checked too
+        with pytest.raises(TypeError):
+            AlgebraElement(sig, {mono(1, 2): 0.5})
+        assert str(AlgebraElement(sig, {1: 2, 2: -1, 4: 0})) == "2*e0 - e1"
+
     def test_generator_dies_only_for_r1(self):
         assert AlgebraElement(AlgebraSignature(3, 1), {mono(2): 1}).is_zero
         assert not AlgebraElement(AlgebraSignature(3, 1), {mono(0): 1}).is_zero

@@ -206,6 +206,12 @@ class TestVerifyLowerBound:
         code, _, err = run(capsys, "verify-lower-bound", "5", "2", "--set", "1,2,3")
         assert code == 2
         assert "size" in err
+        # the size is checked before the range, which is empty for n = 1
+        for n, r, indices, size in (("1", "1", "1", 0), ("3", "1", "5", 0), ("5", "2", "0", 2)):
+            code, out, err = run(capsys, "verify-lower-bound", n, r, "--set", indices)
+            assert (code, out) == (2, "")
+            assert err == (f"error: certificate index set must have size {size} "
+                           f"for this signature, got 1\n")
         assert_short_refusal(capsys, "verify-lower-bound", "5", "2", "--set", f"1,{NINES}")
         assert_short_refusal(capsys, "verify-lower-bound", NINES, "2")
 
@@ -357,7 +363,27 @@ class TestPlan:
         code, out, err = run(capsys, "plan", "1", "1", "--product", "--from", "", "--to", "")
         assert code == 2
         assert out == ""
-        assert "product points need at least the circle coordinate" in err
+        assert err == "error: --from takes 1 coordinates (the circle first), got 0\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (("3", "2", "--product", "--from", "1/2,0", "--to", "0,0"),
+         "--from takes 3 coordinates (the circle first), got 2"),
+        (("3", "2", "--product", "--from", "1/2,0,0", "--to", "0,0,0,0"),
+         "--to takes 3 coordinates (the circle first), got 4"),
+        (("3", "2", "--from", "1/2,0,0", "--to", "0,0"),
+         "--from takes 2 coordinates, got 3"),
+        (("3", "2", "--from", "1/2,0", "--to", "0"),
+         "--to takes 2 coordinates, got 1"),
+        # counted before parsing, so a bad value in a miscounted point
+        # does not hide the count
+        (("4", "2", "--from", "1/2,x", "--to", "0,0,0"),
+         "--from takes 3 coordinates, got 2"),
+    ])
+    def test_miscounted_point_states_both_counts(self, capsys, argv, message):
+        code, out, err = run(capsys, "plan", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+        assert len(err.encode()) < 300
 
     def test_samples_include_phase_boundaries(self, capsys):
         code, out, _ = run(
@@ -764,7 +790,7 @@ class TestPublicSurface:
 
     KEPT = [
         "AlgebraElement", "AlgebraSignature", "BoundMismatch",
-        "CertificateFailure", "CoordinateRule", "EvaluatedPoint", "ExteriorMonomial",
+        "CertificateFailure", "CoordinateRule", "ExteriorMonomial",
         "InstanceTooLarge", "InvalidEndpoint", "InvalidSignature", "LowerBoundCertificate",
         "PlannerPath", "PlannerQuery", "SimulationReport", "SkeletonPoint", "TcBounds",
         "TensorElement", "Turn", "ZdclSearchReport", "apply_multiplication_map", "classify",

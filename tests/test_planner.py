@@ -97,6 +97,37 @@ class TestCcwArc:
         assert self.travel(F(1, 2), F(1, 4), F(1, 2)) == 0.875  # ccw gap 3/4, the long way
 
 
+class TestEvaluatedPoints:
+    @pytest.mark.parametrize("product", [False, True])
+    def test_path_ends_equal_the_query_endpoints(self, product):
+        # evaluate returns a SkeletonPoint, so the ends compare with the
+        # query's own points, Turn for Turn
+        plan = plan_product if product else plan_skeleton
+        rng = random.Random(31 + product)
+        for n, r in [(1, 1), (2, 2), (3, 2), (5, 3), (7, 7), (9, 4)]:
+            sig = AlgebraSignature(n, r)
+            for _ in range(40):
+                q = query(sample(sig, rng, with_circle=product),
+                          sample(sig, rng, with_circle=product))
+                path = plan(q, sig)
+                first, last = path.evaluate(0), path.evaluate(1)
+                assert type(first) is type(last) is SkeletonPoint
+                assert first == q.start and last == q.end
+                assert all(type(v) is Turn for v in (*first.base, *last.base))
+
+    def test_a_float_never_equals_a_turn(self):
+        # strictly inside a travel phase evaluate returns floats, which never
+        # equal a Turn, even at the same value
+        assert SkeletonPoint((0.5,)) != SkeletonPoint((Turn(F(1, 2)),))
+        assert SkeletonPoint((Turn(F(1, 2)),)) != SkeletonPoint((0.5,))
+        assert SkeletonPoint((Turn(0),), 0.5) != SkeletonPoint((Turn(0),), Turn(F(1, 2)))
+        assert SkeletonPoint((0.0,)) != SkeletonPoint((Turn(0),))
+        assert SkeletonPoint((0.0,)).exact_zero_count() == 0
+        path = plan_skeleton(query(point(0), point("1/2")), AlgebraSignature(2, 2))
+        mid = path.evaluate(F(3, 4))
+        assert mid.base == (0.25,) and mid != point("1/4")
+
+
 class TestClassify:
     def test_agreement_and_domain_index(self):
         sig = AlgebraSignature(4, 2)
@@ -692,6 +723,16 @@ class TestCoordinateRule:
         assert one.rules[2].rest_start == 1 - F(dwell_time(Turn(F(1, 8))))
         assert one.rules[0].rest_start is two.rules[1].rest_start == 1
         assert one.rules[1].rest_start is two.rules[2].rest_start == F(1, 2)
+
+    def test_exact_window_ends_are_the_planner_constants(self):
+        # one cached pair per Turn: an exact dwell (1/2 at the basepoint, 0
+        # from a quarter turn away) gives the planner's shared Fractions
+        assert all(a is b for a, b in zip(planner._window_ends(0, 1), (planner._HALF,) * 2))
+        for num, den in ((1, 4), (1, 2), (3, 4)):
+            move, rest = planner._window_ends(num, den)
+            assert move is planner._ZERO and rest is planner._ONE
+        move, rest = planner._window_ends(1, 8)
+        assert move == F(dwell_time(Turn(F(1, 8)))) and move + rest == 1
 
     @pytest.mark.parametrize("denominator_bound", [8, 1000])
     def test_float_mirrors_match_exact_fields(self, denominator_bound):

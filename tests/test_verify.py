@@ -25,8 +25,8 @@ from torustc import (
 )
 from torustc import planner, verify
 from torustc.cli import main
-from torustc.planner import CoordinateRule, EvaluatedPoint, PlannerPath
-from torustc.verify import _wrap_query
+from torustc.planner import CoordinateRule, PlannerPath
+from torustc.verify import _wrap_probe
 
 F = Fraction
 
@@ -165,7 +165,7 @@ def _break_start(monkeypatch):
         point = real(self, t)
         if t != 0:
             return point
-        return EvaluatedPoint(tuple(Turn(v.value + F(1, 8)) for v in point.base), point.circle)
+        return SkeletonPoint(tuple(Turn(v.value + F(1, 8)) for v in point.base), point.circle)
 
     monkeypatch.setattr(PlannerPath, "evaluate", shifted)
 
@@ -327,15 +327,14 @@ class TestPerturbation:
             sig = AlgebraSignature(n, r)
             for k in range(30):
                 if k % 3 == 2:
-                    built = _wrap_query(sig, rng, mode)
-                    if built is None:
+                    pair = _wrap_probe(sig, rng, product)
+                    if pair is None:
                         continue
-                    q, forced = built
+                    q, near = pair
                 else:
                     q = PlannerQuery(sample(sig, rng, with_circle=product),
                                      sample(sig, rng, with_circle=product))
-                    forced = {}
-                near = perturb_query(q, sig, rng, forced_start=forced)
+                    near = perturb_query(q, sig, rng)
                 other = PlannerQuery(sample(sig, rng, with_circle=product),
                                      sample(sig, rng, with_circle=product))
                 path = plan(q, sig)
@@ -366,18 +365,18 @@ class TestPerturbation:
             sig = AlgebraSignature(n, r)
             for k in range(40):
                 if k % 4 == 3:
-                    built = _wrap_query(sig, rng, mode)
-                    if built is None:
+                    pair = _wrap_probe(sig, rng, product)
+                    if pair is None:
                         continue
-                    q, forced = built
+                    q, near = pair
                     wraps += 1
                 else:
                     start = sample(sig, rng, with_circle=product)
                     # every other coordinate agrees, the rest go to 0
                     base = tuple(u if j % 2 else Turn(0) for j, u in enumerate(start.base))
                     circle = start.circle if k % 2 or not product else Turn(start.circle.value + F(1, 3))
-                    q, forced = PlannerQuery(start, SkeletonPoint(base, circle)), {}
-                near = perturb_query(q, sig, rng, forced_start=forced)
+                    q = PlannerQuery(start, SkeletonPoint(base, circle))
+                    near = perturb_query(q, sig, rng)
                 if near is None:
                     continue
                 path_a, path_b = plan(q, sig), plan(near, sig)
@@ -442,15 +441,14 @@ class TestPerturbation:
                     rng = random.Random(7000 + n * 10 + r)
                     for p in range(20):
                         if p % 4 == 3:
-                            built = _wrap_query(sig, rng, mode)
-                            if built is None:
+                            pair = _wrap_probe(sig, rng, mode == "product")
+                            if pair is None:
                                 continue
-                            q, forced = built
+                            q, near = pair
                         else:
                             q = PlannerQuery(sample(sig, rng, with_circle=mode == "product"),
                                              sample(sig, rng, with_circle=mode == "product"))
-                            forced = {}
-                        near = perturb_query(q, sig, rng, forced_start=forced)
+                            near = perturb_query(q, sig, rng)
                         if near is None:
                             continue
                         path_a, path_b = plan(q, sig), plan(near, sig)
@@ -514,17 +512,33 @@ class TestPerturbation:
 
     @pytest.mark.parametrize("mode", ["skeleton", "product"])
     def test_wrap_probe_scales_with_eps(self, mode):
-        # the carried coordinate starts (125/256) eps below the basepoint and
-        # is pushed (3/4) eps, so it crosses at every eps; the worst ratio
-        # over a seeded corpus is then the same at eps = 10^-3, 10^-5 and
-        # 10^-7, where a fixed push would read 75 and 7,500
+        # the carried coordinate starts (125/256) eps below the basepoint in
+        # the query and (67/256) eps past it in the nearby query, a push of
+        # (3/4) eps, so it crosses at every eps; the worst ratio over a
+        # seeded corpus is then the same at eps = 10^-3, 10^-5 and 10^-7,
+        # where a fixed push would read 75 and 7,500
+        product = mode == "product"
         for eps in (F(1, 10**3), F(1, 10**5), F(1, 10**7)):
-            q, forced = _wrap_query(AlgebraSignature(3, 3), random.Random(5), mode, eps)
-            assert len(forced) == 1 + (mode == "product")
-            for j, push in forced.items():
+            sig = AlgebraSignature(3, 3)
+            q, near = _wrap_probe(sig, random.Random(5), product, eps)
+            below, past = Turn(1 - F(125, 256) * eps), Turn(F(67, 256) * eps)
+            carried = [j for j, u in enumerate(q.start.base, start=1) if u == below]
+            assert len(carried) == 1
+            for j in carried + [0] * product:
                 u = q.start.circle if j == 0 else q.start.base[j - 1]
-                assert u == Turn(1 - F(125, 256) * eps) and push == F(3, 4) * eps
-                assert Turn(u.value + push) == Turn(F(67, 256) * eps)
+                v = near.start.circle if j == 0 else near.start.base[j - 1]
+                assert u == below and v == past == Turn(u.value + F(3, 4) * eps)
+            # every other coordinate is perturb_query's: moved by at most
+            # eps, and zeros stay zero
+            pairs = list(zip(q.start.base + q.end.base, near.start.base + near.end.base))
+            if product:
+                pairs.append((q.end.circle, near.end.circle))
+            for j, (u, v) in enumerate(pairs):
+                if j + 1 in carried:
+                    continue
+                gap = (v.value - u.value) % 1
+                assert min(gap, 1 - gap) <= eps and u.is_zero == v.is_zero
+            assert classify(q, sig) == classify(near, sig)
         for n, r, want in [(3, 3, 3.09), (5, 3, 4.13), (6, 2, 0.978)]:
             sig = AlgebraSignature(n, r)
             for eps in (F(1, 10**3), F(1, 10**5), F(1, 10**7)):
