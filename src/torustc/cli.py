@@ -50,8 +50,8 @@ MAX_STEPS = 65_536
 # the at most 2(n - 1) phase boundaries, n times (steps + 2n - 1) in all.
 # Time, memory and output grow linearly with the cells.  The budget admits
 # the 65,536-step (9,6) plans with all eight base coordinates moving
-# (589,977 cells): 26 MB in about 1.3 s and 148 MB of RSS, and with
-# --product and the circle moving too 30 MB, 1.1 s and 161 MB,
+# (589,977 cells): 26 MB in about 1.0 s and 148 MB of RSS, and with
+# --product and the circle moving too 30 MB, 1.1 s and 163 MB,
 # whole-process on a 2-core x86-64 VM.  Counting the grid alone would
 # admit plan 1000 1000 --steps 1, which prints 80 MB
 MAX_PLAN_WORK = 600_000
@@ -64,7 +64,9 @@ MAX_GRID_PAIRS = 5_000
 # bound's digit count (simulate 38 20 --product --queries 100
 # --continuity-probes 38 --steps 4096 takes 0.85 s with a 7-digit bound,
 # 1.6 s with a 1,000-digit one and 9.7 s with a 4,000-digit one on a 2-core
-# x86-64 VM)
+# x86-64 VM).  plan refuses a coordinate with a larger reduced denominator:
+# a resting coordinate prints whole in every sample cell, so two 1,000-digit
+# ones in a 65,536-step (9,3) plan printed 77 MB and peaked at 326 MB of RSS
 MAX_DENOMINATOR_BOUND = 1_000_000
 # a certificate multiplies min(n, 2r-1) zero-divisors whose packed keys are
 # 2n bits wide: tc and verify-lower-bound refuse more factors times n,
@@ -130,7 +132,8 @@ def _check_certificate_work(sigs) -> None:
 
 def _parse_point(text: str, flag: str, sig, product: bool) -> SkeletonPoint:
     """The point typed after flag: n coordinates with --product, the circle
-    first, and n - 1 without it, counted before any is parsed."""
+    first, and n - 1 without it, counted before any is parsed, each with a
+    reduced denominator at most MAX_DENOMINATOR_BOUND."""
     # "" is the point with no coordinates, the only point when n = 1
     parts = text.split(",") if text else []
     want = sig.n if product else sig.n - 1
@@ -138,6 +141,9 @@ def _parse_point(text: str, flag: str, sig, product: bool) -> SkeletonPoint:
         circle = " (the circle first)" if product else ""
         raise ValueError(f"{flag} takes {want} coordinates{circle}, got {len(parts)}")
     turns = [Turn.parse(p) for p in parts]
+    if any(turn.den > MAX_DENOMINATOR_BOUND for turn in turns):
+        raise ValueError(f"{flag} coordinates need reduced denominators at most "
+                         f"{MAX_DENOMINATOR_BOUND}")
     if product:
         return SkeletonPoint(tuple(turns[1:]), turns[0])
     return SkeletonPoint(tuple(turns), None)

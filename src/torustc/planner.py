@@ -27,7 +27,6 @@ float noise can never manufacture a coordinate that looks parked.
 from __future__ import annotations
 
 import functools
-import math
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,7 +34,6 @@ from itertools import accumulate
 
 from .skeleton import SkeletonPoint, Turn, membership
 
-_SQRT2 = math.sqrt(2.0)
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _HALF = Fraction(1, 2)
@@ -45,32 +43,16 @@ class InvalidEndpoint(ValueError):
     """Raised when a query endpoint is not a valid point of the target space."""
 
 
-def dwell_time(z: Turn):
+def dwell_time(z: Turn) -> Fraction:
     """Resting time a coordinate starting at z spends before it may move.
 
-    Exactly 1/2 at the basepoint, exactly 0 when z is at least a quarter
-    turn away, and 0.5 * (1 - sqrt(2) * sin(pi * d)) in between, where d is
-    the turn distance from z to the basepoint.  The two flat regimes return
-    exact Fractions; the transition returns a float clamped into [0, 1/2) so
-    that only the basepoint ever dwells for a full half turn of time.
+    max(0, 1/2 - 2d) as an exact Fraction, where d is the turn distance
+    from z to the basepoint: exactly 1/2 at the basepoint, strictly less
+    anywhere else, and exactly 0 from a quarter turn away on.  It is
+    2-Lipschitz in d, so the windows, and with them the planned paths,
+    move continuously with the query's coordinates.
     """
-    return _dwell(z.num, z.den)
-
-
-def _dwell(p: int, q: int):
-    """dwell_time of the Turn p/q, given in lowest terms."""
-    if not p:
-        return _HALF
-    if q <= 4 * p <= 3 * q:
-        return _ZERO
-    d = p if 2 * p < q else q - p
-    raw = 0.5 * (1.0 - _SQRT2 * math.sin(math.pi * (d / q)))
-    if raw <= 0.0:
-        return _ZERO
-    if raw >= 0.5:
-        # float underflow for d absurdly close to 0; keep the invariant strict
-        raw = math.nextafter(0.5, 0.0)
-    return raw
+    return _window_ends(z.num, z.den)[0]
 
 
 @dataclass(frozen=True)
@@ -121,7 +103,10 @@ class CoordinateRule(namedtuple("_RuleFields", (
     endpoints: the counterclockwise gap from start to end, or with
     shorter_arc the signed shorter arc, where exact antipodes travel half a
     turn counterclockwise.  Base coordinates take their window from the
-    dwell times and travel counterclockwise; the free circle factor has the
+    dwell times and travel counterclockwise: move_start is the dwell of
+    start and rest_start is 1 minus the dwell of end, each an exact Fraction
+    with a denominator dividing 2q for a Turn p/q, and each 2-Lipschitz in
+    that Turn's distance to the basepoint.  The free circle factor has the
     window [0, 1] and travels its shorter arc.
 
     The fields passed in are exact, so phase membership at rational times
@@ -396,14 +381,20 @@ _PARKED = CoordinateRule(start=Turn(0), end=Turn(0), move_start=_ZERO, rest_star
 @functools.lru_cache(maxsize=64)
 def _window_ends(num: int, den: int) -> tuple[Fraction, Fraction]:
     """(move_start, rest_start) of a coordinate leaving, or arriving at, the
-    Turn num/den: its dwell time and 1 minus it, exact.  Cached by value, so
-    equal Turns share one Fraction, and exact dwells (1/2 or 0) share the
-    planner's own _HALF, _ZERO and _ONE."""
-    dwell = _dwell(num, den)
-    if type(dwell) is not float:
-        return dwell, _HALF if dwell else _ONE
-    p, q = dwell.as_integer_ratio()
-    return Fraction(p, q), Fraction(q - p, q)
+    Turn num/den: its dwell time max(0, 1/2 - 2d), d = min(num, den - num)
+    / den its turn distance to the basepoint, and 1 minus that dwell.
+
+    Both ends are exact, with a denominator dividing 2*den.  Cached by
+    value, so equal Turns share one Fraction, and the flat dwells (1/2 at
+    the basepoint, 0 from a quarter turn on) share the planner's own
+    _HALF, _ZERO and _ONE.
+    """
+    if not num:
+        return _HALF, _HALF
+    d = min(num, den - num)
+    if 4 * d >= den:
+        return _ZERO, _ONE
+    return Fraction(den - 4 * d, 2 * den), Fraction(den + 4 * d, 2 * den)
 
 
 def _build_rules(start: SkeletonPoint, end: SkeletonPoint) -> tuple[CoordinateRule, ...]:

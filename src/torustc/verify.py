@@ -20,20 +20,23 @@ perturbed within its domain by at most eps per coordinate (DEFAULT_EPS in a
 simulation) by perturb_query, and the probe measures how far the two paths
 drift apart.  A shift that would land a coordinate exactly on the
 basepoint is halved, so supports never change.  The probe corpus is
-controlled: nonzero coordinates of ordinary base queries stay at least 1/8
-of a turn from the basepoint (where the schedule's local stretch is
-moderate), and dedicated wrap probes carry one coordinate across the
-basepoint, the case where naive arithmetic on [0, 1) would tear, from
-(125/256) * eps below it in the query to (67/256) * eps past it in the
-nearby query (_wrap_probe), so they scale with eps.
-Perturbations never change the agreement set, the support sets, or the
-circle rule, so both paths come from one continuity domain and their
-distance must scale linearly with eps.  That distance is the supremum over
-every t in [0, 1], not a sample, taken one coordinate pair at a time
-(path_deviation): each coordinate moves linearly between its own phase
-boundaries, so a pair's distance peaks at 0, 1 or one of the pair's at
-most four boundaries unless their difference passes a half turn.  A probe
-costs time and memory linear in n.
+controlled: ordinary queries draw coordinates with denominators at most
+the denominator bound D, so nonzero coordinates stay at least 1/D of a
+turn from the basepoint (1/8 at the default D = 8, where the schedule's
+local stretch is moderate), and dedicated wrap probes carry one
+coordinate across the basepoint, the case where naive arithmetic on
+[0, 1) would tear, from (125/256) * eps below it in the query to
+(67/256) * eps past it in the nearby query (_wrap_probe), so they scale
+with eps.  Perturbations never change the agreement set, the support
+sets, or the circle rule (for the circle's shorter arc, while
+eps < 1/(4 D^2); see perturb_query), so both paths come from one
+continuity domain and their distance must scale linearly with eps.
+That distance is the supremum over every t in [0, 1], not a sample,
+taken one coordinate pair at a time (path_deviation): each coordinate
+moves linearly between its own phase boundaries, so a pair's distance
+peaks at 0, 1 or one of the pair's at most four boundaries unless their
+difference passes a half turn.  A probe costs time and memory linear in
+n.
 
 The verifier uses only the planner's public names.  It decides each
 query's agreement once, by classify, which the planner never calls (a
@@ -237,9 +240,12 @@ def perturb_query(
     agreeing; coordinates where they differ move independently.  Exact zeros
     never move, so supports are preserved.  The circle pair, when present,
     always moves.  It shares its shift whenever the endpoints are equal or
-    antipodal so the circle rule survives; otherwise both ends move freely
-    (the shorter-arc rule tolerates eps-sized changes because sampled gaps
-    are never within eps of half a turn).
+    antipodal so the circle rule survives; otherwise both ends move freely.
+    The shorter arc then keeps its direction only while eps < 1/(4 D^2) for
+    endpoint denominators at most D: a gap other than 1/2 lies at least
+    1/(2 D^2) from it, and two independent shifts move the gap by at most
+    2 eps.  That holds at D = 8 and eps = 1/1000, but not at D = 1000, where
+    a probe can carry the gap across 1/2 and read about 0.5/eps.
     """
     agree = classify(query, sig)
     start, end = query.start, query.end

@@ -9,6 +9,7 @@ import math
 import random
 import runpy
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -343,6 +344,26 @@ class TestPlan:
         for coord in (f"{NINES}/{NINES}1", f"1/{NINES}", NINES):
             assert_short_refusal(capsys, "plan", "3", "2", "--from", f"0,{coord}", "--to", "0,0")
 
+    def test_denominator_past_bound_is_usage_error(self, capsys):
+        # the reduced denominator counts: 2/2000000 is 1/1000000
+        for coord in (f"1/{MAX_DENOMINATOR_BOUND}", f"2/{2 * MAX_DENOMINATOR_BOUND}",
+                      f"{MAX_DENOMINATOR_BOUND + 1}/{2 * MAX_DENOMINATOR_BOUND + 2}"):
+            code, _, _ = run(capsys, "plan", "3", "2", "--from", f"0,{coord}", "--to", "0,0")
+            assert code == 0, coord
+        for flag, other in (("--from", "--to"), ("--to", "--from")):
+            code, out, err = run(capsys, "plan", "3", "2", flag, f"0,1/{MAX_DENOMINATOR_BOUND + 1}",
+                                 other, "0,0")
+            assert code == 2
+            assert out == ""
+            assert err == (f"error: {flag} coordinates need reduced denominators at most "
+                           f"{MAX_DENOMINATOR_BOUND}\n")
+        # 1/7...7 with 4,000 digits, in a plan well inside the cell budget
+        sevens = ",".join(["1/" + "7" * 4000] * 2)
+        assert_short_refusal(capsys, "plan", "9", "3", "--steps", "65536",
+                             "--from", f"0,{sevens},0,0,0,0,0", "--to", ",".join(["0"] * 8))
+        assert_short_refusal(capsys, "plan", "3", "2", "--product",
+                             "--from", "1/" + SHORT_NINES + ",0,0", "--to", "0,0,0")
+
     def test_outputs_frozen(self, capsys):
         # plan prints json.dumps(doc, indent=2); the file stores each doc
         # compactly, and its indent=2 rendering is the frozen stdout
@@ -351,6 +372,28 @@ class TestPlan:
             code, out, _ = run(capsys, *case["argv"])
             assert code == case["exit"], case["argv"]
             assert out == json.dumps(case["stdout"], indent=2) + "\n", case["argv"]
+
+    def test_frozen_times_follow_the_dwell_formula(self):
+        # each frozen plan's times are the grid and, for every moving base
+        # coordinate, the dwell of its start and 1 minus the dwell of its
+        # end, with dwell(x) = max(0, 1/2 - 2 d(x)) worked out here from the
+        # argv alone
+        def dwell(text):
+            x = Fraction(text) % 1
+            return max(Fraction(0), Fraction(1, 2) - 2 * min(x, 1 - x))
+
+        frozen = json.loads((Path(__file__).parent / "data" / "plan_frozen.json").read_text())
+        for case in frozen:
+            argv = case["argv"]
+            steps = int(argv[argv.index("--steps") + 1]) if "--steps" in argv else 256
+            base = slice(1 if "--product" in argv else 0, None)
+            start = argv[argv.index("--from") + 1].split(",")[base]
+            end = argv[argv.index("--to") + 1].split(",")[base]
+            want = {Fraction(k, steps) for k in range(steps + 1)}
+            for u, v in zip(start, end):
+                if Fraction(u) % 1 != Fraction(v) % 1:
+                    want |= {dwell(u), 1 - dwell(v)}
+            assert {Fraction(s["t"]) for s in case["stdout"]["samples"]} == want, argv
 
     def test_point_without_coordinates(self, capsys):
         # in the n = 1 skeleton "" is the only point; the product still

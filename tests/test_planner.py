@@ -2,7 +2,6 @@
 
 import copy
 import dataclasses
-import math
 import pickle
 import random
 from fractions import Fraction
@@ -50,8 +49,9 @@ class TestDwellTime:
     def test_transition_formula(self):
         for v in [F(1, 8), F(1, 16), F(7, 8), F(9, 10)]:
             d = min(v, 1 - v)
-            want = 0.5 * (1 - math.sqrt(2) * math.sin(math.pi * float(d)))
-            assert dwell_time(Turn(v)) == pytest.approx(want, abs=1e-15)
+            got = dwell_time(Turn(v))
+            assert type(got) is Fraction and got == F(1, 2) - 2 * d
+            assert got.denominator <= 2 * v.denominator
 
     def test_symmetric_about_basepoint(self):
         for v in [F(1, 8), F(1, 5), F(1, 10)]:
@@ -68,7 +68,31 @@ class TestDwellTime:
 
     def test_extreme_inputs_stay_strict(self):
         tiny = dwell_time(Turn(F(1, 10**30)))
-        assert 0 < Fraction(tiny) < F(1, 2)
+        assert 0 < tiny < F(1, 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.fractions(0, 1, max_denominator=10**40), st.fractions(0, 1, max_denominator=10**40))
+    def test_two_lipschitz_and_strict_off_the_basepoint(self, a, b):
+        # exact: |dwell(a) - dwell(b)| <= 2 * (circle distance of a and b)
+        ta, tb = Turn(a), Turn(b)
+        da, db = dwell_time(ta), dwell_time(tb)
+        assert type(da) is Fraction and type(db) is Fraction
+        gap = (a - b) % 1
+        assert abs(da - db) <= 2 * min(gap, 1 - gap)
+        for turn, dwell in ((ta, da), (tb, db)):
+            assert dwell == F(1, 2) if turn.is_zero else 0 <= dwell < F(1, 2)
+
+    @pytest.mark.parametrize("eta", [F(1, 10**20), F(1, 10**30)])
+    def test_window_moves_exactly_with_the_query(self, eta):
+        # two (3, 2) queries whose moving coordinate starts 2*eta apart, in
+        # the sloped part of the dwell: their windows open exactly 4*eta
+        # apart, whatever eta is, not at float resolution
+        sig = AlgebraSignature(3, 2)
+        near = F(1, 8) + F(1, 2**56)
+        low, high = (plan_skeleton(query(point(near + s, 0), point(F(1, 2), 0)), sig)
+                     for s in (-eta, eta))
+        step = low.rules[0].move_start - high.rules[0].move_start
+        assert type(step) is Fraction and step == 4 * eta
 
 
 class TestCcwArc:

@@ -539,7 +539,7 @@ class TestPerturbation:
                 gap = (v.value - u.value) % 1
                 assert min(gap, 1 - gap) <= eps and u.is_zero == v.is_zero
             assert classify(q, sig) == classify(near, sig)
-        for n, r, want in [(3, 3, 3.09), (5, 3, 4.13), (6, 2, 0.978)]:
+        for n, r, want in [(3, 3, 3.29), (5, 3, 4.39), (6, 2, 0.978)]:
             sig = AlgebraSignature(n, r)
             for eps in (F(1, 10**3), F(1, 10**5), F(1, 10**7)):
                 ratios = [continuity_ratio(sig, mode, random.Random(seed), eps=eps, wrap=True)
