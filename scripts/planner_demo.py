@@ -14,7 +14,7 @@ from torustc import (
     plan_skeleton,
     sample,
 )
-from torustc.cli import MAX_STEPS, _integer
+from torustc.cli import MAX_STEPS, parse_integer
 
 
 def show(path, steps: int) -> None:
@@ -28,8 +28,8 @@ def show(path, steps: int) -> None:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=_integer, default=0)
-    parser.add_argument("--steps", type=_integer, default=8)
+    parser.add_argument("--seed", type=parse_integer, default=0)
+    parser.add_argument("--steps", type=parse_integer, default=8)
     try:
         args = parser.parse_args()
     except OverflowError as exc:

@@ -10,7 +10,6 @@ from .algebra import (
     AlgebraElement,
     AlgebraSignature,
     CertificateFailure,
-    ExteriorMonomial,
     InstanceTooLarge,
     InvalidSignature,
     LowerBoundCertificate,
@@ -44,7 +43,6 @@ __all__ = [
     "BoundMismatch",
     "CertificateFailure",
     "CoordinateRule",
-    "ExteriorMonomial",
     "InstanceTooLarge",
     "InvalidEndpoint",
     "InvalidSignature",

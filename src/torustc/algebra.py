@@ -11,17 +11,18 @@ only ever need coefficients in {-1, +1}, and a nonzero integer combination
 stays nonzero over every field of characteristic zero, so integer arithmetic
 is enough to certify the topological lower bounds downstream.
 
-Monomials are stored as bit sets (bit i set means generator e_i is present).
-The sign of a product a*b is the parity of the pairs (x in a, y in b) with
-x > y.  It is read off one mask per right factor b, the positions that have
-an odd number of b's bits below them: the sign is the parity of a's bits in
-that mask, one popcount per pair.  The tensor square is the exterior
-algebra on 2n generators, truncated per leg: a term a (x) b is the bit set
-a | (b << n), and shares every ring operation with the algebra itself.  The
-multiplication map a (x) b -> a*b is that same product too, taken one term
-at a time, so the product loop in AlgebraElement.__mul__ is the only place
-a sign is counted, and AlgebraSignature._leg_masks the only statement of
-the truncation rule.
+Monomials are plain int bit sets, bit i set meaning generator e_i is
+present, both as the keys an element is built from and in the terms it
+yields; a tensor term is a pair of them.  The sign of a product a*b is the
+parity of the pairs (x in a, y in b) with x > y.  It is read off one mask
+per right factor b, the positions that have an odd number of b's bits below
+them: the sign is the parity of a's bits in that mask, one popcount per
+pair.  The tensor square is the exterior algebra on 2n generators,
+truncated per leg: a term a (x) b is the bit set a | (b << n), and shares
+every ring operation with the algebra itself.  The multiplication map
+a (x) b -> a*b is that same product too, taken one term at a time, so the
+product loop in AlgebraElement.__mul__ is the only place a sign is counted,
+and AlgebraSignature._leg_masks the only statement of the truncation rule.
 """
 
 from __future__ import annotations
@@ -87,6 +88,10 @@ class AlgebraSignature:
     r: int
 
     def __post_init__(self):
+        # operator.index refuses a float or a string, as element keys do, so
+        # no (4.0, 2) signature builds and then fails inside a shift
+        for name in ("n", "r"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.r < 1 or self.n < self.r:
             why = "r must be at least 1" if self.r < 1 else "r exceeds n"
             raise InvalidSignature(
@@ -117,37 +122,19 @@ class AlgebraSignature:
                 yield m | 1
 
 
-@dataclass(frozen=True)
-class ExteriorMonomial:
-    """Square-free product of generators, stored as an index bit set."""
+def _indices(bits: int) -> tuple[int, ...]:
+    """The generator indices of a bit-set monomial, in increasing order."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return tuple(out)
 
-    bits: int = 0
 
-    @classmethod
-    def from_indices(cls, indices) -> "ExteriorMonomial":
-        bits = 0
-        for i in indices:
-            if i < 0:
-                raise ValueError(f"negative generator index {i}")
-            if (bits >> i) & 1:
-                raise ValueError(f"repeated generator index {i}")
-            bits |= 1 << i
-        return cls(bits)
-
-    @property
-    def indices(self) -> tuple[int, ...]:
-        out = []
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            out.append(low.bit_length() - 1)
-            bits ^= low
-        return tuple(out)
-
-    def __str__(self) -> str:
-        if not self.bits:
-            return "1"
-        return "*".join(f"e{i}" for i in self.indices)
+def _monomial(bits: int) -> str:
+    """A bit-set monomial in print: e0*e2, or 1 when it is empty."""
+    return "*".join(f"e{i}" for i in _indices(bits)) or "1"
 
 
 def _odd_below(b: int) -> int:
@@ -166,19 +153,14 @@ def _odd_below(b: int) -> int:
     return mask
 
 
-def _as_bits(key) -> int:
-    # operator.index takes ints only, where int() would truncate 1.7 or parse "2"
-    return key.bits if isinstance(key, ExteriorMonomial) else operator.index(key)
-
-
 class AlgebraElement:
     """Sparse integer combination of surviving monomials of one algebra.
 
     Terms whose monomial dies under the truncation rule are identically zero
     and are dropped on construction; an out-of-range generator index is an
-    error rather than a zero.  Keys and coefficients must be integers (a key
-    may be an ExteriorMonomial): anything else raises TypeError, so no float
-    or Fraction enters the exact arithmetic.
+    error rather than a zero.  Keys are bit-set monomials and, like the
+    coefficients, must be integers: anything else raises TypeError, so no
+    float or Fraction enters the exact arithmetic.
     """
 
     __slots__ = ("sig", "_terms")
@@ -198,7 +180,8 @@ class AlgebraElement:
     @staticmethod
     def _pack(sig, key) -> int:
         """The bit set of one constructor key; out-of-range generators raise."""
-        bits = _as_bits(key)
+        # operator.index takes ints only, where int() would truncate 1.7 or parse "2"
+        bits = operator.index(key)
         if bits < 0 or bits >= (1 << sig.n):
             raise ValueError(f"generator index out of range for n={sig.n}")
         return bits
@@ -227,9 +210,9 @@ class AlgebraElement:
         return len(self._terms)
 
     def terms(self):
-        """Pairs (monomial, coefficient) sorted by degree then bit pattern."""
+        """Pairs (bits, coefficient) sorted by degree then bit pattern."""
         for bits in sorted(self._terms, key=lambda b: (b.bit_count(), b)):
-            yield ExteriorMonomial(bits), self._terms[bits]
+            yield bits, self._terms[bits]
 
     def total_degrees(self) -> tuple[int, ...]:
         return tuple(sorted({b.bit_count() for b in self._terms}))
@@ -308,15 +291,13 @@ class AlgebraElement:
             return self * other
         return NotImplemented
 
-    def _labelled_terms(self):
-        for mono, coeff in self.terms():
-            yield str(mono), coeff
-
     def __str__(self) -> str:
         if not self._terms:
             return "0"
         parts = []
-        for body, coeff in self._labelled_terms():
+        # one leg for an algebra term, two for a tensor term
+        for *legs, coeff in self.terms():
+            body = " (x) ".join(map(_monomial, legs))
             if coeff == 1:
                 parts.append(f"+ {body}")
             elif coeff == -1:
@@ -352,14 +333,15 @@ class TensorElement(AlgebraElement):
         return AlgebraElement._pack(sig, left) | AlgebraElement._pack(sig, right) << sig.n
 
     def coefficient(self, left, right) -> int:
-        a, b = _as_bits(left), _as_bits(right)
+        """The coefficient of the term left (x) right, given as two bit sets."""
+        a, b = operator.index(left), operator.index(right)
         if a >> self.sig.n:
             return 0
         return self._terms.get(a | b << self.sig.n, 0)
 
     def terms(self):
-        """Triples (left, right, coefficient) sorted by total degree, left
-        degree, left bits, then right bits."""
+        """Triples (left_bits, right_bits, coefficient) sorted by total
+        degree, left degree, left bits, then right bits."""
         n = self.sig.n
         low = (1 << n) - 1
 
@@ -367,11 +349,7 @@ class TensorElement(AlgebraElement):
             return (p.bit_count(), (p & low).bit_count(), p & low, p >> n)
 
         for p in sorted(self._terms, key=sort_key):
-            yield ExteriorMonomial(p & low), ExteriorMonomial(p >> n), self._terms[p]
-
-    def _labelled_terms(self):
-        for left, right, coeff in self.terms():
-            yield f"{left} (x) {right}", coeff
+            yield p & low, p >> n, self._terms[p]
 
 
 def zero_divisor(sig: AlgebraSignature, i: int) -> TensorElement:
@@ -425,9 +403,10 @@ def _pruned_product(sig: AlgebraSignature, indices, keep) -> TensorElement:
 class LowerBoundCertificate:
     """Witness that a product of factor_count zero-divisors is nonzero.
 
-    One exact coefficient proves it: witness is the (left, right,
+    One exact coefficient proves it: witness is the (left_bits, right_bits,
     coefficient) term of the product at left = e0 times the first r-1
-    chosen generators, right = the remaining chosen generators.  That pair
+    chosen generators, right = the remaining chosen generators, and
+    sample_term is that witness in print, as in +e0*e1 (x) e2.  That pair
     lies in the bidegree (r, k+1-r) slice, where every coefficient is +1 or
     -1 and the number of terms has the closed form expected_terms.  The
     slice is expanded only when component or component_terms is first read.
@@ -439,7 +418,7 @@ class LowerBoundCertificate:
     factor_count: int
     component_bidegree: tuple[int, int]
     expected_terms: int
-    witness: tuple[ExteriorMonomial, ExteriorMonomial, int]
+    witness: tuple[int, int, int]
     sample_term: str
 
     @functools.cached_property
@@ -504,15 +483,17 @@ def lower_bound_certificate(sig: AlgebraSignature, index_set=None) -> LowerBound
         if any(not 1 <= i <= sig.n - 1 for i in indices):
             raise ValueError(f"certificate indices must lie in 1..{sig.n - 1}")
 
-    left = ExteriorMonomial.from_indices((0, *indices[: sig.r - 1]))
-    right = ExteriorMonomial.from_indices(indices[sig.r - 1 :])
-    target = left.bits | right.bits << sig.n
+    # the indices are distinct, so each sum of bits is their union
+    left = 1 + sum(1 << i for i in indices[: sig.r - 1])
+    right = sum(1 << i for i in indices[sig.r - 1 :])
+    target = left | right << sig.n
     found = _pruned_product(sig, indices, lambda p: not p & ~target)
     coeff = found.coefficient(left, right)
+    term = " (x) ".join(map(_monomial, (left, right)))
     if not coeff:
         raise CertificateFailure(
             f"zero-divisor product for n={sig.n}, r={sig.r} has coefficient 0 at "
-            f"{left} (x) {right}; certificate does not hold"
+            f"{term}; certificate does not hold"
         )
     sign = "+" if coeff > 0 else "-"
     return LowerBoundCertificate(
@@ -523,7 +504,7 @@ def lower_bound_certificate(sig: AlgebraSignature, index_set=None) -> LowerBound
         component_bidegree=(sig.r, k + 1 - sig.r),
         expected_terms=math.comb(k, sig.r - 1),
         witness=(left, right, coeff),
-        sample_term=f"{sign}{abs(coeff) if abs(coeff) != 1 else ''}{left} (x) {right}",
+        sample_term=f"{sign}{abs(coeff) if abs(coeff) != 1 else ''}{term}",
     )
 
 
@@ -653,9 +634,9 @@ def zdcl_brute_force(sig: AlgebraSignature) -> ZdclSearchReport:
     for bits in sig.basis_bits():
         if bits == 0:
             continue
-        mono = ExteriorMonomial(bits)
         bar = TensorElement._raw(sig, {bits << sig.n: 1, bits: -1})
-        family.append((bits.bit_count(), mono.indices, bits, (bits & ~1).bit_count(), str(mono), bar))
+        family.append((bits.bit_count(), _indices(bits), bits, (bits & ~1).bit_count(),
+                       _monomial(bits), bar))
     family.sort(key=lambda t: t[:2])
 
     budget = 2 * sig.r

@@ -73,17 +73,22 @@ MAX_DENOMINATOR_BOUND = 1_000_000
 # summed over the rows of one invocation, before forming any product
 MAX_CERTIFICATE_WORK = 20_000_000
 # simulate refuses a larger n times (queries + continuity probes): a query
-# and a probe each cost time and memory linear in n.  The slowest admitted
-# runs take about 1.8 s (simulate 100 100 --product --queries 1
-# --continuity-probes 499) and 1.7 s in 46 MB (simulate 25000 25000
-# --product --queries 1 --continuity-probes 1), whole-process on a 2-core
-# x86-64 VM, and every input the older budget, n squared times (queries +
-# probes) at most 1,500,000, admitted still fits
+# and a probe each cost time and memory linear in n, and this budget bounds
+# that part of a run.  It does not bound the grid check, which visits
+# --steps + 1 times per query, so the slowest admitted run sits at all
+# three caps: simulate 33 33 --product --queries 1000 --continuity-probes
+# 500 --steps 65536 takes 3.4-5.6 s, and simulate 50 2 --queries 1000
+# --steps 65536 3.0-3.7 s.  At the budget with every coordinate moving,
+# simulate 100 100 --product --queries 1 --continuity-probes 499 takes
+# 1.3-1.8 s and simulate 25000 25000 --product --queries 1
+# --continuity-probes 1 0.9-1.7 s in 46 MB.  All whole-process on a shared
+# 2-core x86-64 VM.  Every input the older budget, n squared times
+# (queries + probes) at most 1,500,000, admitted still fits
 MAX_SIMULATION_WORK = 50_000
 _GRID_RE = re.compile(r"^n=(\d+)\.\.(\d+),r=(\d+)\.\.(\d+|n)$")
 
 
-def _integer(text: str) -> int:
+def parse_integer(text: str) -> int:
     """Every integer the command line takes: n, r, the integer options, the
     --set entries and the --grid bounds, and the --seed and --steps of
     scripts/planner_demo.py.
@@ -107,8 +112,8 @@ def _parse_grid(text: str) -> list[tuple[int, int]]:
     m = _GRID_RE.match(text.replace(" ", ""))
     if not m:
         raise ValueError(f"grid must look like n=1..6,r=1..n, got {text!r}")
-    n_lo, n_hi, r_lo = _integer(m.group(1)), _integer(m.group(2)), _integer(m.group(3))
-    r_top = None if m.group(4) == "n" else _integer(m.group(4))
+    n_lo, n_hi, r_lo = map(parse_integer, m.group(1, 2, 3))
+    r_top = None if m.group(4) == "n" else parse_integer(m.group(4))
     if r_top is not None and r_top < r_lo:
         raise ValueError(f"grid {text!r} is empty")
     pairs = []
@@ -327,27 +332,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_tc = sub.add_parser("tc", help="reconciled bounds for signatures")
-    p_tc.add_argument("n", type=_integer, nargs="?")
-    p_tc.add_argument("r", type=_integer, nargs="?")
+    p_tc.add_argument("n", type=parse_integer, nargs="?")
+    p_tc.add_argument("r", type=parse_integer, nargs="?")
     p_tc.add_argument("--grid", help="signature grid, e.g. n=1..6,r=1..n")
     p_tc.add_argument("--json", action="store_true")
     p_tc.add_argument("--csv", action="store_true")
     p_tc.set_defaults(func=cmd_tc)
 
     p_v = sub.add_parser("verify-lower-bound", help="check the zero-divisor certificate")
-    p_v.add_argument("n", type=_integer)
-    p_v.add_argument("r", type=_integer)
-    p_v.add_argument("--set", type=lambda text: tuple(_integer(p) for p in text.split(",") if p),
+    p_v.add_argument("n", type=parse_integer)
+    p_v.add_argument("r", type=parse_integer)
+    p_v.add_argument("--set", type=lambda text: tuple(parse_integer(p) for p in text.split(",") if p),
                      help="comma-separated positive generator indices")
     p_v.add_argument("--json", action="store_true")
     p_v.set_defaults(func=cmd_verify_lower_bound)
 
     p_plan = sub.add_parser("plan", help="plan one path and sample it")
-    p_plan.add_argument("n", type=_integer)
-    p_plan.add_argument("r", type=_integer)
+    p_plan.add_argument("n", type=parse_integer)
+    p_plan.add_argument("r", type=parse_integer)
     p_plan.add_argument("--from", required=True, help="start point, comma-separated rationals")
     p_plan.add_argument("--to", required=True, help="end point, comma-separated rationals")
-    p_plan.add_argument("--steps", type=_integer, default=256)
+    p_plan.add_argument("--steps", type=parse_integer, default=256)
     p_plan.add_argument(
         "--product", action="store_true",
         help="plan in the circle-times-skeleton product; the first coordinate is the circle",
@@ -355,19 +360,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.set_defaults(func=cmd_plan)
 
     p_sim = sub.add_parser("simulate", help="randomized planner verification")
-    p_sim.add_argument("n", type=_integer)
-    p_sim.add_argument("r", type=_integer)
-    p_sim.add_argument("--queries", type=_integer, default=100)
-    p_sim.add_argument("--steps", type=_integer, default=256)
-    p_sim.add_argument("--seed", type=_integer, default=0)
+    p_sim.add_argument("n", type=parse_integer)
+    p_sim.add_argument("r", type=parse_integer)
+    p_sim.add_argument("--queries", type=parse_integer, default=100)
+    p_sim.add_argument("--steps", type=parse_integer, default=256)
+    p_sim.add_argument("--seed", type=parse_integer, default=0)
     p_sim.add_argument("--product", action="store_true")
-    p_sim.add_argument("--denominator-bound", type=_integer, default=8)
-    p_sim.add_argument("--continuity-probes", type=_integer, default=0)
+    p_sim.add_argument("--denominator-bound", type=parse_integer, default=8)
+    p_sim.add_argument("--continuity-probes", type=parse_integer, default=0)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_z = sub.add_parser("search-zdcl", help="zero-divisor cup-length search")
-    p_z.add_argument("n", type=_integer)
-    p_z.add_argument("r", type=_integer)
+    p_z.add_argument("n", type=parse_integer)
+    p_z.add_argument("r", type=parse_integer)
     p_z.add_argument("--brute", action="store_true",
                      help="also search the full spanning family "
                           f"(n <= {BRUTE_FORCE_MAX_N})")

@@ -1,11 +1,13 @@
-"""Seeded random element builders shared by the unit and acceptance tests."""
+"""Seeded random element builders shared by the unit and acceptance tests,
+and the bridge between the packed kernel's bit-set monomials and the naive
+oracle's index tuples."""
 
 from __future__ import annotations
 
 import random
 from functools import lru_cache
 
-from torustc import AlgebraElement, AlgebraSignature, ExteriorMonomial, TensorElement
+from torustc import AlgebraElement, AlgebraSignature, TensorElement
 
 
 def random_signature(rng: random.Random, max_n: int = 6) -> AlgebraSignature:
@@ -63,25 +65,32 @@ def random_homogeneous_tensor(
     return TensorElement(sig, terms)
 
 
+def bits_of(indices) -> int:
+    """The bit-set monomial of distinct, non-negative generator indices."""
+    bits = 0
+    for i in indices:
+        if i < 0 or (bits >> i) & 1:
+            raise ValueError(f"negative or repeated generator index {i}")
+        bits |= 1 << i
+    return bits
+
+
+def indices_of(bits: int) -> tuple[int, ...]:
+    """The generator indices of a bit-set monomial, in increasing order."""
+    return tuple(i for i in range(bits.bit_length()) if (bits >> i) & 1)
+
+
 def to_naive_element(x: AlgebraElement) -> dict:
-    return {mono.indices: c for mono, c in x.terms()}
+    return {indices_of(bits): c for bits, c in x.terms()}
 
 
 def to_naive_tensor(x: TensorElement) -> dict:
-    return {(a.indices, b.indices): c for a, b, c in x.terms()}
+    return {(indices_of(a), indices_of(b)): c for a, b, c in x.terms()}
 
 
 def from_naive_element(sig: AlgebraSignature, terms: dict) -> AlgebraElement:
-    return AlgebraElement(
-        sig, {ExteriorMonomial.from_indices(m): c for m, c in terms.items()}
-    )
+    return AlgebraElement(sig, {bits_of(m): c for m, c in terms.items()})
 
 
 def from_naive_tensor(sig: AlgebraSignature, terms: dict) -> TensorElement:
-    return TensorElement(
-        sig,
-        {
-            (ExteriorMonomial.from_indices(a), ExteriorMonomial.from_indices(b)): c
-            for (a, b), c in terms.items()
-        },
-    )
+    return TensorElement(sig, {(bits_of(a), bits_of(b)): c for (a, b), c in terms.items()})

@@ -20,7 +20,6 @@ from torustc import (
     AlgebraElement,
     AlgebraSignature,
     CertificateFailure,
-    ExteriorMonomial,
     InstanceTooLarge,
     InvalidSignature,
     TensorElement,
@@ -35,7 +34,7 @@ from torustc.algebra import CHAIN_KEY_BIT_CAP, SLICE_TERM_CAP, _odd_below
 
 
 def mono(*indices):
-    return ExteriorMonomial.from_indices(indices)
+    return randgen.bits_of(indices)
 
 
 def mono_product(sig, a, b):
@@ -45,7 +44,7 @@ def mono_product(sig, a, b):
     if prod.is_zero:
         return None
     ((m, sign),) = prod.terms()
-    return sign, m.indices
+    return sign, randgen.indices_of(m)
 
 
 def full_product(cert):
@@ -95,6 +94,16 @@ class TestSignature:
         with pytest.raises(InvalidSignature, match="r exceeds n"):
             AlgebraSignature(2, 3)
 
+    def test_takes_integers_only(self):
+        # a float or string n or r used to build a signature that failed
+        # later, inside a shift or a range
+        for n, r in [(3.5, 2), (4.0, 2), ("5", 2), (4, 2.0), (4, "2"), (4, Fraction(2))]:
+            with pytest.raises(TypeError):
+                AlgebraSignature(n, r)
+        assert AlgebraSignature(True, True) == AlgebraSignature(1, 1)
+        assert AlgebraSignature(4, True).fits(1) and not AlgebraSignature(4, True).fits(2)
+        assert zdcl_degree_one(AlgebraSignature(4, 2)) == 3
+
     def test_rejects_nonpositive_r(self):
         with pytest.raises(InvalidSignature):
             AlgebraSignature(3, 0)
@@ -130,8 +139,8 @@ class TestMonomialProducts:
         sig = AlgebraSignature(6, 6)
         pool = list(sig.basis_bits())
         for _ in range(2000):
-            a = ExteriorMonomial(rng.choice(pool)).indices
-            b = ExteriorMonomial(rng.choice(pool)).indices
+            a = randgen.indices_of(rng.choice(pool))
+            b = randgen.indices_of(rng.choice(pool))
             assert mono_product(sig, a, b) == naive.mono_mul(a, b, 6, 6), (a, b)
 
     def test_truncation_kills_wide_monomials(self):
@@ -163,7 +172,7 @@ class TestProductKernel:
             b = rng.getrandbits(width) & ~a
             mask = _odd_below(b)
             assert (mask < 0) == (b.bit_count() % 2 == 1)
-            indices = ExteriorMonomial(a).indices + ExteriorMonomial(b).indices
+            indices = randgen.indices_of(a) + randgen.indices_of(b)
             sign, _ = naive.sort_with_sign(indices)
             assert (-1 if (a & mask).bit_count() & 1 else 1) == sign, (a, b)
 
@@ -218,8 +227,8 @@ class TestProductKernel:
                 not (a & b or c & d)
                 and sig.fits(a | b) and not sig.fits(c | d)
                 for (a, c), (b, d) in itertools.product(
-                    [(m.bits, w.bits) for m, w, _ in x.terms()],
-                    [(m.bits, w.bits) for m, w, _ in y.terms()]))
+                    [(m, w) for m, w, _ in x.terms()],
+                    [(m, w) for m, w, _ in y.terms()]))
         assert nonzero > 150 and cut_right > 100, (nonzero, cut_right)
 
     def test_integer_scaling_matches_oracle(self):
@@ -303,7 +312,7 @@ class TestElementArithmetic:
             x.coefficient(1.5, 2)
         with pytest.raises(TypeError):
             x.coefficient(1, "0")
-        # ints, bools and monomials still key the same terms
+        # ints, bools and bit sets built from indices key the same terms
         assert AlgebraElement(sig, {True: 1}) == AlgebraElement(sig, {mono(0): 1})
         assert x.coefficient(1, 0) == x.coefficient(mono(0), mono()) == 3
 
@@ -389,7 +398,7 @@ class TestElementArithmetic:
             terms[rng.choice(pool), rng.choice(pool)] = rng.choice([-2, -1, 1, 3])
         x = TensorElement(sig, terms)
         triples = list(x.terms())
-        keys = [(a.bits, b.bits) for a, b, _ in triples]
+        keys = [(a, b) for a, b, _ in triples]
         assert len(keys) == len(x) > 40
         degrees = [(a.bit_count() + b.bit_count(), a.bit_count()) for a, b in keys]
         assert keys == [k for _, k in sorted(zip(degrees, keys))]
@@ -397,9 +406,25 @@ class TestElementArithmetic:
         for a, b, c in triples:
             sign = "+" if c > 0 else "-"
             scale = "" if abs(c) == 1 else f"{abs(c)}*"
-            parts.append(f"{sign} {scale}{a} (x) {b}")
+            left, right = ("*".join(f"e{i}" for i in randgen.indices_of(m)) or "1"
+                           for m in (a, b))
+            parts.append(f"{sign} {scale}{left} (x) {right}")
         text = " ".join(parts)
         assert str(x) == (text[2:] if text.startswith("+ ") else "-" + text[2:])
+
+    def test_terms_are_int_bit_sets_that_rebuild_the_element(self):
+        # terms() yields the keys an element is built from, so a rebuilt
+        # element equals the original
+        rng = random.Random(818)
+        for _ in range(300):
+            sig = randgen.random_signature(rng, max_n=6)
+            x = randgen.random_element(rng, sig, max_terms=6)
+            t = randgen.random_tensor(rng, sig, max_terms=6)
+            pairs, triples = list(x.terms()), list(t.terms())
+            assert all(type(k) is int for k, _ in pairs), pairs
+            assert all(type(a) is type(b) is int for a, b, _ in triples), triples
+            assert AlgebraElement(sig, dict(pairs)) == x
+            assert TensorElement(sig, {(a, b): c for a, b, c in triples}) == t
 
 
 class TestTensorArithmetic:
@@ -638,8 +663,9 @@ class TestLowerBoundCertificate:
             )
         for cert in certs:
             left, right, coeff = cert.witness
-            assert left.indices == (0, *cert.index_set[: cert.sig.r - 1]), cert
-            assert right.indices == cert.index_set[cert.sig.r - 1 :], cert
+            assert type(left) is type(right) is int, cert
+            assert randgen.indices_of(left) == (0, *cert.index_set[: cert.sig.r - 1]), cert
+            assert randgen.indices_of(right) == cert.index_set[cert.sig.r - 1 :], cert
             assert coeff == cert.component.coefficient(left, right) != 0, cert
 
     def test_slice_expansion_capped(self):

@@ -833,8 +833,8 @@ class TestPublicSurface:
 
     KEPT = [
         "AlgebraElement", "AlgebraSignature", "BoundMismatch",
-        "CertificateFailure", "CoordinateRule", "ExteriorMonomial",
-        "InstanceTooLarge", "InvalidEndpoint", "InvalidSignature", "LowerBoundCertificate",
+        "CertificateFailure", "CoordinateRule", "InstanceTooLarge",
+        "InvalidEndpoint", "InvalidSignature", "LowerBoundCertificate",
         "PlannerPath", "PlannerQuery", "SimulationReport", "SkeletonPoint", "TcBounds",
         "TensorElement", "Turn", "ZdclSearchReport", "apply_multiplication_map", "classify",
         "compute_bounds", "continuity_ratio", "dwell_time", "lower_bound_certificate",

@@ -1,4 +1,5 @@
-"""Each torustc module reaches the others through their public names only."""
+"""Each torustc module reaches the others, and each script reaches the
+package, through their public names only."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).parents[1] / "src" / "torustc"
+SCRIPTS = Path(__file__).parents[1] / "scripts"
 
 
 def private_imports(source: str) -> list[str]:
@@ -34,6 +36,7 @@ def test_the_check_sees_relative_and_absolute_imports():
                            "from .planner import plan_skeleton\n") == []
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")) + sorted(SCRIPTS.glob("*.py")),
+                         ids=lambda p: p.name if p.parent == SRC else f"scripts/{p.name}")
 def test_no_module_imports_private_names_of_another(path):
     assert private_imports(path.read_text()) == []
