@@ -32,7 +32,6 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 
 
 class InvalidSignature(ValueError):
@@ -76,26 +75,27 @@ def shown(value: int | str) -> str:
     return f"{text[:12]}... ({len(text) - (value < 0)} digits)"
 
 
-@dataclass(frozen=True)
-class AlgebraSignature:
+class AlgebraSignature(collections.namedtuple("_SignatureFields", "n r")):
     """Ambient parameters: n generators overall, subtorus dimension r-1.
 
     n counts the degree-one generators e0..e{n-1}; r-1 is the largest number
-    of generators from e1..e{n-1} that a surviving monomial may contain.
+    of generators from e1..e{n-1} that a surviving monomial may contain.  A
+    signature is a named tuple, equal to the plain tuple (n, r); _replace
+    and _make go through the constructor, so its checks always hold.
     """
 
-    n: int
-    r: int
-
-    def __post_init__(self):
+    def __new__(cls, n: int, r: int):
         # operator.index refuses a float or a string, as element keys do, so
         # no (4.0, 2) signature builds and then fails inside a shift
-        for name in ("n", "r"):
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
-        if self.r < 1 or self.n < self.r:
-            why = "r must be at least 1" if self.r < 1 else "r exceeds n"
-            raise InvalidSignature(
-                f"invalid signature (n={shown(self.n)}, r={shown(self.r)}): {why}")
+        n, r = operator.index(n), operator.index(r)
+        if r < 1 or n < r:
+            why = "r must be at least 1" if r < 1 else "r exceeds n"
+            raise InvalidSignature(f"invalid signature (n={shown(n)}, r={shown(r)}): {why}")
+        return tuple.__new__(cls, (n, r))
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
     @functools.cached_property
     def _leg_masks(self) -> tuple[int, int, int]:
@@ -399,8 +399,9 @@ def _pruned_product(sig: AlgebraSignature, indices, keep) -> TensorElement:
     return out
 
 
-@dataclass(frozen=True)
-class LowerBoundCertificate:
+class LowerBoundCertificate(collections.namedtuple("_CertificateFields", (
+        "sig k index_set factor_count component_bidegree expected_terms witness "
+        "sample_term"))):
     """Witness that a product of factor_count zero-divisors is nonzero.
 
     One exact coefficient proves it: witness is the (left_bits, right_bits,
@@ -411,15 +412,6 @@ class LowerBoundCertificate:
     -1 and the number of terms has the closed form expected_terms.  The
     slice is expanded only when component or component_terms is first read.
     """
-
-    sig: AlgebraSignature
-    k: int
-    index_set: tuple[int, ...]
-    factor_count: int
-    component_bidegree: tuple[int, int]
-    expected_terms: int
-    witness: tuple[int, int, int]
-    sample_term: str
 
     @functools.cached_property
     def component(self) -> TensorElement:
@@ -573,8 +565,8 @@ def _leg_room(prod: TensorElement) -> tuple[int, int]:
     return functools.reduce(operator.and_, keys), cap - fewest
 
 
-@dataclass(frozen=True)
-class ZdclSearchReport:
+class ZdclSearchReport(collections.namedtuple(
+        "_ReportFields", "sig searched_length certified_minimum witness")):
     """Outcome of the brute-force zero-divisor cup-length search.
 
     searched_length is the longest nonzero product found over the full
@@ -586,10 +578,7 @@ class ZdclSearchReport:
     generator on one leg, so no product of more distinct ones survives.
     """
 
-    sig: AlgebraSignature
-    searched_length: int
-    certified_minimum: int
-    witness: tuple[str, ...]
+    __slots__ = ()
 
 
 def zdcl_brute_force(sig: AlgebraSignature) -> ZdclSearchReport:

@@ -14,7 +14,7 @@ lower bound; any gap raises BoundMismatch.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 
 from .algebra import AlgebraSignature, lower_bound_certificate
 
@@ -23,23 +23,17 @@ class BoundMismatch(RuntimeError):
     """Raised when the certified lower bound fails to meet the upper bounds."""
 
 
-@dataclass(frozen=True)
-class TcBounds:
+class TcBounds(namedtuple("_BoundsFields", "n r lower upper_constructive upper_dimension tc")):
     """All bounds for one signature, plus the reconciled value."""
 
-    n: int
-    r: int
-    lower: int
-    upper_constructive: int
-    upper_dimension: int
-    tc: int
+    __slots__ = ()
 
     @property
     def constructive_tight(self) -> bool:
         return self.upper_constructive == self.tc
 
     def to_jsonable(self) -> dict:
-        out = asdict(self)
+        out = self._asdict()
         out["constructive_tight"] = self.constructive_tight
         return out
 

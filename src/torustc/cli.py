@@ -269,10 +269,13 @@ def cmd_plan(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    for flag, cap in (("--steps", MAX_STEPS), ("--queries", MAX_QUERIES),
-                      ("--continuity-probes", MAX_CONTINUITY_PROBES),
-                      ("--denominator-bound", MAX_DENOMINATOR_BOUND)):
-        if getattr(args, flag[2:].replace("-", "_")) > cap:
+    for flag, floor, cap in (("--steps", 1, MAX_STEPS), ("--queries", 1, MAX_QUERIES),
+                             ("--continuity-probes", 0, MAX_CONTINUITY_PROBES),
+                             ("--denominator-bound", 2, MAX_DENOMINATOR_BOUND)):
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value < floor:
+            raise ValueError(f"{flag} must be at least {floor}")
+        if value > cap:
             raise ValueError(f"{flag} must be at most {cap}")
     sig = AlgebraSignature(args.n, args.r)
     if sig.n * (args.queries + args.continuity_probes) > MAX_SIMULATION_WORK:

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import functools
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
@@ -55,18 +54,24 @@ def dwell_time(z: Turn) -> Fraction:
     return _window_ends(z.num, z.den)[0]
 
 
-@dataclass(frozen=True)
-class PlannerQuery:
-    """An ordered pair of endpoints in the same space."""
+class PlannerQuery(namedtuple("_QueryFields", "start end")):
+    """An ordered pair of endpoints in the same space: the same number of
+    base coordinates, and a circle on both or on neither.  _replace and
+    _make go through the constructor, so a query never pairs mismatched
+    endpoints."""
 
-    start: SkeletonPoint
-    end: SkeletonPoint
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.start.base) != len(self.end.base):
+    def __new__(cls, start: SkeletonPoint, end: SkeletonPoint):
+        if len(start.base) != len(end.base):
             raise ValueError("endpoints have different base dimensions")
-        if self.start.has_circle != self.end.has_circle:
+        if start.has_circle != end.has_circle:
             raise ValueError("endpoints disagree about the circle factor")
+        return tuple.__new__(cls, (start, end))
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
     def to_jsonable(self) -> dict:
         return {"from": self.start.to_jsonable(), "to": self.end.to_jsonable()}
@@ -192,14 +197,10 @@ def _check_steps(steps) -> None:
         raise ValueError(f"steps must be positive, got {steps}")
 
 
-@dataclass(frozen=True)
-class PlannerPath:
+class PlannerPath(namedtuple("_PathFields", "rules circle_rule", defaults=(None,))):
     """A planned path: the rules of the base coordinates, and the circle's
     rule in product mode.  Everything else about the path, its agreement
     set and its domain included, is read off these rules."""
-
-    rules: tuple[CoordinateRule, ...]
-    circle_rule: CoordinateRule | None = None
 
     @property
     def mode(self) -> str:

@@ -14,7 +14,7 @@ import math
 import random
 import re
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import shown
@@ -106,8 +106,7 @@ class Turn:
         return f"Turn({self})"
 
 
-@dataclass(frozen=True)
-class SkeletonPoint:
+class SkeletonPoint(namedtuple("_PointFields", "base circle", defaults=(None,))):
     """A tuple of base circle coordinates, plus an optional free circle factor.
 
     base holds the n-1 coordinates of the subtorus union; circle, when
@@ -117,8 +116,7 @@ class SkeletonPoint:
     returns strictly inside a travel phase, and a float never equals a Turn.
     """
 
-    base: tuple[Turn, ...]
-    circle: Turn | None = None
+    __slots__ = ()
 
     @property
     def has_circle(self) -> bool:

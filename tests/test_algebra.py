@@ -124,6 +124,25 @@ class TestSignature:
         with pytest.raises(InvalidSignature, match=r"\(n=3, r=-<16610-bit int>\): r must"):
             AlgebraSignature(3, -(10**5000))
 
+    def test_replace_and_make_keep_the_checks(self):
+        # a signature is a named tuple whose copies go through the constructor
+        sig = AlgebraSignature(3, 2)
+        assert sig == (3, 2) and hash(sig) == hash((3, 2))
+        assert sig._leg_masks == (0b110, 0b110000, 1)
+        wider = sig._replace(r=3)
+        assert wider == AlgebraSignature(3, 3) and wider._leg_masks[2] == 2
+        assert AlgebraSignature._make([4, True]) == (4, 1)
+        with pytest.raises(InvalidSignature, match=r"\(n=3, r=0\): r must be at least 1"):
+            sig._replace(r=0)
+        with pytest.raises(InvalidSignature, match="r exceeds n"):
+            AlgebraSignature._make((2, 3))
+        with pytest.raises(TypeError):
+            sig._replace(n=4.0)
+        for name in ("n", "r"):
+            with pytest.raises(AttributeError):
+                setattr(sig, name, 5)
+        assert sig == (3, 2)
+
     def test_basis_size_closed_form(self):
         for n in range(1, 8):
             for r in range(1, n + 1):
@@ -606,6 +625,17 @@ class TestLowerBoundCertificate:
         for n, r in [(3, 2), (4, 3), (6, 4), (8, 8)]:
             cert = lower_bound_certificate(AlgebraSignature(n, r))
             assert coefficients(full_product(cert)) <= {-1, 1}
+
+    def test_certificate_and_report_are_read_only(self):
+        sig = AlgebraSignature(4, 3)
+        cert = lower_bound_certificate(sig)
+        for record in (cert, zdcl_brute_force(sig)):
+            assert record.sig is sig
+            for name in record._fields:
+                with pytest.raises(AttributeError):
+                    setattr(record, name, None)
+        # the slice is expanded on first read and kept
+        assert cert.component is cert.component
 
     def test_custom_index_set(self):
         sig = AlgebraSignature(5, 2)

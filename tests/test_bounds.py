@@ -45,7 +45,11 @@ class TestComputeBounds:
             compute_bounds(0, 0)
 
     def test_jsonable(self):
-        doc = compute_bounds(5, 2).to_jsonable()
+        bounds = compute_bounds(5, 2)
+        doc = bounds.to_jsonable()
+        assert list(doc) == [*TcBounds._fields, "constructive_tight"]
+        with pytest.raises(AttributeError):
+            bounds.tc = 5
         assert doc == {
             "n": 5,
             "r": 2,

@@ -2,7 +2,6 @@
 public Python names, with README's API example run as written."""
 
 import contextlib
-import dataclasses
 import io
 import json
 import math
@@ -594,7 +593,7 @@ class TestSimulate:
     def test_zero_queries_is_usage_error(self, capsys):
         code, _, err = run(capsys, "simulate", "3", "2", "--queries", "0")
         assert code == 2
-        assert "positive" in err
+        assert "--queries must be at least 1" in err
 
     def test_negative_continuity_probes_is_usage_error(self, capsys):
         code, out, err = run(
@@ -602,7 +601,18 @@ class TestSimulate:
         )
         assert code == 2
         assert out == ""
-        assert "continuity_probes must not be negative" in err
+        assert "--continuity-probes must be at least 0" in err
+
+    @pytest.mark.parametrize("flag, floor", [("--steps", 1), ("--queries", 1),
+                                             ("--continuity-probes", 0),
+                                             ("--denominator-bound", 2)])
+    def test_values_below_floor_name_their_flag(self, capsys, flag, floor):
+        code, out, err = run(capsys, "simulate", "3", "2", flag, str(floor - 1))
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag} must be at least {floor}\n" and len(err) < 300
+        code, out, _ = run(capsys, "simulate", "3", "2", "--queries", "1", "--steps", "4",
+                           flag, str(floor))
+        assert code == 0 and json.loads(out)["ok"]
 
 
 class TestSearchZdcl:
@@ -664,7 +674,7 @@ class TestSearchZdcl:
 
         def one_short(sig):
             rep = search(sig)
-            return dataclasses.replace(rep, searched_length=rep.searched_length - 1)
+            return rep._replace(searched_length=rep.searched_length - 1)
 
         monkeypatch.setattr(cli, "zdcl_brute_force", one_short)
         code, out, _ = run(capsys, "search-zdcl", "4", "3", "--brute", "--json")

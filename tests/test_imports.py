@@ -1,9 +1,13 @@
 """Each torustc module reaches the others, and each script reaches the
-package, through their public names only."""
+package, through their public names only; and importing the command line
+loads no heavy standard-library module it does not use."""
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,3 +44,19 @@ def test_the_check_sees_relative_and_absolute_imports():
                          ids=lambda p: p.name if p.parent == SRC else f"scripts/{p.name}")
 def test_no_module_imports_private_names_of_another(path):
     assert private_imports(path.read_text()) == []
+
+
+# dataclasses, which no torustc module needs, would load all of these, at
+# more than half the import time of torustc.cli
+UNUSED_AT_IMPORT = ("dataclasses", "inspect", "ast", "dis", "tokenize", "copy")
+
+
+def test_cli_import_loads_no_unused_stdlib_modules():
+    # -S leaves out site and the .pth files it runs, which may import
+    # modules of their own; the rest of the environment is kept
+    probe = ("import sys, torustc.cli; "
+             f"print(' '.join(m for m in {UNUSED_AT_IMPORT!r} if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.split() == []

@@ -1,7 +1,6 @@
 """Path planning: schedules, exactness discipline, membership, domains."""
 
 import copy
-import dataclasses
 import pickle
 import random
 from fractions import Fraction
@@ -199,7 +198,7 @@ class TestClassify:
             return CoordinateRule(Turn(F(u)), Turn(F(v)), move_start, F(1), shorter_arc)
 
         # a path stores its rules and nothing else
-        assert [f.name for f in dataclasses.fields(PlannerPath)] == ["rules", "circle_rule"]
+        assert PlannerPath._fields == ("rules", "circle_rule")
         with pytest.raises(TypeError):
             PlannerPath(agreement=frozenset(), rules=())
         rules = (rule("1/3", "1/3"), rule(0, "1/4", F(1, 2)), rule(0, 0), rule("1/8", "7/8"))
@@ -213,6 +212,32 @@ class TestClassify:
         assert PlannerPath(rules=()).agreement == frozenset()
         path = PlannerPath(rules=(), circle_rule=rule(0, "1/2", shorter_arc=True))
         assert (path.agreement, path.domain) == (frozenset(), 1)
+
+
+class TestRecords:
+    """Points, queries and paths are read-only named tuples, and a query's
+    checks hold however it is built."""
+
+    def test_replace_and_make_keep_the_query_checks(self):
+        q = query(point(0, "1/3", 0), point(0, "1/4", 0))
+        moved = q._replace(end=point("1/2", 0, 0))
+        assert moved == (q.start, point("1/2", 0, 0)) and type(moved) is PlannerQuery
+        for end, why in ((point(0, "1/4"), "base dimensions"),
+                         (point(0, "1/4", 0, circle="1/2"), "circle factor")):
+            with pytest.raises(ValueError, match=why):
+                q._replace(end=end)
+            with pytest.raises(ValueError, match=why):
+                PlannerQuery._make((q.start, end))
+
+    def test_fields_are_read_only(self):
+        sig = AlgebraSignature(4, 2)
+        q = query(point(0, "1/3", 0, circle="1/8"), point(0, 0, 0, circle="5/8"))
+        path = plan_product(q, sig)
+        for record in (q, q.start, path):
+            for name in record._fields:
+                with pytest.raises(AttributeError):
+                    setattr(record, name, None)
+        assert (path.agreement, path.domain) == (frozenset({1, 3}), 3)
 
 
 class TestWorkedPath:
