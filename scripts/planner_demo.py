@@ -26,10 +26,19 @@ def show(path, steps: int) -> None:
         print(f"  t={str(t):>6}  " + " ".join(cells))
 
 
+def integer(text: str) -> int:
+    """parse_integer for argparse: its refusal names the flag and repeats
+    no digits of the value."""
+    try:
+        return parse_integer(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=parse_integer, default=0)
-    parser.add_argument("--steps", type=parse_integer, default=8)
+    parser.add_argument("--seed", type=integer, default=0)
+    parser.add_argument("--steps", type=integer, default=8)
     try:
         args = parser.parse_args()
     except OverflowError as exc:

@@ -21,11 +21,10 @@ coordinate input is exact rational text like 3/4 (floats are rejected).
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import re
 import sys
+from types import SimpleNamespace
 
 from .algebra import (
     AlgebraSignature,
@@ -33,6 +32,7 @@ from .algebra import (
     BRUTE_FORCE_MAX_N,
     InstanceTooLarge,
     lower_bound_certificate,
+    shown,
     zdcl_brute_force,
     zdcl_degree_one,
 )
@@ -93,11 +93,10 @@ def parse_integer(text: str) -> int:
     --set entries and the --grid bounds, and the --seed and --steps of
     scripts/planner_demo.py.
 
-    argparse's type=int repeats a rejected argument whole, and int() names
+    int()'s own messages repeat a rejected argument whole, or name
     sys.set_int_max_str_digits() for digits past the interpreter's limit;
     neither message here repeats the argument.  Past the limit it raises
-    OverflowError, which argparse lets through to main, so the answer is
-    one line without the usage text.
+    OverflowError, which parse_args lets through to main unchanged.
     """
     try:
         return int(text)
@@ -105,7 +104,7 @@ def parse_integer(text: str) -> int:
         if re.fullmatch(r"\s*[+-]?\d+\s*", text):
             raise OverflowError(f"integer arguments must have at most "
                                 f"{sys.get_int_max_str_digits()} digits") from None
-        raise argparse.ArgumentTypeError("expected a decimal integer") from None
+        raise ValueError("expected a decimal integer") from None
 
 
 def _parse_grid(text: str) -> list[tuple[int, int]]:
@@ -326,68 +325,189 @@ def cmd_search_zdcl(args) -> int:
     return 0 if consistent else 1
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="torustc",
-        description="Exact motion-planning complexity bounds on torus skeletons.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _parse_index_set(text: str) -> tuple[int, ...]:
+    return tuple(parse_integer(part) for part in text.split(",") if part)
 
-    p_tc = sub.add_parser("tc", help="reconciled bounds for signatures")
-    p_tc.add_argument("n", type=parse_integer, nargs="?")
-    p_tc.add_argument("r", type=parse_integer, nargs="?")
-    p_tc.add_argument("--grid", help="signature grid, e.g. n=1..6,r=1..n")
-    p_tc.add_argument("--json", action="store_true")
-    p_tc.add_argument("--csv", action="store_true")
-    p_tc.set_defaults(func=cmd_tc)
 
-    p_v = sub.add_parser("verify-lower-bound", help="check the zero-divisor certificate")
-    p_v.add_argument("n", type=parse_integer)
-    p_v.add_argument("r", type=parse_integer)
-    p_v.add_argument("--set", type=lambda text: tuple(parse_integer(p) for p in text.split(",") if p),
-                     help="comma-separated positive generator indices")
-    p_v.add_argument("--json", action="store_true")
-    p_v.set_defaults(func=cmd_verify_lower_bound)
+# the default of an option that must be given
+_REQUIRED = object()
 
-    p_plan = sub.add_parser("plan", help="plan one path and sample it")
-    p_plan.add_argument("n", type=parse_integer)
-    p_plan.add_argument("r", type=parse_integer)
-    p_plan.add_argument("--from", required=True, help="start point, comma-separated rationals")
-    p_plan.add_argument("--to", required=True, help="end point, comma-separated rationals")
-    p_plan.add_argument("--steps", type=parse_integer, default=256)
-    p_plan.add_argument(
-        "--product", action="store_true",
-        help="plan in the circle-times-skeleton product; the first coordinate is the circle",
-    )
-    p_plan.set_defaults(func=cmd_plan)
+# One row per subcommand: its handler, a one-line summary, its positionals
+# and its options.  A positional is (name, required) and takes an integer;
+# tc's two are optional, and None when not given.  An option maps its flag
+# to (converter, default, help), and a switch has converter None and
+# default False.  A flag sets the field named by the flag without its
+# dashes, - read as _: --denominator-bound sets denominator_bound.
+_COMMANDS = {
+    "tc": (cmd_tc, "reconciled bounds for one signature or a grid", (("n", False), ("r", False)), {
+        "--grid": (str, None, "signature grid, e.g. n=1..6,r=1..n"),
+        "--json": (None, False, "print the rows as JSON"),
+        "--csv": (None, False, "print the rows as CSV")}),
+    "verify-lower-bound": (cmd_verify_lower_bound, "expand and check the zero-divisor certificate",
+                           (("n", True), ("r", True)), {
+        "--set": (_parse_index_set, None, "comma-separated positive generator indices"),
+        "--json": (None, False, "print the certificate as JSON")}),
+    "plan": (cmd_plan, "plan one path and print sampled coordinates as JSON",
+             (("n", True), ("r", True)), {
+        "--from": (str, _REQUIRED, "start point, comma-separated rationals"),
+        "--to": (str, _REQUIRED, "end point, comma-separated rationals"),
+        "--steps": (parse_integer, 256, "sample times k/steps"),
+        "--product": (None, False, "plan in the circle-times-skeleton product, the circle first")}),
+    "simulate": (cmd_simulate, "randomized verification of the planner invariants",
+                 (("n", True), ("r", True)), {
+        "--queries": (parse_integer, 100, "random queries to plan and check"),
+        "--steps": (parse_integer, 256, "grid times k/steps checked per query"),
+        "--seed": (parse_integer, 0, "random seed"),
+        "--product": (None, False, "plan in the circle-times-skeleton product"),
+        "--denominator-bound": (parse_integer, 8, "largest denominator of a sampled coordinate"),
+        "--continuity-probes": (parse_integer, 0, "query pairs probed for continuity")}),
+    "search-zdcl": (cmd_search_zdcl,
+                    "zero-divisor cup-length along one chain of generator zero-divisors",
+                    (("n", True), ("r", True)), {
+        "--brute": (None, False,
+                    f"also search the full spanning family (n <= {BRUTE_FORCE_MAX_N})"),
+        "--json": (None, False, "print the report as JSON")}),
+}
+# argparse's test for an argument that reads as a negative number: a value,
+# never an option
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
-    p_sim = sub.add_parser("simulate", help="randomized planner verification")
-    p_sim.add_argument("n", type=parse_integer)
-    p_sim.add_argument("r", type=parse_integer)
-    p_sim.add_argument("--queries", type=parse_integer, default=100)
-    p_sim.add_argument("--steps", type=parse_integer, default=256)
-    p_sim.add_argument("--seed", type=parse_integer, default=0)
-    p_sim.add_argument("--product", action="store_true")
-    p_sim.add_argument("--denominator-bound", type=parse_integer, default=8)
-    p_sim.add_argument("--continuity-probes", type=parse_integer, default=0)
-    p_sim.set_defaults(func=cmd_simulate)
 
-    p_z = sub.add_parser("search-zdcl", help="zero-divisor cup-length search")
-    p_z.add_argument("n", type=parse_integer)
-    p_z.add_argument("r", type=parse_integer)
-    p_z.add_argument("--brute", action="store_true",
-                     help="also search the full spanning family "
-                          f"(n <= {BRUTE_FORCE_MAX_N})")
-    p_z.add_argument("--json", action="store_true")
-    p_z.set_defaults(func=cmd_search_zdcl)
+def _field(flag: str) -> str:
+    return flag[2:].replace("-", "_")
 
-    return parser
+
+def _flag(token: str, options) -> str | None:
+    """The flag of options, or --help, that token names (-h, a whole flag or
+    a unique prefix of one, before any "="), or None if it names none."""
+    if token == "-h":
+        return "--help"
+    flag = token.partition("=")[0]
+    if flag in options or flag == "--help":
+        return flag
+    found = [name for name in (*options, "--help") if name.startswith(flag)]
+    if len(found) > 1:
+        raise ValueError(f"ambiguous option {flag} could match {', '.join(found)}")
+    return found[0] if found else None
+
+
+def _convert(convert, text: str, name: str):
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise ValueError(f"argument {name}: {exc}") from None
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The namespace the handler of argv's command takes: the command, func
+    (the handler, or the help printer for -h and --help) and one field per
+    positional and option of the command's row in _COMMANDS.
+
+    Options may come before, between or after the positionals, and "--"
+    ends them.  An option takes its value from the next argument, whatever
+    it is, or after "=", and a unique prefix names it; given twice, the
+    last one counts.  An argument that names no flag and reads as a
+    negative number, or holds a space, is a positional, as in argparse.
+    Every usage error raises ValueError; an integer past the
+    interpreter's digit limit raises parse_integer's OverflowError.
+    """
+    if not argv:
+        raise ValueError(f"give a command: {', '.join(_COMMANDS)}")
+    command, *rest = argv
+    if command not in _COMMANDS:
+        if command == "-h" or len(command) > 2 and "--help".startswith(command):
+            return SimpleNamespace(command=None, func=_print_help)
+        raise ValueError(f"expected a command ({', '.join(_COMMANDS)}), got {shown(command)}")
+    handler, _, positionals, options = _COMMANDS[command]
+    fields = {"command": command, "func": handler}
+    fields.update((name, None) for name, _ in positionals)
+    fields.update((_field(flag), default) for flag, (_, default, _) in options.items())
+    given = 0
+    ended = False
+    # an unknown option or one positional too many is refused after the
+    # loop, so that a later -h still prints the help
+    stray = None
+    tokens = iter(rest)
+    for token in tokens:
+        if token == "--" and not ended:
+            ended = True
+            continue
+        option = not ended and len(token) > 1 and token[0] == "-"
+        flag = _flag(token, options) if option else None
+        if flag is None:
+            if option and not (_NEGATIVE.match(token) or " " in token):
+                stray = stray or f"unknown option {shown(token)}"
+                continue
+            if given == len(positionals):
+                stray = stray or f"unexpected argument {shown(token)}"
+                continue
+            name = positionals[given][0]
+            fields[name] = _convert(parse_integer, token, name)
+            given += 1
+            continue
+        if flag == "--help":
+            return SimpleNamespace(command=command, func=_print_help)
+        convert = options[flag][0]
+        _, equals, text = token.partition("=")
+        if convert is None:
+            if equals:
+                raise ValueError(f"{flag} takes no value")
+            fields[_field(flag)] = True
+            continue
+        if not equals:
+            text = next(tokens, None)
+            if text is None:
+                raise ValueError(f"argument {flag}: expected one argument")
+        fields[_field(flag)] = _convert(convert, text, flag)
+    if stray:
+        raise ValueError(f"{stray} for {command}")
+    missing = [name for name, required in positionals[given:] if required]
+    missing += [flag for flag in options if fields[_field(flag)] is _REQUIRED]
+    if missing:
+        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
+    return SimpleNamespace(**fields)
+
+
+def _spelled(flag: str, convert) -> str:
+    if convert is None:
+        return flag
+    return f"{flag} {'INT' if convert is parse_integer else _field(flag).upper()}"
+
+
+def _usage(command: str) -> str:
+    _, _, positionals, options = _COMMANDS[command]
+    words = [name if required else f"[{name}]" for name, required in positionals]
+    words += [_spelled(flag, convert) for flag, (convert, default, _) in options.items()
+              if default is _REQUIRED]
+    return " ".join(["torustc", command, *words, "[options]"])
+
+
+def _print_help(args) -> int:
+    """Print every command's usage, or args.command's usage and options."""
+    if args.command is None:
+        lines = ["usage: torustc <command> [options]", "",
+                 "Exact motion-planning complexity bounds on torus skeletons.", "", "commands:"]
+        for command, (_, summary, _, _) in _COMMANDS.items():
+            lines += [f"  {_usage(command)}", f"      {summary}"]
+        lines += ["",
+                  "Options go before, between or after n and r, as --flag value or --flag=value;",
+                  "a unique prefix names a flag.  torustc <command> --help lists its options.",
+                  "Exit status: 0 when every check passes, 1 when one fails, 2 on bad arguments."]
+    else:
+        _, summary, _, options = _COMMANDS[args.command]
+        lines = [f"usage: {_usage(args.command)}", "", summary, "", "options:"]
+        for flag, (convert, default, text) in options.items():
+            if convert is parse_integer:
+                text += f" (default {default})"
+            lines.append(f"  {_spelled(flag, convert):<24} {text}")
+        lines.append(f"  {'-h, --help':<24} print this help")
+    print("\n".join(lines))
+    return 0
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         return args.func(args)
     # InvalidSignature, InvalidEndpoint and InstanceTooLarge are ValueErrors
     except (ValueError, OverflowError) as exc:

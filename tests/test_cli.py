@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import torustc
 from torustc import AlgebraSignature, cli, sample
+from torustc.algebra import shown
 from torustc.cli import (
     CSV_HEADER,
     MAX_CERTIFICATE_WORK,
@@ -717,9 +718,10 @@ class TestPlannerDemo:
     @pytest.mark.parametrize("argv", [
         ("--steps", NINES), ("--seed", NINES), ("--seed", "-" + NINES),
         ("--steps", SHORT_NINES), ("--steps", "0"), ("--steps", str(MAX_STEPS + 1)),
-        ("--steps", "x"),
+        ("--steps", "x"), ("--steps", "x" * 4000),
     ], ids=["steps-past-limit", "seed-past-limit", "negative-seed-past-limit",
-            "steps-below-limit", "steps-0", "steps-past-max", "steps-not-int"])
+            "steps-below-limit", "steps-0", "steps-past-max", "steps-not-int",
+            "steps-long-not-int"])
     def test_bad_integers_exit_2_briefly(self, capsys, monkeypatch, argv):
         code, out, err = self.demo(capsys, monkeypatch, *argv)
         assert code == 2 and out == ""
@@ -733,25 +735,96 @@ class TestPlannerDemo:
         assert "seed 3" in out
 
 
-class TestParserReuse:
+class TestParseArgs:
+    """parse_args reads one table, _COMMANDS; the argvs recorded from the
+    argparse parser it replaced parse to the fields argparse gave them."""
+
+    FROZEN = json.loads((Path(__file__).parent / "data" / "parse_frozen.json").read_text())
+    # cheap to run; each prints something different
     ARGVS = [
         ["tc", "3", "2", "--json"],
         ["tc", "3", "2"],
         ["tc", "3", "2", "--csv"],
         ["search-zdcl", "3", "2"],
+        ["verify-lower-bound", "5", "2", "--s=2,4", "--j"],
+        ["plan", "--steps", "2", "3", "2", "--to", "0,0", "--from", "1/2,0"],
     ]
 
-    def test_one_parser_per_process(self):
-        assert cli.build_parser() is cli.build_parser()
+    @staticmethod
+    def fields(argv):
+        ns = cli.parse_args(argv)
+        return json.loads(json.dumps(dict(vars(ns), func=ns.func.__name__)))
 
-    def test_cached_parser_matches_fresh_parser(self, capsys, monkeypatch):
-        # no option of one call may leak into the next through the shared parser
-        cached = [run(capsys, *argv) for argv in self.ARGVS]
-        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
-        fresh = [run(capsys, *argv) for argv in self.ARGVS]
-        assert cached == fresh
-        assert [code for code, _, _ in cached] == [0, 0, 0, 0]
-        assert cached[0][1] != cached[1][1] != cached[2][1]
+    def test_fields_match_argparse(self):
+        # recorded with the argparse parser this table replaced: every option
+        # of every command and the defaults, --flag=value, unique prefixes,
+        # options around the positionals, repeated options, negative values
+        # and "--"
+        assert len(self.FROZEN) == 46
+        for case in self.FROZEN:
+            assert self.fields(case["argv"]) == case["fields"], case["argv"]
+        # in reverse order too: no call leaves state for the next
+        for case in reversed(self.FROZEN):
+            assert self.fields(case["argv"]) == case["fields"], case["argv"]
+
+    def test_no_option_leaks_into_the_next_call(self, capsys):
+        forwards = [run(capsys, *argv) for argv in self.ARGVS]
+        backwards = [run(capsys, *argv) for argv in reversed(self.ARGVS)]
+        assert forwards == backwards[::-1]
+        assert [code for code, _, _ in forwards] == [0] * len(self.ARGVS)
+        assert len({out for _, out, _ in forwards}) == len(self.ARGVS)
+
+    def test_values_that_argparse_refused(self):
+        # an option's value may start with "-", and an option may split
+        # tc's two optional positionals
+        assert self.fields(["plan", "3", "2", "--from", "-1/3,0", "--to", "0,0"]) == {
+            "command": "plan", "func": "cmd_plan", "n": 3, "r": 2, "from": "-1/3,0",
+            "to": "0,0", "steps": 256, "product": False}
+        fields = self.fields(["tc", "3", "--json", "2"])
+        assert (fields["n"], fields["r"], fields["json"]) == (3, 2, True)
+
+    @pytest.mark.parametrize("argv, message", [
+        (("simulate", "3", "2", "--s", "4"), "ambiguous option --s could match --steps, --seed"),
+        (("tc", "3", "2", "--json=1"), "--json takes no value"),
+        (("simulate", "3", "2", "--seed"), "argument --seed: expected one argument"),
+        (("plan", "3", "2"), "the following arguments are required: --from, --to"),
+        (("simulate", "3"), "the following arguments are required: r"),
+        (("tc", "3", "2", "-j"), "unknown option '-j' for tc"),
+        (("tc", "3", "2", "4"), "unexpected argument '4' for tc"),
+        (("tc", "x"), "argument n: expected a decimal integer"),
+        (("verify-lower-bound", "5", "2", "--set", "1,x"), "argument --set: expected a decimal integer"),
+        # argparse gave r an empty list here, and simulate crashed on it
+        (("simulate", "--", "3", "--"), "argument r: expected a decimal integer"),
+    ])
+    def test_usage_errors_are_one_line(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    def test_long_arguments_are_named_not_repeated(self, capsys):
+        word = "9" * 3999 + "x"
+        assert_short_refusal(capsys, "tc", word, "1")
+        assert "argument n: expected a decimal integer" in run(capsys, "tc", word, "1")[2]
+        for argv, token in ((("tc", "3", "2", "--" + word), "--" + word),
+                            ((word, "3", "2"), word)):
+            assert_short_refusal(capsys, *argv)
+            assert shown(token) in run(capsys, *argv)[2], argv[:1]
+
+    @pytest.mark.parametrize("flag", ["--help", "-h", "--he"])
+    def test_help_names_every_command_and_flag(self, capsys, flag):
+        code, out, err = run(capsys, flag)
+        assert (code, err) == (0, "")
+        for command, (_, summary, _, options) in cli._COMMANDS.items():
+            assert f"torustc {command} " in out and summary in out, command
+            code, text, err = run(capsys, command, flag)
+            assert (code, err) == (0, "")
+            assert text.startswith(f"usage: torustc {command} ")
+            for option in [*options, "--help"]:
+                assert option in text, (command, option)
+
+    def test_bare_command_line_names_the_commands(self, capsys):
+        code, out, err = run(capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: give a command: {', '.join(cli._COMMANDS)}\n"
+        assert len(err) < 300
 
 
 _SIZES = st.sampled_from(["1", "2", "3", "4", "5", "6"] * 3 + ["-1", "0", "30", "x", "2.5", ""])
@@ -829,10 +902,7 @@ class TestFuzzedArgv:
         out, err = io.StringIO(), io.StringIO()
         start = time.perf_counter()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse: usage errors and --help
-                code = exc.code
+            code = main(argv)
         assert time.perf_counter() - start < 5.0, argv
         assert code in (0, 1, 2), argv
         assert "Traceback" not in err.getvalue(), argv
