@@ -110,11 +110,11 @@ def parse_integer(text: str) -> int:
 def _parse_grid(text: str) -> list[tuple[int, int]]:
     m = _GRID_RE.match(text.replace(" ", ""))
     if not m:
-        raise ValueError(f"grid must look like n=1..6,r=1..n, got {text!r}")
+        raise ValueError(f"grid must look like n=1..6,r=1..n, got {shown(text)}")
     n_lo, n_hi, r_lo = map(parse_integer, m.group(1, 2, 3))
     r_top = None if m.group(4) == "n" else parse_integer(m.group(4))
     if r_top is not None and r_top < r_lo:
-        raise ValueError(f"grid {text!r} is empty")
+        raise ValueError(f"grid {shown(text)} is empty")
     pairs = []
     # rows with n < r_lo are empty and every later row holds a pair, so the
     # loop stops within MAX_GRID_PAIRS + 1 rows
@@ -124,7 +124,7 @@ def _parse_grid(text: str) -> list[tuple[int, int]]:
             raise ValueError(f"--grid must name at most {MAX_GRID_PAIRS} signatures")
         pairs += [(n, r) for r in range(r_lo, r_hi + 1)]
     if not pairs:
-        raise ValueError(f"grid {text!r} is empty")
+        raise ValueError(f"grid {shown(text)} is empty")
     return pairs
 
 
@@ -235,10 +235,6 @@ def _coord_cells(column) -> list[str]:
 
 
 def cmd_plan(args) -> int:
-    if args.steps < 1:
-        raise ValueError("--steps must be at least 1")
-    if args.steps > MAX_STEPS:
-        raise ValueError(f"--steps must be at most {MAX_STEPS}")
     sig = AlgebraSignature(args.n, args.r)
     if sig.n * (args.steps + 2 * sig.n - 1) > MAX_PLAN_WORK:
         raise ValueError(f"n times (--steps + 2n - 1) must be at most {MAX_PLAN_WORK}")
@@ -268,14 +264,6 @@ def cmd_plan(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    for flag, floor, cap in (("--steps", 1, MAX_STEPS), ("--queries", 1, MAX_QUERIES),
-                             ("--continuity-probes", 0, MAX_CONTINUITY_PROBES),
-                             ("--denominator-bound", 2, MAX_DENOMINATOR_BOUND)):
-        value = getattr(args, flag[2:].replace("-", "_"))
-        if value < floor:
-            raise ValueError(f"{flag} must be at least {floor}")
-        if value > cap:
-            raise ValueError(f"{flag} must be at most {cap}")
     sig = AlgebraSignature(args.n, args.r)
     if sig.n * (args.queries + args.continuity_probes) > MAX_SIMULATION_WORK:
         raise ValueError(f"n times (--queries + --continuity-probes) must be at most "
@@ -336,8 +324,10 @@ _REQUIRED = object()
 # and its options.  A positional is (name, required) and takes an integer;
 # tc's two are optional, and None when not given.  An option maps its flag
 # to (converter, default, help), and a switch has converter None and
-# default False.  A flag sets the field named by the flag without its
-# dashes, - read as _: --denominator-bound sets denominator_bound.
+# default False.  An integer option with a range adds its floor and cap,
+# (converter, default, help, floor, cap); each default lies in its range.
+# A flag sets the field named by the flag without its dashes, - read as _:
+# --denominator-bound sets denominator_bound.
 _COMMANDS = {
     "tc": (cmd_tc, "reconciled bounds for one signature or a grid", (("n", False), ("r", False)), {
         "--grid": (str, None, "signature grid, e.g. n=1..6,r=1..n"),
@@ -351,16 +341,18 @@ _COMMANDS = {
              (("n", True), ("r", True)), {
         "--from": (str, _REQUIRED, "start point, comma-separated rationals"),
         "--to": (str, _REQUIRED, "end point, comma-separated rationals"),
-        "--steps": (parse_integer, 256, "sample times k/steps"),
+        "--steps": (parse_integer, 256, "sample times k/steps", 1, MAX_STEPS),
         "--product": (None, False, "plan in the circle-times-skeleton product, the circle first")}),
     "simulate": (cmd_simulate, "randomized verification of the planner invariants",
                  (("n", True), ("r", True)), {
-        "--queries": (parse_integer, 100, "random queries to plan and check"),
-        "--steps": (parse_integer, 256, "grid times k/steps checked per query"),
+        "--queries": (parse_integer, 100, "random queries to plan and check", 1, MAX_QUERIES),
+        "--steps": (parse_integer, 256, "grid times k/steps checked per query", 1, MAX_STEPS),
         "--seed": (parse_integer, 0, "random seed"),
         "--product": (None, False, "plan in the circle-times-skeleton product"),
-        "--denominator-bound": (parse_integer, 8, "largest denominator of a sampled coordinate"),
-        "--continuity-probes": (parse_integer, 0, "query pairs probed for continuity")}),
+        "--denominator-bound": (parse_integer, 8, "largest denominator of a sampled coordinate",
+                                2, MAX_DENOMINATOR_BOUND),
+        "--continuity-probes": (parse_integer, 0, "query pairs probed for continuity",
+                                0, MAX_CONTINUITY_PROBES)}),
     "search-zdcl": (cmd_search_zdcl,
                     "zero-divisor cup-length along one chain of generator zero-divisors",
                     (("n", True), ("r", True)), {
@@ -408,6 +400,8 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
     it is, or after "=", and a unique prefix names it; given twice, the
     last one counts.  An argument that names no flag and reads as a
     negative number, or holds a space, is a positional, as in argparse.
+    A ranged option's last value must lie in its range, checked after
+    every other usage error, in the order the options were first given.
     Every usage error raises ValueError; an integer past the
     interpreter's digit limit raises parse_integer's OverflowError.
     """
@@ -421,12 +415,14 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
     handler, _, positionals, options = _COMMANDS[command]
     fields = {"command": command, "func": handler}
     fields.update((name, None) for name, _ in positionals)
-    fields.update((_field(flag), default) for flag, (_, default, _) in options.items())
+    fields.update((_field(flag), spec[1]) for flag, spec in options.items())
     given = 0
     ended = False
     # an unknown option or one positional too many is refused after the
     # loop, so that a later -h still prints the help
     stray = None
+    # the range of each ranged option given, checked on its last value
+    ranged = {}
     tokens = iter(rest)
     for token in tokens:
         if token == "--" and not ended:
@@ -459,12 +455,19 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
             if text is None:
                 raise ValueError(f"argument {flag}: expected one argument")
         fields[_field(flag)] = _convert(convert, text, flag)
+        if len(options[flag]) > 3:
+            ranged[flag] = options[flag][3:]
     if stray:
         raise ValueError(f"{stray} for {command}")
     missing = [name for name, required in positionals[given:] if required]
     missing += [flag for flag in options if fields[_field(flag)] is _REQUIRED]
     if missing:
         raise ValueError(f"the following arguments are required: {', '.join(missing)}")
+    for flag, (floor, cap) in ranged.items():
+        if fields[_field(flag)] < floor:
+            raise ValueError(f"{flag} must be at least {floor}")
+        if fields[_field(flag)] > cap:
+            raise ValueError(f"{flag} must be at most {cap}")
     return SimpleNamespace(**fields)
 
 
@@ -477,7 +480,7 @@ def _spelled(flag: str, convert) -> str:
 def _usage(command: str) -> str:
     _, _, positionals, options = _COMMANDS[command]
     words = [name if required else f"[{name}]" for name, required in positionals]
-    words += [_spelled(flag, convert) for flag, (convert, default, _) in options.items()
+    words += [_spelled(flag, convert) for flag, (convert, default, *_) in options.items()
               if default is _REQUIRED]
     return " ".join(["torustc", command, *words, "[options]"])
 
@@ -496,9 +499,10 @@ def _print_help(args) -> int:
     else:
         _, summary, _, options = _COMMANDS[args.command]
         lines = [f"usage: {_usage(args.command)}", "", summary, "", "options:"]
-        for flag, (convert, default, text) in options.items():
+        for flag, (convert, default, text, *bounds) in options.items():
             if convert is parse_integer:
-                text += f" (default {default})"
+                span = f", range {bounds[0]}..{bounds[1]}" if bounds else ""
+                text += f" (default {default}{span})"
             lines.append(f"  {_spelled(flag, convert):<24} {text}")
         lines.append(f"  {'-h, --help':<24} print this help")
     print("\n".join(lines))

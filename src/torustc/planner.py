@@ -179,6 +179,8 @@ def _check_time(t) -> Fraction:
     if type(t) is not Fraction:
         if isinstance(t, float):
             raise TypeError("evaluation times must be exact rationals, not floats")
+        if not isinstance(t, (int, Fraction)):
+            raise TypeError(f"evaluation times take an int or a Fraction, not {type(t).__name__}")
         t = (_ZERO, _ONE)[t] if type(t) is int and 0 <= t <= 1 else Fraction(t)
     p, q = t.as_integer_ratio()
     if 0 < p < q:

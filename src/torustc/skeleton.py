@@ -25,9 +25,10 @@ _TURN_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 class Turn:
     """Point of the circle measured in exact fractions of a full revolution.
 
-    The value is normalised into [0, 1).  Floats are rejected on input so the
-    basepoint test and endpoint-agreement tests stay decidable; use parse()
-    for the "p/q" command-line syntax.  A Turn holds only its reduced
+    The value is normalised into [0, 1).  Only an int or a Fraction is
+    taken, and floats are rejected by name, so the basepoint test and
+    endpoint-agreement tests stay decidable; use parse() for the "p/q"
+    command-line syntax.  A Turn holds only its reduced
     numerator and denominator, num and den, as plain ints: equality,
     hashing, the basepoint test and gaps never go through Fraction, and
     value builds the Fraction on demand.  Turns are never mutated and have
@@ -40,6 +41,9 @@ class Turn:
         if type(value) is not Fraction:
             if isinstance(value, float):
                 raise TypeError("turns must be exact rationals, not floats")
+            if not isinstance(value, (int, Fraction)):
+                hint = "; Turn.parse reads text like 3/4" if isinstance(value, str) else ""
+                raise TypeError(f"Turn takes an int or a Fraction, not {type(value).__name__}{hint}")
             value = Fraction(value)
         p, q = value.as_integer_ratio()
         # p mod q stays coprime to q

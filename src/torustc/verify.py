@@ -51,6 +51,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from collections import namedtuple
 from fractions import Fraction
 
 from .planner import PlannerPath, PlannerQuery, classify, plan_product, plan_skeleton
@@ -60,46 +61,28 @@ DEFAULT_EPS = Fraction(1, 1000)
 FAILURE_CAP = 5  # violations recorded with their queries in one report
 
 
-class SimulationReport:
-    """Aggregate outcome of one randomized planner verification run."""
+class SimulationReport(namedtuple("_ReportFields", (
+        "n r mode queries steps seed domain_histogram endpoint_violations membership_violations "
+        "domain_violations continuity_probes max_continuity_ratio wall_time_s failures"))):
+    """Aggregate outcome of one randomized planner verification run: the
+    domain histogram maps each domain index to its query count, and the
+    failures are the first FAILURE_CAP violations, each with its query."""
 
-    def __init__(self, n: int, r: int, mode: str, queries: int, steps: int, seed: int):
-        self.n, self.r, self.mode = n, r, mode
-        self.queries, self.steps, self.seed = queries, steps, seed
-        self.domain_histogram: dict[int, int] = {}
-        self.endpoint_violations = 0
-        self.membership_violations = 0
-        self.domain_violations = 0
-        self.continuity_probes = 0
-        self.max_continuity_ratio: float | None = None
-        self.wall_time_s = 0.0
-        self.failures: list[dict] = []
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
-        return (
-            self.endpoint_violations == 0
-            and self.membership_violations == 0
-            and self.domain_violations == 0
-        )
+        return not (self.endpoint_violations or self.membership_violations or self.domain_violations)
 
     def to_jsonable(self) -> dict:
         """The fields in their order, then ok, then failures."""
         # updating a key keeps its place
-        out = dict(vars(self))
+        out = self._asdict()
         del out["failures"]
         out.update(domain_histogram={str(k): v for k, v in sorted(self.domain_histogram.items())},
                    wall_time_s=round(self.wall_time_s, 3), ok=self.ok,
                    failures=[dict(f) for f in self.failures])
         return out
-
-
-def _flag(report: SimulationReport, kind: str, query: PlannerQuery, detail: str):
-    """Count one violation of the given kind; record it while under the cap."""
-    counter = f"{kind}_violations"
-    setattr(report, counter, getattr(report, counter) + 1)
-    if len(report.failures) < FAILURE_CAP:
-        report.failures.append({"kind": kind, "detail": detail, "query": query.to_jsonable()})
 
 
 def run_simulation(
@@ -129,10 +112,17 @@ def run_simulation(
     plan = plan_product if product else plan_skeleton
     rng = random.Random(seed)
     need = sig.n - sig.r
-    report = SimulationReport(
-        n=sig.n, r=sig.r, mode=mode, queries=queries, steps=steps, seed=seed
-    )
-    histogram = report.domain_histogram
+    histogram = {}
+    # in the order of the report's fields
+    violations = {"endpoint": 0, "membership": 0, "domain": 0}
+    failures = []
+
+    def flag(kind: str, query: PlannerQuery, detail: str):
+        """Count one violation of the given kind; record it while under the cap."""
+        violations[kind] += 1
+        if len(failures) < FAILURE_CAP:
+            failures.append({"kind": kind, "detail": detail, "query": query.to_jsonable()})
+
     started = time.perf_counter()
 
     for _ in range(queries):
@@ -147,38 +137,36 @@ def run_simulation(
         # the circle adds a domain exactly at antipodes, a half-turn gap
         gap, den = start.circle.ccw_gap(end.circle) if product else (0, 1)
         if not (path.agreement == agree and domain == len(agree) + (2 * gap == den)):
-            _flag(report, "domain", query, f"domain index {domain}")
+            flag("domain", query, f"domain index {domain}")
 
         # a float never equals a Turn, so only exact values pass
         if not (path.evaluate(0) == start and path.evaluate(1) == end):
-            _flag(report, "endpoint", query, "path does not interpolate exactly")
+            flag("endpoint", query, "path does not interpolate exactly")
 
         counts = path.exact_zero_counts(steps)
         spot = rng.randrange(steps + 1)
         if path.evaluate(Fraction(spot, steps)).exact_zero_count() != counts[spot]:
-            _flag(report, "membership", query,
-                  f"grid counter disagrees with evaluation at t={Fraction(spot, steps)}")
+            flag("membership", query,
+                 f"grid counter disagrees with evaluation at t={Fraction(spot, steps)}")
         low = min(counts)
         if low < need:
-            _flag(report, "membership", query,
-                  f"only {low} coordinates at basepoint at "
-                  f"t={Fraction(counts.index(low), steps)}, need {need}")
+            flag("membership", query,
+                 f"only {low} coordinates at basepoint at "
+                 f"t={Fraction(counts.index(low), steps)}, need {need}")
         least, at = path.least_zero_count()
         if path.evaluate(at).exact_zero_count() != least:
-            _flag(report, "membership", query,
-                  f"boundary sweep disagrees with evaluation at t={at}")
+            flag("membership", query, f"boundary sweep disagrees with evaluation at t={at}")
         if least < need:
-            _flag(report, "membership", query,
-                  f"only {least} coordinates at basepoint at t={at}, need {need}")
+            flag("membership", query,
+                 f"only {least} coordinates at basepoint at t={at}, need {need}")
 
     ratios = [continuity_ratio(sig, mode, rng, wrap=p % 4 == 3,
                                denominator_bound=denominator_bound)
               for p in range(continuity_probes)]
     ratios = [ratio for ratio in ratios if ratio is not None]
-    report.continuity_probes = len(ratios)
-    report.max_continuity_ratio = max(ratios, default=None)
-    report.wall_time_s = time.perf_counter() - started
-    return report
+    return SimulationReport(sig.n, sig.r, mode, queries, steps, seed, histogram,
+                            *violations.values(), len(ratios), max(ratios, default=None),
+                            time.perf_counter() - started, failures)
 
 
 def _perturbation(rng: random.Random, eps: Fraction) -> tuple[int, int]:

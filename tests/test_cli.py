@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import torustc
@@ -118,6 +118,16 @@ class TestTc:
     def test_bad_grid_exits_2(self, capsys):
         code, _, err = run(capsys, "tc", "--grid", "n=1..3")
         assert code == 2
+
+    @pytest.mark.parametrize("grid, message", [
+        ("x" * 4000, "grid must look like n=1..6,r=1..n, got {}"),
+        ("n=5..9,r=7..3" + " " * 4000, "grid {} is empty"),
+    ], ids=["malformed", "empty"])
+    def test_long_grid_is_named_not_repeated(self, capsys, grid, message):
+        code, out, err = run(capsys, "tc", "--grid", grid)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message.format(shown(grid))}\n"
+        assert len(err.encode()) < 300 and "characters)" in err
 
     def test_signature_with_grid_is_usage_error(self, capsys):
         code, out, err = run(capsys, "tc", "3", "2", "--grid", "n=1..2,r=1..n")
@@ -820,6 +830,30 @@ class TestParseArgs:
             for option in [*options, "--help"]:
                 assert option in text, (command, option)
 
+    # each ranged command, cheap to run at either end of every range; a
+    # ranged option given after it overrides its value here
+    CHEAP = {"plan": ["plan", "1", "1", "--from", "", "--to", ""],
+             "simulate": ["simulate", "2", "2", "--queries", "1", "--steps", "4"]}
+
+    def test_ranges_come_from_the_table(self, capsys):
+        ranged = [(command, flag, *bounds) for command, (_, _, _, options) in cli._COMMANDS.items()
+                  for flag, (_, _, _, *bounds) in options.items() if bounds]
+        assert {command for command, *_ in ranged} == set(self.CHEAP) and len(ranged) == 5
+        for command, flag, floor, cap in ranged:
+            help_lines = run(capsys, command, "--help")[1].splitlines()
+            line, = [line for line in help_lines if line.startswith(f"  {flag} INT ")]
+            assert line.endswith(f", range {floor}..{cap})"), line
+            for value in (floor, cap):
+                code, _, err = run(capsys, *self.CHEAP[command], flag, str(value))
+                assert (code, err) == (0, ""), (flag, value)
+            assert run(capsys, *self.CHEAP[command], flag, str(floor - 1)) == (
+                2, "", f"error: {flag} must be at least {floor}\n")
+            assert run(capsys, *self.CHEAP[command], flag, str(cap + 1)) == (
+                2, "", f"error: {flag} must be at most {cap}\n")
+        # of two values out of range, the one given first is named
+        assert run(capsys, "simulate", "3", "2", "--queries", "0", "--steps", "0") == (
+            2, "", "error: --queries must be at least 1\n")
+
     def test_bare_command_line_names_the_commands(self, capsys):
         code, out, err = run(capsys)
         assert (code, out) == (2, "")
@@ -833,7 +867,11 @@ _COORDS = st.sampled_from(
      "0.5", "1e3", "abc", "", "99999999999999999999/7"]
 )
 _POINTS = st.lists(_COORDS, max_size=6).map(",".join)
-_COUNTS = st.sampled_from(["-1", "0", "1", "2", "4", "x"])
+# 4,000 characters each, refused without being repeated: a malformed
+# --grid, and a non-integer for an integer option
+_LONG_GRID = "x" * 4000
+_LONG_WORD = "9" * 3999 + "x"
+_COUNTS = st.sampled_from(["-1", "0", "1", "2", "4", "x", _LONG_WORD])
 # each capped count is drawn at, just below and just above its cap
 _QUERIES = st.sampled_from(["-1", "0", "1", "2", "4", "x",
                             *(str(MAX_QUERIES + d) for d in (-1, 0, 1)), "1000000000"])
@@ -851,13 +889,14 @@ _AT_BUDGET = {
                  for n in (most, most + 1)],
 }
 _STEPS = st.sampled_from(["-1", "0", "1", "2", "7", "64", str(MAX_STEPS + 1), "1000000000",
-                          "1.5"])
+                          "1.5", _LONG_WORD])
 _FLAGS = {
     "tc": [("--grid", st.sampled_from(["n=1..4,r=1..n", "n=2..3,r=1..2", "n=3..1,r=1..n",
                                        "n=0..2,r=0..n", "n=1..30,r=1..n", "n=1..3", "x",
                                        *(f"n=1..{MAX_GRID_PAIRS + d},r=1..1"
                                          for d in (-1, 0, 1)),
-                                       "n=1..1000000000,r=1..n", "n=9..1000000000,r=9..3"])),
+                                       "n=1..1000000000,r=1..n", "n=9..1000000000,r=9..3",
+                                       _LONG_GRID, "n=5..9,r=7..3" + " " * 3987])),
            ("--json", None), ("--csv", None)],
     "verify-lower-bound": [("--set", st.sampled_from(["1", "1,2", "2,4", "0", "-1", "", "1,,2",
                                                       "a", "1,1", "9"])),
@@ -898,6 +937,7 @@ class TestFuzzedArgv:
 
     @settings(max_examples=250, deadline=None)
     @given(_argvs())
+    @example(["tc", "--grid", _LONG_GRID])
     def test_exit_code_contract(self, argv):
         out, err = io.StringIO(), io.StringIO()
         start = time.perf_counter()
@@ -906,6 +946,7 @@ class TestFuzzedArgv:
         assert time.perf_counter() - start < 5.0, argv
         assert code in (0, 1, 2), argv
         assert "Traceback" not in err.getvalue(), argv
+        assert len(err.getvalue().encode()) < 300, argv
 
 
 class TestPublicSurface:

@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -291,6 +292,15 @@ class TestPlanSkeleton:
         path = plan_skeleton(query(point(0, 0), point(0, "1/4")), sig)
         with pytest.raises(TypeError, match="exact rationals"):
             path.evaluate(0.5)
+
+    def test_evaluates_only_ints_and_fractions(self):
+        sig = AlgebraSignature(3, 2)
+        path = plan_skeleton(query(point(0, 0), point(0, "1/4")), sig)
+        # Fraction() would read the text and the Decimal as 1/2
+        for t in ("0.5", "1/2", Decimal("0.5"), None):
+            with pytest.raises(TypeError, match="an int or a Fraction"):
+                path.evaluate(t)
+        assert path.evaluate(True) == path.evaluate(1) == path.evaluate(F(1))
 
     def test_rejects_out_of_range_time(self):
         sig = AlgebraSignature(3, 2)

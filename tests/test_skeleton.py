@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,17 @@ class TestTurn:
     def test_rejects_floats(self):
         with pytest.raises(TypeError, match="exact rationals"):
             Turn(0.25)
+
+    def test_takes_only_ints_and_fractions(self):
+        # Fraction() would read each of these; text goes through Turn.parse,
+        # which takes p/q only
+        for text in ["0.25", "1e-3", "1_0/3", "1/3", " 1/3 "]:
+            with pytest.raises(TypeError, match="Turn.parse"):
+                Turn(text)
+        for bad in [Decimal("0.25"), None, (1, 3)]:
+            with pytest.raises(TypeError, match="an int or a Fraction"):
+                Turn(bad)
+        assert Turn(Fraction(1, 3)) == Turn.parse("1/3") and Turn(-2) == Turn(True) == Turn(0)
 
     def test_parse_round_trip(self):
         for text in ["0", "1/4", "3/4", "7/8"]:
