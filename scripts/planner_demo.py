@@ -14,7 +14,7 @@ from torustc import (
     plan_skeleton,
     sample,
 )
-from torustc.cli import MAX_STEPS, parse_integer
+from torustc.cli import check_range, parse_integer
 
 
 def show(path, steps: int) -> None:
@@ -41,10 +41,10 @@ def main() -> None:
     parser.add_argument("--steps", type=integer, default=8)
     try:
         args = parser.parse_args()
-    except OverflowError as exc:
+        # --steps takes plan's range, refused in the command line's words
+        check_range("plan", "--steps", args.steps)
+    except (OverflowError, ValueError) as exc:
         parser.error(str(exc))
-    if not 1 <= args.steps <= MAX_STEPS:
-        parser.error(f"--steps must be between 1 and {MAX_STEPS}")
 
     sig = AlgebraSignature(3, 2)
     fixed = PlannerQuery(

@@ -390,6 +390,16 @@ def _convert(convert, text: str, name: str):
         raise ValueError(f"argument {name}: {exc}") from None
 
 
+def check_range(command: str, flag: str, value: int) -> None:
+    """Raise ValueError, with the message parse_args gives, when value lies
+    outside the floor and cap of command's option flag in _COMMANDS."""
+    floor, cap = _COMMANDS[command][3][flag][3:]
+    if value < floor:
+        raise ValueError(f"{flag} must be at least {floor}")
+    if value > cap:
+        raise ValueError(f"{flag} must be at most {cap}")
+
+
 def parse_args(argv: list[str]) -> SimpleNamespace:
     """The namespace the handler of argv's command takes: the command, func
     (the handler, or the help printer for -h and --help) and one field per
@@ -421,8 +431,8 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
     # an unknown option or one positional too many is refused after the
     # loop, so that a later -h still prints the help
     stray = None
-    # the range of each ranged option given, checked on its last value
-    ranged = {}
+    # each ranged option given, checked on its last value
+    ranged = []
     tokens = iter(rest)
     for token in tokens:
         if token == "--" and not ended:
@@ -456,18 +466,15 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
                 raise ValueError(f"argument {flag}: expected one argument")
         fields[_field(flag)] = _convert(convert, text, flag)
         if len(options[flag]) > 3:
-            ranged[flag] = options[flag][3:]
+            ranged.append(flag)
     if stray:
         raise ValueError(f"{stray} for {command}")
     missing = [name for name, required in positionals[given:] if required]
     missing += [flag for flag in options if fields[_field(flag)] is _REQUIRED]
     if missing:
         raise ValueError(f"the following arguments are required: {', '.join(missing)}")
-    for flag, (floor, cap) in ranged.items():
-        if fields[_field(flag)] < floor:
-            raise ValueError(f"{flag} must be at least {floor}")
-        if fields[_field(flag)] > cap:
-            raise ValueError(f"{flag} must be at most {cap}")
+    for flag in ranged:
+        check_range(command, flag, fields[_field(flag)])
     return SimpleNamespace(**fields)
 
 

@@ -817,7 +817,11 @@ class TestCupLengthSearches:
         # summary speaks for both; a factor the summary rules out multiplies
         # the node's product to zero; the search forms no product the
         # summary rules out; and it visits the same nodes, in the same order,
-        # as a search whose summary rules out nothing
+        # as a search whose summary rules out nothing.  The search's degree
+        # bound leaves the (2, 2) search no node with a factor ruled out, so
+        # the summary is shown to rule some out, for every r >= 2, on nodes
+        # built here: the chain products e0-bar * e1-bar * ... and the
+        # squares a-bar * a-bar
         nodes, formed = [], []
         leg_room, mul = algebra._leg_room, TensorElement.__mul__
 
@@ -828,6 +832,15 @@ class TestCupLengthSearches:
         def ruled_out(prod, a):
             meet, room = leg_room(prod)
             return bool(a & meet or (a & ~1).bit_count() > room)
+
+        def assert_skips_zero(sig, prod):
+            skipped = 0
+            for a in sig.basis_bits():
+                if a and ruled_out(prod, a):
+                    bar = TensorElement(sig, {(0, a): 1, (a, 0): -1})
+                    assert (prod * bar).is_zero, (sig, prod, a)
+                    skipped += 1
+            return skipped
 
         def search(sig, summary):
             nodes.clear()
@@ -850,23 +863,41 @@ class TestCupLengthSearches:
                 products["pruned"] += len(formed)
                 for prod, bar in formed:
                     assert not ruled_out(prod, min(bar._terms)), (n, r)
-                skipped = 0
                 for prod in nodes:
                     keys = set(prod._terms)
                     assert {p >> n | (p & low) << n for p in keys} == keys, (n, r, prod)
-                    for a in sig.basis_bits():
-                        if a and ruled_out(prod, a):
-                            bar = TensorElement(sig, {(0, a): 1, (a, 0): -1})
-                            assert (prod * bar).is_zero, (n, r, prod, a)
-                            skipped += 1
+                    assert_skips_zero(sig, prod)
+                chain, built = TensorElement.one(sig), []
+                for i in range(n):
+                    chain = chain * zero_divisor(sig, i)
+                    built.append(chain)
+                bars = [TensorElement(sig, {(0, a): 1, (a, 0): -1}) for a in sig.basis_bits() if a]
+                built += [bar * bar for bar in bars]
+                skipped = sum(assert_skips_zero(sig, prod) for prod in built if not prod.is_zero)
                 assert skipped > 0 or r == 1, (n, r)
         assert products["pruned"] < products["unpruned"] / 2, products
 
     def test_brute_force_agrees_with_degree_one_search(self):
-        for n, r in [(1, 1), (2, 2), (3, 2), (4, 2), (4, 3)]:
-            sig = AlgebraSignature(n, r)
-            rep = zdcl_brute_force(sig)
-            assert rep.searched_length == zdcl_degree_one(sig) == rep.certified_minimum
+        for n in range(1, 8):
+            for r in range(1, n + 1):
+                sig = AlgebraSignature(n, r)
+                rep = zdcl_brute_force(sig)
+                assert rep.searched_length == zdcl_degree_one(sig) == rep.certified_minimum
+                assert len(rep.witness) == rep.searched_length, (n, r)
+
+    def test_brute_force_product_count(self, monkeypatch):
+        # the count the zdcl_brute_force docstring states for (5, 5)
+        formed = []
+        mul = TensorElement.__mul__
+
+        def recording_mul(self, other):
+            formed.append((self, other))
+            return mul(self, other)
+
+        monkeypatch.setattr(TensorElement, "__mul__", recording_mul)
+        zdcl_brute_force(AlgebraSignature(5, 5))
+        assert len(formed) == 331
+        assert "At (5, 5) the search forms 331 products" in " ".join(zdcl_brute_force.__doc__.split())
 
     def test_brute_force_cap(self):
         # a fixed limit on n, refused before any product

@@ -738,6 +738,13 @@ class TestPlannerDemo:
         assert len(err) < 300 and "9" * 40 not in err and "Traceback" not in err, err
         assert "int_max_str_digits" not in err
 
+    @pytest.mark.parametrize("steps", ["0", str(MAX_STEPS + 1)])
+    def test_steps_refusal_words_match_the_cli(self, capsys, monkeypatch, steps):
+        _, _, cli_err = run(capsys, "plan", "3", "2", "--from", "0,0", "--to", "0,0",
+                            "--steps", steps)
+        _, _, err = self.demo(capsys, monkeypatch, "--steps", steps)
+        assert err.splitlines()[-1] == "planner_demo.py: " + cli_err.strip()
+
     def test_plans_and_prints(self, capsys, monkeypatch):
         code, out, err = self.demo(capsys, monkeypatch, "--steps", "1", "--seed", "3")
         assert (code, err) == (0, "")
