@@ -99,7 +99,7 @@ def classify(query: PlannerQuery, sig) -> frozenset[int]:
 
 class CoordinateRule(namedtuple("_RuleFields", (
         "start end move_start rest_start shorter_arc constant "
-        "start_f end_f delta_f move_start_f rest_start_f span_f"))):
+        "start_f delta_f move_start_f rest_start_f span_f"))):
     """Schedule of one coordinate: rest at start until move_start, travel
     delta turns at constant speed, rest at end from rest_start on.
 
@@ -117,13 +117,16 @@ class CoordinateRule(namedtuple("_RuleFields", (
     The fields passed in are exact, so phase membership at rational times
     is decided exactly.  The window must satisfy 0 <= move_start <
     rest_start <= 1, for constant rules too, so span_f is positive;
-    anything else raises ValueError.  constant (start == end) and the *_f
-    float mirrors, which the travel phase and float evaluation read, are
-    derived from the exact fields here and nowhere else, from their integer
-    numerators and denominators: each mirror is the correctly rounded float
-    of its exact value.  A rule is an immutable tuple, so one rule may serve
-    many paths; copies and _replace go through the constructor, so the
-    window check, the travel and the mirrors always follow the exact fields.
+    anything else raises ValueError.  constant (start == end) and the float
+    mirrors start_f, delta_f, move_start_f, rest_start_f and span_f, which
+    the float travel values (value_at, PlannerPath.samples) and the sort of
+    phase_boundaries read, are derived from the exact fields here and
+    nowhere else, from their integer numerators and denominators: each
+    mirror is the correctly rounded float of its exact value.  The verifier
+    reads only the exact fields.  A rule is an immutable tuple, so one rule
+    may serve many paths; copies and _replace go through the constructor, so
+    the window check, the travel and the mirrors always follow the exact
+    fields.
     """
 
     __slots__ = ()
@@ -141,7 +144,7 @@ class CoordinateRule(namedtuple("_RuleFields", (
                              f"got [{move_start}, {rest_start}]")
         return tuple.__new__(cls, (
             start, end, move_start, rest_start, shorter_arc, not d_p,
-            start.num / start.den, end.num / end.den, d_p / d_q, m_p / m_q, r_p / r_q,
+            start.num / start.den, d_p / d_q, m_p / m_q, r_p / r_q,
             span / (r_q * m_q)))
 
     def __getnewargs__(self):

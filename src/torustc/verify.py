@@ -31,12 +31,13 @@ with eps.  Perturbations never change the agreement set, the support
 sets, or the circle rule (for the circle's shorter arc, while
 eps < 1/(4 D^2); see perturb_query), so both paths come from one
 continuity domain and their distance must scale linearly with eps.
-That distance is the supremum over every t in [0, 1], not a sample,
-taken one coordinate pair at a time (path_deviation): each coordinate
-moves linearly between its own phase boundaries, so a pair's distance
-peaks at 0, 1 or one of the pair's at most four boundaries unless their
-difference passes a half turn.  A probe costs time and memory linear in
-n.
+That distance is the exact supremum over every t in [0, 1], not a
+sample, taken one coordinate pair at a time in integer arithmetic
+(path_deviation): each coordinate moves linearly between its own phase
+boundaries, so a pair's distance peaks at one of the pair's at most four
+boundaries unless their difference passes a half turn, where it is 1/2.
+continuity_ratio divides it by eps exactly and reports the correctly
+rounded float of that ratio.  A probe costs time and memory linear in n.
 
 The verifier uses only the planner's public names.  It decides each
 query's agreement once, by classify, which the planner never calls (a
@@ -48,7 +49,6 @@ planner uses too.
 
 from __future__ import annotations
 
-import math
 import random
 import time
 from collections import namedtuple
@@ -297,75 +297,86 @@ def _wrap_probe(sig, rng: random.Random, product: bool,
     return query, PlannerQuery(start, nearby.end)
 
 
-def _passes_half_turn(rule_a, rule_b, tfs: list[float]) -> bool:
-    """Whether the lifted difference of two coordinates (their positions,
-    not reduced mod 1) passes a half turn over the float times, which must
-    include 0, 1 and both rules' phase boundaries, in any order.  A
-    difference that only touches a half turn at one of the times may count
-    as passing it; the distance there is 1/2 either way."""
-    sa, da, ma, pa = rule_a.start_f, rule_a.delta_f, rule_a.move_start_f, rule_a.span_f
-    sb, db, mb, pb = rule_b.start_f, rule_b.delta_f, rule_b.move_start_f, rule_b.span_f
-    base = sa - sb - 0.5
-    # floor(x - 1/2) steps exactly where x passes a half turn; a constant
-    # rule has delta 0, so its progress never matters
-    floor = math.floor
-    turns = {floor(base + da * min(max((tf - ma) / pa, 0.0), 1.0)
-                   - db * min(max((tf - mb) / pb, 0.0), 1.0)) for tf in tfs}
-    return len(turns) > 1
+def _integer_rule(rule) -> tuple[int, ...]:
+    """A rule's start s_n/s_d, travel d_n/d_d and window ends m_p/m_q and
+    r_p/r_q as one tuple of ints, the travel taken as the constructor takes
+    it: the counterclockwise gap, less one turn on the shorter arc past a
+    half turn."""
+    d_n, d_d = rule.start.ccw_gap(rule.end)
+    if rule.shorter_arc and 2 * d_n > d_d:
+        d_n -= d_d
+    return (rule.start.num, rule.start.den, d_n, d_d,
+            *rule.move_start.as_integer_ratio(), *rule.rest_start.as_integer_ratio())
 
 
-def path_deviation(path_a: PlannerPath, path_b: PlannerPath) -> float:
-    """Largest circle distance between the two paths over all of [0, 1].
+def _lifted(ints: tuple[int, ...], p: int, q: int) -> tuple[int, int]:
+    """Position of a rule at time p/q, not reduced mod 1, as an integer
+    pair (numerator, positive denominator)."""
+    s_n, s_d, d_n, d_d, m_p, m_q, r_p, r_q = ints
+    if not d_n or p * m_q <= m_p * q:
+        return s_n, s_d
+    if p * r_q >= r_p * q:
+        return s_n * d_d + d_n * s_d, s_d * d_d
+    w = r_p * m_q - m_p * r_q
+    return s_n * q * w * d_d + s_d * d_n * (p * m_q - m_p * q) * r_q, s_d * q * w * d_d
 
-    The paths are compared one coordinate pair at a time, at 0, 1 and the
-    pair's own phase boundaries (at most 6 times).  Between two consecutive
-    times of that list each of the two coordinates rests or travels at
-    constant speed, so their lifted difference (the difference of their
-    positions, not reduced mod 1) is linear there, and its circle distance
-    peaks at the ends of the piece unless it passes a half turn, where the
-    distance is 1/2, the largest it can be.  So the result is the largest
-    distance at the listed times, or 1/2 when some lifted difference passes
-    a half turn.  Time and memory are linear in the number of coordinates.
 
-    A rule is at its start at its own move_start and at its end at its own
-    rest_start (value_at settles both ties exactly), so only the other
-    rule's boundaries go through value_at.  Both rules rest before the
-    pair's first boundary and after its last, so the distances at 0 and 1
-    repeat distances taken there.  A pair sharing one rule object never
-    drifts apart, and two constant rules keep one distance, which passes no
-    half turn.
+def path_deviation(path_a: PlannerPath, path_b: PlannerPath) -> Fraction:
+    """Largest circle distance between two paths of one space over all of
+    [0, 1], exactly.
+
+    The paths are compared one coordinate pair at a time, at the pair's
+    own phase boundaries: the move_start and rest_start of each rule that
+    travels, or one time for two constant rules.  Both rules rest before
+    the first of those times and after the last, so times 0 and 1 add
+    nothing.  Every position there is an integer pair (_lifted), and so is
+    the lifted difference a/b (b > 0) of the two coordinates: the
+    difference of their positions, not reduced mod 1.  One divmod of a by b
+    gives both answers:
+
+    - floor(D - 1/2) for D = a/b is a // b, less 1 when 2 (a mod b) < b;
+    - the circle distance of D is min(a mod b, b - a mod b) / b.
+
+    Proof that this is the supremum.  Between two consecutive times each
+    rule rests or travels at constant speed, so D is linear there, and D
+    is constant before the first time and after the last.  If
+    floor(D - 1/2) takes one value k at every time, D lies in the interval
+    [k + 1/2, k + 3/2) at every time, hence on all of [0, 1], since that
+    interval is convex.  There the circle distance is |D - (k + 1)|, a
+    convex function of a linear one on each piece, so it peaks at the ends
+    of the piece, which are listed times.  If floor(D - 1/2) takes two
+    values, D meets some k + 1/2 in between, where the distance is 1/2,
+    the largest there is, and the result is 1/2.
+
+    A pair sharing one rule object never drifts apart.  Distances are
+    compared by cross multiplication, so no float takes part.  Time and
+    memory are linear in the number of coordinates.  Two paths of different
+    modes or sizes raise ValueError.
     """
-    worst = 0.0
-    for rule_a, rule_b in zip(path_a.coordinate_rules, path_b.coordinate_rules):
+    rules_a, rules_b = path_a.coordinate_rules, path_b.coordinate_rules
+    if path_a.mode != path_b.mode or len(rules_a) != len(rules_b):
+        raise ValueError(f"paths of different spaces: {path_a.mode} with {len(rules_a)} "
+                         f"coordinates, {path_b.mode} with {len(rules_b)}")
+    worst_n, worst_d = 0, 1
+    for rule_a, rule_b in zip(rules_a, rules_b):
         if rule_a is rule_b:
             continue
-        if rule_a.constant and rule_b.constant:
-            pairs = ((rule_a.start_f, rule_b.start_f),)
-        else:
-            pairs, tfs = [], [0.0, 1.0]
-            if not rule_a.constant:
-                pairs += ((rule_a.start_f, _float_at(rule_b, rule_a.move_start)),
-                          (rule_a.end_f, _float_at(rule_b, rule_a.rest_start)))
-                tfs += (rule_a.move_start_f, rule_a.rest_start_f)
-            if not rule_b.constant:
-                pairs += ((_float_at(rule_a, rule_b.move_start), rule_b.start_f),
-                          (_float_at(rule_a, rule_b.rest_start), rule_b.end_f))
-                tfs += (rule_b.move_start_f, rule_b.rest_start_f)
-            if _passes_half_turn(rule_a, rule_b, tfs):
-                return 0.5
-        for va, vb in pairs:
-            d = abs(va - vb) % 1.0
-            if d > 0.5:
-                d = 1.0 - d
-            if d > worst:
-                worst = d
-    return worst
-
-
-def _float_at(rule, t: Fraction) -> float:
-    """float(rule.value_at(t)): a Turn's float is its correctly rounded quotient."""
-    value = rule.value_at(t)
-    return value if type(value) is float else value.num / value.den
+        ints_a, ints_b = _integer_rule(rule_a), _integer_rule(rule_b)
+        times = [pq for ints in (ints_a, ints_b) if ints[2] for pq in (ints[4:6], ints[6:8])]
+        turns = set()
+        for p, q in times or ((0, 1),):
+            n_a, d_a = _lifted(ints_a, p, q)
+            n_b, d_b = _lifted(ints_b, p, q)
+            b = d_a * d_b
+            whole, rest = divmod(n_a * d_b - n_b * d_a, b)
+            # floor(D - 1/2) for the difference D = whole + rest / b
+            turns.add(whole - (2 * rest < b))
+            if len(turns) > 1:
+                return Fraction(1, 2)
+            near = min(rest, b - rest)
+            if near * worst_d > worst_n * b:
+                worst_n, worst_d = near, b
+    return Fraction(worst_n, worst_d)
 
 
 def continuity_ratio(
@@ -399,4 +410,4 @@ def continuity_ratio(
         raise RuntimeError("perturbation changed the agreement set; corpus bug")
     if path_a.domain != path_b.domain:
         raise RuntimeError("perturbation changed the circle rule; corpus bug")
-    return path_deviation(path_a, path_b) / float(eps)
+    return float(path_deviation(path_a, path_b) / eps)

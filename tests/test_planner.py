@@ -807,7 +807,6 @@ class TestCoordinateRule:
                         for rule in path.coordinate_rules:
                             assert rule.constant == (rule.delta == 0)
                             assert rule.start_f == float(rule.start.value)
-                            assert rule.end_f == float(rule.end.value)
                             assert rule.delta_f == float(rule.delta)
                             assert rule.move_start_f == float(rule.move_start)
                             assert rule.rest_start_f == float(rule.rest_start)

@@ -31,28 +31,6 @@ from torustc.verify import _wrap_probe
 F = Fraction
 
 
-def _coords(point):
-    """The values of an evaluated point in coordinate_rules order, the
-    circle first."""
-    return point.base if point.circle is None else (point.circle, *point.base)
-
-
-def pointwise_deviation(path_a, path_b, sample_steps):
-    """Largest circle distance over the grid k/sample_steps and both paths'
-    phase boundaries, as one evaluate() per time and a sorted set."""
-    times = {F(k, sample_steps) for k in range(sample_steps + 1)}
-    times.update(path_a.phase_boundaries())
-    times.update(path_b.phase_boundaries())
-    worst = 0.0
-    for t in sorted(times):
-        for va, vb in zip(_coords(path_a.evaluate(t)), _coords(path_b.evaluate(t))):
-            d = abs(float(va) - float(vb)) % 1.0
-            d = min(d, 1.0 - d)
-            if d > worst:
-                worst = d
-    return worst
-
-
 def _lift(rule, t):
     """Exact position of one coordinate at time t, not reduced mod 1."""
     if rule.constant or t <= rule.move_start:
@@ -60,6 +38,23 @@ def _lift(rule, t):
     if t >= rule.rest_start:
         return rule.start.value + rule.delta
     return rule.start.value + rule.delta * (t - rule.move_start) / (rule.rest_start - rule.move_start)
+
+
+def _distance(rule_a, rule_b, t):
+    """Exact circle distance of two coordinates at time t."""
+    d = (_lift(rule_a, t) - _lift(rule_b, t)) % 1
+    return min(d, 1 - d)
+
+
+def pointwise_deviation(path_a, path_b, sample_steps):
+    """Largest circle distance over the grid k/sample_steps and both paths'
+    phase boundaries, exactly, from each coordinate's _lift at each time."""
+    times = {F(k, sample_steps) for k in range(sample_steps + 1)}
+    times.update(path_a.phase_boundaries())
+    times.update(path_b.phase_boundaries())
+    return max((_distance(rule_a, rule_b, t) for t in times
+                for rule_a, rule_b in zip(path_a.coordinate_rules, path_b.coordinate_rules)),
+               default=F(0))
 
 
 def _own_times(rule_a, rule_b):
@@ -85,19 +80,13 @@ def passes_half_turn(path_a, path_b):
 def boundary_deviation(path_a, path_b):
     """Reference for path_deviation: 1/2 when a lifted difference passes a
     half turn inside a piece, else the largest distance of each coordinate
-    pair at 0, 1 and that pair's own phase boundaries, from one evaluate()
-    per path and time."""
+    pair at 0, 1 and that pair's own phase boundaries, exactly, from each
+    coordinate's _lift at each time."""
     if passes_half_turn(path_a, path_b):
-        return 0.5
-    own = [_own_times(*pair) for pair in zip(path_a.coordinate_rules, path_b.coordinate_rules)]
-    at = {t: (_coords(path_a.evaluate(t)), _coords(path_b.evaluate(t)))
-          for t in set().union(*own)}
-    worst = 0.0
-    for i, times in enumerate(own):
-        for t in times:
-            d = abs(float(at[t][0][i]) - float(at[t][1][i])) % 1.0
-            worst = max(worst, min(d, 1.0 - d))
-    return worst
+        return F(1, 2)
+    return max((_distance(rule_a, rule_b, t)
+                for rule_a, rule_b in zip(path_a.coordinate_rules, path_b.coordinate_rules)
+                for t in _own_times(rule_a, rule_b)), default=F(0))
 
 
 class TestRunSimulation:
@@ -316,9 +305,9 @@ class TestPerturbation:
 
     @pytest.mark.parametrize("mode", ["skeleton", "product"])
     def test_deviation_matches_pointwise_reference(self, mode):
-        # identical floats, not approximately equal ones, with the pointwise
-        # reference over {0, 1} and each coordinate pair's own boundaries;
-        # and never below the old 64-step grid sample beyond float rounding
+        # exactly equal to the exact reference over {0, 1} and each
+        # coordinate pair's own boundaries, and never below the exact 64-step
+        # or 7-step grid sample
         product = mode == "product"
         plan = plan_product if product else plan_skeleton
         rng = random.Random(17 + product)
@@ -347,7 +336,7 @@ class TestPerturbation:
                     crossings += got == 0.5
                     for steps in (64, 7):
                         grid = pointwise_deviation(path, path_b, steps)
-                        assert got >= grid * (1 - 1e-12)
+                        assert got >= grid
         # unrelated partners pass a half turn now and then; perturbed ones never do
         assert crossings > 0
 
@@ -398,15 +387,16 @@ class TestPerturbation:
 
         path_a, path_b = still(F(1, 3), F(999, 1000)), still(F(1, 3), F(1, 1000))
         assert path_deviation(path_a, path_b) == boundary_deviation(path_a, path_b)
-        assert path_deviation(path_a, path_b) == pytest.approx(0.002)
+        assert path_deviation(path_a, path_b) == F(1, 500)
         path_c = still(F(1, 3) + F(1, 200), F(999, 1000))
         assert path_deviation(path_a, path_c) == boundary_deviation(path_a, path_c)
-        assert path_deviation(path_a, path_c) == pytest.approx(0.005)
+        assert path_deviation(path_a, path_c) == F(1, 200)
 
     def test_deviation_with_boundaries_tied_in_float(self):
         # rule b's boundaries sit 10**-30 inside rule a's: their floats tie,
         # so value_at places each at the other rule's boundary by an exact
-        # comparison; the answer is the pointwise reference's all the same
+        # comparison, and path_deviation, which compares integers, gives the
+        # exact reference's answer
         tiny = F(1, 10**30)
 
         def moving(move_start, rest_start, end=F(1, 2)):
@@ -429,9 +419,9 @@ class TestPerturbation:
         assert got == pytest.approx(0.001)
 
     def test_deviation_never_below_the_grid_on_the_probe_corpus(self):
-        # the probe corpus of criterion 6: the supremum is at least the old
-        # 64-step grid sample, up to float rounding, and equals it on most
-        # probes; no perturbed probe passes a half turn
+        # the probe corpus of criterion 6: the supremum is at least the
+        # exact 64-step grid sample, and equals it on most probes; no
+        # perturbed probe passes a half turn
         equal = total = 0
         for n in range(1, 7):
             for r in range(1, n + 1):
@@ -454,7 +444,7 @@ class TestPerturbation:
                         path_a, path_b = plan(q, sig), plan(near, sig)
                         got = path_deviation(path_a, path_b)
                         grid = pointwise_deviation(path_a, path_b, 64)
-                        assert got >= grid * (1 - 1e-12), (n, r, mode, p)
+                        assert got >= grid, (n, r, mode, p)
                         assert got < 0.5
                         total += 1
                         equal += got == grid
@@ -487,8 +477,8 @@ class TestPerturbation:
         start = SkeletonPoint((), Turn(0))
         path_a = plan_product(PlannerQuery(start, SkeletonPoint((), Turn(F(2, 5)))), sig)
         path_b = plan_product(PlannerQuery(start, SkeletonPoint((), Turn(F(3, 5)))), sig)
-        assert pointwise_deviation(path_a, path_b, 1) == pytest.approx(0.2)
-        assert path_deviation(path_a, path_b) == 0.5
+        assert pointwise_deviation(path_a, path_b, 1) == F(1, 5)
+        assert path_deviation(path_a, path_b) == F(1, 2)
         # a base coordinate from 1/3 ccw to 1/8 and to 1/2: the difference
         # passes 1/2 inside the first of the pieces split at the first
         # path's dwell boundary, and ends at 5/8, 3/8 away
@@ -497,9 +487,38 @@ class TestPerturbation:
         path_a = plan_skeleton(PlannerQuery(start, SkeletonPoint((Turn(0), Turn(F(1, 8))))), sig)
         path_b = plan_skeleton(PlannerQuery(start, SkeletonPoint((Turn(0), Turn(F(1, 2))))), sig)
         assert path_a.phase_boundaries()[0] == 0 and 0 < path_a.phase_boundaries()[1] < 1
-        assert boundary_deviation(path_a, path_b) == 0.5
-        assert pointwise_deviation(path_a, path_b, 1) < 0.5
-        assert path_deviation(path_a, path_b) == 0.5
+        assert boundary_deviation(path_a, path_b) == F(1, 2)
+        assert pointwise_deviation(path_a, path_b, 1) < F(1, 2)
+        assert path_deviation(path_a, path_b) == F(1, 2)
+        # a (2, 2) coordinate from 0 to just short of a half turn, against
+        # the parked path: the difference stays below 1/2, a float of it
+        # does not, and exactly at 1/2 the distance is 1/2
+        sig = AlgebraSignature(2, 2)
+        zero = SkeletonPoint((Turn(0),))
+        parked = plan_skeleton(PlannerQuery(zero, zero), sig)
+        for end, want in ((F(1, 2) - F(1, 10**30), F(1, 2) - F(1, 10**30)),
+                          (F(1, 2), F(1, 2))):
+            path = plan_skeleton(PlannerQuery(zero, SkeletonPoint((Turn(end),))), sig)
+            assert path_deviation(path, parked) == want == path_deviation(parked, path)
+            assert boundary_deviation(path, parked) == want
+
+    def test_deviation_needs_paths_of_one_space(self):
+        # a (3, 2) skeleton path against a (4, 2) skeleton path, and against
+        # a (2, 2) product path with as many coordinate rules: zipping their
+        # rules would drop or mismatch coordinates
+        def path(n, circle=None):
+            start = SkeletonPoint((Turn(0),) * (n - 1), circle)
+            end = SkeletonPoint((Turn(F(1, 4)),) + (Turn(0),) * (n - 2), circle)
+            plan = plan_skeleton if circle is None else plan_product
+            return plan(PlannerQuery(start, end), AlgebraSignature(n, 2))
+
+        three = path(3)
+        for other in (path(4), path(2, circle=Turn(F(1, 3)))):
+            assert len(other.coordinate_rules) >= len(three.coordinate_rules)
+            for pair in ((three, other), (other, three)):
+                with pytest.raises(ValueError, match="different spaces"):
+                    path_deviation(*pair)
+        assert path_deviation(three, path(3)) == 0
 
     def test_wrap_probe_crosses_basepoint(self):
         # wrap probes must exercise a coordinate crossing 0 without tearing
