@@ -386,32 +386,26 @@ def apply_multiplication_map(x: TensorElement) -> AlgebraElement:
     return raw(sig, {bits: c for bits, c in out.items() if c})
 
 
-def _pruned_product(sig: AlgebraSignature, indices, keep) -> TensorElement:
-    """The circle zero-divisor times those of indices, in order, dropping
-    after each factor every packed term p for which keep(p) is false."""
-
-    def prune(x: TensorElement) -> TensorElement:
-        return TensorElement._raw(sig, {p: c for p, c in x._terms.items() if keep(p)})
-
-    out = prune(zero_divisor(sig, 0))
-    for i in indices:
-        out = prune(out * zero_divisor(sig, i))
-    return out
-
-
 class LowerBoundCertificate(collections.namedtuple("_CertificateFields", (
-        "sig k index_set factor_count component_bidegree expected_terms witness "
-        "sample_term"))):
+        "sig k index_set factor_count component_bidegree expected_terms witness"))):
     """Witness that a product of factor_count zero-divisors is nonzero.
 
     One exact coefficient proves it: witness is the (left_bits, right_bits,
     coefficient) term of the product at left = e0 times the first r-1
-    chosen generators, right = the remaining chosen generators, and
-    sample_term is that witness in print, as in +e0*e1 (x) e2.  That pair
-    lies in the bidegree (r, k+1-r) slice, where every coefficient is +1 or
-    -1 and the number of terms has the closed form expected_terms.  The
-    slice is expanded only when component or component_terms is first read.
+    chosen generators, right = the remaining chosen generators, and the
+    sample_term property prints it, as in +e0*e1 (x) e2.  That pair lies in
+    the bidegree (r, k+1-r) slice, where every coefficient is +1 or -1 and
+    the number of terms has the closed form expected_terms.  The slice is
+    expanded only when component or component_terms is first read.
     """
+
+    @property
+    def sample_term(self) -> str:
+        """The witness in print, as in +e0*e1 (x) e2 or -e0 (x) 1."""
+        left, right, coeff = self.witness
+        sign = "+" if coeff > 0 else "-"
+        size = abs(coeff) if abs(coeff) != 1 else ""
+        return f"{sign}{size}{_monomial(left)} (x) {_monomial(right)}"
 
     @functools.cached_property
     def component(self) -> TensorElement:
@@ -427,19 +421,25 @@ class LowerBoundCertificate(collections.namedtuple("_CertificateFields", (
         does not print the count, which can pass Python's 4,300-digit limit
         on int-to-string conversion.
         """
+        sig = self.sig
         if self.expected_terms > SLICE_TERM_CAP:
             raise InstanceTooLarge(
-                f"bidegree {self.component_bidegree} slice for n={self.sig.n}, r={self.sig.r} "
+                f"bidegree {self.component_bidegree} slice for n={sig.n}, r={sig.r} "
                 f"has more than SLICE_TERM_CAP = {SLICE_TERM_CAP} terms; expansion is capped there"
             )
-        n = self.sig.n
+        n = sig.n
         low = (1 << n) - 1
         left_cap, right_cap = self.component_bidegree
-        return _pruned_product(
-            self.sig,
-            self.index_set,
-            lambda p: (p & low).bit_count() <= left_cap and (p >> n).bit_count() <= right_cap,
-        )
+
+        def prune(x: TensorElement) -> TensorElement:
+            return TensorElement._raw(sig, {
+                p: c for p, c in x._terms.items()
+                if (p & low).bit_count() <= left_cap and (p >> n).bit_count() <= right_cap})
+
+        out = prune(zero_divisor(sig, 0))
+        for i in self.index_set:
+            out = prune(out * zero_divisor(sig, i))
+        return out
 
     @property
     def component_terms(self) -> int:
@@ -450,23 +450,27 @@ def lower_bound_certificate(sig: AlgebraSignature, index_set=None) -> LowerBound
     """Certify the longest guaranteed-nonzero product of generator zero-divisors.
 
     The product multiplies the circle zero-divisor by the zero-divisors of
-    k = min(n-1, 2r-2) distinct positive generators.  Nonvanishing is
-    proved by one coefficient, at left = e0 times the first r-1 chosen
-    generators and right = the other k+1-r.  Every term of a zero-divisor
-    adds one generator to exactly one leg, and legs only grow, so after each
-    factor the terms whose left leg is not inside that left, or whose right
-    leg is not inside that right, are dropped: they can never reach the
-    pair.  Each generator has one allowed leg, so at most one term is left
-    after each factor, and the k products have at most two terms each.
-    What is left at the end is the product's exact coefficient at the pair.
-    Raises CertificateFailure if it is zero, which would falsify the
-    certified lower bound.
+    k = min(n-1, 2r-2) distinct positive generators, each index read with
+    operator.index.  Nonvanishing is proved by one coefficient, at left =
+    e0 times the first r-1 chosen generators and right = the other k+1-r.
+    Every term of a zero-divisor adds one generator to exactly one leg, and
+    legs only grow, so a term of the product whose left leg is not inside
+    that left, or whose right leg is not inside that right, can never reach
+    the pair.  Each generator has one allowed leg, so of each factor
+    1 (x) e_i - e_i (x) 1 only the term on that leg can contribute: -e_i (x) 1
+    for an index on the left, 1 (x) e_i for one on the right.  The product
+    starts from -e0 (x) 1 and multiplies by those terms, so each of its k
+    products is one term times one term, and what is left at the end is the
+    product's exact coefficient at the pair.  Raises CertificateFailure if
+    it is zero, which would falsify the certified lower bound.
     """
     k = min(sig.n - 1, 2 * sig.r - 2)
     if index_set is None:
         indices = tuple(range(1, k + 1))
     else:
-        indices = tuple(sorted(index_set))
+        # operator.index refuses a float and reads True as 1, as the
+        # signature's own fields do
+        indices = tuple(sorted(map(operator.index, index_set)))
         if len(indices) != k:
             raise ValueError(f"certificate index set must have size {k} for this "
                              f"signature, got {len(indices)}")
@@ -475,28 +479,27 @@ def lower_bound_certificate(sig: AlgebraSignature, index_set=None) -> LowerBound
         if any(not 1 <= i <= sig.n - 1 for i in indices):
             raise ValueError(f"certificate indices must lie in 1..{sig.n - 1}")
 
+    n, split = sig.n, sig.r - 1
     # the indices are distinct, so each sum of bits is their union
-    left = 1 + sum(1 << i for i in indices[: sig.r - 1])
-    right = sum(1 << i for i in indices[sig.r - 1 :])
-    target = left | right << sig.n
-    found = _pruned_product(sig, indices, lambda p: not p & ~target)
+    left = 1 + sum(1 << i for i in indices[:split])
+    right = sum(1 << i for i in indices[split:])
+    found = TensorElement._raw(sig, {1: -1})
+    for j, i in enumerate(indices):
+        found = found * TensorElement._raw(sig, {1 << i: -1} if j < split else {1 << i << n: 1})
     coeff = found.coefficient(left, right)
-    term = " (x) ".join(map(_monomial, (left, right)))
     if not coeff:
         raise CertificateFailure(
-            f"zero-divisor product for n={sig.n}, r={sig.r} has coefficient 0 at "
-            f"{term}; certificate does not hold"
+            f"zero-divisor product for n={n}, r={sig.r} has coefficient 0 at "
+            f"{_monomial(left)} (x) {_monomial(right)}; certificate does not hold"
         )
-    sign = "+" if coeff > 0 else "-"
     return LowerBoundCertificate(
         sig=sig,
         k=k,
         index_set=indices,
         factor_count=k + 1,
         component_bidegree=(sig.r, k + 1 - sig.r),
-        expected_terms=math.comb(k, sig.r - 1),
+        expected_terms=math.comb(k, split),
         witness=(left, right, coeff),
-        sample_term=f"{sign}{abs(coeff) if abs(coeff) != 1 else ''}{term}",
     )
 
 

@@ -2,8 +2,9 @@
 
 The lower bound comes from an actual nonzero product of zero-divisors (one
 more than the number of factors), not from a closed formula: one exact
-coefficient of that product, computed through k products of at most two
-terms each, proves it nonzero, and no bidegree slice is expanded.  Two upper
+coefficient of that product, computed through k products of one term by
+one term (of each zero-divisor only the term on the witness's side of it),
+proves it nonzero, and no bidegree slice is expanded.  Two upper
 bounds face it.  The constructive one counts the planner's continuity
 domains (n+1).  The dimension one is Farber's product inequality
 TC(S^1 x Y) <= TC(S^1) + TC(Y) - 1, where TC(S^1) = 2 and the skeleton Y

@@ -105,14 +105,14 @@ class CoordinateRule(namedtuple("_RuleFields", (
 
     A rule knows nothing of its coordinate, which is its position in
     PlannerPath.coordinate_rules.  Its travel delta is fixed by its
-    endpoints: the counterclockwise gap from start to end, or with
-    shorter_arc the signed shorter arc, where exact antipodes travel half a
-    turn counterclockwise.  Base coordinates take their window from the
-    dwell times and travel counterclockwise: move_start is the dwell of
-    start and rest_start is 1 minus the dwell of end, each an exact Fraction
-    with a denominator dividing 2q for a Turn p/q, and each 2-Lipschitz in
-    that Turn's distance to the basepoint.  The free circle factor has the
-    window [0, 1] and travels its shorter arc.
+    endpoints, through Turn.travel: the counterclockwise gap from start to
+    end, or with shorter_arc the signed shorter arc, where exact antipodes
+    travel half a turn counterclockwise.  Base coordinates take their window
+    from the dwell times and travel counterclockwise: move_start is the
+    dwell of start and rest_start is 1 minus the dwell of end, each an exact
+    Fraction with a denominator dividing 2q for a Turn p/q, and each
+    2-Lipschitz in that Turn's distance to the basepoint.  The free circle
+    factor has the window [0, 1] and travels its shorter arc.
 
     The fields passed in are exact, so phase membership at rational times
     is decided exactly.  The window must satisfy 0 <= move_start <
@@ -133,9 +133,7 @@ class CoordinateRule(namedtuple("_RuleFields", (
 
     def __new__(cls, start: Turn, end: Turn, move_start: Fraction, rest_start: Fraction,
                 shorter_arc: bool = False):
-        d_p, d_q = start.ccw_gap(end)
-        if shorter_arc and 2 * d_p > d_q:
-            d_p -= d_q
+        d_p, d_q = start.travel(end, shorter_arc)
         m_p, m_q = move_start.as_integer_ratio()
         r_p, r_q = rest_start.as_integer_ratio()
         span = r_p * m_q - m_p * r_q
@@ -157,8 +155,7 @@ class CoordinateRule(namedtuple("_RuleFields", (
     @property
     def delta(self) -> Fraction:
         """The exact travel in turns, start + delta == end mod 1."""
-        gap = Fraction(*self.start.ccw_gap(self.end))
-        return gap - 1 if self.shorter_arc and gap > _HALF else gap
+        return Fraction(*self.start.travel(self.end, self.shorter_arc))
 
     def value_at(self, t: Fraction):
         if self.constant:

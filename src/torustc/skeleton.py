@@ -89,6 +89,14 @@ class Turn:
         den = q * q2
         return (p2 * q - p * q2) % den, den
 
+    def travel(self, other: "Turn", shorter_arc: bool = False) -> tuple[int, int]:
+        """Signed travel from self to other, as ccw_gap's (num, den): the
+        counterclockwise gap, or with shorter_arc the shorter arc, less one
+        turn past a half turn, so exact antipodes travel half a turn
+        counterclockwise.  The planner's rules and the verifier read it."""
+        num, den = self.ccw_gap(other)
+        return (num - den if shorter_arc and 2 * num > den else num), den
+
     def __eq__(self, other) -> bool:
         if other is self:
             return True

@@ -298,14 +298,9 @@ def _wrap_probe(sig, rng: random.Random, product: bool,
 
 
 def _integer_rule(rule) -> tuple[int, ...]:
-    """A rule's start s_n/s_d, travel d_n/d_d and window ends m_p/m_q and
-    r_p/r_q as one tuple of ints, the travel taken as the constructor takes
-    it: the counterclockwise gap, less one turn on the shorter arc past a
-    half turn."""
-    d_n, d_d = rule.start.ccw_gap(rule.end)
-    if rule.shorter_arc and 2 * d_n > d_d:
-        d_n -= d_d
-    return (rule.start.num, rule.start.den, d_n, d_d,
+    """A rule's start s_n/s_d, travel d_n/d_d (Turn.travel, as the rule's
+    own delta) and window ends m_p/m_q and r_p/r_q as one tuple of ints."""
+    return (rule.start.num, rule.start.den, *rule.start.travel(rule.end, rule.shorter_arc),
             *rule.move_start.as_integer_ratio(), *rule.rest_start.as_integer_ratio())
 
 

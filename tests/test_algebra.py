@@ -22,6 +22,7 @@ from torustc import (
     CertificateFailure,
     InstanceTooLarge,
     InvalidSignature,
+    LowerBoundCertificate,
     TensorElement,
     apply_multiplication_map,
     lower_bound_certificate,
@@ -53,6 +54,24 @@ def full_product(cert):
     for i in cert.index_set:
         out = out * zero_divisor(cert.sig, i)
     return out
+
+
+def certificates(top):
+    """The default certificate of every signature with n < top, and the
+    certificate of every index set of (7, 3) and (6, 4)."""
+    certs = [
+        lower_bound_certificate(AlgebraSignature(n, r))
+        for n in range(1, top)
+        for r in range(1, n + 1)
+    ]
+    for n, r in [(7, 3), (6, 4)]:
+        sig = AlgebraSignature(n, r)
+        k = min(n - 1, 2 * r - 2)
+        certs.extend(
+            lower_bound_certificate(sig, index_set)
+            for index_set in itertools.combinations(range(1, n), k)
+        )
+    return certs
 
 
 def _chain_terms(j, r):
@@ -651,6 +670,25 @@ class TestLowerBoundCertificate:
         with pytest.raises(ValueError, match="1.."):
             lower_bound_certificate(AlgebraSignature(5, 2), index_set=(0, 1))
 
+    def test_custom_index_set_reads_each_index_as_an_int(self):
+        sig = AlgebraSignature(5, 3)
+        with pytest.raises(TypeError):
+            lower_bound_certificate(sig, index_set=(1.0, 2, 3, 4))
+        with pytest.raises(TypeError):
+            lower_bound_certificate(sig, index_set=("1", 2, 3, 4))
+        cert = lower_bound_certificate(sig, index_set=(True, 2, 3, 4))
+        assert cert.index_set == (1, 2, 3, 4)
+        assert all(type(i) is int for i in cert.index_set)
+        assert cert == lower_bound_certificate(sig)
+
+    def test_sample_term_is_derived_from_the_witness(self):
+        assert "sample_term" not in LowerBoundCertificate._fields
+        cert = lower_bound_certificate(AlgebraSignature(5, 3))
+        # as in tests/data/certificate_frozen.json
+        assert cert.sample_term == "-e0*e1*e2 (x) e3*e4"
+        tripled = cert._replace(witness=(*cert.witness[:2], 3))
+        assert tripled.sample_term == "+3e0*e1*e2 (x) e3*e4"
+
     def test_one_more_factor_kills_the_product(self):
         # the certificate is sharp: appending any unused zero-divisor gives 0
         for n, r in [(3, 2), (5, 2), (5, 3)]:
@@ -661,42 +699,50 @@ class TestLowerBoundCertificate:
                 assert (full_product(cert) * zero_divisor(sig, i)).is_zero
 
     def test_pruned_slice_equals_slice_of_full_product(self):
-        certs = [
-            lower_bound_certificate(AlgebraSignature(n, r))
-            for n in range(1, 12)
-            for r in range(1, n + 1)
-        ]
-        for n, r in [(7, 3), (6, 4)]:
-            sig = AlgebraSignature(n, r)
-            k = min(n - 1, 2 * r - 2)
-            certs.extend(
-                lower_bound_certificate(sig, index_set)
-                for index_set in itertools.combinations(range(1, n), k)
-            )
-        for cert in certs:
+        for cert in certificates(12):
             want = naive.bidegree_part(randgen.to_naive_tensor(full_product(cert)),
                                        *cert.component_bidegree)
             assert randgen.to_naive_tensor(cert.component) == want, cert
 
     def test_witness_equals_slice_coefficient(self):
-        certs = [
-            lower_bound_certificate(AlgebraSignature(n, r))
-            for n in range(1, 13)
-            for r in range(1, n + 1)
-        ]
-        for n, r in [(7, 3), (6, 4)]:
-            sig = AlgebraSignature(n, r)
-            k = min(n - 1, 2 * r - 2)
-            certs.extend(
-                lower_bound_certificate(sig, index_set)
-                for index_set in itertools.combinations(range(1, n), k)
-            )
-        for cert in certs:
+        for cert in certificates(13):
             left, right, coeff = cert.witness
             assert type(left) is type(right) is int, cert
             assert randgen.indices_of(left) == (0, *cert.index_set[: cert.sig.r - 1]), cert
             assert randgen.indices_of(right) == cert.index_set[cert.sig.r - 1 :], cert
             assert coeff == cert.component.coefficient(left, right) != 0, cert
+
+    def test_witness_equals_unpruned_product_coefficient(self):
+        for cert in certificates(11):
+            left, right, coeff = cert.witness
+            assert coeff == full_product(cert).coefficient(left, right), cert
+
+    def test_factor_terms_are_zero_divisor_terms_inside_the_witness(self, monkeypatch):
+        # the product starts from one term of the circle zero-divisor and
+        # multiplies by one term of each chosen one, in index order: the
+        # term on the witness's side, with its coefficient in zero_divisor
+        calls = []
+        mul = TensorElement.__mul__
+
+        def recording_mul(self, other):
+            calls.append((self, other))
+            return mul(self, other)
+
+        for cert in certificates(11):
+            sig = cert.sig
+            calls.clear()
+            monkeypatch.setattr(TensorElement, "__mul__", recording_mul)
+            again = lower_bound_certificate(sig, cert.index_set)
+            monkeypatch.undo()
+            assert again == cert and len(calls) == cert.k, cert
+            if not calls:
+                continue
+            left, right, _ = cert.witness
+            used = [calls[0][0], *(other for _, other in calls)]
+            for i, factor in zip((0, *cert.index_set), used):
+                (term,) = factor.terms()
+                assert term in set(zero_divisor(sig, i).terms()), (cert, i, term)
+                assert not term[0] & ~left and not term[1] & ~right, (cert, i, term)
 
     def test_slice_expansion_capped(self):
         assert SLICE_TERM_CAP == 200_000
@@ -715,14 +761,15 @@ class TestLowerBoundCertificate:
         assert len(message) < 200 and "\n" not in message
 
     def test_products_stay_within_twice_the_slice_size(self, monkeypatch):
-        # pruned partial products never outgrow the C(k+1, r) lattice paths
-        # into the checked bidegree, so one more factor at most doubles them
+        # only the term of each factor that can reach the witness is
+        # multiplied, and the witness never dies, so each of the k products
+        # is one term times one term, giving one term
         sizes = []
         mul = TensorElement.__mul__
 
         def counting_mul(self, other):
             out = mul(self, other)
-            sizes.append(len(out))
+            sizes.append((len(self), len(other), len(out)))
             return out
 
         monkeypatch.setattr(TensorElement, "__mul__", counting_mul)
@@ -730,9 +777,8 @@ class TestLowerBoundCertificate:
             for r in range(1, n + 1):
                 sizes.clear()
                 cert = lower_bound_certificate(AlgebraSignature(n, r))
-                bound = 2 * math.comb(cert.k + 1, r)
                 assert len(sizes) == cert.k, (n, r, sizes)
-                assert max(sizes, default=0) <= bound, (n, r, sizes, bound)
+                assert set(sizes) <= {(1, 1, 1)}, (n, r, sizes)
 
 
 class TestCupLengthSearches:
