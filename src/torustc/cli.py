@@ -15,15 +15,18 @@ search-zdcl multiplies them along one chain; --brute must find the same
 length over the whole spanning family.
 
 Exit status is 0 exactly when every mathematical check performed by the
-invocation passes; bad arguments exit 2, failed checks exit 1.  All
-coordinate input is exact rational text like 3/4 (floats are rejected).
+invocation passes; bad arguments exit 2, failed checks exit 1.  A reader
+that closes stdout before the output ends (as head does) also gives exit
+1, with nothing on stderr.  All coordinate input is exact rational text
+like 3/4 (floats are rejected).
 """
 
 from __future__ import annotations
 
-import json
+import os
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
 from .algebra import (
@@ -86,6 +89,8 @@ MAX_CERTIFICATE_WORK = 20_000_000
 # (queries + probes) at most 1,500,000, admitted still fits
 MAX_SIMULATION_WORK = 50_000
 _GRID_RE = re.compile(r"^n=(\d+)\.\.(\d+),r=(\d+)\.\.(\d+|n)$")
+# json's spellings of the floats outside JSON proper, keyed by their repr()
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def parse_integer(text: str) -> int:
@@ -153,6 +158,44 @@ def _parse_point(text: str, flag: str, sig, product: bool) -> SkeletonPoint:
     return SkeletonPoint(tuple(turns), None)
 
 
+def _json(value, indent: str = "\n") -> str:
+    """The text of json.dumps(value, indent=2), for dicts with str keys,
+    lists, tuples, str, int, float, bool and None; indent is the newline
+    and spaces before value's closing bracket.
+
+    json.dumps takes its pure-Python encoder whenever it indents; here
+    every string and key goes through json's C string encoder.  A key that
+    is not a str, or a value of any other type, raises TypeError.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _FLOAT_WORDS.get(text, text)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        cells = [_json(item, inner) for item in value]
+        return f"[{inner}{(',' + inner).join(cells)}{indent}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # the string encoder raises TypeError for a key that is not a str
+        cells = [f"{encode_basestring_ascii(key)}: {_json(item, inner)}"
+                 for key, item in value.items()]
+        return f"{{{inner}{(',' + inner).join(cells)}{indent}}}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def cmd_tc(args) -> int:
     if args.json and args.csv:
         raise ValueError("--json and --csv cannot be combined")
@@ -172,7 +215,7 @@ def cmd_tc(args) -> int:
             print(f"{b.n},{b.r},{b.lower},{b.upper_constructive},{b.upper_dimension},{b.tc}")
         return 0
     if args.json:
-        print(json.dumps([b.to_jsonable() for b in rows], indent=2))
+        print(_json([b.to_jsonable() for b in rows]))
         return 0
     print(f"{'n':>3} {'r':>3} {'lower':>6} {'constructive':>13} {'dimension':>10} {'tc':>4}")
     flagged = False
@@ -205,7 +248,7 @@ def cmd_verify_lower_bound(args) -> int:
         "ok": cert.component_terms == cert.expected_terms,
     }
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(_json(payload))
     else:
         print(f"signature: n={sig.n} r={sig.r}")
         print(f"zero-divisor factors: {cert.factor_count} (circle generator plus {sorted(cert.index_set)})")
@@ -228,7 +271,7 @@ def _coord_cells(column) -> list[str]:
     for value in column:
         if value is not last:
             last = value
-            cell = (f"        {json.dumps(str(value))}" if isinstance(value, Turn)
+            cell = (f"        {encode_basestring_ascii(str(value))}" if isinstance(value, Turn)
                     else f'        {{\n          "approx": {value!r}\n        }}')
         cells.append(cell)
     return cells
@@ -243,18 +286,18 @@ def cmd_plan(args) -> int:
     query = PlannerQuery(start, end)
     path = plan_product(query, sig) if args.product else plan_skeleton(query, sig)
     times, columns = path.samples(args.steps)
-    head = json.dumps({
+    head = _json({
         "n": sig.n,
         "r": sig.r,
         "mode": path.mode,
         "domain": path.domain,
         "agreement": sorted(path.agreement),
-    }, indent=2)
-    # The text of json.dumps(doc, indent=2) for doc = head plus "samples",
-    # written here: the samples are most of the document, and the encoder's
-    # pure-Python indenting mode would take most of the op.  str() of a
-    # Fraction is digits and a slash, which JSON strings carry unescaped;
-    # json renders floats with repr().
+    })
+    # The text of _json(doc) for doc = head plus "samples", written here:
+    # the samples are most of the document, and a resting coordinate repeats
+    # one value that _coord_cells renders once, where _json would render
+    # every cell.  str() of a Fraction is digits and a slash, which JSON
+    # strings carry unescaped; floats render with repr(), as in _json.
     # a path without coordinates (n = 1, no circle) prints "coords": []
     rows = ["[\n" + ",\n".join(cells) + "\n      ]" for cells in zip(*map(_coord_cells, columns))]
     samples = [f'    {{\n      "t": "{t}",\n      "coords": {row}\n    }}'
@@ -277,7 +320,7 @@ def cmd_simulate(args) -> int:
         denominator_bound=args.denominator_bound,
         continuity_probes=args.continuity_probes,
     )
-    print(json.dumps(report.to_jsonable(), indent=2))
+    print(_json(report.to_jsonable()))
     return 0 if report.ok else 1
 
 
@@ -301,7 +344,7 @@ def cmd_search_zdcl(args) -> int:
     payload["cup_length"] = cup_length
     payload["conjecture"] = "consistent" if consistent else "inconsistent"
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(_json(payload))
     else:
         print(f"signature: n={sig.n} r={sig.r}")
         print(f"longest nonzero product of generator zero-divisors: {cup_length}")
@@ -369,6 +412,14 @@ def _field(flag: str) -> str:
     return flag[2:].replace("-", "_")
 
 
+# per command, built once: the fields parse_args starts from (positionals
+# None, options their defaults) and the field each flag sets
+_FIELDS = {command: ({**dict.fromkeys(name for name, _ in positionals),
+                      **{_field(flag): spec[1] for flag, spec in options.items()}},
+                     {flag: _field(flag) for flag in options})
+           for command, (_, _, positionals, options) in _COMMANDS.items()}
+
+
 def _flag(token: str, options) -> str | None:
     """The flag of options, or --help, that token names (-h, a whole flag or
     a unique prefix of one, before any "="), or None if it names none."""
@@ -423,9 +474,8 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
             return SimpleNamespace(command=None, func=_print_help)
         raise ValueError(f"expected a command ({', '.join(_COMMANDS)}), got {shown(command)}")
     handler, _, positionals, options = _COMMANDS[command]
-    fields = {"command": command, "func": handler}
-    fields.update((name, None) for name, _ in positionals)
-    fields.update((_field(flag), spec[1]) for flag, spec in options.items())
+    defaults, names = _FIELDS[command]
+    fields = {"command": command, "func": handler, **defaults}
     given = 0
     ended = False
     # an unknown option or one positional too many is refused after the
@@ -458,23 +508,23 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
         if convert is None:
             if equals:
                 raise ValueError(f"{flag} takes no value")
-            fields[_field(flag)] = True
+            fields[names[flag]] = True
             continue
         if not equals:
             text = next(tokens, None)
             if text is None:
                 raise ValueError(f"argument {flag}: expected one argument")
-        fields[_field(flag)] = _convert(convert, text, flag)
+        fields[names[flag]] = _convert(convert, text, flag)
         if len(options[flag]) > 3:
             ranged.append(flag)
     if stray:
         raise ValueError(f"{stray} for {command}")
     missing = [name for name, required in positionals[given:] if required]
-    missing += [flag for flag in options if fields[_field(flag)] is _REQUIRED]
+    missing += [flag for flag, name in names.items() if fields[name] is _REQUIRED]
     if missing:
         raise ValueError(f"the following arguments are required: {', '.join(missing)}")
     for flag in ranged:
-        check_range(command, flag, fields[_field(flag)])
+        check_range(command, flag, fields[names[flag]])
     return SimpleNamespace(**fields)
 
 
@@ -519,13 +569,23 @@ def _print_help(args) -> int:
 def main(argv=None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
-        return args.func(args)
+        code = args.func(args)
+        # a reader that closed stdout early shows here at the latest
+        sys.stdout.flush()
+        return code
     # InvalidSignature, InvalidEndpoint and InstanceTooLarge are ValueErrors
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (CertificateFailure, BoundMismatch) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # what is still buffered goes to the null device, so that the flush
+        # at exit raises nothing and the interpreter prints nothing either
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
 
 

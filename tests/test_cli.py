@@ -5,8 +5,11 @@ import contextlib
 import io
 import json
 import math
+import os
 import random
 import runpy
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -16,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import torustc
-from torustc import AlgebraSignature, cli, sample
+from torustc import AlgebraSignature, Turn, cli, sample
 from torustc.algebra import shown
 from torustc.cli import (
     CSV_HEADER,
@@ -954,6 +957,94 @@ class TestFuzzedArgv:
         assert code in (0, 1, 2), argv
         assert "Traceback" not in err.getvalue(), argv
         assert len(err.getvalue().encode()) < 300, argv
+
+
+_JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.integers(-10**60, 10**60)
+                | st.floats() | st.text())
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES,
+    lambda children: (st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(st.text(max_size=6), children, max_size=4)),
+    max_leaves=30)
+
+
+class TestJsonOutput:
+    """Every command prints its JSON through one writer, cli._json, whose
+    text is json.dumps(doc, indent=2)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON_TREES)
+    @example({"floats": [-0.0, 0.0, math.nan, math.inf, -math.inf, 1e16, 5e-324, 0.1],
+              "caf\u00e9 \x00\x1f\u2028\U0001f600\"\\/": ["\x7f", "\ud800", "tab\there"],
+              "flags": [True, 1, False, 0, None], "big": [10**400, -(10**400)],
+              "empty": [{}, [], (), ""], "nested": ((1, (2, [])), {"a": {"b": {}}})})
+    def test_writer_is_the_indent_2_rendering(self, value):
+        assert cli._json(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [
+        {1: 2}, {"a": {None: 1}}, {True: 0}, Fraction(1, 3), {"t": Fraction(1, 3)},
+        [Turn.parse("1/3")], {1, 2}, b"bytes",
+    ], ids=["int-key", "nested-none-key", "bool-key", "fraction", "fraction-value",
+            "turn", "set", "bytes"])
+    def test_writer_refuses_what_json_would_render_otherwise(self, value):
+        # json.dumps turns int, bool and None keys into strings; the writer
+        # takes str keys only, and raises instead of rendering differently
+        with pytest.raises(TypeError):
+            cli._json(value)
+
+    @pytest.mark.parametrize("argv", [
+        ["tc", "9", "4", "--json"],
+        ["tc", "--grid", "n=1..8,r=1..n", "--json"],
+        ["verify-lower-bound", "9", "5", "--json"],
+        ["verify-lower-bound", "10", "4", "--set", "9,2,7,4,1,5", "--json"],
+        ["simulate", "5", "3", "--product", "--queries", "20", "--continuity-probes", "8"],
+        ["simulate", "4", "3", "--queries", "20", "--continuity-probes", "8"],
+        ["search-zdcl", "6", "3", "--json", "--brute"],
+        ["search-zdcl", "6", "3", "--json"],
+    ], ids=" ".join)
+    def test_output_is_the_indent_2_rendering(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    CONSOLE = "import sys; from torustc.cli import main; sys.exit(main())"
+
+    @staticmethod
+    def console_env():
+        # stdout block-buffered, as by default, so that main's flush is reached
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        env.pop("PYTHONUNBUFFERED", None)
+        return env
+
+    @pytest.mark.parametrize("argv", [
+        ["tc", "--grid", "n=1..60,r=1..n", "--json"],
+        ["plan", "9", "3", "--steps", "1500", "--from", "0,1/2,1/3,0,0,0,0,0",
+         "--to", "0,0,0,0,0,0,0,0"],
+    ], ids=["tc-grid", "plan"])
+    def test_reader_closing_after_one_byte_exits_1_without_stderr(self, argv):
+        # each prints about 300 kB, more than a pipe holds, so the close
+        # meets a write under way
+        with subprocess.Popen([sys.executable, "-c", self.CONSOLE, *argv],
+                              env=self.console_env(), stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, bufsize=0) as proc:
+            assert proc.stdout.read(1) in (b"[", b"{")
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 1
+        assert err == b""
+
+    def test_reader_gone_before_the_flush_exits_1_without_stderr(self):
+        # a short output waits in stdout's buffer until main's flush, which
+        # meets a pipe whose reader closed before the command started
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run([sys.executable, "-c", self.CONSOLE, "tc", "3", "2", "--json"],
+                                  env=self.console_env(), stdout=write_end,
+                                  stderr=subprocess.PIPE, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (1, b"")
 
 
 class TestPublicSurface:
