@@ -39,12 +39,12 @@ from .algebra import (
     zdcl_brute_force,
     zdcl_degree_one,
 )
-from .bounds import BoundMismatch, compute_bounds
+from .bounds import BoundMismatch, TcBounds, compute_bounds
 from .planner import PlannerQuery, plan_product, plan_skeleton
 from .skeleton import SkeletonPoint, Turn
 from .verify import run_simulation
 
-CSV_HEADER = "n,r,lower,upper_constructive,upper_dimension,tc"
+CSV_HEADER = ",".join(TcBounds._fields)
 # plan and simulate refuse finer time grids: time, memory and output grow
 # linearly with --steps
 MAX_STEPS = 65_536
@@ -211,8 +211,8 @@ def cmd_tc(args) -> int:
     rows = [compute_bounds(n, r) for n, r in pairs]
     if args.csv:
         print(CSV_HEADER)
-        for b in rows:
-            print(f"{b.n},{b.r},{b.lower},{b.upper_constructive},{b.upper_dimension},{b.tc}")
+        for row in rows:
+            print(",".join(map(str, row)))
         return 0
     if args.json:
         print(_json([b.to_jsonable() for b in rows]))

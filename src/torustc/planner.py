@@ -20,8 +20,11 @@ its constant base rules, and its domain follows from them.
 
 Exactness discipline: evaluation at a time inside a resting phase (or at
 t = 0, 1) returns exact Turn values; strictly inside a travel phase it
-returns floats.  Membership accounting counts only exact basepoint hits, so
-float noise can never manufacture a coordinate that looks parked.
+returns floats.  The phase is decided by comparing integers, the time's
+numerator and denominator against each window end's, so a float only ever
+gives a travel value, never decides one.  Membership accounting counts only
+exact basepoint hits, so float noise can never manufacture a coordinate
+that looks parked.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from .skeleton import SkeletonPoint, Turn, membership
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-_HALF = Fraction(1, 2)
 
 
 class InvalidEndpoint(ValueError):
@@ -99,7 +101,7 @@ def classify(query: PlannerQuery, sig) -> frozenset[int]:
 
 class CoordinateRule(namedtuple("_RuleFields", (
         "start end move_start rest_start shorter_arc constant "
-        "start_f delta_f move_start_f rest_start_f span_f"))):
+        "start_f delta_f move_start_f span_f"))):
     """Schedule of one coordinate: rest at start until move_start, travel
     delta turns at constant speed, rest at end from rest_start on.
 
@@ -115,12 +117,12 @@ class CoordinateRule(namedtuple("_RuleFields", (
     factor has the window [0, 1] and travels its shorter arc.
 
     The fields passed in are exact, so phase membership at rational times
-    is decided exactly.  The window must satisfy 0 <= move_start <
-    rest_start <= 1, for constant rules too, so span_f is positive;
-    anything else raises ValueError.  constant (start == end) and the float
-    mirrors start_f, delta_f, move_start_f, rest_start_f and span_f, which
-    the float travel values (value_at, PlannerPath.samples) and the sort of
-    phase_boundaries read, are derived from the exact fields here and
+    is decided exactly, by integer comparison (value_at).  The window must
+    satisfy 0 <= move_start < rest_start <= 1, for constant rules too, so
+    span_f is positive; anything else raises ValueError.  constant (start
+    == end) and the float mirrors start_f, delta_f, move_start_f and
+    span_f, which only the float travel values (value_at,
+    PlannerPath.samples) read, are derived from the exact fields here and
     nowhere else, from their integer numerators and denominators: each
     mirror is the correctly rounded float of its exact value.  The verifier
     reads only the exact fields.  A rule is an immutable tuple, so one rule
@@ -142,8 +144,7 @@ class CoordinateRule(namedtuple("_RuleFields", (
                              f"got [{move_start}, {rest_start}]")
         return tuple.__new__(cls, (
             start, end, move_start, rest_start, shorter_arc, not d_p,
-            start.num / start.den, d_p / d_q, m_p / m_q, r_p / r_q,
-            span / (r_q * m_q)))
+            start.num / start.den, d_p / d_q, m_p / m_q, span / (r_q * m_q)))
 
     def __getnewargs__(self):
         return self[:5]
@@ -157,39 +158,33 @@ class CoordinateRule(namedtuple("_RuleFields", (
         """The exact travel in turns, start + delta == end mod 1."""
         return Fraction(*self.start.travel(self.end, self.shorter_arc))
 
-    def value_at(self, t: Fraction):
+    def value_at(self, t):
+        """Value at time t, an int or a Fraction in [0, 1]: the phase is
+        decided by integer cross multiplication, p*m_q <= m_p*q resting at
+        start and p*r_q >= r_p*q resting at end, for t = p/q and the window
+        [m_p/m_q, r_p/r_q]."""
         if self.constant:
             return self.start
-        # rounding is monotone, so only a float tie needs an exact
-        # comparison, and none when t is the boundary object itself
-        tf = t.numerator / t.denominator
-        ms, rs = self.move_start_f, self.rest_start_f
-        if tf < ms or tf == ms and (t is self.move_start or t <= self.move_start):
+        p, q = t.as_integer_ratio()
+        m_p, m_q = self.move_start.as_integer_ratio()
+        if p * m_q <= m_p * q:
             return self.start
-        if tf > rs or tf == rs and (t is self.rest_start or t >= self.rest_start):
+        r_p, r_q = self.rest_start.as_integer_ratio()
+        if p * r_q >= r_p * q:
             return self.end
-        s = (tf - ms) / self.span_f
-        return (self.start_f + s * self.delta_f) % 1.0
+        return (self.start_f + ((p / q - self.move_start_f) / self.span_f) * self.delta_f) % 1.0
 
 
-def _check_time(t) -> Fraction:
-    """t as a Fraction in [0, 1]: the planner's own _ZERO or _ONE at either
-    end, so value_at settles a window ending there by identity, without a
-    Fraction comparison."""
-    if type(t) is not Fraction:
+def _check_time(t):
+    """t itself, once checked to be an int or a Fraction in [0, 1]."""
+    if not isinstance(t, (int, Fraction)):
         if isinstance(t, float):
             raise TypeError("evaluation times must be exact rationals, not floats")
-        if not isinstance(t, (int, Fraction)):
-            raise TypeError(f"evaluation times take an int or a Fraction, not {type(t).__name__}")
-        t = (_ZERO, _ONE)[t] if type(t) is int and 0 <= t <= 1 else Fraction(t)
+        raise TypeError(f"evaluation times take an int or a Fraction, not {type(t).__name__}")
     p, q = t.as_integer_ratio()
-    if 0 < p < q:
-        return t
-    if p == 0:
-        return _ZERO
-    if p == q:
-        return _ONE
-    raise ValueError(f"time {t} outside [0, 1]")
+    if not 0 <= p <= q:
+        raise ValueError(f"time {t} outside [0, 1]")
+    return t
 
 
 def _check_steps(steps) -> None:
@@ -244,10 +239,11 @@ class PlannerPath(namedtuple("_PathFields", "rules circle_rule", defaults=(None,
         cuts = {}
         for rule in self.rules:
             if not rule.constant:
-                # keyed by numerator and denominator, sorted by float with
-                # exact ties broken by the Fractions themselves
-                cuts[rule.move_start.as_integer_ratio()] = (rule.move_start_f, rule.move_start)
-                cuts[rule.rest_start.as_integer_ratio()] = (rule.rest_start_f, rule.rest_start)
+                # keyed by numerator and denominator, sorted by their float
+                # quotient with exact ties broken by the Fractions themselves
+                for t in (rule.move_start, rule.rest_start):
+                    p, q = t.as_integer_ratio()
+                    cuts[p, q] = (p / q, t)
         return tuple(t for _, t in sorted(cuts.values()))
 
     def _timeline(self, steps: int) -> tuple[list[Fraction], dict]:
@@ -387,13 +383,11 @@ def _window_ends(num: int, den: int) -> tuple[Fraction, Fraction]:
     Turn num/den: its dwell time max(0, 1/2 - 2d), d = min(num, den - num)
     / den its turn distance to the basepoint, and 1 minus that dwell.
 
-    Both ends are exact, with a denominator dividing 2*den.  Cached by
-    value, so equal Turns share one Fraction, and the flat dwells (1/2 at
-    the basepoint, 0 from a quarter turn on) share the planner's own
-    _HALF, _ZERO and _ONE.
+    Both ends are exact, with a denominator dividing 2*den: (1/2, 1/2) at
+    the basepoint.  Cached by value, so equal Turns share one Fraction, and
+    the flat dwell 0 from a quarter turn on shares the planner's own _ZERO
+    and _ONE.
     """
-    if not num:
-        return _HALF, _HALF
     d = min(num, den - num)
     if 4 * d >= den:
         return _ZERO, _ONE

@@ -144,12 +144,6 @@ class SkeletonPoint(namedtuple("_PointFields", "base circle", defaults=(None,)))
             "circle": None if self.circle is None else str(self.circle),
         }
 
-    def __str__(self) -> str:
-        inner = ", ".join(str(t) for t in self.base)
-        if self.circle is None:
-            return f"({inner})"
-        return f"(circle={self.circle}; {inner})"
-
 
 _BASEPOINT = Turn(0)
 

@@ -239,18 +239,14 @@ def perturb_query(
         if not u.is_zero:
             start_base[j - 1] = end_base[j - 1] = _shift(u, _perturbation(rng, eps))
 
-    if not start.has_circle:
-        if (start_base, end_base) == (list(start.base), list(end.base)):
-            return None
-        start_circle = end_circle = None
-    else:
+    start_circle = end_circle = None
+    if start.has_circle:
         gap, den = start.circle.ccw_gap(end.circle)
-        if 2 * gap in (0, den):
-            delta = _perturbation(rng, eps)
-            start_circle, end_circle = _plus(start.circle, delta), _plus(end.circle, delta)
-        else:
-            start_circle = _plus(start.circle, _perturbation(rng, eps))
-            end_circle = _plus(end.circle, _perturbation(rng, eps))
+        delta = _perturbation(rng, eps)
+        start_circle = _plus(start.circle, delta)
+        end_circle = _plus(end.circle, delta if 2 * gap in (0, den) else _perturbation(rng, eps))
+    elif (start_base, end_base) == (list(start.base), list(end.base)):
+        return None
     return PlannerQuery(
         SkeletonPoint(tuple(start_base), start_circle),
         SkeletonPoint(tuple(end_base), end_circle),

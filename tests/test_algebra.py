@@ -353,6 +353,10 @@ class TestElementArithmetic:
         # ints, bools and bit sets built from indices key the same terms
         assert AlgebraElement(sig, {True: 1}) == AlgebraElement(sig, {mono(0): 1})
         assert x.coefficient(1, 0) == x.coefficient(mono(0), mono()) == 3
+        # a left leg past the signature names no term, so its coefficient is
+        # 0, not that of the right-leg term its bits would pack into
+        assert x.coefficient(1 << sig.n, 0) == 0
+        assert TensorElement(sig, {(0, 1): 5}).coefficient(1 << sig.n, 0) == 0
 
     def test_non_integer_coefficients_are_errors(self):
         # a float or Fraction coefficient used to print as 0.5*e0 and 1/2*e0
@@ -366,6 +370,7 @@ class TestElementArithmetic:
         with pytest.raises(TypeError):
             AlgebraElement(sig, {mono(1, 2): 0.5})
         assert str(AlgebraElement(sig, {1: 2, 2: -1, 4: 0})) == "2*e0 - e1"
+        assert str(AlgebraElement.zero(sig)) == "0"
 
     def test_generator_dies_only_for_r1(self):
         assert AlgebraElement(AlgebraSignature(3, 1), {mono(2): 1}).is_zero

@@ -121,6 +121,10 @@ class TestTc:
     def test_bad_grid_exits_2(self, capsys):
         code, _, err = run(capsys, "tc", "--grid", "n=1..3")
         assert code == 2
+        # r up to n over an n range that runs backwards names no signature
+        code, out, err = run(capsys, "tc", "--grid", "n=3..2,r=1..n")
+        assert (code, out) == (2, "")
+        assert "is empty" in err
 
     @pytest.mark.parametrize("grid, message", [
         ("x" * 4000, "grid must look like n=1..6,r=1..n, got {}"),
@@ -228,6 +232,11 @@ class TestVerifyLowerBound:
                            f"for this signature, got 1\n")
         assert_short_refusal(capsys, "verify-lower-bound", "5", "2", "--set", f"1,{NINES}")
         assert_short_refusal(capsys, "verify-lower-bound", NINES, "2")
+
+    def test_repeated_set_exits_2(self, capsys):
+        code, out, err = run(capsys, "verify-lower-bound", "5", "3", "--set", "1,1,2,3")
+        assert (code, out) == (2, "")
+        assert err == "error: certificate index set has repeats\n"
 
     def test_text_output_mentions_certificate(self, capsys):
         code, out, _ = run(capsys, "verify-lower-bound", "3", "2")

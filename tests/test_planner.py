@@ -173,6 +173,10 @@ class TestClassify:
             assert 0 <= path.domain <= sig.n - 1
             assert path.domain == len(agree)
 
+    def test_wrong_base_length_is_an_error(self):
+        with pytest.raises(ValueError, match="expected 3 base coordinates, got 2"):
+            classify(query(point(0, "1/3"), point(0, 0)), AlgebraSignature(4, 2))
+
     def test_identical_endpoints_share_everything(self):
         sig = AlgebraSignature(3, 2)
         p = point(0, "1/5")
@@ -784,9 +788,10 @@ class TestCoordinateRule:
         assert one.rules[1].rest_start is two.rules[2].rest_start == F(1, 2)
 
     def test_exact_window_ends_are_the_planner_constants(self):
-        # one cached pair per Turn: an exact dwell (1/2 at the basepoint, 0
-        # from a quarter turn away) gives the planner's shared Fractions
-        assert all(a is b for a, b in zip(planner._window_ends(0, 1), (planner._HALF,) * 2))
+        # one cached pair per Turn: the basepoint's dwell is 1/2, and the
+        # flat dwell 0 from a quarter turn away gives the planner's shared
+        # Fractions
+        assert planner._window_ends(0, 1) == (F(1, 2), F(1, 2))
         for num, den in ((1, 4), (1, 2), (3, 4)):
             move, rest = planner._window_ends(num, den)
             assert move is planner._ZERO and rest is planner._ONE
@@ -809,7 +814,6 @@ class TestCoordinateRule:
                             assert rule.start_f == float(rule.start.value)
                             assert rule.delta_f == float(rule.delta)
                             assert rule.move_start_f == float(rule.move_start)
-                            assert rule.rest_start_f == float(rule.rest_start)
                             assert rule.span_f == float(rule.rest_start - rule.move_start)
                             checked += 1
         assert checked > 1000

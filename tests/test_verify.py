@@ -126,6 +126,8 @@ class TestRunSimulation:
             run_simulation(sig, queries=0)
         with pytest.raises(ValueError):
             run_simulation(sig, mode="warp")
+        with pytest.raises(ValueError, match="continuity_probes"):
+            run_simulation(sig, continuity_probes=-1)
 
     def test_jsonable_round_trip(self):
         sig = AlgebraSignature(2, 2)
@@ -282,6 +284,20 @@ class TestPerturbation:
                 assert (moved_gap == gap) == (gap in (0, F(1, 2))), (gap, near)
                 assert plan_product(near, sig).domain == plan_product(q, sig).domain
 
+    def test_shift_onto_the_basepoint_is_halved(self):
+        # randrange(k) returning k - 1 draws the shift +eps every time, which
+        # would carry 999/1000 onto the basepoint, so that shift is halved
+        class LastDraw:
+            def randrange(self, k):
+                return k - 1
+
+        sig = AlgebraSignature(3, 2)
+        q = PlannerQuery(SkeletonPoint((Turn(F(999, 1000)), Turn(0))),
+                         SkeletonPoint((Turn(0), Turn(F(1, 3)))))
+        near = perturb_query(q, sig, LastDraw())
+        assert near.start.base == (Turn(F(1999, 2000)), Turn(0))
+        assert near.end.base == (Turn(0), Turn(F(1, 3) + F(1, 1000)))
+
     def test_returns_none_when_nothing_moves(self):
         sig = AlgebraSignature(3, 1)
         zeros = SkeletonPoint((Turn(0), Turn(0)))
@@ -394,9 +410,9 @@ class TestPerturbation:
 
     def test_deviation_with_boundaries_tied_in_float(self):
         # rule b's boundaries sit 10**-30 inside rule a's: their floats tie,
-        # so value_at places each at the other rule's boundary by an exact
-        # comparison, and path_deviation, which compares integers, gives the
-        # exact reference's answer
+        # yet value_at, which compares integers, places each at the other
+        # rule's boundary exactly, and so does path_deviation, which gives
+        # the exact reference's answer
         tiny = F(1, 10**30)
 
         def moving(move_start, rest_start, end=F(1, 2)):
@@ -408,7 +424,7 @@ class TestPerturbation:
         path_b = moving(F(1, 3) + tiny, F(1, 2) - tiny, end=F(1, 2) + F(1, 1000))
         (rule_a,), (rule_b,) = path_a.rules, path_b.rules
         assert rule_a.move_start_f == rule_b.move_start_f
-        assert rule_a.rest_start_f == rule_b.rest_start_f
+        assert float(rule_a.rest_start) == float(rule_b.rest_start)
         assert rule_b.value_at(rule_a.move_start) is rule_b.start
         assert type(rule_a.value_at(rule_b.move_start)) is float
         assert rule_b.value_at(rule_a.rest_start) is rule_b.end
