@@ -95,8 +95,7 @@ _FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 def parse_integer(text: str) -> int:
     """Every integer the command line takes: n, r, the integer options, the
-    --set entries and the --grid bounds, and the --seed and --steps of
-    scripts/planner_demo.py.
+    --set entries and the --grid bounds.
 
     int()'s own messages repeat a rejected argument whole, or name
     sys.set_int_max_str_digits() for digits past the interpreter's limit;
@@ -441,16 +440,6 @@ def _convert(convert, text: str, name: str):
         raise ValueError(f"argument {name}: {exc}") from None
 
 
-def check_range(command: str, flag: str, value: int) -> None:
-    """Raise ValueError, with the message parse_args gives, when value lies
-    outside the floor and cap of command's option flag in _COMMANDS."""
-    floor, cap = _COMMANDS[command][3][flag][3:]
-    if value < floor:
-        raise ValueError(f"{flag} must be at least {floor}")
-    if value > cap:
-        raise ValueError(f"{flag} must be at most {cap}")
-
-
 def parse_args(argv: list[str]) -> SimpleNamespace:
     """The namespace the handler of argv's command takes: the command, func
     (the handler, or the help printer for -h and --help) and one field per
@@ -524,7 +513,11 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
     if missing:
         raise ValueError(f"the following arguments are required: {', '.join(missing)}")
     for flag in ranged:
-        check_range(command, flag, fields[names[flag]])
+        floor, cap = options[flag][3:]
+        if fields[names[flag]] < floor:
+            raise ValueError(f"{flag} must be at least {floor}")
+        if fields[names[flag]] > cap:
+            raise ValueError(f"{flag} must be at most {cap}")
     return SimpleNamespace(**fields)
 
 

@@ -20,16 +20,20 @@ its constant base rules, and its domain follows from them.
 
 Exactness discipline: evaluation at a time inside a resting phase (or at
 t = 0, 1) returns exact Turn values; strictly inside a travel phase it
-returns floats.  The phase is decided by comparing integers, the time's
-numerator and denominator against each window end's, so a float only ever
-gives a travel value, never decides one.  Membership accounting counts only
-exact basepoint hits, so float noise can never manufacture a coordinate
-that looks parked.
+returns floats.  A rule, like a Turn, holds only ints: its window ends and
+its travel as reduced numerators and denominators.  The phase is decided
+by comparing integers, the time's numerator and denominator against each
+window end's, and timelines are keyed and ordered by those ints, so a
+float only ever gives a travel value, computed from the ints where it is
+used, and never decides one.  Membership accounting counts only exact
+basepoint hits, so float noise can never manufacture a coordinate that
+looks parked.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
@@ -100,8 +104,7 @@ def classify(query: PlannerQuery, sig) -> frozenset[int]:
 
 
 class CoordinateRule(namedtuple("_RuleFields", (
-        "start end move_start rest_start shorter_arc constant "
-        "start_f delta_f move_start_f span_f"))):
+        "start end shorter_arc constant m_p m_q r_p r_q d_n d_d"))):
     """Schedule of one coordinate: rest at start until move_start, travel
     delta turns at constant speed, rest at end from rest_start on.
 
@@ -111,72 +114,92 @@ class CoordinateRule(namedtuple("_RuleFields", (
     end, or with shorter_arc the signed shorter arc, where exact antipodes
     travel half a turn counterclockwise.  Base coordinates take their window
     from the dwell times and travel counterclockwise: move_start is the
-    dwell of start and rest_start is 1 minus the dwell of end, each an exact
-    Fraction with a denominator dividing 2q for a Turn p/q, and each
-    2-Lipschitz in that Turn's distance to the basepoint.  The free circle
-    factor has the window [0, 1] and travels its shorter arc.
+    dwell of start and rest_start is 1 minus the dwell of end, each exact,
+    with a denominator dividing 2q for a Turn p/q, and each 2-Lipschitz in
+    that Turn's distance to the basepoint.  The free circle factor has the
+    window [0, 1] and travels its shorter arc.
 
-    The fields passed in are exact, so phase membership at rational times
-    is decided exactly, by integer comparison (value_at).  The window must
-    satisfy 0 <= move_start < rest_start <= 1, for constant rules too, so
-    span_f is positive; anything else raises ValueError.  constant (start
-    == end) and the float mirrors start_f, delta_f, move_start_f and
-    span_f, which only the float travel values (value_at,
-    PlannerPath.samples) read, are derived from the exact fields here and
-    nowhere else, from their integer numerators and denominators: each
-    mirror is the correctly rounded float of its exact value.  The verifier
-    reads only the exact fields.  A rule is an immutable tuple, so one rule
-    may serve many paths; copies and _replace go through the constructor, so
-    the window check, the travel and the mirrors always follow the exact
-    fields.
+    Besides its endpoint Turns and two flags, shorter_arc and constant
+    (start == end, so d_n == 0), a rule holds only ints, as a Turn does: the
+    window [m_p/m_q, r_p/r_q] and the travel d_n/d_d, each reduced with a
+    positive denominator.  Phase membership at rational times is therefore
+    decided by integer comparison (value_at), and the travel floats are
+    computed from the ints where they are used, each the correctly rounded
+    quotient of two of them.  move_start, rest_start and delta build their
+    Fractions on demand.  The constructor takes the window as two rationals, ints or
+    Fractions, and is the one place it is checked: 0 <= move_start <
+    rest_start <= 1, for constant rules too, or ValueError.  A rule is an
+    immutable tuple, so one rule may serve many paths; copies, pickles,
+    _make and _replace go through the constructor.
     """
 
     __slots__ = ()
 
     def __new__(cls, start: Turn, end: Turn, move_start: Fraction, rest_start: Fraction,
                 shorter_arc: bool = False):
-        d_p, d_q = start.travel(end, shorter_arc)
+        d_n, d_d = start.travel(end, shorter_arc)
+        g = math.gcd(d_n, d_d)
         m_p, m_q = move_start.as_integer_ratio()
         r_p, r_q = rest_start.as_integer_ratio()
-        span = r_p * m_q - m_p * r_q
-        if m_p < 0 or span <= 0 or r_p > r_q:
+        if m_p < 0 or r_p * m_q <= m_p * r_q or r_p > r_q:
             raise ValueError(f"a rule's window needs 0 <= move_start < rest_start <= 1, "
                              f"got [{move_start}, {rest_start}]")
-        return tuple.__new__(cls, (
-            start, end, move_start, rest_start, shorter_arc, not d_p,
-            start.num / start.den, d_p / d_q, m_p / m_q, span / (r_q * m_q)))
+        return tuple.__new__(cls, (start, end, shorter_arc, not d_n,
+                                   m_p, m_q, r_p, r_q, d_n // g, d_d // g))
 
     def __getnewargs__(self):
-        return self[:5]
+        return self.start, self.end, self.move_start, self.rest_start, self.shorter_arc
 
     @classmethod
     def _make(cls, fields):
-        return cls(*tuple(fields)[:5])
+        """The rule of these fields, built anew: constant and the travel
+        are derived again, and the window is checked."""
+        start, end, shorter_arc, _, m_p, m_q, r_p, r_q = tuple(fields)[:8]
+        return cls(start, end, Fraction(m_p, m_q), Fraction(r_p, r_q), shorter_arc)
+
+    def _replace(self, **changes):
+        """The rule with some constructor arguments changed, built anew."""
+        args = dict(zip(("start", "end", "move_start", "rest_start", "shorter_arc"),
+                        self.__getnewargs__()))
+        if not changes.keys() <= args.keys():
+            raise ValueError(f"Got unexpected field names: {sorted(changes.keys() - args.keys())}")
+        return type(self)(**{**args, **changes})
+
+    # the window ends as exact Fractions, built on each read
+    move_start = property(lambda self: Fraction(self.m_p, self.m_q))
+    rest_start = property(lambda self: Fraction(self.r_p, self.r_q))
 
     @property
     def delta(self) -> Fraction:
         """The exact travel in turns, start + delta == end mod 1."""
-        return Fraction(*self.start.travel(self.end, self.shorter_arc))
+        return Fraction(self.d_n, self.d_d)
 
     def value_at(self, t):
-        """Value at time t, an int or a Fraction in [0, 1]: the phase is
-        decided by integer cross multiplication, p*m_q <= m_p*q resting at
-        start and p*r_q >= r_p*q resting at end, for t = p/q and the window
-        [m_p/m_q, r_p/r_q]."""
-        if self.constant:
-            return self.start
-        p, q = t.as_integer_ratio()
-        m_p, m_q = self.move_start.as_integer_ratio()
-        if p * m_q <= m_p * q:
-            return self.start
-        r_p, r_q = self.rest_start.as_integer_ratio()
+        """Value at time t, an int or a Fraction in [0, 1], checked as
+        PlannerPath.evaluate checks it."""
+        return self._at(*_check_time(t))
+
+    def _at(self, p: int, q: int):
+        """Value at the checked time p/q: the phase is decided by integer
+        cross multiplication, p*m_q <= m_p*q resting at start and p*r_q >=
+        r_p*q resting at end."""
+        start, end, _, constant, m_p, m_q, r_p, r_q, _, _ = self
+        if constant or p * m_q <= m_p * q:
+            return start
         if p * r_q >= r_p * q:
-            return self.end
-        return (self.start_f + ((p / q - self.move_start_f) / self.span_f) * self.delta_f) % 1.0
+            return end
+        s0, ms, span, dl = self._travel_floats()
+        return (s0 + ((p / q - ms) / span) * dl) % 1.0
+
+    def _travel_floats(self) -> tuple[float, float, float, float]:
+        """start, move_start, rest_start - move_start and delta as floats,
+        the terms of the travel values of value_at and PlannerPath.samples."""
+        start, _, _, _, m_p, m_q, r_p, r_q, d_n, d_d = self
+        return start.num / start.den, m_p / m_q, (r_p * m_q - m_p * r_q) / (r_q * m_q), d_n / d_d
 
 
-def _check_time(t):
-    """t itself, once checked to be an int or a Fraction in [0, 1]."""
+def _check_time(t) -> tuple[int, int]:
+    """t = p/q as (p, q), once t is checked to be an int or a Fraction in [0, 1]."""
     if not isinstance(t, (int, Fraction)):
         if isinstance(t, float):
             raise TypeError("evaluation times must be exact rationals, not floats")
@@ -184,7 +207,7 @@ def _check_time(t):
     p, q = t.as_integer_ratio()
     if not 0 <= p <= q:
         raise ValueError(f"time {t} outside [0, 1]")
-    return t
+    return p, q
 
 
 def _check_steps(steps) -> None:
@@ -220,75 +243,53 @@ class PlannerPath(namedtuple("_PathFields", "rules circle_rule", defaults=(None,
         """The continuity domain: the base agreement count, plus 1 when the
         circle travels half a turn (exact antipodes)."""
         rule = self.circle_rule
-        if rule is None:
-            return len(self.agreement)
-        gap, den = rule.start.ccw_gap(rule.end)
-        return len(self.agreement) + (2 * gap == den)
+        # a shorter arc travels half a turn exactly at antipodes
+        return len(self.agreement) + (rule is not None and (rule.d_n, rule.d_d) == (1, 2))
 
     def evaluate(self, t) -> SkeletonPoint:
         """Point of the path at rational time t in [0, 1]: exact Turns, but
         floats for the coordinates strictly inside their travel phase.  At
         t = 0 and t = 1 it equals the query's endpoints."""
-        t = _check_time(t)
-        base = tuple(rule.value_at(t) for rule in self.rules)
-        circ = self.circle_rule.value_at(t) if self.circle_rule is not None else None
+        p, q = _check_time(t)
+        base = tuple(rule._at(p, q) for rule in self.rules)
+        circ = self.circle_rule._at(p, q) if self.circle_rule is not None else None
         return SkeletonPoint(base, circ)
 
     def phase_boundaries(self) -> tuple[Fraction, ...]:
-        """Times where some coordinate switches phase, in ascending order."""
-        cuts = {}
-        for rule in self.rules:
-            if not rule.constant:
-                # keyed by numerator and denominator, sorted by their float
-                # quotient with exact ties broken by the Fractions themselves
-                for t in (rule.move_start, rule.rest_start):
-                    p, q = t.as_integer_ratio()
-                    cuts[p, q] = (p / q, t)
-        return tuple(t for _, t in sorted(cuts.values()))
+        """Times where some base coordinate switches phase, in ascending order."""
+        return tuple(Fraction(p, q) for p, q in self._cuts())
 
-    def _timeline(self, steps: int) -> tuple[list[Fraction], dict]:
-        """The grid k/steps for k = 0..steps and every phase boundary, each
-        once, in ascending order, and the position of each boundary, 0 and 1
-        on that timeline, keyed by numerator and denominator.
+    def _cuts(self, *ends: tuple[int, int]) -> list[tuple[int, int]]:
+        """The times in ends, reduced pairs (p, q), and the window ends of
+        every base rule that travels, each once, in ascending order of p/q.
 
-        A boundary p/q is grid point k = p*steps // q when the remainder is
-        0, and otherwise lies strictly between grid points k and k+1, so it
-        is placed by integer arithmetic; phase_boundaries is already
-        ascending.  With steps = 1 the times are 0, 1 and the boundaries.
+        With k twice the bit length of the largest q, two different times
+        p/q and p'/q' differ by at least 1/(q*q'), which is more than 2**-k,
+        so the integer key floor(p * 2**k / q) orders them exactly.
         """
-        grid = _grid(steps)
-        times = []
-        at = {(0, 1): 0}
-        done = 0
-        for t in self.phase_boundaries():
-            p, q = t.as_integer_ratio()
-            k, off = divmod(p * steps, q)
-            times += grid[done:k + 1]
-            done = k + 1
-            if off:
-                times.append(t)
-            at[p, q] = len(times) - 1
-        times += grid[done:]
-        at[1, 1] = len(times) - 1
-        return times, at
+        cuts = {pq for rule in self.rules if not rule.constant
+                for pq in ((rule.m_p, rule.m_q), (rule.r_p, rule.r_q))}
+        cuts.update(ends)
+        k = 2 * max([q for _, q in cuts], default=1).bit_length()
+        return [pq for _, pq in sorted([((p << k) // q, (p, q)) for p, q in cuts])]
 
     def _rest_counts(self, cells: int, leaving, arriving) -> list[int]:
         """Exact basepoint counts over cells 0..cells-1 of some timeline.
 
         A coordinate parked for the whole path counts everywhere.  One that
         starts at the basepoint counts on the cells before
-        leaving(move_start.as_integer_ratio()), and one that ends there on
-        the cells from arriving(rest_start.as_integer_ratio()) on: one
-        difference sweep, whatever the cells are.
+        leaving((m_p, m_q)), its move_start, and one that ends there on the
+        cells from arriving((r_p, r_q)), its rest_start, on: one difference
+        sweep, whatever the cells are.
         """
         diff = [0] * (cells + 1)
         for rule in self.rules:
             if rule.start.is_zero:
                 diff[0] += 1
                 if not rule.constant:
-                    diff[leaving(rule.move_start.as_integer_ratio())] -= 1
+                    diff[leaving((rule.m_p, rule.m_q))] -= 1
             if rule.end.is_zero and not rule.constant:
-                diff[arriving(rule.rest_start.as_integer_ratio())] += 1
+                diff[arriving((rule.r_p, rule.r_q))] += 1
         return list(accumulate(diff[:cells]))
 
     def samples(self, steps: int) -> tuple[list[Fraction], list[list]]:
@@ -296,29 +297,41 @@ class PlannerPath(namedtuple("_PathFields", "rules circle_rule", defaults=(None,
         coordinate at every time, one list per coordinate in label order
         (the circle, label 0, first).
 
-        The times are _timeline(steps): the grid k/steps for k = 0..steps
-        and every phase boundary, each once, in ascending order.  The values
-        equal those of evaluate(t), Turn for Turn and float for float, and a
-        resting coordinate repeats one Turn object.  Each rule rests through
-        the position of its move_start and from the position of its
-        rest_start on (the circle's window is [0, 1]); travel values are
-        value_at's float expression.
+        The times are the grid k/steps for k = 0..steps and every phase
+        boundary, each once, in ascending order.  A boundary p/q is grid
+        point k = p*steps // q when the remainder is 0, and otherwise lies
+        strictly between grid points k and k+1, so it is placed by integer
+        arithmetic.  The values equal those of evaluate(t), Turn for Turn
+        and float for float, and a resting coordinate repeats one Turn
+        object.  Each rule rests through the position of its move_start and
+        from the position of its rest_start on (the circle's window is
+        [0, 1]); travel values are value_at's float expression.
         """
         _check_steps(steps)
-        times, at = self._timeline(steps)
-        m = len(times)
+        grid = _grid(steps)
+        times = []
+        # the position on the timeline of each window end, keyed by (p, q)
+        at = {}
+        done = 0
+        for p, q in self._cuts((0, 1), (1, 1)):
+            k, off = divmod(p * steps, q)
+            times += grid[done:k + 1]
+            done = k + 1
+            if off:
+                times.append(Fraction(p, q))
+            at[p, q] = len(times) - 1
         # float(t) as the correctly rounded quotient of two integers
         tfs = [t.numerator / t.denominator for t in times]
         columns = []
         for rule in self.coordinate_rules:
             if rule.constant:
-                columns.append([rule.start] * m)
+                columns.append([rule.start] * len(times))
                 continue
-            hi = at[rule.move_start.as_integer_ratio()] + 1
-            lo = at[rule.rest_start.as_integer_ratio()]
-            s0, ms, span, dl = rule.start_f, rule.move_start_f, rule.span_f, rule.delta_f
+            hi = at[rule.m_p, rule.m_q] + 1
+            lo = at[rule.r_p, rule.r_q]
+            s0, ms, span, dl = rule._travel_floats()
             travel = [(s0 + ((tf - ms) / span) * dl) % 1.0 for tf in tfs[hi:lo]]
-            columns.append([rule.start] * hi + travel + [rule.end] * (m - lo))
+            columns.append([rule.start] * hi + travel + [rule.end] * (len(times) - lo))
         return times, columns
 
     def exact_zero_counts(self, steps: int) -> list[int]:
@@ -339,7 +352,8 @@ class PlannerPath(namedtuple("_PathFields", "rules circle_rule", defaults=(None,
     def least_zero_count(self) -> tuple[int, Fraction]:
         """Least exact basepoint count over every t in [0, 1], and a time
         where it occurs: the midpoint of an open piece between consecutive
-        times of _timeline(1), which are 0, 1 and the phase boundaries.
+        times of _cuts((0, 1), (1, 1)), which are 0, 1 and the phase
+        boundaries.
 
         The least count over [0, 1] is the least count over the open pieces.
         Let t_0 = 0 < ... < t_k = 1 be those times and C the number of
@@ -352,19 +366,19 @@ class PlannerPath(namedtuple("_PathFields", "rules circle_rule", defaults=(None,
         and at t_i, for i < k, it is C + #{move_start >= t_i} +
         #{rest_start <= t_i}, never smaller as t_i < t_{i+1}.  At t = 1 it
         is C + #{move_start >= 1} + #{rest_start <= 1}, never smaller than
-        on (t_{k-1}, 1).  The cells
-        of _rest_counts are therefore the pieces: piece i counts a leaving
-        coordinate while i is below the position of its move_start, and an
-        arriving one once i reaches the position of its rest_start, both
-        looked up by numerator and denominator, so no Fraction is compared
-        beyond phase_boundaries' sort.
+        on (t_{k-1}, 1).  The cells of _rest_counts are therefore the
+        pieces: piece i counts a leaving coordinate while i is below the
+        position of its move_start, and an arriving one once i reaches the
+        position of its rest_start, both looked up by numerator and
+        denominator, so no Fraction is compared.
         """
-        times, at = self._timeline(1)
+        times = self._cuts((0, 1), (1, 1))
+        at = {pq: i for i, pq in enumerate(times)}
         counts = self._rest_counts(len(times) - 1, at.__getitem__, at.__getitem__)
         low = min(counts)
         i = counts.index(low)
+        (p, q), (p2, q2) = times[i], times[i + 1]
         # the midpoint in one normalisation, cheaper than Fraction arithmetic
-        (p, q), (p2, q2) = times[i].as_integer_ratio(), times[i + 1].as_integer_ratio()
         return low, Fraction(p * q2 + p2 * q, 2 * q * q2)
 
 
@@ -374,7 +388,7 @@ def _grid(steps: int) -> tuple[Fraction, ...]:
 
 
 # the rule of every coordinate parked at the basepoint at both ends
-_PARKED = CoordinateRule(start=Turn(0), end=Turn(0), move_start=_ZERO, rest_start=_ONE)
+_PARKED = CoordinateRule(start=Turn(0), end=Turn(0), move_start=0, rest_start=1)
 
 
 @functools.lru_cache(maxsize=64)
@@ -384,9 +398,9 @@ def _window_ends(num: int, den: int) -> tuple[Fraction, Fraction]:
     / den its turn distance to the basepoint, and 1 minus that dwell.
 
     Both ends are exact, with a denominator dividing 2*den: (1/2, 1/2) at
-    the basepoint.  Cached by value, so equal Turns share one Fraction, and
-    the flat dwell 0 from a quarter turn on shares the planner's own _ZERO
-    and _ONE.
+    the basepoint.  Cached by value, so the Fractions of a Turn are built
+    once, and the flat dwell 0 from a quarter turn on is the planner's own
+    _ZERO and _ONE.
     """
     d = min(num, den - num)
     if 4 * d >= den:
@@ -400,7 +414,7 @@ def _build_rules(start: SkeletonPoint, end: SkeletonPoint) -> tuple[CoordinateRu
     rules = []
     for u, v in zip(start.base, end.base):
         if u is v or u == v:
-            rules.append(_PARKED if u.is_zero else CoordinateRule(u, v, _ZERO, _ONE))
+            rules.append(_PARKED if u.is_zero else CoordinateRule(u, v, 0, 1))
         else:
             rules.append(CoordinateRule(u, v, _window_ends(u.num, u.den)[0],
                                         _window_ends(v.num, v.den)[1]))
@@ -451,5 +465,5 @@ def _plan(query: PlannerQuery, sig) -> PlannerPath:
     return PlannerPath(
         rules=_build_rules(start, end),
         circle_rule=None if start.circle is None else CoordinateRule(
-            start.circle, end.circle, _ZERO, _ONE, shorter_arc=True),
+            start.circle, end.circle, 0, 1, shorter_arc=True),
     )

@@ -293,17 +293,11 @@ def _wrap_probe(sig, rng: random.Random, product: bool,
     return query, PlannerQuery(start, nearby.end)
 
 
-def _integer_rule(rule) -> tuple[int, ...]:
-    """A rule's start s_n/s_d, travel d_n/d_d (Turn.travel, as the rule's
-    own delta) and window ends m_p/m_q and r_p/r_q as one tuple of ints."""
-    return (rule.start.num, rule.start.den, *rule.start.travel(rule.end, rule.shorter_arc),
-            *rule.move_start.as_integer_ratio(), *rule.rest_start.as_integer_ratio())
-
-
-def _lifted(ints: tuple[int, ...], p: int, q: int) -> tuple[int, int]:
+def _lifted(rule, p: int, q: int) -> tuple[int, int]:
     """Position of a rule at time p/q, not reduced mod 1, as an integer
-    pair (numerator, positive denominator)."""
-    s_n, s_d, d_n, d_d, m_p, m_q, r_p, r_q = ints
+    pair (numerator, positive denominator), from the rule's own ints."""
+    s_n, s_d = rule.start.num, rule.start.den
+    m_p, m_q, r_p, r_q, d_n, d_d = rule.m_p, rule.m_q, rule.r_p, rule.r_q, rule.d_n, rule.d_d
     if not d_n or p * m_q <= m_p * q:
         return s_n, s_d
     if p * r_q >= r_p * q:
@@ -352,12 +346,12 @@ def path_deviation(path_a: PlannerPath, path_b: PlannerPath) -> Fraction:
     for rule_a, rule_b in zip(rules_a, rules_b):
         if rule_a is rule_b:
             continue
-        ints_a, ints_b = _integer_rule(rule_a), _integer_rule(rule_b)
-        times = [pq for ints in (ints_a, ints_b) if ints[2] for pq in (ints[4:6], ints[6:8])]
+        times = [pq for rule in (rule_a, rule_b) if not rule.constant
+                 for pq in ((rule.m_p, rule.m_q), (rule.r_p, rule.r_q))]
         turns = set()
         for p, q in times or ((0, 1),):
-            n_a, d_a = _lifted(ints_a, p, q)
-            n_b, d_b = _lifted(ints_b, p, q)
+            n_a, d_a = _lifted(rule_a, p, q)
+            n_b, d_b = _lifted(rule_b, p, q)
             b = d_a * d_b
             whole, rest = divmod(n_a * d_b - n_b * d_a, b)
             # floor(D - 1/2) for the difference D = whole + rest / b

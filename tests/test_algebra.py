@@ -674,6 +674,9 @@ class TestLowerBoundCertificate:
     def test_custom_index_set_rejects_zero(self):
         with pytest.raises(ValueError, match="1.."):
             lower_bound_certificate(AlgebraSignature(5, 2), index_set=(0, 1))
+        # n itself is past the last generator, e_{n-1}
+        with pytest.raises(ValueError, match=r"1\.\.4"):
+            lower_bound_certificate(AlgebraSignature(5, 3), (1, 2, 3, 5))
 
     def test_custom_index_set_reads_each_index_as_an_int(self):
         sig = AlgebraSignature(5, 3)

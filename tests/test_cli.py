@@ -7,7 +7,6 @@ import json
 import math
 import os
 import random
-import runpy
 import subprocess
 import sys
 import time
@@ -722,46 +721,6 @@ class TestSearchZdcl:
 
     def test_invalid_signature_below_digit_limit_is_not_echoed(self, capsys):
         assert_short_refusal(capsys, "search-zdcl", "1", SHORT_NINES)
-
-
-class TestPlannerDemo:
-    SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "planner_demo.py"
-
-    def demo(self, capsys, monkeypatch, *argv):
-        monkeypatch.setattr("sys.argv", [str(self.SCRIPT), *argv])
-        try:
-            runpy.run_path(str(self.SCRIPT), run_name="__main__")
-            code = 0
-        except SystemExit as exc:
-            code = exc.code
-        captured = capsys.readouterr()
-        return code, captured.out, captured.err
-
-    @pytest.mark.parametrize("argv", [
-        ("--steps", NINES), ("--seed", NINES), ("--seed", "-" + NINES),
-        ("--steps", SHORT_NINES), ("--steps", "0"), ("--steps", str(MAX_STEPS + 1)),
-        ("--steps", "x"), ("--steps", "x" * 4000),
-    ], ids=["steps-past-limit", "seed-past-limit", "negative-seed-past-limit",
-            "steps-below-limit", "steps-0", "steps-past-max", "steps-not-int",
-            "steps-long-not-int"])
-    def test_bad_integers_exit_2_briefly(self, capsys, monkeypatch, argv):
-        code, out, err = self.demo(capsys, monkeypatch, *argv)
-        assert code == 2 and out == ""
-        assert len(err) < 300 and "9" * 40 not in err and "Traceback" not in err, err
-        assert "int_max_str_digits" not in err
-
-    @pytest.mark.parametrize("steps", ["0", str(MAX_STEPS + 1)])
-    def test_steps_refusal_words_match_the_cli(self, capsys, monkeypatch, steps):
-        _, _, cli_err = run(capsys, "plan", "3", "2", "--from", "0,0", "--to", "0,0",
-                            "--steps", steps)
-        _, _, err = self.demo(capsys, monkeypatch, "--steps", steps)
-        assert err.splitlines()[-1] == "planner_demo.py: " + cli_err.strip()
-
-    def test_plans_and_prints(self, capsys, monkeypatch):
-        code, out, err = self.demo(capsys, monkeypatch, "--steps", "1", "--seed", "3")
-        assert (code, err) == (0, "")
-        assert out.startswith("fixed skeleton query on (n, r) = (3, 2):\n")
-        assert "seed 3" in out
 
 
 class TestParseArgs:

@@ -1,6 +1,7 @@
 """Path planning: schedules, exactness discipline, membership, domains."""
 
 import copy
+import math
 import pickle
 import random
 from decimal import Decimal
@@ -594,12 +595,14 @@ class TestEvaluateMany:
     def test_rejects_float_and_out_of_range_times(self):
         sig = AlgebraSignature(3, 2)
         path = plan_skeleton(query(point(0, 0), point(0, "1/4")), sig)
-        for t in (0.5, 1.0):
-            with pytest.raises(TypeError, match="exact rationals"):
-                path.evaluate(t)
-        for t in (F(3, 2), F(-1, 2), 7, -3):
-            with pytest.raises(ValueError, match="outside"):
-                path.evaluate(t)
+        # a rule checks its time as its path does, parked or moving
+        for evaluate in (path.evaluate, path.rules[0].value_at, path.rules[1].value_at):
+            for t in (0.5, 1.0):
+                with pytest.raises(TypeError, match="exact rationals"):
+                    evaluate(t)
+            for t in (F(3, 2), F(-1, 2), 7, -3, -1):
+                with pytest.raises(ValueError, match="outside"):
+                    evaluate(t)
         # the grid counter and the sampler take a positive integer step count
         worked = plan_skeleton(query(point(0, "1/4"), point("1/2", 0)), sig)
         for method in (worked.exact_zero_counts, worked.samples):
@@ -697,28 +700,30 @@ def rule_args(draw):
 
 
 class TestCoordinateRule:
-    """Rules are immutable values, shared where a coordinate is parked, with
-    float mirrors that are the correctly rounded floats of their exact fields."""
+    """Rules are immutable values of reduced ints, shared where a coordinate
+    is parked, whose windows are checked however they are built."""
 
     def test_immutable(self):
         rule = CoordinateRule(start=Turn(F(1, 4)), end=Turn(F(1, 2)), move_start=F(0),
                               rest_start=F(1))
-        for name, value in (("start", Turn(0)), ("delta_f", 0.5), ("delta", F(1, 2)),
+        for name, value in (("start", Turn(0)), ("m_p", 1), ("delta", F(1, 2)),
                             ("shorter_arc", True), ("label", 1)):
             with pytest.raises(AttributeError):
                 setattr(rule, name, value)
         with pytest.raises(AttributeError):
             del rule.start
-        assert rule.start == Turn(F(1, 4)) and rule.delta == F(1, 4) and rule.delta_f == 0.25
-        # copies and replacements are built by the constructor, mirrors and
-        # travel included; the travel is not a field of its own
+        assert rule.start == Turn(F(1, 4)) and rule.delta == F(1, 4)
+        # copies and replacements are built by the constructor, travel
+        # included; the travel is not an argument of its own
         assert copy.copy(rule) == rule and pickle.loads(pickle.dumps(rule)) == rule
+        assert CoordinateRule._make(rule) == rule
         moved = rule._replace(end=Turn(F(3, 4)))
-        assert moved.delta == F(1, 2) and moved.delta_f == 0.5 and rule.delta_f == 0.25
+        assert moved.delta == F(1, 2) and rule.delta == F(1, 4)
         back = moved._replace(end=Turn(0), shorter_arc=True)
-        assert back.delta == F(-1, 4) and back.delta_f == -0.25
-        with pytest.raises(ValueError):
-            rule._replace(delta=F(1, 2))
+        assert back.delta == F(-1, 4) and (back.d_n, back.d_d) == (-1, 4)
+        for name in ("delta", "d_n", "constant"):
+            with pytest.raises(ValueError):
+                rule._replace(**{name: 1})
 
     def test_rejects_empty_reversed_and_out_of_range_windows(self):
         def rule(move_start, rest_start, start="1/3", delta=F(0)):
@@ -738,8 +743,12 @@ class TestCoordinateRule:
         with pytest.raises(ValueError, match="window"):
             moving._replace(rest_start=F(1, 4))
         # the widest and narrowest windows that are allowed
-        assert rule(F(0), F(1)).span_f == 1.0
-        assert 0.0 < rule(F(1, 3), F(1, 3) + F(1, 2**80), delta=F(1, 4)).span_f
+        wide = rule(F(0), F(1))
+        assert (wide.m_p, wide.m_q, wide.r_p, wide.r_q) == (0, 1, 1, 1)
+        narrow = rule(F(1, 3), F(1, 3) + F(1, 2**80), delta=F(1, 4))
+        assert narrow.rest_start - narrow.move_start == F(1, 2**80)
+        with pytest.raises(ValueError, match="window"):
+            CoordinateRule._make((*narrow[:6], narrow.m_p, narrow.m_q))
 
     @settings(max_examples=300, deadline=None)
     @given(rule_args(), st.booleans())
@@ -758,7 +767,7 @@ class TestCoordinateRule:
                 assert (delta == F(1, 2)) == antipodes
             else:
                 assert 0 <= delta < 1
-            assert built.delta_f == float(delta)
+            assert (built.d_n, built.d_d) == delta.as_integer_ratio()
             assert built.constant == (start == target)
             assert built.shorter_arc is shorter_arc
 
@@ -775,17 +784,17 @@ class TestCoordinateRule:
         assert two.rules[0] is not parked[0] and two.rules[0].start == Turn(F(1, 4))
 
     def test_equal_turns_share_their_schedule_ends(self):
-        # distinct but equal Turns get one move_start and one rest_start
-        # object, the exact dwell time and 1 minus it
+        # distinct but equal Turns get one move_start and one rest_start,
+        # the exact dwell time and 1 minus it
         sig = AlgebraSignature(4, 4)
         one = plan_skeleton(query(point("1/8", "5/8", 0), point("5/8", 0, "1/8")), sig)
         two = plan_skeleton(query(point(0, "1/8", "5/8"), point("1/8", "5/8", 0)), sig)
-        assert one.rules[0].move_start is two.rules[1].move_start == F(dwell_time(Turn(F(1, 8))))
-        assert one.rules[1].move_start is two.rules[2].move_start == 0
-        assert one.rules[2].rest_start is two.rules[0].rest_start
+        assert one.rules[0].move_start == two.rules[1].move_start == F(dwell_time(Turn(F(1, 8))))
+        assert one.rules[1].move_start == two.rules[2].move_start == 0
+        assert one.rules[2].rest_start == two.rules[0].rest_start
         assert one.rules[2].rest_start == 1 - F(dwell_time(Turn(F(1, 8))))
-        assert one.rules[0].rest_start is two.rules[1].rest_start == 1
-        assert one.rules[1].rest_start is two.rules[2].rest_start == F(1, 2)
+        assert one.rules[0].rest_start == two.rules[1].rest_start == 1
+        assert one.rules[1].rest_start == two.rules[2].rest_start == F(1, 2)
 
     def test_exact_window_ends_are_the_planner_constants(self):
         # one cached pair per Turn: the basepoint's dwell is 1/2, and the
@@ -799,7 +808,7 @@ class TestCoordinateRule:
         assert move == F(dwell_time(Turn(F(1, 8)))) and move + rest == 1
 
     @pytest.mark.parametrize("denominator_bound", [8, 1000])
-    def test_float_mirrors_match_exact_fields(self, denominator_bound):
+    def test_int_fields_are_reduced_and_match_the_fraction_views(self, denominator_bound):
         rng = random.Random(denominator_bound)
         checked = 0
         for n in range(1, 9):
@@ -810,13 +819,24 @@ class TestCoordinateRule:
                         path = plan(query(sample(sig, rng, denominator_bound, product),
                                           sample(sig, rng, denominator_bound, product)), sig)
                         for rule in path.coordinate_rules:
+                            for view, (p, q) in ((rule.move_start, (rule.m_p, rule.m_q)),
+                                                 (rule.rest_start, (rule.r_p, rule.r_q)),
+                                                 (rule.delta, (rule.d_n, rule.d_d))):
+                                assert all(type(x) is int for x in (p, q))
+                                assert q > 0 and math.gcd(p, q) == 1
+                                assert type(view) is Fraction and view == F(p, q)
                             assert rule.constant == (rule.delta == 0)
-                            assert rule.start_f == float(rule.start.value)
-                            assert rule.delta_f == float(rule.delta)
-                            assert rule.move_start_f == float(rule.move_start)
-                            assert rule.span_f == float(rule.rest_start - rule.move_start)
                             checked += 1
         assert checked > 1000
+        # Turns at one distance from the basepoint, on either side of it,
+        # give one window-end key, and so one entry on the timeline
+        path = plan_skeleton(query(point("1/8", "7/8", 0), point(0, 0, 0)), AlgebraSignature(4, 4))
+        near, far = path.rules[:2]
+        assert near.start != far.start and near.move_start == F(1, 4)
+        assert (near.m_p, near.m_q) == (far.m_p, far.m_q)
+        times, columns = path.samples(3)
+        assert times == [0, F(1, 4), F(1, 3), F(1, 2), F(2, 3), 1]
+        assert [column[1] for column in columns] == [Turn(F(1, 8)), Turn(F(7, 8)), Turn(0)]
 
 
 @st.composite

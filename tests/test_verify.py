@@ -298,6 +298,22 @@ class TestPerturbation:
         assert near.start.base == (Turn(F(1999, 2000)), Turn(0))
         assert near.end.base == (Turn(0), Turn(F(1, 3) + F(1, 1000)))
 
+    def test_perturbation_shifts_are_nonzero_and_symmetric(self):
+        # every one of the 2,000 draws: the shifts are the nonzero multiples
+        # of eps/1000 in [-eps, eps], each once
+        class Draw:
+            def __init__(self, k):
+                self.k = k
+
+            def randrange(self, n):
+                assert n == 2000
+                return self.k
+
+        eps = F(1, 1000)
+        shifts = [F(*verify._perturbation(Draw(k), eps)) for k in range(2000)]
+        assert 0 not in shifts and len(set(shifts)) == 2000
+        assert {-s for s in shifts} == set(shifts) and max(shifts) == eps
+
     def test_returns_none_when_nothing_moves(self):
         sig = AlgebraSignature(3, 1)
         zeros = SkeletonPoint((Turn(0), Turn(0)))
@@ -423,7 +439,7 @@ class TestPerturbation:
         path_a = moving(F(1, 3), F(1, 2))
         path_b = moving(F(1, 3) + tiny, F(1, 2) - tiny, end=F(1, 2) + F(1, 1000))
         (rule_a,), (rule_b,) = path_a.rules, path_b.rules
-        assert rule_a.move_start_f == rule_b.move_start_f
+        assert float(rule_a.move_start) == float(rule_b.move_start)
         assert float(rule_a.rest_start) == float(rule_b.rest_start)
         assert rule_b.value_at(rule_a.move_start) is rule_b.start
         assert type(rule_a.value_at(rule_b.move_start)) is float
