@@ -123,7 +123,10 @@ class AlgebraSignature(collections.namedtuple("_SignatureFields", "n r")):
 
 
 def _indices(bits: int) -> tuple[int, ...]:
-    """The generator indices of a bit-set monomial, in increasing order."""
+    """The generator indices of a bit-set monomial, in increasing order.  A
+    negative int has no finite bit set, so it raises ValueError."""
+    if bits < 0:
+        raise ValueError(f"a bit-set monomial is a nonnegative int, got {shown(bits)}")
     out = []
     while bits:
         low = bits & -bits

@@ -299,7 +299,7 @@ def cmd_plan(args) -> int:
     # strings carry unescaped; floats render with repr(), as in _json.
     # a path without coordinates (n = 1, no circle) prints "coords": []
     rows = ["[\n" + ",\n".join(cells) + "\n      ]" for cells in zip(*map(_coord_cells, columns))]
-    samples = [f'    {{\n      "t": "{t}",\n      "coords": {row}\n    }}'
+    samples = [f'    {{\n      "t": "{t!s}",\n      "coords": {row}\n    }}'
                for t, row in zip(times, rows or ["[]"] * len(times))]
     print(f'{head[:-2]},\n  "samples": [\n' + ",\n".join(samples) + "\n  ]\n}")
     return 0

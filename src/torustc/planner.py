@@ -36,12 +36,8 @@ import functools
 import math
 from collections import namedtuple
 from fractions import Fraction
-from itertools import accumulate
 
-from .skeleton import SkeletonPoint, Turn, membership
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from .skeleton import BASEPOINT, SkeletonPoint, Turn, membership
 
 
 class InvalidEndpoint(ValueError):
@@ -57,7 +53,7 @@ def dwell_time(z: Turn) -> Fraction:
     2-Lipschitz in d, so the windows, and with them the planned paths,
     move continuously with the query's coordinates.
     """
-    return _window_ends(z.num, z.den)[0]
+    return Fraction(*_window_ends(z.num, z.den)[:2])
 
 
 class PlannerQuery(namedtuple("_QueryFields", "start end")):
@@ -71,7 +67,7 @@ class PlannerQuery(namedtuple("_QueryFields", "start end")):
     def __new__(cls, start: SkeletonPoint, end: SkeletonPoint):
         if len(start.base) != len(end.base):
             raise ValueError("endpoints have different base dimensions")
-        if start.has_circle != end.has_circle:
+        if (start.circle is None) != (end.circle is None):
             raise ValueError("endpoints disagree about the circle factor")
         return tuple.__new__(cls, (start, end))
 
@@ -96,11 +92,8 @@ def classify(query: PlannerQuery, sig) -> frozenset[int]:
     """
     if len(query.start.base) != sig.n - 1:
         raise ValueError(f"expected {sig.n - 1} base coordinates, got {len(query.start.base)}")
-    return frozenset(
-        j + 1
-        for j, (a, b) in enumerate(zip(query.start.base, query.end.base))
-        if a is b or a == b
-    )
+    return frozenset([j for j, (a, b) in enumerate(zip(query.start.base, query.end.base), 1)
+                      if a is b or (a.num == b.num and a.den == b.den)])
 
 
 class CoordinateRule(namedtuple("_RuleFields", (
@@ -126,24 +119,29 @@ class CoordinateRule(namedtuple("_RuleFields", (
     decided by integer comparison (value_at), and the travel floats are
     computed from the ints where they are used, each the correctly rounded
     quotient of two of them.  move_start, rest_start and delta build their
-    Fractions on demand.  The constructor takes the window as two rationals, ints or
-    Fractions, and is the one place it is checked: 0 <= move_start <
-    rest_start <= 1, for constant rules too, or ValueError.  A rule is an
-    immutable tuple, so one rule may serve many paths; copies, pickles,
-    _make and _replace go through the constructor.
+    Fractions on demand.  The constructor takes the window as two rationals,
+    ints or Fractions (anything else is a TypeError naming its type), and
+    checks it: 0 <= move_start < rest_start <= 1, for constant rules too, or
+    ValueError.  The planner builds its base rules from their fields
+    instead, with windows that are valid by construction (_build_rules).  A
+    rule is an immutable tuple, so one rule may serve many paths; copies,
+    pickles, _make and _replace go through the constructor.
     """
 
     __slots__ = ()
 
     def __new__(cls, start: Turn, end: Turn, move_start: Fraction, rest_start: Fraction,
                 shorter_arc: bool = False):
-        d_n, d_d = start.travel(end, shorter_arc)
-        g = math.gcd(d_n, d_d)
+        for value in (move_start, rest_start):
+            if not isinstance(value, (int, Fraction)):
+                raise TypeError(f"window ends take an int or a Fraction, not {type(value).__name__}")
         m_p, m_q = move_start.as_integer_ratio()
         r_p, r_q = rest_start.as_integer_ratio()
         if m_p < 0 or r_p * m_q <= m_p * r_q or r_p > r_q:
             raise ValueError(f"a rule's window needs 0 <= move_start < rest_start <= 1, "
                              f"got [{move_start}, {rest_start}]")
+        d_n, d_d = start.travel(end, shorter_arc)
+        g = math.gcd(d_n, d_d)
         return tuple.__new__(cls, (start, end, shorter_arc, not d_n,
                                    m_p, m_q, r_p, r_q, d_n // g, d_d // g))
 
@@ -177,25 +175,30 @@ class CoordinateRule(namedtuple("_RuleFields", (
     def value_at(self, t):
         """Value at time t, an int or a Fraction in [0, 1], checked as
         PlannerPath.evaluate checks it."""
-        return self._at(*_check_time(t))
-
-    def _at(self, p: int, q: int):
-        """Value at the checked time p/q: the phase is decided by integer
-        cross multiplication, p*m_q <= m_p*q resting at start and p*r_q >=
-        r_p*q resting at end."""
-        start, end, _, constant, m_p, m_q, r_p, r_q, _, _ = self
-        if constant or p * m_q <= m_p * q:
-            return start
-        if p * r_q >= r_p * q:
-            return end
-        s0, ms, span, dl = self._travel_floats()
-        return (s0 + ((p / q - ms) / span) * dl) % 1.0
+        return _values((self,), *_check_time(t))[0]
 
     def _travel_floats(self) -> tuple[float, float, float, float]:
         """start, move_start, rest_start - move_start and delta as floats,
         the terms of the travel values of value_at and PlannerPath.samples."""
         start, _, _, _, m_p, m_q, r_p, r_q, d_n, d_d = self
         return start.num / start.den, m_p / m_q, (r_p * m_q - m_p * r_q) / (r_q * m_q), d_n / d_d
+
+
+def _values(rules, p: int, q: int) -> list:
+    """The value of each rule at the checked time p/q: the phase is decided
+    by integer cross multiplication, p*m_q <= m_p*q resting at start and
+    p*r_q >= r_p*q resting at end."""
+    out = []
+    for rule in rules:
+        start, end, _, constant, m_p, m_q, r_p, r_q, _, _ = rule
+        if constant or p * m_q <= m_p * q:
+            out.append(start)
+        elif p * r_q >= r_p * q:
+            out.append(end)
+        else:
+            s0, ms, span, dl = rule._travel_floats()
+            out.append((s0 + ((p / q - ms) / span) * dl) % 1.0)
+    return out
 
 
 def _check_time(t) -> tuple[int, int]:
@@ -222,6 +225,8 @@ class PlannerPath(namedtuple("_PathFields", "rules circle_rule", defaults=(None,
     rule in product mode.  Everything else about the path, its agreement
     set and its domain included, is read off these rules."""
 
+    __slots__ = ()
+
     @property
     def mode(self) -> str:
         return "skeleton" if self.circle_rule is None else "product"
@@ -232,46 +237,33 @@ class PlannerPath(namedtuple("_PathFields", "rules circle_rule", defaults=(None,
         first, then the base ones."""
         return self.rules if self.circle_rule is None else (self.circle_rule, *self.rules)
 
-    @functools.cached_property
+    @property
     def agreement(self) -> frozenset[int]:
         """The labels of the base coordinates whose endpoints agree: those
-        whose rule is constant.  Cached, since domain reads it too."""
-        return frozenset(j for j, rule in enumerate(self.rules, start=1) if rule.constant)
+        whose rule is constant."""
+        return frozenset([j for j, rule in enumerate(self.rules, 1) if rule.constant])
 
     @property
     def domain(self) -> int:
-        """The continuity domain: the base agreement count, plus 1 when the
-        circle travels half a turn (exact antipodes)."""
-        rule = self.circle_rule
+        """The continuity domain: the base agreement count, the number of
+        constant base rules, plus 1 when the circle travels half a turn
+        (exact antipodes)."""
+        circle = self.circle_rule
         # a shorter arc travels half a turn exactly at antipodes
-        return len(self.agreement) + (rule is not None and (rule.d_n, rule.d_d) == (1, 2))
+        return ([rule.constant for rule in self.rules].count(True)
+                + (circle is not None and (circle.d_n, circle.d_d) == (1, 2)))
 
     def evaluate(self, t) -> SkeletonPoint:
         """Point of the path at rational time t in [0, 1]: exact Turns, but
         floats for the coordinates strictly inside their travel phase.  At
         t = 0 and t = 1 it equals the query's endpoints."""
-        p, q = _check_time(t)
-        base = tuple(rule._at(p, q) for rule in self.rules)
-        circ = self.circle_rule._at(p, q) if self.circle_rule is not None else None
-        return SkeletonPoint(base, circ)
+        values = _values(self.coordinate_rules, *_check_time(t))
+        return (SkeletonPoint(tuple(values)) if self.circle_rule is None
+                else SkeletonPoint(tuple(values[1:]), values[0]))
 
     def phase_boundaries(self) -> tuple[Fraction, ...]:
         """Times where some base coordinate switches phase, in ascending order."""
-        return tuple(Fraction(p, q) for p, q in self._cuts())
-
-    def _cuts(self, *ends: tuple[int, int]) -> list[tuple[int, int]]:
-        """The times in ends, reduced pairs (p, q), and the window ends of
-        every base rule that travels, each once, in ascending order of p/q.
-
-        With k twice the bit length of the largest q, two different times
-        p/q and p'/q' differ by at least 1/(q*q'), which is more than 2**-k,
-        so the integer key floor(p * 2**k / q) orders them exactly.
-        """
-        cuts = {pq for rule in self.rules if not rule.constant
-                for pq in ((rule.m_p, rule.m_q), (rule.r_p, rule.r_q))}
-        cuts.update(ends)
-        k = 2 * max([q for _, q in cuts], default=1).bit_length()
-        return [pq for _, pq in sorted([((p << k) // q, (p, q)) for p, q in cuts])]
+        return tuple(Fraction(p, q) for p, q in _cuts(self.rules))
 
     def _rest_counts(self, cells: int, leaving, arriving) -> list[int]:
         """Exact basepoint counts over cells 0..cells-1 of some timeline.
@@ -279,49 +271,53 @@ class PlannerPath(namedtuple("_PathFields", "rules circle_rule", defaults=(None,
         A coordinate parked for the whole path counts everywhere.  One that
         starts at the basepoint counts on the cells before
         leaving((m_p, m_q)), its move_start, and one that ends there on the
-        cells from arriving((r_p, r_q)), its rest_start, on: one difference
-        sweep, whatever the cells are.
+        cells from arriving((r_p, r_q)), its rest_start, on.  The count
+        changes at those few cells only, so the runs between them are built
+        whole, whatever the cells are.
         """
-        diff = [0] * (cells + 1)
-        for rule in self.rules:
-            if rule.start.is_zero:
-                diff[0] += 1
-                if not rule.constant:
-                    diff[leaving((rule.m_p, rule.m_q))] -= 1
-            if rule.end.is_zero and not rule.constant:
-                diff[arriving((rule.r_p, rule.r_q))] += 1
-        return list(accumulate(diff[:cells]))
+        count, changes = 0, []
+        for start, end, _, constant, m_p, m_q, r_p, r_q, _, _ in self.rules:
+            count += not start.num
+            if not (constant or start.num):
+                changes.append((leaving((m_p, m_q)), -1))
+            if not (constant or end.num):
+                changes.append((arriving((r_p, r_q)), 1))
+        counts = []
+        for k, change in sorted(changes):
+            counts += [count] * (min(k, cells) - len(counts))
+            count += change
+        return counts + [count] * (cells - len(counts))
 
     def samples(self, steps: int) -> tuple[list[Fraction], list[list]]:
         """The path on one exact timeline: the times, and the values of each
         coordinate at every time, one list per coordinate in label order
         (the circle, label 0, first).
 
-        The times are the grid k/steps for k = 0..steps and every phase
-        boundary, each once, in ascending order.  A boundary p/q is grid
-        point k = p*steps // q when the remainder is 0, and otherwise lies
-        strictly between grid points k and k+1, so it is placed by integer
-        arithmetic.  The values equal those of evaluate(t), Turn for Turn
-        and float for float, and a resting coordinate repeats one Turn
-        object.  Each rule rests through the position of its move_start and
-        from the position of its rest_start on (the circle's window is
-        [0, 1]); travel values are value_at's float expression.
+        The times are the grid k/steps for k = 0..steps and the window ends
+        of every rule that travels, the circle's too, each once, in
+        ascending order.  A boundary p/q is grid point k = p*steps // q when
+        the remainder is 0, and otherwise lies strictly between grid points
+        k and k+1, so it is placed by integer arithmetic.  The values equal
+        those of evaluate(t), Turn for Turn and float for float, and a
+        resting coordinate repeats one Turn object.  Each rule rests through
+        the position of its move_start and from the position of its
+        rest_start on; travel values are value_at's float expression, at
+        the float of each time, the correctly rounded p / q.
         """
         _check_steps(steps)
-        grid = _grid(steps)
-        times = []
+        grid, grid_floats = _grid(steps)
+        times, tfs = [], []
         # the position on the timeline of each window end, keyed by (p, q)
-        at = {}
-        done = 0
-        for p, q in self._cuts((0, 1), (1, 1)):
+        at, done = {}, 0
+        for p, q in _cuts(self.coordinate_rules, (0, 1), (1, 1)):
             k, off = divmod(p * steps, q)
             times += grid[done:k + 1]
+            tfs += grid_floats[done:k + 1]
             done = k + 1
             if off:
                 times.append(Fraction(p, q))
+                tfs.append(p / q)
             at[p, q] = len(times) - 1
-        # float(t) as the correctly rounded quotient of two integers
-        tfs = [t.numerator / t.denominator for t in times]
         columns = []
         for rule in self.coordinate_rules:
             if rule.constant:
@@ -352,7 +348,7 @@ class PlannerPath(namedtuple("_PathFields", "rules circle_rule", defaults=(None,
     def least_zero_count(self) -> tuple[int, Fraction]:
         """Least exact basepoint count over every t in [0, 1], and a time
         where it occurs: the midpoint of an open piece between consecutive
-        times of _cuts((0, 1), (1, 1)), which are 0, 1 and the phase
+        times of _cuts(rules, (0, 1), (1, 1)), which are 0, 1 and the phase
         boundaries.
 
         The least count over [0, 1] is the least count over the open pieces.
@@ -372,8 +368,8 @@ class PlannerPath(namedtuple("_PathFields", "rules circle_rule", defaults=(None,
         position of its rest_start, both looked up by numerator and
         denominator, so no Fraction is compared.
         """
-        times = self._cuts((0, 1), (1, 1))
-        at = {pq: i for i, pq in enumerate(times)}
+        times = _cuts(self.rules, (0, 1), (1, 1))
+        at = dict(zip(times, range(len(times))))
         counts = self._rest_counts(len(times) - 1, at.__getitem__, at.__getitem__)
         low = min(counts)
         i = counts.index(low)
@@ -382,42 +378,75 @@ class PlannerPath(namedtuple("_PathFields", "rules circle_rule", defaults=(None,
         return low, Fraction(p * q2 + p2 * q, 2 * q * q2)
 
 
+def _cuts(rules, *ends: tuple[int, int]) -> list[tuple[int, int]]:
+    """The times in ends, reduced pairs (p, q), and the window ends of
+    every rule that travels, each once, in ascending order of p/q.
+
+    With k twice the bit length of the largest q, two different times
+    p/q and p'/q' differ by at least 1/(q*q'), which is more than 2**-k,
+    so the integer key floor(p * 2**k / q) orders them exactly.
+    """
+    cuts = {pq for rule in rules if not rule.constant
+            for pq in ((rule.m_p, rule.m_q), (rule.r_p, rule.r_q))}
+    cuts.update(ends)
+    k = 2 * max([q for _, q in cuts], default=1).bit_length()
+    return [pq for _, pq in sorted([((p << k) // q, (p, q)) for p, q in cuts])]
+
+
 @functools.lru_cache(maxsize=4)
-def _grid(steps: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(k, steps) for k in range(steps + 1))
+def _grid(steps: int) -> tuple[tuple[Fraction, ...], tuple[float, ...]]:
+    """The times k/steps, k = 0..steps, as Fractions and as their floats,
+    each the correctly rounded quotient k / steps."""
+    return (tuple(Fraction(k, steps) for k in range(steps + 1)),
+            tuple(k / steps for k in range(steps + 1)))
 
 
+# a rule from its ten fields, for windows and travel already checked
+_new_rule = functools.partial(tuple.__new__, CoordinateRule)
 # the rule of every coordinate parked at the basepoint at both ends
-_PARKED = CoordinateRule(start=Turn(0), end=Turn(0), move_start=0, rest_start=1)
+_PARKED = CoordinateRule(start=BASEPOINT, end=BASEPOINT, move_start=0, rest_start=1)
 
 
 @functools.lru_cache(maxsize=64)
-def _window_ends(num: int, den: int) -> tuple[Fraction, Fraction]:
+def _window_ends(num: int, den: int) -> tuple[int, int, int, int]:
     """(move_start, rest_start) of a coordinate leaving, or arriving at, the
-    Turn num/den: its dwell time max(0, 1/2 - 2d), d = min(num, den - num)
-    / den its turn distance to the basepoint, and 1 minus that dwell.
+    Turn num/den, as reduced ints (m_p, m_q, r_p, r_q): its dwell time
+    max(0, 1/2 - 2d), d = min(num, den - num) / den its turn distance to
+    the basepoint, and 1 minus that dwell.
 
     Both ends are exact, with a denominator dividing 2*den: (1/2, 1/2) at
-    the basepoint.  Cached by value, so the Fractions of a Turn are built
-    once, and the flat dwell 0 from a quarter turn on is the planner's own
-    _ZERO and _ONE.
+    the basepoint, and the flat dwell (0, 1) from a quarter turn on.
+    Cached by value, so the ends of a Turn are reduced once.
     """
     d = min(num, den - num)
     if 4 * d >= den:
-        return _ZERO, _ONE
-    return Fraction(den - 4 * d, 2 * den), Fraction(den + 4 * d, 2 * den)
+        return 0, 1, 1, 1
+    # den - 4d and den + 4d add up to 2 den, so one gcd reduces both
+    g = math.gcd(den - 4 * d, 2 * den)
+    return (den - 4 * d) // g, 2 * den // g, (den + 4 * d) // g, 2 * den // g
 
 
 def _build_rules(start: SkeletonPoint, end: SkeletonPoint) -> tuple[CoordinateRule, ...]:
     """The base rules, and with them the planner's one agreement decision:
-    a coordinate whose endpoints agree gets a constant rule."""
+    a coordinate whose endpoints agree gets a constant rule.
+
+    Each rule is built from its fields, not through the constructor, and
+    equals the rule the constructor builds.  A constant rule has the window
+    [0, 1] and no travel.  A moving rule's window from _window_ends is
+    valid, since move_start <= 1/2 <= rest_start with equality at both only
+    for two endpoints at the basepoint, which agree; its travel is
+    Turn.travel's counterclockwise gap, reduced.
+    """
     rules = []
     for u, v in zip(start.base, end.base):
-        if u is v or u == v:
-            rules.append(_PARKED if u.is_zero else CoordinateRule(u, v, 0, 1))
+        p, q, p2, q2 = u.num, u.den, v.num, v.den
+        if u is v or (p == p2 and q == q2):
+            rules.append(_new_rule((u, v, False, True, 0, 1, 1, 1, 0, 1)) if p else _PARKED)
         else:
-            rules.append(CoordinateRule(u, v, _window_ends(u.num, u.den)[0],
-                                        _window_ends(v.num, v.den)[1]))
+            (m_p, m_q, _, _), (_, _, r_p, r_q) = _window_ends(p, q), _window_ends(p2, q2)
+            num, den = (p2 * q - p * q2) % (q * q2), q * q2
+            g = math.gcd(num, den)
+            rules.append(_new_rule((u, v, False, False, m_p, m_q, r_p, r_q, num // g, den // g)))
     return tuple(rules)
 
 
@@ -440,7 +469,7 @@ def plan_skeleton(query: PlannerQuery, sig) -> PlannerPath:
     skeleton at every time, and depends continuously on the query within
     each agreement domain.
     """
-    if query.start.has_circle:
+    if query.start.circle is not None:
         raise InvalidEndpoint("skeleton planning expects endpoints without a circle factor")
     return _plan(query, sig)
 
@@ -453,7 +482,7 @@ def plan_product(query: PlannerQuery, sig) -> PlannerPath:
     domain is the base agreement count plus 1 for exact antipodes, giving
     n+1 domains in total.
     """
-    if not query.start.has_circle:
+    if query.start.circle is None:
         raise InvalidEndpoint("product planning expects endpoints with a circle factor")
     return _plan(query, sig)
 

@@ -84,17 +84,19 @@ class Turn:
     def ccw_gap(self, other: "Turn") -> tuple[int, int]:
         """Counterclockwise distance from self to other, in [0, 1), as a
         numerator and denominator (num, den), not necessarily reduced: the
-        two points are antipodes exactly when 2 * num == den."""
-        p, q, p2, q2 = self.num, self.den, other.num, other.den
-        den = q * q2
-        return (p2 * q - p * q2) % den, den
+        two points are antipodes exactly when 2 * num == den.  It is the
+        travel without shorter_arc."""
+        return self.travel(other)
 
     def travel(self, other: "Turn", shorter_arc: bool = False) -> tuple[int, int]:
         """Signed travel from self to other, as ccw_gap's (num, den): the
         counterclockwise gap, or with shorter_arc the shorter arc, less one
         turn past a half turn, so exact antipodes travel half a turn
-        counterclockwise.  The planner's rules and the verifier read it."""
-        num, den = self.ccw_gap(other)
+        counterclockwise.  CoordinateRule reads it, and the verifier through
+        ccw_gap; the planner's base rules take the same gap inline."""
+        p, q, p2, q2 = self.num, self.den, other.num, other.den
+        den = q * q2
+        num = (p2 * q - p * q2) % den
         return (num - den if shorter_arc and 2 * num > den else num), den
 
     def __eq__(self, other) -> bool:
@@ -136,7 +138,7 @@ class SkeletonPoint(namedtuple("_PointFields", "base circle", defaults=(None,)))
 
     def exact_zero_count(self) -> int:
         """Base coordinates exactly at the basepoint (floats never count)."""
-        return sum(1 for v in self.base if isinstance(v, Turn) and v.is_zero)
+        return len([v for v in self.base if isinstance(v, Turn) and not v.num])
 
     def to_jsonable(self) -> dict:
         return {
@@ -145,7 +147,8 @@ class SkeletonPoint(namedtuple("_PointFields", "base circle", defaults=(None,)))
         }
 
 
-_BASEPOINT = Turn(0)
+# the basepoint, one Turn object shared by sampled points and parked rules
+BASEPOINT = Turn(0)
 
 
 def membership(coords, sig) -> tuple[bool, frozenset[int]]:
@@ -158,7 +161,7 @@ def membership(coords, sig) -> tuple[bool, frozenset[int]]:
     coords = tuple(coords)
     if len(coords) != sig.n - 1:
         raise ValueError(f"expected {sig.n - 1} coordinates, got {len(coords)}")
-    support = frozenset(j + 1 for j, t in enumerate(coords) if not t.is_zero)
+    support = frozenset([j for j, t in enumerate(coords, 1) if t.num])
     return len(support) <= sig.r - 1, support
 
 
@@ -195,7 +198,7 @@ def sample(
     if denominator_bound < 2:
         raise ValueError("denominator_bound must be at least 2")
     chosen = rng.sample(range(1, sig.n), sig.r - 1)
-    coords = [_BASEPOINT] * (sig.n - 1)
+    coords = [BASEPOINT] * (sig.n - 1)
     for label in chosen:
         coords[label - 1] = random_turn(rng, denominator_bound)
     circle = random_turn(rng, denominator_bound) if with_circle else None

@@ -43,19 +43,20 @@ The verifier uses only the planner's public names.  It decides each
 query's agreement once, by classify, which the planner never calls (a
 path's agreement is read off its constant rules), so the domain check
 compares two independent decisions; perturb_query keeps the same set.
-Exact antipodes are decided by Turn.ccw_gap, the one gap function the
-planner uses too.
+Exact antipodes are decided by Turn.ccw_gap, the counterclockwise gap of
+Turn.travel, from which the planner's rules take their travel too.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from collections import namedtuple
 from fractions import Fraction
 
 from .planner import PlannerPath, PlannerQuery, classify, plan_product, plan_skeleton
-from .skeleton import SkeletonPoint, Turn, random_turn, sample
+from .skeleton import BASEPOINT, SkeletonPoint, Turn, random_turn, sample
 
 DEFAULT_EPS = Fraction(1, 1000)
 FAILURE_CAP = 5  # violations recorded with their queries in one report
@@ -186,7 +187,7 @@ def _plus(u: Turn, delta: tuple[int, int]) -> Turn:
 def _shift(u: Turn, delta: tuple[int, int]) -> Turn:
     """u moved by delta, or by delta/2 where delta would land it on the basepoint."""
     moved = _plus(u, delta)
-    if moved.is_zero:
+    if not moved.num:
         p, q = delta
         return _plus(u, (p, 2 * q))
     return moved
@@ -197,17 +198,15 @@ def _perturb_point(
     agree: frozenset[int],
     rng: random.Random,
     eps: Fraction,
-) -> tuple[Turn, ...]:
+) -> list[Turn]:
     """Perturbed base coordinates of one endpoint, support preserved.
 
     The labels in agree are handled by the caller (both endpoints must be
     shifted identically there); this helper only moves the coordinates where
     the endpoints differ, keeping zero coordinates exactly zero.
     """
-    return tuple(
-        u if j in agree or u.is_zero else _shift(u, _perturbation(rng, eps))
-        for j, u in enumerate(point.base, start=1)
-    )
+    return [u if j in agree or not u.num else _shift(u, _perturbation(rng, eps))
+            for j, u in enumerate(point.base, 1)]
 
 
 def perturb_query(
@@ -232,15 +231,15 @@ def perturb_query(
     """
     agree = classify(query, sig)
     start, end = query.start, query.end
-    start_base = list(_perturb_point(start, agree, rng, eps))
-    end_base = list(_perturb_point(end, agree, rng, eps))
+    start_base = _perturb_point(start, agree, rng, eps)
+    end_base = _perturb_point(end, agree, rng, eps)
     for j in agree:
         u = start.base[j - 1]
-        if not u.is_zero:
+        if u.num:
             start_base[j - 1] = end_base[j - 1] = _shift(u, _perturbation(rng, eps))
 
     start_circle = end_circle = None
-    if start.has_circle:
+    if start.circle is not None:
         gap, den = start.circle.ccw_gap(end.circle)
         delta = _perturbation(rng, eps)
         start_circle = _plus(start.circle, delta)
@@ -268,9 +267,8 @@ def _wrap_probe(sig, rng: random.Random, product: bool,
     """
     if sig.r < 2 and not product:
         return None
-    wrap = Turn(1 - Fraction(125, 256) * eps)
-    start_base = [Turn(0)] * (sig.n - 1)
-    end_base = [Turn(0)] * (sig.n - 1)
+    wrap, crossed = _wrap_turns(eps)
+    start_base, end_base = [BASEPOINT] * (sig.n - 1), [BASEPOINT] * (sig.n - 1)
     target = None
     if sig.r >= 2:
         support = sorted(rng.sample(range(1, sig.n), sig.r - 1))
@@ -279,13 +277,12 @@ def _wrap_probe(sig, rng: random.Random, product: bool,
             end_base[label - 1] = random_turn(rng, 8)
         target = support[0] - 1
         start_base[target] = wrap
-        end_base[target] = Turn(Fraction(1, 2))
-    circles = (wrap, Turn(Fraction(1, 4))) if product else (None, None)
+        end_base[target] = Turn.of(1, 2)
+    circles = (wrap, Turn.of(1, 4)) if product else (None, None)
     query = PlannerQuery(SkeletonPoint(tuple(start_base), circles[0]),
                          SkeletonPoint(tuple(end_base), circles[1]))
     # the carried coordinate moves, so perturb_query never returns None here
     nearby = perturb_query(query, sig, rng, eps)
-    crossed = Turn(Fraction(67, 256) * eps)
     base = list(nearby.start.base)
     if target is not None:
         base[target] = crossed
@@ -293,11 +290,18 @@ def _wrap_probe(sig, rng: random.Random, product: bool,
     return query, PlannerQuery(start, nearby.end)
 
 
+@functools.lru_cache(maxsize=4)
+def _wrap_turns(eps: Fraction) -> tuple[Turn, Turn]:
+    """The Turns a wrap probe carries a coordinate between: (125/256) * eps
+    below the basepoint and (67/256) * eps past it."""
+    return Turn(1 - Fraction(125, 256) * eps), Turn(Fraction(67, 256) * eps)
+
+
 def _lifted(rule, p: int, q: int) -> tuple[int, int]:
     """Position of a rule at time p/q, not reduced mod 1, as an integer
     pair (numerator, positive denominator), from the rule's own ints."""
-    s_n, s_d = rule.start.num, rule.start.den
-    m_p, m_q, r_p, r_q, d_n, d_d = rule.m_p, rule.m_q, rule.r_p, rule.r_q, rule.d_n, rule.d_d
+    start, _, _, _, m_p, m_q, r_p, r_q, d_n, d_d = rule
+    s_n, s_d = start.num, start.den
     if not d_n or p * m_q <= m_p * q:
         return s_n, s_d
     if p * r_q >= r_p * q:
@@ -348,15 +352,15 @@ def path_deviation(path_a: PlannerPath, path_b: PlannerPath) -> Fraction:
             continue
         times = [pq for rule in (rule_a, rule_b) if not rule.constant
                  for pq in ((rule.m_p, rule.m_q), (rule.r_p, rule.r_q))]
-        turns = set()
+        turn = None
         for p, q in times or ((0, 1),):
             n_a, d_a = _lifted(rule_a, p, q)
             n_b, d_b = _lifted(rule_b, p, q)
             b = d_a * d_b
             whole, rest = divmod(n_a * d_b - n_b * d_a, b)
             # floor(D - 1/2) for the difference D = whole + rest / b
-            turns.add(whole - (2 * rest < b))
-            if len(turns) > 1:
+            turn, last = whole - (2 * rest < b), turn
+            if last is not None and turn != last:
                 return Fraction(1, 2)
             near = min(rest, b - rest)
             if near * worst_d > worst_n * b:
@@ -395,4 +399,7 @@ def continuity_ratio(
         raise RuntimeError("perturbation changed the agreement set; corpus bug")
     if path_a.domain != path_b.domain:
         raise RuntimeError("perturbation changed the circle rule; corpus bug")
-    return float(path_deviation(path_a, path_b) / eps)
+    # the correctly rounded float of deviation / eps, as one int quotient
+    dev_n, dev_d = path_deviation(path_a, path_b).as_integer_ratio()
+    eps_n, eps_d = eps.as_integer_ratio()
+    return dev_n * eps_d / (dev_d * eps_n)

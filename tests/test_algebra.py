@@ -196,6 +196,17 @@ class TestMonomialProducts:
         s2, m2 = mono_product(sig, (3,), (1,))
         assert m1 == m2 and s1 == -s2 == 1
 
+    def test_indices_refuse_a_negative_int(self):
+        # a negative int has infinitely many bits set, so the loop that
+        # strips the lowest bit would never end
+        assert algebra._indices(0) == ()
+        assert algebra._indices(0b10110) == (1, 2, 4)
+        for bits in (-1, -6, -(1 << 200)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                algebra._indices(bits)
+        with pytest.raises(ValueError, match=r"got -10000000000\.\.\. \(51 digits\)$"):
+            algebra._monomial(-10**50)
+
 
 class TestProductKernel:
     """The shared product kernel at signatures up to n = 8.  Right operands

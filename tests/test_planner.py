@@ -287,6 +287,20 @@ class TestPlanSkeleton:
         with pytest.raises(InvalidEndpoint, match="support"):
             plan_skeleton(query(point(0, 0), point("1/3", "1/4")), sig)
 
+    def test_refusal_names_at_most_five_labels(self):
+        # five labels are named whole; from six on, the first five and "..."
+        sig, zeros = AlgebraSignature(9, 3), [0] * 8
+        five = [0, "1/2", "1/3", 0, "3/4", 0, "1/5", "7/8"]
+        six = ["1/9", "1/2", "1/3", 0, "3/4", 0, "1/5", "7/8"]
+        tail = "but at most 2 coordinates may be away from the basepoint"
+        with pytest.raises(InvalidEndpoint) as refused:
+            plan_skeleton(query(point(*five), point(*zeros)), sig)
+        assert str(refused.value) == f"start endpoint has support [2, 3, 5, 7, 8] of size 5, {tail}"
+        with pytest.raises(InvalidEndpoint) as refused:
+            plan_product(query(point(*zeros, circle=0), point(*six, circle="1/2")), sig)
+        assert str(refused.value) == (f"end endpoint has support [1, 2, 3, 5, 7, ...] of size 6, "
+                                      f"{tail}")
+
     def test_rejects_circle_points(self):
         sig = AlgebraSignature(3, 2)
         with pytest.raises(InvalidEndpoint, match="circle"):
@@ -592,6 +606,26 @@ class TestEvaluateMany:
         times = _check_samples(worked, 1)
         assert times == [F(0), *worked.phase_boundaries()[1:-1], F(1)]
 
+    @pytest.mark.parametrize("steps", [1, 3, 4, 7])
+    def test_circle_window_ends_are_on_the_timeline(self, steps):
+        # a hand-built circle rule may have a window other than [0, 1]; its
+        # ends used to be left off the timeline, and samples(4) raised
+        # KeyError: (1, 4)
+        circle = CoordinateRule(Turn(0), Turn(F(1, 4)), F(1, 4), F(3, 4), True)
+        base = CoordinateRule(Turn(F(1, 8)), Turn(0), F(1, 3), F(1, 2))
+        for path, ends in ((PlannerPath(rules=(), circle_rule=circle), {F(1, 4), F(3, 4)}),
+                           (PlannerPath(rules=(base,), circle_rule=circle),
+                            {F(1, 4), F(1, 3), F(1, 2), F(3, 4)})):
+            times, columns = path.samples(steps)
+            assert times == sorted({*(F(k, steps) for k in range(steps + 1)), *ends})
+            for k, t in enumerate(times):
+                want = _values(path.evaluate(t))
+                got = tuple(column[k] for column in columns)
+                assert got == want and [type(v) for v in got] == [type(v) for v in want]
+            # the circle rests through 1/4 and from 3/4 on, exactly
+            assert columns[0][times.index(F(1, 4))] is circle.start
+            assert columns[0][times.index(F(3, 4))] is circle.end
+
     def test_rejects_float_and_out_of_range_times(self):
         sig = AlgebraSignature(3, 2)
         path = plan_skeleton(query(point(0, 0), point(0, "1/4")), sig)
@@ -750,6 +784,38 @@ class TestCoordinateRule:
         with pytest.raises(ValueError, match="window"):
             CoordinateRule._make((*narrow[:6], narrow.m_p, narrow.m_q))
 
+    def test_window_ends_take_ints_and_fractions_only(self):
+        # floats used to pass through float.as_integer_ratio into a rule
+        u, v = Turn(0), Turn(F(1, 2))
+        for move_start, rest_start, name in ((0.25, F(3, 4), "float"), (F(1, 4), 0.75, "float"),
+                                             (0.25, 0.75, "float"), ("1/4", 1, "str"),
+                                             (0, Decimal(1), "Decimal")):
+            with pytest.raises(TypeError, match=f"int or a Fraction, not {name}$"):
+                CoordinateRule(u, v, move_start, rest_start)
+        rule = CoordinateRule(u, v, 0, True)
+        assert (rule.m_p, rule.m_q, rule.r_p, rule.r_q) == (0, 1, 1, 1)
+        with pytest.raises(TypeError, match="not float"):
+            rule._replace(move_start=0.5)
+
+    @pytest.mark.parametrize("mode", ["skeleton", "product"])
+    def test_planned_rules_equal_the_constructor_rules(self, mode):
+        # the planner builds its base rules from their fields; each equals,
+        # field for field, the rule the checking constructor builds
+        product = mode == "product"
+        plan = plan_product if product else plan_skeleton
+        rng = random.Random(83 + product)
+        for n, r in [(2, 2), (4, 2), (5, 3), (6, 6), (9, 4)]:
+            sig = AlgebraSignature(n, r)
+            for bound in (2, 8, 1000):
+                for _ in range(20):
+                    path = plan(query(sample(sig, rng, bound, product),
+                                      sample(sig, rng, bound, product)), sig)
+                    for rule in path.coordinate_rules:
+                        again = CoordinateRule(rule.start, rule.end, rule.move_start,
+                                               rule.rest_start, rule.shorter_arc)
+                        assert tuple(again) == tuple(rule)
+                        assert [type(x) for x in again] == [type(x) for x in rule]
+
     @settings(max_examples=300, deadline=None)
     @given(rule_args(), st.booleans())
     def test_travel_follows_the_endpoints(self, args, shorter_arc):
@@ -797,15 +863,15 @@ class TestCoordinateRule:
         assert one.rules[1].rest_start == two.rules[2].rest_start == F(1, 2)
 
     def test_exact_window_ends_are_the_planner_constants(self):
-        # one cached pair per Turn: the basepoint's dwell is 1/2, and the
-        # flat dwell 0 from a quarter turn away gives the planner's shared
-        # Fractions
-        assert planner._window_ends(0, 1) == (F(1, 2), F(1, 2))
+        # one cached quadruple of reduced ints per Turn: the basepoint's
+        # dwell is 1/2, and the flat dwell 0 from a quarter turn away gives
+        # the window [0, 1]
+        assert planner._window_ends(0, 1) == (1, 2, 1, 2)
         for num, den in ((1, 4), (1, 2), (3, 4)):
-            move, rest = planner._window_ends(num, den)
-            assert move is planner._ZERO and rest is planner._ONE
-        move, rest = planner._window_ends(1, 8)
-        assert move == F(dwell_time(Turn(F(1, 8)))) and move + rest == 1
+            assert planner._window_ends(num, den) == (0, 1, 1, 1)
+        m_p, m_q, r_p, r_q = planner._window_ends(1, 8)
+        assert F(m_p, m_q) == dwell_time(Turn(F(1, 8))) and F(m_p, m_q) + F(r_p, r_q) == 1
+        assert math.gcd(m_p, m_q) == math.gcd(r_p, r_q) == 1
 
     @pytest.mark.parametrize("denominator_bound", [8, 1000])
     def test_int_fields_are_reduced_and_match_the_fraction_views(self, denominator_bound):

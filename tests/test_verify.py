@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -92,7 +93,11 @@ def boundary_deviation(path_a, path_b):
 class TestRunSimulation:
     def test_clean_run_small(self):
         sig = AlgebraSignature(3, 2)
+        before = time.perf_counter()
         rep = run_simulation(sig, mode="skeleton", queries=50, steps=64, seed=3)
+        elapsed = time.perf_counter() - before
+        # the run's own duration, within the time around the call
+        assert 0 <= rep.wall_time_s <= elapsed < 60
         assert rep.ok
         assert rep.endpoint_violations == 0
         assert rep.membership_violations == 0
@@ -144,7 +149,7 @@ def _break_membership(monkeypatch):
 
 def _break_agreement(monkeypatch):
     # every path reports coordinate 1 flipped in or out of its agreement set
-    real = PlannerPath.agreement.func
+    real = PlannerPath.agreement.fget
     monkeypatch.setattr(PlannerPath, "agreement", property(lambda path: real(path) ^ {1}))
 
 
