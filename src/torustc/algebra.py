@@ -75,6 +75,28 @@ def shown(value: int | str) -> str:
     return f"{text[:12]}... ({len(text) - (value < 0)} digits)"
 
 
+class _LegMasks:
+    """AlgebraSignature._leg_masks, (left, right, cap): a packed term
+    survives when neither (bits & left) nor (bits & right) has more than cap
+    bits.  left holds the positive generators e1..e{n-1}, right the same
+    shifted into the second tensor leg; an algebra key never reaches the
+    right mask.
+
+    Built on a signature's first read and kept in its instance dict, which
+    every later read finds before this descriptor, as with
+    functools.cached_property; that one takes a lock on each first read
+    (Python 3.11), and every row of tc builds a new signature.  Built
+    lazily, so a signature whose n has thousands of digits costs no shift
+    until a product or fits needs one."""
+
+    def __get__(self, sig, owner=None):
+        if sig is None:
+            return self
+        left = (1 << sig.n) - 2
+        masks = sig.__dict__["_leg_masks"] = (left, left << sig.n, sig.r - 1)
+        return masks
+
+
 class AlgebraSignature(collections.namedtuple("_SignatureFields", "n r")):
     """Ambient parameters: n generators overall, subtorus dimension r-1.
 
@@ -97,14 +119,7 @@ class AlgebraSignature(collections.namedtuple("_SignatureFields", "n r")):
     def _make(cls, fields):
         return cls(*fields)
 
-    @functools.cached_property
-    def _leg_masks(self) -> tuple[int, int, int]:
-        """(left, right, cap): a packed term survives when neither (bits &
-        left) nor (bits & right) has more than cap bits.  left holds the
-        positive generators e1..e{n-1}, right the same shifted into the
-        second tensor leg; an algebra key never reaches the right mask."""
-        left = (1 << self.n) - 2
-        return left, left << self.n, self.r - 1
+    _leg_masks = _LegMasks()
 
     def fits(self, bits: int) -> bool:
         """True when the bit-set monomial survives in this algebra."""
@@ -270,7 +285,10 @@ class AlgebraElement:
         # generators to can overflow, and a term with one such leg (every
         # zero-divisor term) needs one count
         for bb, bc in other._terms.items():
-            odd = _odd_below(bb)
+            # _odd_below's one-bit case inline: a lone bit low gives
+            # -(low << 1), and 0 gives 0; every certificate factor and chain
+            # zero-divisor term is one bit
+            odd = _odd_below(bb) if bb & (bb - 1) else -(bb << 1)
             leg = left if bb & left else right
             both = bb & left and bb & right
             for ab, ac in terms:
@@ -449,6 +467,10 @@ class LowerBoundCertificate(collections.namedtuple("_CertificateFields", (
         return len(self.component)
 
 
+# a certificate from its seven fields, in order
+_new_certificate = functools.partial(tuple.__new__, LowerBoundCertificate)
+
+
 def lower_bound_certificate(sig: AlgebraSignature, index_set=None) -> LowerBoundCertificate:
     """Certify the longest guaranteed-nonzero product of generator zero-divisors.
 
@@ -483,27 +505,24 @@ def lower_bound_certificate(sig: AlgebraSignature, index_set=None) -> LowerBound
             raise ValueError(f"certificate indices must lie in 1..{sig.n - 1}")
 
     n, split = sig.n, sig.r - 1
-    # the indices are distinct, so each sum of bits is their union
-    left = 1 + sum(1 << i for i in indices[:split])
-    right = sum(1 << i for i in indices[split:])
+    left, right = 1, 0
     found = TensorElement._raw(sig, {1: -1})
+    # the indices are distinct, so each mask is the union of its bits
     for j, i in enumerate(indices):
-        found = found * TensorElement._raw(sig, {1 << i: -1} if j < split else {1 << i << n: 1})
-    coeff = found.coefficient(left, right)
+        if j < split:
+            left |= 1 << i
+            found = found * TensorElement._raw(sig, {1 << i: -1})
+        else:
+            right |= 1 << i
+            found = found * TensorElement._raw(sig, {1 << i << n: 1})
+    coeff = found._terms.get(left | right << n, 0)
     if not coeff:
         raise CertificateFailure(
             f"zero-divisor product for n={n}, r={sig.r} has coefficient 0 at "
             f"{_monomial(left)} (x) {_monomial(right)}; certificate does not hold"
         )
-    return LowerBoundCertificate(
-        sig=sig,
-        k=k,
-        index_set=indices,
-        factor_count=k + 1,
-        component_bidegree=(sig.r, k + 1 - sig.r),
-        expected_terms=math.comb(k, split),
-        witness=(left, right, coeff),
-    )
+    return _new_certificate((sig, k, indices, k + 1, (sig.r, k - split), math.comb(k, split),
+                             (left, right, coeff)))
 
 
 def zdcl_degree_one(sig: AlgebraSignature) -> int:

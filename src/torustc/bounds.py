@@ -34,9 +34,10 @@ class TcBounds(namedtuple("_BoundsFields", "n r lower upper_constructive upper_d
         return self.upper_constructive == self.tc
 
     def to_jsonable(self) -> dict:
-        out = self._asdict()
-        out["constructive_tight"] = self.constructive_tight
-        return out
+        n, r, lower, upper_constructive, upper_dimension, tc = self
+        return {"n": n, "r": r, "lower": lower, "upper_constructive": upper_constructive,
+                "upper_dimension": upper_dimension, "tc": tc,
+                "constructive_tight": self.constructive_tight}
 
 
 def compute_bounds(n: int, r: int) -> TcBounds:
@@ -59,11 +60,4 @@ def compute_bounds(n: int, r: int) -> TcBounds:
             f"lower bound {lower} does not meet upper bounds "
             f"min({upper_constructive}, {upper_dimension}) for n={n}, r={r}"
         )
-    return TcBounds(
-        n=n,
-        r=r,
-        lower=lower,
-        upper_constructive=upper_constructive,
-        upper_dimension=upper_dimension,
-        tc=tc,
-    )
+    return TcBounds(n, r, lower, upper_constructive, upper_dimension, tc)

@@ -133,7 +133,10 @@ def _parse_grid(text: str) -> list[tuple[int, int]]:
 
 
 def _check_certificate_work(sigs) -> None:
-    if sum(min(sig.n, 2 * sig.r - 1) * sig.n for sig in sigs) > MAX_CERTIFICATE_WORK:
+    work = 0
+    for n, r in sigs:
+        work += min(n, 2 * r - 1) * n
+    if work > MAX_CERTIFICATE_WORK:
         raise InstanceTooLarge(f"certificate work (factors times n, summed over rows) "
                                f"is capped at {MAX_CERTIFICATE_WORK}")
 
@@ -188,8 +191,12 @@ def _json(value, indent: str = "\n") -> str:
     if isinstance(value, dict):
         if not value:
             return "{}"
-        # the string encoder raises TypeError for a key that is not a str
-        cells = [f"{encode_basestring_ascii(key)}: {_json(item, inner)}"
+        # the string encoder raises TypeError for a key that is not a str.
+        # A value of exact type int or str is rendered inline, as the cases
+        # above render it; a bool, a subclass or anything else recurses
+        cells = [f"{encode_basestring_ascii(key)}: "
+                 + (int.__repr__(item) if type(item) is int else
+                    encode_basestring_ascii(item) if type(item) is str else _json(item, inner))
                  for key, item in value.items()]
         return f"{{{inner}{(',' + inner).join(cells)}{indent}}}"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
@@ -412,10 +419,12 @@ def _field(flag: str) -> str:
 
 
 # per command, built once: the fields parse_args starts from (positionals
-# None, options their defaults) and the field each flag sets
+# None, options their defaults), the field each flag sets and the flags
+# that must be given
 _FIELDS = {command: ({**dict.fromkeys(name for name, _ in positionals),
                       **{_field(flag): spec[1] for flag, spec in options.items()}},
-                     {flag: _field(flag) for flag in options})
+                     {flag: _field(flag) for flag in options},
+                     [flag for flag, spec in options.items() if spec[1] is _REQUIRED])
            for command, (_, _, positionals, options) in _COMMANDS.items()}
 
 
@@ -463,7 +472,7 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
             return SimpleNamespace(command=None, func=_print_help)
         raise ValueError(f"expected a command ({', '.join(_COMMANDS)}), got {shown(command)}")
     handler, _, positionals, options = _COMMANDS[command]
-    defaults, names = _FIELDS[command]
+    defaults, names, needed = _FIELDS[command]
     fields = {"command": command, "func": handler, **defaults}
     given = 0
     ended = False
@@ -509,7 +518,8 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
     if stray:
         raise ValueError(f"{stray} for {command}")
     missing = [name for name, required in positionals[given:] if required]
-    missing += [flag for flag, name in names.items() if fields[name] is _REQUIRED]
+    if needed:
+        missing += [flag for flag in needed if fields[names[flag]] is _REQUIRED]
     if missing:
         raise ValueError(f"the following arguments are required: {', '.join(missing)}")
     for flag in ranged:

@@ -156,12 +156,22 @@ def membership(coords, sig) -> tuple[bool, frozenset[int]]:
 
     The tuple must have length n-1; the point belongs to the union of
     (r-1)-dimensional coordinate subtori exactly when at most r-1 of its
-    coordinates differ from the basepoint.
+    coordinates differ from the basepoint.  A coordinate is a Turn, or a
+    float from a point PlannerPath.evaluate returns inside a travel phase,
+    which counts as off the basepoint, as in exact_zero_count; any other
+    type raises TypeError.
     """
     coords = tuple(coords)
     if len(coords) != sig.n - 1:
         raise ValueError(f"expected {sig.n - 1} coordinates, got {len(coords)}")
-    support = frozenset([j for j, t in enumerate(coords, 1) if t.num])
+    try:
+        support = frozenset([j for j, t in enumerate(coords, 1) if t.num])
+    except AttributeError:
+        # only a tuple holding a coordinate that is not a Turn gets here
+        for t in coords:
+            if not isinstance(t, (Turn, float)):
+                raise TypeError(f"coordinates are Turns or floats, not {type(t).__name__}") from None
+        support = frozenset([j for j, t in enumerate(coords, 1) if isinstance(t, float) or t.num])
     return len(support) <= sig.r - 1, support
 
 

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import operator
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
@@ -142,6 +143,45 @@ class TestSignature:
             AlgebraSignature(1, 10**5000)
         with pytest.raises(InvalidSignature, match=r"\(n=3, r=-<16610-bit int>\): r must"):
             AlgebraSignature(3, -(10**5000))
+
+    def test_r_above_n_is_named_at_n_zero(self):
+        # r < 1 is the other reason; at r = 1 it does not hold
+        with pytest.raises(InvalidSignature, match=r"^invalid signature \(n=0, r=1\): "
+                                                   r"r exceeds n$"):
+            AlgebraSignature(0, 1)
+
+    def test_message_shows_forty_characters_whole(self):
+        # a value whose repr has 40 characters is shown whole, one of 41 is shortened
+        assert algebra.shown("x" * 38) == repr("x" * 38)
+        assert algebra.shown("x" * 39) == "'xxxxxxxxxxx... (39 characters)"
+        assert algebra.shown(10**39) == str(10**39)
+        assert algebra.shown(10**40) == "100000000000... (41 digits)"
+        assert algebra.shown(-(10**38)) == str(-(10**38))
+        assert algebra.shown(-(10**39)) == "-10000000000... (40 digits)"
+
+    def test_leg_masks_are_read_once_and_kept(self):
+        sig = AlgebraSignature(4, 3)
+        assert "_leg_masks" not in vars(sig)
+        masks = sig._leg_masks
+        assert masks == (0b1110, 0b11100000, 2) and vars(sig)["_leg_masks"] is masks
+        assert sig._leg_masks is masks
+        assert not isinstance(AlgebraSignature._leg_masks, tuple)
+
+    @pytest.mark.parametrize("read_first", [False, True], ids=["unread", "read"])
+    def test_leg_masks_of_copies_equal_fresh_ones(self, read_first):
+        # a copy made before or after the first read has its own masks,
+        # equal to those of a signature built from its fields
+        for n, r in [(1, 1), (3, 2), (6, 4), (9, 9)]:
+            sig = AlgebraSignature(n, r)
+            if read_first:
+                sig._leg_masks
+            fresh = AlgebraSignature(n, r)._leg_masks
+            for copy in (sig._replace(), sig._make(sig), pickle.loads(pickle.dumps(sig)),
+                         sig._replace(r=n)._replace(r=r)):
+                assert type(copy) is AlgebraSignature and copy == sig
+                assert copy._leg_masks == fresh, (n, r)
+            wider = sig._replace(r=n)
+            assert wider._leg_masks == AlgebraSignature(n, n)._leg_masks
 
     def test_replace_and_make_keep_the_checks(self):
         # a signature is a named tuple whose copies go through the constructor
@@ -778,6 +818,33 @@ class TestLowerBoundCertificate:
         message = str(info.value)
         assert "SLICE_TERM_CAP" in message and "int_max_str_digits" not in message
         assert len(message) < 200 and "\n" not in message
+
+    def test_records_equal_the_constructor_records(self):
+        # the record is built from its seven fields, with no constructor
+        # call; each field must equal, type for type, what the named tuple's
+        # own constructor takes from the certificate's definition
+        rng = random.Random(7)
+        for n in range(1, 11):
+            for r in range(1, n + 1):
+                sig = AlgebraSignature(n, r)
+                k = min(n - 1, 2 * r - 2)
+                chosen = rng.sample(range(1, n), k)
+                for index_set in (None, chosen):
+                    cert = lower_bound_certificate(sig, index_set)
+                    indices = tuple(sorted(chosen)) if index_set else tuple(range(1, k + 1))
+                    left = randgen.bits_of((0, *indices[: r - 1]))
+                    right = randgen.bits_of(indices[r - 1 :])
+                    coeff = full_product(cert).coefficient(left, right)
+                    want = LowerBoundCertificate(
+                        sig=sig, k=k, index_set=indices, factor_count=k + 1,
+                        component_bidegree=(r, k + 1 - r), expected_terms=math.comb(k, r - 1),
+                        witness=(left, right, coeff))
+                    assert type(cert) is LowerBoundCertificate and cert == want, (n, r)
+                    for got, field in zip(cert, want):
+                        assert type(got) is type(field), (n, r, got, field)
+                        if type(field) is tuple:
+                            assert list(map(type, got)) == list(map(type, field)), (n, r, got)
+                    assert cert.sig is sig and vars(cert) == {} and coeff in (-1, 1)
 
     def test_products_stay_within_twice_the_slice_size(self, monkeypatch):
         # only the term of each factor that can reach the witness is

@@ -2,6 +2,7 @@
 public Python names, with README's API example run as written."""
 
 import contextlib
+import enum
 import io
 import json
 import math
@@ -948,6 +949,27 @@ class TestJsonOutput:
               "empty": [{}, [], (), ""], "nested": ((1, (2, [])), {"a": {"b": {}}})})
     def test_writer_is_the_indent_2_rendering(self, value):
         assert cli._json(value) == json.dumps(value, indent=2)
+
+    class Color(enum.IntEnum):
+        RED = 1
+        HUGE = 2**70
+
+    class Label(str):
+        def __str__(self):
+            return "not what json renders"
+
+    @pytest.mark.parametrize("value", [
+        {"color": Color.RED, "huge": Color.HUGE, "colors": [Color.RED]},
+        {"label": Label("caf\u00e9 \"x\""), "key": "plain", "labels": (Label("y"),)},
+        {"yes": True, "no": False, "one": 1, "zero": 0, "none": None},
+        {"big": 2**64, "past": 2**64 + 1, "negative": -(2**70), "tiny": -1, "f": 0.5},
+        {"nested": {"color": Color.HUGE, "label": Label(""), "flag": True, "big": 10**30}},
+    ], ids=["intenum", "str-subclass", "bools", "big-ints", "nested"])
+    def test_dict_values_render_as_json_renders_them(self, value):
+        # exact ints and strs in a dict are rendered inline; a bool, an int
+        # or str subclass and anything else go through the writer's own cases
+        assert cli._json(value) == json.dumps(value, indent=2)
+        assert cli._json([value]) == json.dumps([value], indent=2)
 
     @pytest.mark.parametrize("value", [
         {1: 2}, {"a": {None: 1}}, {True: 0}, Fraction(1, 3), {"t": Fraction(1, 3)},

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torustc import AlgebraSignature, SkeletonPoint, Turn, membership, random_turn, sample
+from torustc import (AlgebraSignature, PlannerQuery, SkeletonPoint, Turn, membership,
+                     plan_skeleton, random_turn, sample)
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=64)
 
@@ -169,6 +170,26 @@ class TestMembership:
         # n = 1: the empty tuple is the one point
         ok, support = membership((), AlgebraSignature(1, 1))
         assert ok and support == frozenset()
+
+    def test_float_coordinates_count_off_the_basepoint(self):
+        # a point evaluate returns inside a travel phase holds floats; they
+        # count as off the basepoint, as in exact_zero_count
+        sig = AlgebraSignature(3, 2)
+        query = PlannerQuery(SkeletonPoint((Turn(Fraction(1, 4)), Turn(0))),
+                             SkeletonPoint((Turn(0), Turn(Fraction(1, 3)))))
+        mid = plan_skeleton(query, sig).evaluate(Fraction(1, 4))
+        assert type(mid.base[0]) is float and mid.exact_zero_count() == 1
+        assert membership(mid.base, sig) == (True, frozenset({1}))
+        assert membership((0.0, Turn(0)), sig) == (True, frozenset({1}))
+        assert membership((Turn(Fraction(1, 2)), 0.5), sig) == (False, frozenset({1, 2}))
+
+    @pytest.mark.parametrize("value", [0, Fraction(1, 2), Decimal("0.5"), "1/2", None],
+                             ids=["int", "fraction", "decimal", "str", "none"])
+    def test_other_coordinates_raise_by_name(self, value):
+        with pytest.raises(TypeError, match=f"not {type(value).__name__}$"):
+            membership((Turn(0), value), AlgebraSignature(3, 2))
+        with pytest.raises(TypeError, match=f"not {type(value).__name__}$"):
+            membership((0.25, value), AlgebraSignature(3, 2))
 
     def test_point_helpers(self):
         p = SkeletonPoint((Turn(0), Turn(Fraction(1, 5))), Turn(Fraction(1, 2)))
