@@ -271,15 +271,17 @@ def cmd_verify_lower_bound(args) -> int:
 def _coord_cells(column) -> list[str]:
     """One coordinate's values, a column of PlannerPath.samples, as the
     indented JSON that plan prints for them.  A resting coordinate repeats
-    one Turn object, rendered once."""
+    one Turn object, rendered once; every travel value is a new float."""
     cells = []
     last = cell = None
     for value in column:
-        if value is not last:
-            last = value
-            cell = (f"        {encode_basestring_ascii(str(value))}" if isinstance(value, Turn)
-                    else f'        {{\n          "approx": {value!r}\n        }}')
-        cells.append(cell)
+        if value is last:
+            cells.append(cell)
+        elif type(value) is float:
+            cells.append(f'        {{\n          "approx": {value!r}\n        }}')
+        else:
+            last, cell = value, f"        {encode_basestring_ascii(str(value))}"
+            cells.append(cell)
     return cells
 
 
@@ -306,8 +308,8 @@ def cmd_plan(args) -> int:
     # strings carry unescaped; floats render with repr(), as in _json.
     # a path without coordinates (n = 1, no circle) prints "coords": []
     rows = ["[\n" + ",\n".join(cells) + "\n      ]" for cells in zip(*map(_coord_cells, columns))]
-    samples = [f'    {{\n      "t": "{t!s}",\n      "coords": {row}\n    }}'
-               for t, row in zip(times, rows or ["[]"] * len(times))]
+    samples = [f'    {{\n      "t": "{t}",\n      "coords": {row}\n    }}'
+               for t, row in zip(map(str, times), rows or ["[]"] * len(times))]
     print(f'{head[:-2]},\n  "samples": [\n' + ",\n".join(samples) + "\n  ]\n}")
     return 0
 

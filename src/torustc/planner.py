@@ -187,18 +187,13 @@ class CoordinateRule(namedtuple("_RuleFields", (
 def _values(rules, p: int, q: int) -> list:
     """The value of each rule at the checked time p/q: the phase is decided
     by integer cross multiplication, p*m_q <= m_p*q resting at start and
-    p*r_q >= r_p*q resting at end."""
-    out = []
-    for rule in rules:
-        start, end, _, constant, m_p, m_q, r_p, r_q, _, _ = rule
-        if constant or p * m_q <= m_p * q:
-            out.append(start)
-        elif p * r_q >= r_p * q:
-            out.append(end)
-        else:
-            s0, ms, span, dl = rule._travel_floats()
-            out.append((s0 + ((p / q - ms) / span) * dl) % 1.0)
-    return out
+    p*r_q >= r_p*q resting at end.  A travel value is the expression of
+    _travel_floats' terms that samples uses, written out, so its float is
+    the same bit for bit."""
+    return [start if constant or p * m_q <= m_p * q else end if p * r_q >= r_p * q
+            else (start.num / start.den
+                  + ((p / q - m_p / m_q) / ((r_p * m_q - m_p * r_q) / (r_q * m_q))) * (d_n / d_d)) % 1.0
+            for start, end, _, constant, m_p, m_q, r_p, r_q, d_n, d_d in rules]
 
 
 def _check_time(t) -> tuple[int, int]:
@@ -258,8 +253,8 @@ class PlannerPath(namedtuple("_PathFields", "rules circle_rule", defaults=(None,
         floats for the coordinates strictly inside their travel phase.  At
         t = 0 and t = 1 it equals the query's endpoints."""
         values = _values(self.coordinate_rules, *_check_time(t))
-        return (SkeletonPoint(tuple(values)) if self.circle_rule is None
-                else SkeletonPoint(tuple(values[1:]), values[0]))
+        return (_new_point((tuple(values), None)) if self.circle_rule is None
+                else _new_point((tuple(values[1:]), values[0])))
 
     def phase_boundaries(self) -> tuple[Fraction, ...]:
         """Times where some base coordinate switches phase, in ascending order."""
@@ -401,8 +396,10 @@ def _grid(steps: int) -> tuple[tuple[Fraction, ...], tuple[float, ...]]:
             tuple(k / steps for k in range(steps + 1)))
 
 
-# a rule from its ten fields, for windows and travel already checked
+# a rule, point or path from its fields, for windows and travel already checked
 _new_rule = functools.partial(tuple.__new__, CoordinateRule)
+_new_point = functools.partial(tuple.__new__, SkeletonPoint)
+_new_path = functools.partial(tuple.__new__, PlannerPath)
 # the rule of every coordinate parked at the basepoint at both ends
 _PARKED = CoordinateRule(start=BASEPOINT, end=BASEPOINT, move_start=0, rest_start=1)
 
@@ -488,11 +485,15 @@ def plan_product(query: PlannerQuery, sig) -> PlannerPath:
 
 
 def _plan(query: PlannerQuery, sig) -> PlannerPath:
-    _require_membership(query.start, sig, "start")
-    _require_membership(query.end, sig, "end")
-    start, end = query.start, query.end
-    return PlannerPath(
-        rules=_build_rules(start, end),
-        circle_rule=None if start.circle is None else CoordinateRule(
-            start.circle, end.circle, 0, 1, shorter_arc=True),
-    )
+    """The path of a query whose endpoints are on the skeleton.  The
+    circle's rule is built from its fields, as the constructor builds it:
+    the window [0, 1] and the shorter arc's travel, reduced."""
+    start, end = query
+    _require_membership(start, sig, "start")
+    _require_membership(end, sig, "end")
+    if start.circle is None:
+        return _new_path((_build_rules(start, end), None))
+    d_n, d_d = start.circle.travel(end.circle, True)
+    g = math.gcd(d_n, d_d)
+    return _new_path((_build_rules(start, end), _new_rule((
+        start.circle, end.circle, True, not d_n, 0, 1, 1, 1, d_n // g, d_d // g))))

@@ -60,18 +60,22 @@ class Turn:
 
     @classmethod
     def parse(cls, text: str) -> "Turn":
+        """The Turn of text like 3/4, -1/2 or 0, mod 1: the value
+        Turn(Fraction(text)) has, read as two ints."""
         text = text.strip()
         if not _TURN_RE.match(text):
             raise ValueError(f"expected an exact rational like 3/4 or 0, got {shown(text)}")
+        num, _, den = text.partition("/")
         try:
-            return cls(Fraction(text))
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {shown(text)}") from None
+            p, q = int(num), int(den or 1)
         except ValueError:
             # the text matched, so only the interpreter's digit limit is left;
             # its message would name sys.set_int_max_str_digits()
             raise ValueError(f"numerators and denominators must have at most "
                              f"{sys.get_int_max_str_digits()} digits") from None
+        if not q:
+            raise ValueError(f"zero denominator in {shown(text)}")
+        return cls.of(p, q)
 
     @property
     def value(self) -> Fraction:
@@ -161,7 +165,7 @@ def membership(coords, sig) -> tuple[bool, frozenset[int]]:
     which counts as off the basepoint, as in exact_zero_count; any other
     type raises TypeError.
     """
-    coords = tuple(coords)
+    coords = coords if isinstance(coords, tuple) else tuple(coords)
     if len(coords) != sig.n - 1:
         raise ValueError(f"expected {sig.n - 1} coordinates, got {len(coords)}")
     try:
@@ -181,16 +185,54 @@ def _shared_turn(p: int, q: int) -> Turn:
     return Turn.of(p, q)
 
 
+def _below(getrandbits, n: int) -> int:
+    """randrange(n): the rejection loop of Random._randbelow_with_getrandbits,
+    one getrandbits(n.bit_length()) per try, so it draws exactly as
+    randrange does.  n < 1 raises ValueError, as in randrange, where the
+    loop would never end."""
+    if n < 1:
+        raise ValueError("empty range for randrange()")
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _labels(getrandbits, n: int, k: int) -> list[int]:
+    """Random.sample(range(1, n), k), draw for draw, for 0 <= k < n: its
+    pool branch while the n - 1 labels fit its setsize rule, and its set
+    branch, which draws again on a repeat, beyond."""
+    size, chosen = n - 1, []
+    setsize = 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
+    if size <= setsize:
+        pool = list(range(1, n))
+        for m in range(size, size - k, -1):
+            j = _below(getrandbits, m)
+            chosen.append(pool[j])
+            pool[j] = pool[m - 1]
+    else:
+        selected = set()
+        while len(selected) < k:
+            j = _below(getrandbits, size)
+            if j not in selected:
+                selected.add(j)
+                chosen.append(j + 1)
+    return chosen
+
+
 def random_turn(rng: random.Random, denominator_bound: int) -> Turn:
     """Uniform choice of denominator q <= bound, then uniform p/q in [0, 1).
 
     Equal draws return one shared Turn, so a sampled coordinate is reduced
     once and equal coordinates are often the same object, which settles
-    equality by identity.  1 + randrange(bound) draws exactly as
-    randint(1, bound) does.
+    equality by identity.  The two values come straight from
+    rng.getrandbits (_below), in the calls randint(1, bound) and then
+    randrange(q) make, so a seed draws what those methods would; a bound
+    below 1 raises ValueError, as randint does.
     """
-    q = 1 + rng.randrange(denominator_bound)
-    return _shared_turn(rng.randrange(q), q)
+    q = 1 + _below(rng.getrandbits, denominator_bound)
+    return _shared_turn(_below(rng.getrandbits, q), q)
 
 
 def sample(
@@ -204,12 +246,26 @@ def sample(
     Coordinates on the chosen support are random rationals with denominator
     at most denominator_bound (they may still land on the basepoint, so the
     realised support can be smaller); all other coordinates are exactly 0.
+    Every value comes straight from rng.getrandbits, draw for draw as
+    rng.sample(range(1, n), r - 1) picks the support (_labels) and then
+    random_turn draws each chosen label's coordinate, in the order the
+    labels were picked, and the circle's last; each label's q and p are
+    drawn inline.
     """
     if denominator_bound < 2:
         raise ValueError("denominator_bound must be at least 2")
-    chosen = rng.sample(range(1, sig.n), sig.r - 1)
+    getrandbits, bits = rng.getrandbits, denominator_bound.bit_length()
     coords = [BASEPOINT] * (sig.n - 1)
-    for label in chosen:
-        coords[label - 1] = random_turn(rng, denominator_bound)
+    for label in _labels(getrandbits, sig.n, sig.r - 1):
+        # random_turn's two draws, each _below's loop
+        q = getrandbits(bits)
+        while q >= denominator_bound:
+            q = getrandbits(bits)
+        q += 1
+        k = q.bit_length()
+        p = getrandbits(k)
+        while p >= q:
+            p = getrandbits(k)
+        coords[label - 1] = _shared_turn(p, q)
     circle = random_turn(rng, denominator_bound) if with_circle else None
-    return SkeletonPoint(tuple(coords), circle)
+    return tuple.__new__(SkeletonPoint, (tuple(coords), circle))

@@ -350,10 +350,11 @@ def path_deviation(path_a: PlannerPath, path_b: PlannerPath) -> Fraction:
     for rule_a, rule_b in zip(rules_a, rules_b):
         if rule_a is rule_b:
             continue
-        times = [pq for rule in (rule_a, rule_b) if not rule.constant
-                 for pq in ((rule.m_p, rule.m_q), (rule.r_p, rule.r_q))]
+        times = ((() if rule_a.constant else ((rule_a.m_p, rule_a.m_q), (rule_a.r_p, rule_a.r_q)))
+                 + (() if rule_b.constant else ((rule_b.m_p, rule_b.m_q), (rule_b.r_p, rule_b.r_q)))
+                 or ((0, 1),))
         turn = None
-        for p, q in times or ((0, 1),):
+        for p, q in times:
             n_a, d_a = _lifted(rule_a, p, q)
             n_b, d_b = _lifted(rule_b, p, q)
             b = d_a * d_b
@@ -362,7 +363,7 @@ def path_deviation(path_a: PlannerPath, path_b: PlannerPath) -> Fraction:
             turn, last = whole - (2 * rest < b), turn
             if last is not None and turn != last:
                 return Fraction(1, 2)
-            near = min(rest, b - rest)
+            near = rest if 2 * rest < b else b - rest
             if near * worst_d > worst_n * b:
                 worst_n, worst_d = near, b
     return Fraction(worst_n, worst_d)
@@ -394,7 +395,7 @@ def continuity_ratio(
         return None
 
     plan = plan_product if product else plan_skeleton
-    path_a, path_b = (plan(q, sig) for q in pair)
+    path_a, path_b = plan(pair[0], sig), plan(pair[1], sig)
     if path_a.agreement != path_b.agreement:
         raise RuntimeError("perturbation changed the agreement set; corpus bug")
     if path_a.domain != path_b.domain:

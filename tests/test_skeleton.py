@@ -2,15 +2,18 @@
 
 import math
 import random
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torustc import (AlgebraSignature, PlannerQuery, SkeletonPoint, Turn, membership,
                      plan_skeleton, random_turn, sample)
+from torustc.algebra import shown
+from torustc.cli import MAX_DENOMINATOR_BOUND
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=64)
 
@@ -60,6 +63,37 @@ class TestTurn:
             Turn.parse("x" + "9" * 4000)
         with pytest.raises(ValueError, match=r"in '1/000000000\.\.\. \(4002 characters\)$"):
             Turn.parse("1/" + "0" * 4000)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.builds("{}{}{}{}{}{}".format, st.sampled_from(["", " ", "\t"]),
+                     st.sampled_from(["", "+", "-"]), st.text(st.sampled_from("0"), max_size=3),
+                     st.text(st.characters(categories=("Nd",)), min_size=1, max_size=12),
+                     st.one_of(st.just(""), st.text(st.characters(categories=("Nd",)), min_size=1,
+                                                    max_size=12).map("/".__add__)),
+                     st.sampled_from(["", " ", "\n"])))
+    @example("-3/00")
+    @example("+007/010")
+    @example("1/٣")
+    @example("1" * 4400)
+    @example("1/" + "2" * 4400)
+    @example("1" * 4400 + "/0")
+    def test_parse_reads_what_fraction_reads(self, text):
+        # signed, zero-padded and Unicode-digit text is read as Fraction
+        # reads it; a zero denominator and the interpreter's digit limit are
+        # refused, in the order Fraction meets them, with their own messages
+        try:
+            want = Turn(Fraction(text))
+        except ZeroDivisionError:
+            want = f"zero denominator in {shown(text.strip())}"
+        except ValueError:
+            want = (f"numerators and denominators must have at most "
+                    f"{sys.get_int_max_str_digits()} digits")
+        if isinstance(want, Turn):
+            assert Turn.parse(text) == want
+        else:
+            with pytest.raises(ValueError) as refused:
+                Turn.parse(text)
+            assert str(refused.value) == want
 
     @settings(max_examples=300, deadline=None)
     @given(rationals, rationals)
@@ -147,6 +181,42 @@ class TestTurnArithmetic:
                 q = ref.randint(1, 12)
                 assert random_turn(rng, 12) == Turn(Fraction(ref.randrange(q), q))
             assert rng.random() == ref.random()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**64), st.integers(1, 200).flatmap(
+               lambda n: st.tuples(st.just(n), st.integers(1, n))),
+           st.integers(2, MAX_DENOMINATOR_BOUND), st.booleans())
+    @example(0, (10, 4), 8, False)  # Random.sample's pool branch
+    @example(0, (40, 3), 8, True)  # its set branch
+    @example(0, (30, 7), 8, False)  # the pool branch, with k > 5 sizing the set
+    @example(0, (100, 8), 8, False)  # the set branch with k > 5
+    @example(0, (200, 150), MAX_DENOMINATOR_BOUND, True)
+    def test_sample_draws_as_random_draws(self, seed, nr, bound, with_circle):
+        # sample takes its values from getrandbits, draw for draw as
+        # rng.sample picks the support and randint and randrange draw each
+        # coordinate, so a seed gives the points it gave through them
+        (n, r), sig = nr, AlgebraSignature(*nr)
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            base = [Turn(0)] * (n - 1)
+            for label in ref.sample(range(1, n), r - 1):
+                q = ref.randint(1, bound)
+                base[label - 1] = Turn(Fraction(ref.randrange(q), q))
+            circle = None
+            if with_circle:
+                q = ref.randint(1, bound)
+                circle = Turn(Fraction(ref.randrange(q), q))
+            assert sample(sig, rng, bound, with_circle) == SkeletonPoint(tuple(base), circle)
+            q = ref.randint(1, bound)
+            assert random_turn(rng, bound) == Turn(Fraction(ref.randrange(q), q))
+        assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("bound", [0, -1])
+    def test_random_turn_draws_nothing_below_one(self, bound):
+        # randint(1, bound) refuses an empty range; getrandbits(0) would
+        # return 0 for ever
+        with pytest.raises(ValueError):
+            random_turn(random.Random(0), bound)
 
 
 class TestMembership:
