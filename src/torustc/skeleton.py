@@ -85,19 +85,14 @@ class Turn:
     def is_zero(self) -> bool:
         return not self.num
 
-    def ccw_gap(self, other: "Turn") -> tuple[int, int]:
-        """Counterclockwise distance from self to other, in [0, 1), as a
-        numerator and denominator (num, den), not necessarily reduced: the
-        two points are antipodes exactly when 2 * num == den.  It is the
-        travel without shorter_arc."""
-        return self.travel(other)
-
     def travel(self, other: "Turn", shorter_arc: bool = False) -> tuple[int, int]:
-        """Signed travel from self to other, as ccw_gap's (num, den): the
-        counterclockwise gap, or with shorter_arc the shorter arc, less one
-        turn past a half turn, so exact antipodes travel half a turn
-        counterclockwise.  CoordinateRule reads it, and the verifier through
-        ccw_gap; the planner's base rules take the same gap inline."""
+        """Signed travel from self to other, as a numerator and denominator
+        (num, den), not necessarily reduced: the counterclockwise gap, in
+        [0, 1), or with shorter_arc the shorter arc, less one turn past a
+        half turn, so exact antipodes travel half a turn counterclockwise
+        and are exactly the gaps with 2 * num == den.  CoordinateRule and
+        the verifier read it; the planner's base rules take the same gap
+        inline."""
         p, q, p2, q2 = self.num, self.den, other.num, other.den
         den = q * q2
         num = (p2 * q - p * q2) % den
@@ -135,10 +130,6 @@ class SkeletonPoint(namedtuple("_PointFields", "base circle", defaults=(None,)))
     """
 
     __slots__ = ()
-
-    @property
-    def has_circle(self) -> bool:
-        return self.circle is not None
 
     def exact_zero_count(self) -> int:
         """Base coordinates exactly at the basepoint (floats never count)."""
@@ -185,36 +176,49 @@ def _shared_turn(p: int, q: int) -> Turn:
     return Turn.of(p, q)
 
 
-def _below(getrandbits, n: int) -> int:
-    """randrange(n): the rejection loop of Random._randbelow_with_getrandbits,
-    one getrandbits(n.bit_length()) per try, so it draws exactly as
-    randrange does.  n < 1 raises ValueError, as in randrange, where the
-    loop would never end."""
+def draw_below(rng: random.Random, n: int) -> int:
+    """The value randrange(n) would give, drawn straight from rng.getrandbits.
+
+    This is the rejection loop of Random._randbelow_with_getrandbits: one
+    getrandbits(n.bit_length()) per try, until a value below n, so it draws
+    exactly what randrange(n) would.  n < 1 raises ValueError before any
+    draw, as randrange does, where the loop would never end.  With
+    draw_labels it is the one place a seeded value is drawn: sample,
+    random_turn and the verifier all draw through the two.
+    """
     if n < 1:
         raise ValueError("empty range for randrange()")
-    k = n.bit_length()
+    getrandbits, k = rng.getrandbits, n.bit_length()
     r = getrandbits(k)
     while r >= n:
         r = getrandbits(k)
     return r
 
 
-def _labels(getrandbits, n: int, k: int) -> list[int]:
-    """Random.sample(range(1, n), k), draw for draw, for 0 <= k < n: its
-    pool branch while the n - 1 labels fit its setsize rule, and its set
-    branch, which draws again on a repeat, beyond."""
-    size, chosen = n - 1, []
+def draw_labels(rng: random.Random, n: int, k: int) -> list[int]:
+    """The labels Random.sample(range(1, n), k) would pick, drawn straight
+    from rng.getrandbits.
+
+    Random.sample's pool branch while the n - 1 labels fit its setsize
+    rule, and its set branch, which draws again on a repeat, beyond; every
+    draw is draw_below's, so a seed picks the labels Random.sample would,
+    in its order.  k < 0 or k > n - 1 raises Random.sample's ValueError
+    before any draw.
+    """
+    size, chosen = max(n - 1, 0), []
+    if not 0 <= k <= size:
+        raise ValueError("Sample larger than population or is negative")
     setsize = 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
     if size <= setsize:
         pool = list(range(1, n))
         for m in range(size, size - k, -1):
-            j = _below(getrandbits, m)
+            j = draw_below(rng, m)
             chosen.append(pool[j])
             pool[j] = pool[m - 1]
     else:
         selected = set()
         while len(selected) < k:
-            j = _below(getrandbits, size)
+            j = draw_below(rng, size)
             if j not in selected:
                 selected.add(j)
                 chosen.append(j + 1)
@@ -226,13 +230,13 @@ def random_turn(rng: random.Random, denominator_bound: int) -> Turn:
 
     Equal draws return one shared Turn, so a sampled coordinate is reduced
     once and equal coordinates are often the same object, which settles
-    equality by identity.  The two values come straight from
-    rng.getrandbits (_below), in the calls randint(1, bound) and then
-    randrange(q) make, so a seed draws what those methods would; a bound
-    below 1 raises ValueError, as randint does.
+    equality by identity.  Both values come from draw_below, in the calls
+    randint(1, bound) and then randrange(q) make, so a seed draws what
+    those methods would; a bound below 1 raises ValueError, as randint
+    does.
     """
-    q = 1 + _below(rng.getrandbits, denominator_bound)
-    return _shared_turn(_below(rng.getrandbits, q), q)
+    q = 1 + draw_below(rng, denominator_bound)
+    return _shared_turn(draw_below(rng, q), q)
 
 
 def sample(
@@ -246,26 +250,15 @@ def sample(
     Coordinates on the chosen support are random rationals with denominator
     at most denominator_bound (they may still land on the basepoint, so the
     realised support can be smaller); all other coordinates are exactly 0.
-    Every value comes straight from rng.getrandbits, draw for draw as
-    rng.sample(range(1, n), r - 1) picks the support (_labels) and then
-    random_turn draws each chosen label's coordinate, in the order the
-    labels were picked, and the circle's last; each label's q and p are
-    drawn inline.
+    draw_labels picks the support, as Random.sample(range(1, n), r - 1)
+    would, and then random_turn draws each chosen label's coordinate, in
+    the order the labels were picked, and the circle's last, so every value
+    comes from draw_below and a seed draws what those methods would.
     """
     if denominator_bound < 2:
         raise ValueError("denominator_bound must be at least 2")
-    getrandbits, bits = rng.getrandbits, denominator_bound.bit_length()
     coords = [BASEPOINT] * (sig.n - 1)
-    for label in _labels(getrandbits, sig.n, sig.r - 1):
-        # random_turn's two draws, each _below's loop
-        q = getrandbits(bits)
-        while q >= denominator_bound:
-            q = getrandbits(bits)
-        q += 1
-        k = q.bit_length()
-        p = getrandbits(k)
-        while p >= q:
-            p = getrandbits(k)
-        coords[label - 1] = _shared_turn(p, q)
+    for label in draw_labels(rng, sig.n, sig.r - 1):
+        coords[label - 1] = random_turn(rng, denominator_bound)
     circle = random_turn(rng, denominator_bound) if with_circle else None
     return tuple.__new__(SkeletonPoint, (tuple(coords), circle))

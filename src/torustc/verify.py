@@ -43,8 +43,11 @@ The verifier uses only the planner's public names.  It decides each
 query's agreement once, by classify, which the planner never calls (a
 path's agreement is read off its constant rules), so the domain check
 compares two independent decisions; perturb_query keeps the same set.
-Exact antipodes are decided by Turn.ccw_gap, the counterclockwise gap of
-Turn.travel, from which the planner's rules take their travel too.
+Exact antipodes are decided by Turn.travel, the counterclockwise gap from
+which the planner's rules take their travel too.  Every seeded value, the
+grid spot, each shift and a wrap probe's labels, is drawn through
+draw_below and draw_labels, as sample's are, so only rng.getrandbits
+fixes a report.
 """
 
 from __future__ import annotations
@@ -56,7 +59,8 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .planner import PlannerPath, PlannerQuery, classify, plan_product, plan_skeleton
-from .skeleton import BASEPOINT, SkeletonPoint, Turn, random_turn, sample
+from .skeleton import (BASEPOINT, SkeletonPoint, Turn, draw_below, draw_labels, random_turn,
+                       sample)
 
 DEFAULT_EPS = Fraction(1, 1000)
 FAILURE_CAP = 5  # violations recorded with their queries in one report
@@ -136,7 +140,7 @@ def run_simulation(
         histogram[domain] = histogram.get(domain, 0) + 1
         agree = classify(query, sig)
         # the circle adds a domain exactly at antipodes, a half-turn gap
-        gap, den = start.circle.ccw_gap(end.circle) if product else (0, 1)
+        gap, den = start.circle.travel(end.circle) if product else (0, 1)
         if not (path.agreement == agree and domain == len(agree) + (2 * gap == den)):
             flag("domain", query, f"domain index {domain}")
 
@@ -145,7 +149,7 @@ def run_simulation(
             flag("endpoint", query, "path does not interpolate exactly")
 
         counts = path.exact_zero_counts(steps)
-        spot = rng.randrange(steps + 1)
+        spot = draw_below(rng, steps + 1)
         if path.evaluate(Fraction(spot, steps)).exact_zero_count() != counts[spot]:
             flag("membership", query,
                  f"grid counter disagrees with evaluation at t={Fraction(spot, steps)}")
@@ -170,12 +174,17 @@ def run_simulation(
                             time.perf_counter() - started, failures)
 
 
-def _perturbation(rng: random.Random, eps: Fraction) -> tuple[int, int]:
-    """Nonzero rational shift p/q with |p/q| <= eps, as a pair of ints."""
-    # the same draw as rng.choice over the nonzero integers in [-1000, 1000]
-    k = rng.randrange(2000)
+def _perturbation(rng: random.Random, eps_ratio: tuple[int, int]) -> tuple[int, int]:
+    """Nonzero rational shift p/q with |p/q| <= eps, as a pair of ints, for
+    eps given as its integer ratio (p, q), which the caller reads once.
+
+    One draw_below(rng, 2000) picks a nonzero multiple of eps/1000 in
+    [-eps, eps], as rng.choice over the nonzero integers in [-1000, 1000]
+    would.
+    """
+    k = draw_below(rng, 2000)
     k = k - 1000 if k < 1000 else k - 999
-    p, q = eps.as_integer_ratio()
+    p, q = eps_ratio
     return k * p, 1000 * q
 
 
@@ -197,7 +206,7 @@ def _perturb_point(
     point: SkeletonPoint,
     agree: frozenset[int],
     rng: random.Random,
-    eps: Fraction,
+    eps_ratio: tuple[int, int],
 ) -> list[Turn]:
     """Perturbed base coordinates of one endpoint, support preserved.
 
@@ -205,7 +214,7 @@ def _perturb_point(
     shifted identically there); this helper only moves the coordinates where
     the endpoints differ, keeping zero coordinates exactly zero.
     """
-    return [u if j in agree or not u.num else _shift(u, _perturbation(rng, eps))
+    return [u if j in agree or not u.num else _shift(u, _perturbation(rng, eps_ratio))
             for j, u in enumerate(point.base, 1)]
 
 
@@ -231,19 +240,22 @@ def perturb_query(
     """
     agree = classify(query, sig)
     start, end = query.start, query.end
-    start_base = _perturb_point(start, agree, rng, eps)
-    end_base = _perturb_point(end, agree, rng, eps)
+    # read once for all of the query's shifts
+    eps_ratio = eps.as_integer_ratio()
+    start_base = _perturb_point(start, agree, rng, eps_ratio)
+    end_base = _perturb_point(end, agree, rng, eps_ratio)
     for j in agree:
         u = start.base[j - 1]
         if u.num:
-            start_base[j - 1] = end_base[j - 1] = _shift(u, _perturbation(rng, eps))
+            start_base[j - 1] = end_base[j - 1] = _shift(u, _perturbation(rng, eps_ratio))
 
     start_circle = end_circle = None
     if start.circle is not None:
-        gap, den = start.circle.ccw_gap(end.circle)
-        delta = _perturbation(rng, eps)
+        gap, den = start.circle.travel(end.circle)
+        delta = _perturbation(rng, eps_ratio)
         start_circle = _plus(start.circle, delta)
-        end_circle = _plus(end.circle, delta if 2 * gap in (0, den) else _perturbation(rng, eps))
+        end_circle = _plus(end.circle, delta if 2 * gap in (0, den)
+                           else _perturbation(rng, eps_ratio))
     elif (start_base, end_base) == (list(start.base), list(end.base)):
         return None
     return PlannerQuery(
@@ -271,7 +283,7 @@ def _wrap_probe(sig, rng: random.Random, product: bool,
     start_base, end_base = [BASEPOINT] * (sig.n - 1), [BASEPOINT] * (sig.n - 1)
     target = None
     if sig.r >= 2:
-        support = sorted(rng.sample(range(1, sig.n), sig.r - 1))
+        support = sorted(draw_labels(rng, sig.n, sig.r - 1))
         for label in support:
             start_base[label - 1] = random_turn(rng, 8)
             end_base[label - 1] = random_turn(rng, 8)

@@ -400,7 +400,7 @@ class TestPlanProduct:
                 b = sample(sig, rng, with_circle=True)
                 path = plan_product(query(a, b), sig)
                 assert floor <= path.domain <= sig.n
-                antipodes = F(*a.circle.ccw_gap(b.circle)) == F(1, 2)
+                antipodes = F(*a.circle.travel(b.circle)) == F(1, 2)
                 assert path.domain == len(path.agreement) + antipodes
                 assert path.mode == "product"
                 assert len(path.rules) == n - 1

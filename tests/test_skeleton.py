@@ -14,6 +14,7 @@ from torustc import (AlgebraSignature, PlannerQuery, SkeletonPoint, Turn, member
                      plan_skeleton, random_turn, sample)
 from torustc.algebra import shown
 from torustc.cli import MAX_DENOMINATOR_BOUND
+from torustc.skeleton import draw_below, draw_labels
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=64)
 
@@ -97,22 +98,22 @@ class TestTurn:
 
     @settings(max_examples=300, deadline=None)
     @given(rationals, rationals)
-    def test_ccw_gap_and_distance(self, a, b):
+    def test_travel_gap_and_distance(self, a, b):
         x, y = Turn(a), Turn(b)
-        num, den = x.ccw_gap(y)
+        num, den = x.travel(y)
         assert type(num) is int and type(den) is int
         assert 0 <= num < den
         gap = Fraction(num, den)
         assert Turn(x.value + gap) == y
-        assert Fraction(*y.ccw_gap(x)) == (1 - gap) % 1
+        assert Fraction(*y.travel(x)) == (1 - gap) % 1
         assert (2 * num == den) == (Turn(x.value + Fraction(1, 2)) == y)
 
     @settings(max_examples=300, deadline=None)
     @given(rationals)
     def test_basepoint_distance(self, a):
         x = Turn(a)
-        assert Fraction(*Turn(0).ccw_gap(x)) == x.value
-        assert Fraction(*x.ccw_gap(Turn(0))) == (1 - x.value) % 1
+        assert Fraction(*Turn(0).travel(x)) == x.value
+        assert Fraction(*x.travel(Turn(0))) == (1 - x.value) % 1
 
     @settings(max_examples=400, deadline=None)
     @given(rationals, st.one_of(rationals, st.integers(-7, 7)))
@@ -127,7 +128,7 @@ class TestTurn:
             assert hash(x) == hash(y)
         assert (x.num, x.den) == ((a % 1).numerator, (a % 1).denominator)
         assert x.is_zero == (a % 1 == 0)
-        assert Fraction(*x.ccw_gap(y)) == (b - a) % 1
+        assert Fraction(*x.travel(y)) == (b - a) % 1
 
     def test_equality_is_exact(self):
         assert Turn(Fraction(1, 3)) == Turn(Fraction(2, 6))
@@ -218,6 +219,44 @@ class TestTurnArithmetic:
         with pytest.raises(ValueError):
             random_turn(random.Random(0), bound)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**64), st.integers(1, 10**6))
+    @example(0, 1)
+    @example(0, 2000)  # a perturbation's shift
+    @example(0, 257)  # a grid spot at 256 steps
+    def test_draw_below_draws_as_randrange(self, seed, n):
+        rng, twin = random.Random(seed), random.Random(seed)
+        for _ in range(5):
+            assert draw_below(rng, n) == twin.randrange(n)
+        assert rng.random() == twin.random()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**64), st.integers(1, 200).flatmap(
+               lambda n: st.tuples(st.just(n), st.integers(0, n - 1))))
+    @example(0, (10, 4))  # Random.sample's pool branch
+    @example(0, (40, 2))  # its set branch
+    @example(0, (30, 6))  # the pool branch, with k > 5 sizing the set
+    @example(0, (100, 7))  # the set branch with k > 5
+    @example(0, (1, 0))  # no labels at all
+    @example(0, (200, 199))  # every label
+    def test_draw_labels_draws_as_sample(self, seed, nk):
+        (n, k), rng, twin = nk, random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            assert draw_labels(rng, n, k) == twin.sample(range(1, n), k)
+        assert rng.random() == twin.random()
+
+    @pytest.mark.parametrize("n, k", [(5, -1), (5, 5), (1, 1), (0, 1), (200, 200), (40, -3)])
+    def test_draw_labels_refuses_bad_sizes_before_drawing(self, n, k):
+        # Random.sample's refusal, with its message, and nothing drawn
+        rng = random.Random(3)
+        state = rng.getstate()
+        with pytest.raises(ValueError) as twin_refused:
+            random.Random(3).sample(range(1, n), k)
+        with pytest.raises(ValueError) as refused:
+            draw_labels(rng, n, k)
+        assert str(refused.value) == str(twin_refused.value)
+        assert rng.getstate() == state
+
 
 class TestMembership:
     def test_support_and_membership(self):
@@ -263,7 +302,7 @@ class TestMembership:
 
     def test_point_helpers(self):
         p = SkeletonPoint((Turn(0), Turn(Fraction(1, 5))), Turn(Fraction(1, 2)))
-        assert p.has_circle
+        assert p.circle is not None
         assert p.to_jsonable() == {"base": ["0", "1/5"], "circle": "1/2"}
         assert membership(p.base, AlgebraSignature(3, 2)) == (True, frozenset({2}))
 
@@ -276,13 +315,13 @@ class TestSampling:
             for _ in range(300):
                 p = sample(sig, rng, denominator_bound=8)
                 assert membership(p.base, sig)[0]
-                assert not p.has_circle
+                assert p.circle is None
                 assert all(t.value.denominator <= 8 for t in p.base)
 
     def test_with_circle(self):
         rng = random.Random(43)
         p = sample(AlgebraSignature(3, 2), rng, with_circle=True)
-        assert p.has_circle
+        assert p.circle is not None
 
     def test_denominator_bound_validation(self):
         with pytest.raises(ValueError):

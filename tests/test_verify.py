@@ -5,6 +5,7 @@ import math
 import random
 import time
 import tracemalloc
+import types
 from fractions import Fraction
 
 import pytest
@@ -285,16 +286,18 @@ class TestPerturbation:
             q = PlannerQuery(base, end)
             for _ in range(20):
                 near = perturb_query(q, sig, rng)
-                moved_gap = F(*near.start.circle.ccw_gap(near.end.circle))
+                moved_gap = F(*near.start.circle.travel(near.end.circle))
                 assert (moved_gap == gap) == (gap in (0, F(1, 2))), (gap, near)
                 assert plan_product(near, sig).domain == plan_product(q, sig).domain
 
     def test_shift_onto_the_basepoint_is_halved(self):
-        # randrange(k) returning k - 1 draws the shift +eps every time, which
-        # would carry 999/1000 onto the basepoint, so that shift is halved
+        # every shift is draw_below(rng, 2000); getrandbits(11) returning
+        # 1999 draws the shift +eps every time, which would carry 999/1000
+        # onto the basepoint, so that shift is halved
         class LastDraw:
-            def randrange(self, k):
-                return k - 1
+            def getrandbits(self, bits):
+                assert bits == 11
+                return 1999
 
         sig = AlgebraSignature(3, 2)
         q = PlannerQuery(SkeletonPoint((Turn(F(999, 1000)), Turn(0))),
@@ -310,12 +313,13 @@ class TestPerturbation:
             def __init__(self, k):
                 self.k = k
 
-            def randrange(self, n):
-                assert n == 2000
+            def getrandbits(self, bits):
+                # draw_below(rng, 2000) takes 11 bits, and k < 2000 is kept
+                assert bits == 11
                 return self.k
 
         eps = F(1, 1000)
-        shifts = [F(*verify._perturbation(Draw(k), eps)) for k in range(2000)]
+        shifts = [F(*verify._perturbation(Draw(k), eps.as_integer_ratio())) for k in range(2000)]
         assert 0 not in shifts and len(set(shifts)) == 2000
         assert {-s for s in shifts} == set(shifts) and max(shifts) == eps
 
@@ -611,3 +615,48 @@ class TestPerturbation:
                     ratio = continuity_ratio(sig, mode, rng)
                     if ratio is not None:
                         assert ratio < 64
+
+
+class GetrandbitsOnly(random.Random):
+    """A Random whose draws other than getrandbits raise, so a seeded value
+    that some other method fixes fails loudly."""
+
+    def _refuse(self, *args, **kwargs):
+        raise AssertionError("a seeded value came from a method other than getrandbits")
+
+    randrange = randint = sample = choice = random = _refuse
+
+
+class TestSeededDraws:
+    @pytest.mark.parametrize("mode", ["skeleton", "product"])
+    def test_verifier_draws_only_through_getrandbits(self, mode, monkeypatch):
+        # perturb_query, both kinds of continuity probe and a whole
+        # simulation draw every value through draw_below and draw_labels,
+        # so each gets what a plain Random with the same seed gets
+        product = mode == "product"
+        for n, r in [(2, 2), (3, 1), (5, 3), (10, 4), (30, 7), (40, 3), (40, 8)]:
+            sig = AlgebraSignature(n, r)
+            for seed in range(3):
+                strict, plain = GetrandbitsOnly(seed), random.Random(seed)
+                for _ in range(4):
+                    query = PlannerQuery(sample(sig, plain, with_circle=product),
+                                         sample(sig, plain, with_circle=product))
+                    assert sample(sig, strict, with_circle=product) == query.start
+                    assert sample(sig, strict, with_circle=product) == query.end
+                    assert perturb_query(query, sig, strict) == perturb_query(query, sig, plain)
+                    for wrap in (False, True):
+                        assert (continuity_ratio(sig, mode, strict, wrap=wrap)
+                                == continuity_ratio(sig, mode, plain, wrap=wrap))
+                assert strict.getrandbits(32) == plain.getrandbits(32)
+
+            def report():
+                doc = run_simulation(sig, mode, queries=3, steps=16, seed=7,
+                                     continuity_probes=8).to_jsonable()
+                del doc["wall_time_s"]
+                return doc
+
+            want = report()
+            with monkeypatch.context() as patched:
+                # run_simulation seeds its own Random
+                patched.setattr(verify, "random", types.SimpleNamespace(Random=GetrandbitsOnly))
+                assert report() == want
